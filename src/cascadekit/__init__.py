@@ -14,7 +14,16 @@ from .branching import (
     mean_share_probability,
     share_probability,
 )
-from .diffusion import CascadeOutcome, NewsItem, run_batch, run_cascade, sample_first_sharers, sample_news
+from .diffusion import (
+    BatchStats,
+    CascadeOutcome,
+    NewsItem,
+    batch_stats,
+    run_batch,
+    run_cascade,
+    sample_first_sharers,
+    sample_news,
+)
 from .errors import (
     DegenerateSampleError,
     OrphanParentError,

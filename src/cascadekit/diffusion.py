@@ -5,6 +5,12 @@ share unconditionally; in synchronous rounds the item then spreads across
 homogeneous edges to neighbors whose opinion lies within the sharing
 threshold of the fitness. Every user shares at most once, so the sharer
 set is the threshold-restricted reachability closure of the seeds.
+
+One numpy frontier kernel expands a whole batch at once, round by round.
+run_batch and run_cascade build sharing trees from it; batch_stats returns
+only per-item sizes, heights and round counts and builds no tree. For a
+given seed all three give exactly the trees and numbers of the earlier
+per-sharer loop (tests/test_equivalence.py holds digests of its output).
 """
 
 from __future__ import annotations
@@ -27,6 +33,16 @@ class NewsItem:
     id: int
     fitness: float
     first_sharer_count: int
+
+
+@dataclass
+class BatchStats:
+    """Per-item first-sharer counts, sizes, heights and round counts of one batch."""
+
+    seeds: np.ndarray
+    sizes: np.ndarray
+    heights: np.ndarray
+    rounds: np.ndarray
 
 
 @dataclass
@@ -69,7 +85,7 @@ def sample_news(count: int, dist: FittedDistribution, seed, max_count: int | Non
     ]
 
 
-def run_cascade(g: SignedGraph, news: NewsItem, delta: float, seed, _adj=None) -> CascadeOutcome:
+def run_cascade(g: SignedGraph, news: NewsItem, delta: float, seed) -> CascadeOutcome:
     """Diffuse one news item and record its sharing tree.
 
     The first_sharer_count distinct seed nodes share at round 0 without any
@@ -82,64 +98,225 @@ def run_cascade(g: SignedGraph, news: NewsItem, delta: float, seed, _adj=None) -
     Raises:
         ParameterError: delta outside [0, 1] or more seeds than nodes.
     """
-    if not 0.0 <= delta <= 1.0:
-        raise ParameterError(f"sharing threshold must be in [0, 1], got {delta}")
-    n = g.node_count
-    m = news.first_sharer_count
-    if m > n:
-        raise ParameterError(f"cannot seed {m} first sharers in a graph of {n} nodes")
-    rng = as_generator(seed)
-    indptr, indices = g.adjacency(homogeneous_only=True) if _adj is None else _adj
-
-    nodes: list[TreeNode] = []
-    tree = SharingTree(news_id=news.id, category="synthetic", nodes=nodes,
-                       virtual_root=True, page_sign=1)
-    if m == 0:
-        return CascadeOutcome(news_id=news.id, tree=tree, rounds=0)
-
-    passes = np.abs(g.opinions - news.fitness) <= delta
-    shared = np.zeros(n, dtype=bool)
-    seeds = rng.choice(n, size=m, replace=False)
-    shared[seeds] = True
-    tree_id: dict[int, int] = {}
-    for u in seeds:
-        u = int(u)
-        tree_id[u] = len(nodes)
-        nodes.append(TreeNode(id=len(nodes), user=u, sigma=1.0, t=0, parent=None))
-
-    frontier = [int(u) for u in seeds]
-    round_k = 0
-    while frontier:
-        candidates: dict[int, list[int]] = {}
-        for u in frontier:
-            for v in indices[indptr[u]:indptr[u + 1]]:
-                v = int(v)
-                if not shared[v] and passes[v]:
-                    candidates.setdefault(v, []).append(u)
-        if not candidates:
-            break
-        round_k += 1
-        frontier = []
-        for v in sorted(candidates):
-            parents = candidates[v]
-            parent = parents[0] if len(parents) == 1 else parents[int(rng.integers(len(parents)))]
-            shared[v] = True
-            tree_id[v] = len(nodes)
-            nodes.append(TreeNode(id=len(nodes), user=v, sigma=1.0, t=round_k, parent=tree_id[parent]))
-            frontier.append(v)
-    return CascadeOutcome(news_id=news.id, tree=tree, rounds=round_k)
+    _, [outcome] = _diffuse(g, [news], delta, [seed], build_trees=True)
+    return outcome
 
 
 def run_batch(g: SignedGraph, news_list, delta: float, seed) -> list[CascadeOutcome]:
     """Run one cascade per item with independent sub-seeds from a master seed.
 
     Deterministic given (graph, news list, delta, master seed); outcomes
-    come back in news-list order.
+    come back in news-list order. Item i draws its seeds and parents from
+    its own Generator on the i-th child of the master SeedSequence, so its
+    tree equals run_cascade on that child.
     """
-    ss = as_seed_sequence(seed)
-    children = ss.spawn(len(news_list))
-    adj = g.adjacency(homogeneous_only=True)
-    return [
-        run_cascade(g, item, delta, child, _adj=adj)
-        for item, child in zip(news_list, children)
+    children = as_seed_sequence(seed).spawn(len(news_list))
+    _, outcomes = _diffuse(g, news_list, delta, children, build_trees=True)
+    return outcomes
+
+
+def batch_stats(g: SignedGraph, news_list, delta: float, seed) -> BatchStats:
+    """Per-item sizes, heights and round counts of run_batch, without its trees.
+
+    Takes the same arguments and gives the same numbers as run_batch for
+    every seed: sizes and heights depend only on the graph, the fitness,
+    the seeds and delta, and each item draws its seeds before any parent.
+    No parent is drawn and no TreeNode is built.
+    """
+    children = as_seed_sequence(seed).spawn(len(news_list))
+    stats, _ = _diffuse(g, news_list, delta, children, build_trees=False)
+    return stats
+
+
+def _diffuse(g: SignedGraph, news_list, delta: float, item_seeds, build_trees: bool):
+    """Expand every item's cascade at once, one synchronous round at a time.
+
+    The state is the set of (item, node) pairs that have shared, held as
+    int64 keys item*n + node. Round 0 holds each item's seeds, drawn with
+    rng.choice(n, m, replace=False) from the Generator of item_seeds[item], in
+    the order drawn. Each round gathers the homogeneous neighbors of the
+    frontier, keeps those within delta of their item's fitness, and drops
+    the pairs already shared. In tree mode the surviving (child, parent)
+    pairs are stable-sorted by child key, so every child's parents keep
+    frontier order (seed order in round 1, node order later), and a child
+    with k > 1 parents takes the one at index rng.integers(k), drawn in
+    node order per item and round.
+
+    Returns (BatchStats, outcomes); outcomes is None unless build_trees.
+    """
+    if not 0.0 <= delta <= 1.0:
+        raise ParameterError(f"sharing threshold must be in [0, 1], got {delta}")
+    n = g.node_count
+    counts = np.array([item.first_sharer_count for item in news_list], dtype=np.int64)
+    if counts.size and counts.max() > n:
+        raise ParameterError(f"cannot seed {counts.max()} first sharers in a graph of {n} nodes")
+    if counts.size and counts.min() < 0:
+        raise ParameterError(f"first-sharer count must be >= 0, got {counts.min()}")
+    fitness = np.array([item.fitness for item in news_list], dtype=float)
+    rngs = [as_generator(s) if m else None for s, m in zip(item_seeds, counts.tolist())]
+    seed_nodes = [rng.choice(n, size=m, replace=False) for rng, m in zip(rngs, counts.tolist()) if m]
+    frontier = np.repeat(np.arange(len(counts), dtype=np.int64), counts) * n
+    if seed_nodes:
+        frontier += np.concatenate(seed_nodes)
+
+    indptr, indices = g.adjacency(homogeneous_only=True)
+    expand = _Expansion(indptr, indices, g.opinions, fitness, delta, n, rngs if build_trees else None)
+    trees = _TreeBuilder(len(counts), n) if build_trees else None
+    sizes = counts.copy()
+    rounds = np.zeros(len(counts), dtype=np.int64)
+    # A neighbor of a round-k sharer has either not shared yet or shared in
+    # round k-1 or k: had it shared in round j < k-1, the round-k sharer (a
+    # seed, or a node passing the threshold) would have shared by round j+1.
+    # So the visited set holds only the last two rounds' pairs.
+    layer = np.sort(frontier)
+    visited = layer
+    round_k = 0
+    if trees is not None:
+        trees.add(frontier, None, round_k)
+    while frontier.size:
+        frontier, parents = expand(frontier, visited)
+        if not frontier.size:
+            break
+        round_k += 1
+        item_of = frontier // n
+        rounds[item_of] = round_k
+        sizes += np.bincount(item_of, minlength=len(counts))
+        if trees is not None:
+            trees.add(frontier, parents, round_k)
+        visited = np.sort(np.concatenate([layer, frontier]))
+        layer = frontier
+
+    stats = BatchStats(seeds=counts, sizes=sizes, heights=np.where(counts > 0, rounds + 1, 0), rounds=rounds)
+    if trees is None:
+        return stats, None
+    return stats, [
+        CascadeOutcome(
+            news_id=item.id,
+            tree=SharingTree(news_id=item.id, category="synthetic", nodes=nodes, virtual_root=True, page_sign=1),
+            rounds=int(k),
+        )
+        for item, nodes, k in zip(news_list, trees.nodes, rounds.tolist())
     ]
+
+
+# Neighbor pairs gathered at once. A round's frontier is expanded in slices
+# of whole items holding about this many pairs, which bounds the temporary
+# arrays of big cascades and costs small ones at most a few slices a round.
+_SLICE_PAIRS = 1 << 16
+
+
+class _Expansion:
+    """One round of the frontier kernel over a prepared homogeneous CSR view."""
+
+    def __init__(self, indptr, indices, opinions, fitness, delta, n, rngs):
+        self.indptr, self.indices, self.opinions = indptr, indices, opinions
+        self.degree = np.diff(indptr)
+        self.fitness, self.delta, self.n = fitness, delta, n
+        self.rngs = rngs  # per-item Generators in tree mode, None for stats only
+
+    def __call__(self, frontier: np.ndarray, visited: np.ndarray):
+        """New sharer keys of the next round, sorted, and their parent nodes (tree mode)."""
+        n = self.n
+        items, nodes = np.divmod(frontier, n)
+        pairs = self.degree[nodes]
+        keys, parents = [], []
+        for lo, hi in _item_slices(items, pairs):
+            k, p = self._slice(items[lo:hi], nodes[lo:hi], pairs[lo:hi], visited)
+            keys.append(k)
+            parents.append(p)
+        if len(keys) == 1:
+            return keys[0], parents[0]
+        return np.concatenate(keys), (np.concatenate(parents) if self.rngs is not None else None)
+
+    def _slice(self, items, nodes, pairs, visited):
+        n = self.n
+        ends = np.cumsum(pairs)
+        gather = np.repeat(self.indptr[nodes] - (ends - pairs), pairs) + np.arange(ends[-1])
+        children = self.indices[gather]
+        pair_items = np.repeat(items, pairs)
+        ok = np.abs(self.opinions[children] - self.fitness[pair_items]) <= self.delta
+        keys = pair_items[ok] * n + children[ok]
+        fresh = visited[np.minimum(np.searchsorted(visited, keys), visited.size - 1)] != keys
+        keys = keys[fresh]
+        if self.rngs is None:
+            return np.unique(keys), None
+        parents = np.repeat(nodes, pairs)[ok][fresh]
+        if not keys.size:
+            return keys, parents
+
+        order = np.argsort(keys, kind="stable")
+        keys, parents = keys[order], parents[order]
+        first = _run_starts(keys)
+        counts = np.diff(np.append(first, keys.size))
+        chosen = first.copy()
+        multi = np.flatnonzero(counts > 1)
+        if multi.size:
+            multi_items = keys[first[multi]] // n
+            runs = _run_starts(multi_items)
+            for a, b in zip(runs.tolist(), np.append(runs[1:], multi.size).tolist()):
+                picks = multi[a:b]
+                chosen[picks] += self.rngs[int(multi_items[a])].integers(counts[picks])
+        return keys[first], parents[chosen]
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Start index of every run of equal values in a non-empty array."""
+    return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+
+
+def _item_slices(items: np.ndarray, pairs: np.ndarray):
+    """(lo, hi) bounds of consecutive runs of whole items with about _SLICE_PAIRS pairs each."""
+    total = int(pairs.sum())
+    if total <= _SLICE_PAIRS:
+        yield 0, items.size
+        return
+    starts = _run_starts(items)
+    before = np.append(np.concatenate(([0], np.cumsum(pairs)))[starts], total)
+    bounds = np.append(starts, items.size)
+    lo = 0
+    while lo < starts.size:
+        hi = max(int(np.searchsorted(before, before[lo] + _SLICE_PAIRS, side="right")) - 1, lo + 1)
+        yield int(bounds[lo]), int(bounds[hi])
+        lo = hi
+
+
+class _TreeBuilder:
+    """Per-item TreeNode lists, grown one round at a time.
+
+    An item's tree ids follow its share order: seeds in draw order, then
+    each round's sharers in node order. A node's parent field is the id
+    object of its parent's TreeNode, so no id is held twice.
+    """
+
+    def __init__(self, items: int, n: int):
+        self.n = n
+        self.nodes: list[list[TreeNode]] = [[] for _ in range(items)]
+        self._count = np.zeros(items, dtype=np.int64)
+        self._last_keys = self._last_ids = None  # previous round, sorted by key
+
+    def add(self, keys: np.ndarray, parents: np.ndarray | None, t: int) -> None:
+        """Append one round: keys grouped by item, parent nodes (None for seeds)."""
+        if not keys.size:
+            return
+        items, users = np.divmod(keys, self.n)
+        starts = _run_starts(items)
+        lengths = np.diff(np.append(starts, keys.size))
+        ids = np.arange(keys.size) - np.repeat(starts - self._count[items[starts]], lengths)
+        if parents is not None:
+            at = np.searchsorted(self._last_keys, items * self.n + parents)
+            parent_ids = self._last_ids[at]
+        for a, b, item in zip(starts.tolist(), (starts + lengths).tolist(), items[starts].tolist()):
+            nodes = self.nodes[item]
+            new = range(len(nodes), len(nodes) + b - a)
+            us = users[a:b].tolist()
+            if parents is None:
+                nodes.extend([TreeNode(j, u, 1.0, t, None) for j, u in zip(new, us)])
+            else:
+                nodes.extend([
+                    TreeNode(j, u, 1.0, t, nodes[p].id) for j, u, p in zip(new, us, parent_ids[a:b].tolist())
+                ])
+        self._count += np.bincount(items, minlength=self._count.size)
+        if parents is None:  # seeds come in draw order; later rounds in key order
+            order = np.argsort(keys)
+            keys, ids = keys[order], ids[order]
+        self._last_keys, self._last_ids = keys, ids

@@ -8,6 +8,7 @@ to hit a target homogeneous-link fraction exactly.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -97,28 +98,44 @@ def generate_small_world(n: int, z: int, r: float, seed) -> SignedGraph:
     heads = np.tile(np.arange(n), half)
     offsets = np.repeat(np.arange(1, half + 1), n)
     tails = (heads + offsets) % n
-    edge_list: list[tuple[int, int]] = list(zip(heads.tolist(), tails.tolist()))
+    degree = [z] * n  # every lattice node has degree z
 
-    neighbors: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edge_list:
-        neighbors[u].add(v)
-        neighbors[v].add(u)
-
-    rewire = rng.uniform(size=len(edge_list)) < r
-    for k in np.nonzero(rewire)[0]:
-        u, v = edge_list[k]
-        if len(neighbors[u]) >= n - 1:
+    # Rewiring visits each lattice edge once and only ever removes that
+    # edge, so the current edge set is the lattice minus `removed` plus
+    # `added`, with undirected edges held as keys min*n + max. Targets are
+    # drawn in blocks as long as the rewirings still to come:
+    # rng.integers(n, size=k) yields the same values as k scalar
+    # rng.integers(n) calls, so this matches one draw per attempt. Only
+    # rewirings skipped below leave drawn targets unused, which advances a
+    # caller's Generator further than one draw per attempt would.
+    rewire = np.flatnonzero(rng.uniform(size=len(heads)) < r).tolist()
+    head_list, new_tails = heads.tolist(), tails.tolist()
+    removed: set[int] = set()
+    added: set[int] = set()
+    block: list[int] = []
+    drawn = 0
+    for done, k in enumerate(rewire):
+        u, v = head_list[k], new_tails[k]
+        if degree[u] >= n - 1:
             continue  # u already adjacent to everyone else; nothing to rewire to
-        w = int(rng.integers(n))
-        while w == u or w in neighbors[u]:
-            w = int(rng.integers(n))
-        neighbors[u].remove(v)
-        neighbors[v].remove(u)
-        neighbors[u].add(w)
-        neighbors[w].add(u)
-        edge_list[k] = (u, w)
+        while True:
+            if drawn == len(block):
+                block, drawn = rng.integers(n, size=len(rewire) - done).tolist(), 0
+            w = block[drawn]
+            drawn += 1
+            if w == u:
+                continue
+            key = u * n + w if u < w else w * n + u
+            gap = u - w if u > w else w - u
+            if key not in added and (half < gap < n - half or key in removed):
+                break
+        removed.add(u * n + v if u < v else v * n + u)
+        added.add(key)
+        degree[v] -= 1
+        degree[w] += 1
+        new_tails[k] = w
 
-    edges = np.asarray(edge_list, dtype=np.int64)
+    edges = np.column_stack([heads, np.asarray(new_tails, dtype=np.int64)])
     return SignedGraph(
         node_count=n,
         ring_degree=z,
@@ -161,15 +178,38 @@ def graph_to_dict(g: SignedGraph) -> dict:
     }
 
 
+def _flag(value) -> bool:
+    if not isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"homogeneous flag must be a boolean, got {value!r}")
+    return bool(value)
+
+
 def graph_from_dict(doc: dict) -> SignedGraph:
-    n = int(doc["n"])
-    nodes = sorted(doc["nodes"], key=lambda d: d["id"])
-    if len(nodes) != n or [d["id"] for d in nodes] != list(range(n)):
+    """Rebuild a SignedGraph from a graph_to_dict document.
+
+    Raises:
+        ParameterError: a missing or malformed field (integers must be
+            integers, flags booleans), an opinion that is not a finite
+            number in [0, 1], r outside [0, 1], or an edge list with an
+            out-of-range endpoint, a self loop or a duplicate.
+    """
+    try:
+        n = operator.index(doc["n"])
+        z = operator.index(doc["z"])
+        r = float(doc["r"])
+        nodes = sorted(doc["nodes"], key=lambda d: d["id"])
+        ids = [d["id"] for d in nodes]
+        opinions = np.array([float(d["opinion"]) for d in nodes])
+        edges = np.array([[operator.index(d["u"]), operator.index(d["v"])] for d in doc["edges"]], dtype=np.int64)
+        homogeneous = np.array([_flag(d["homogeneous"]) for d in doc["edges"]], dtype=bool)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParameterError(f"malformed graph document: {type(exc).__name__}: {exc}") from exc
+    if len(nodes) != n or ids != list(range(n)):
         raise ParameterError("node list must cover ids 0..n-1 exactly")
-    opinions = np.array([float(d["opinion"]) for d in nodes])
-    if np.any((opinions < 0) | (opinions > 1)):
-        raise ParameterError("opinions must lie in [0, 1]")
-    edges = np.array([[int(d["u"]), int(d["v"])] for d in doc["edges"]], dtype=np.int64)
+    if not np.all((opinions >= 0) & (opinions <= 1)):
+        raise ParameterError("opinions must be finite numbers in [0, 1]")
+    if not 0.0 <= r <= 1.0:
+        raise ParameterError(f"rewiring probability must be in [0, 1], got {r}")
     edges = edges.reshape(-1, 2)
     if len(edges) and (np.any(edges < 0) or np.any(edges >= n)):
         raise ParameterError("edge endpoint out of range")
@@ -178,11 +218,10 @@ def graph_from_dict(doc: dict) -> SignedGraph:
     canon = {tuple(sorted(e)) for e in edges.tolist()}
     if len(canon) != len(edges):
         raise ParameterError("duplicate edge in edge list")
-    homogeneous = np.array([bool(d["homogeneous"]) for d in doc["edges"]], dtype=bool)
     return SignedGraph(
         node_count=n,
-        ring_degree=int(doc["z"]),
-        rewiring_probability=float(doc["r"]),
+        ring_degree=z,
+        rewiring_probability=r,
         opinions=opinions,
         edges=edges,
         homogeneous=homogeneous,

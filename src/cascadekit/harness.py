@@ -6,6 +6,11 @@ across iterations into per-point means and standard deviations, alongside
 the closed-form branching predictions. All randomness derives from one
 master seed through a documented SeedSequence splitting scheme, so results
 are reproducible and independent of execution order.
+
+A sweep reads sizes and heights from diffusion.batch_stats and builds
+sharing trees only with collect_trees=True. Both paths give the same
+SweepResult, bit for bit, and the same results as the per-tree reduction
+the sweep used before batch_stats existed.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import branching, stats, trees
-from .diffusion import run_batch, sample_news
+from .diffusion import BatchStats, CascadeOutcome, batch_stats, run_batch, sample_news
 from .errors import DegenerateSampleError, ParameterError, SupercriticalError
 from .graph import generate_small_world, label_edges
 from .stats import FittedDistribution
@@ -80,6 +85,7 @@ class SweepResult:
     sd_size: float
     mean_height: float
     sd_height: float
+    mean_seeds: float
     mu_pred: float
     size_pred: float | None
     iterations: int
@@ -168,18 +174,29 @@ def troll_fit_config(master_seed: int, iterations: int = 100) -> SweepConfig:
 PRESETS = {"troll": troll_fit_config}
 
 
-def simulate_point(n, m, z, phi_hl, r, delta, dist, seed_sequence) -> tuple[list, list[int]]:
+def simulate_point(n, m, z, phi_hl, r, delta, dist, seed_sequence,
+                   collect_trees: bool = False) -> tuple[BatchStats, list[CascadeOutcome] | None]:
     """One iteration at one grid point: fresh graph, fresh news, full batch.
 
-    Returns (outcomes, seed counts). The seed sequence is split into four
+    Returns (stats, outcomes): per-item seed counts, sizes, heights and
+    rounds, plus the cascade outcomes with their trees when collect_trees
+    is set (None otherwise). The seed sequence is split into four
     independent streams: graph build, edge labeling, news sampling, cascades.
     """
     s_graph, s_label, s_news, s_batch = seed_sequence.spawn(4)
     g = generate_small_world(n, z, r, seed=s_graph)
     g = label_edges(g, phi_hl, seed=s_label)
     news = sample_news(m, dist, seed=s_news, max_count=n)
+    if not collect_trees:
+        return batch_stats(g, news, delta, seed=s_batch), None
     outcomes = run_batch(g, news, delta, seed=s_batch)
-    return outcomes, [item.first_sharer_count for item in news]
+    stats = BatchStats(
+        seeds=np.array([item.first_sharer_count for item in news], dtype=np.int64),
+        sizes=np.array([trees.tree_size(o.tree) for o in outcomes], dtype=np.int64),
+        heights=np.array([trees.tree_height(o.tree) for o in outcomes], dtype=np.int64),
+        rounds=np.array([o.rounds for o in outcomes], dtype=np.int64),
+    )
+    return stats, outcomes
 
 
 def run_sweep(config: SweepConfig, collect_trees: bool = False):
@@ -191,29 +208,27 @@ def run_sweep(config: SweepConfig, collect_trees: bool = False):
 
     Returns the list of SweepResult; with collect_trees=True returns
     (results, trees) where trees maps grid points to every sharing tree.
+    The results do not depend on collect_trees.
     """
     config.validate()
     results: list[SweepResult] = []
     all_trees: dict[tuple[float, float, float], list[SharingTree]] = {}
     for point_index, (phi_hl, r, delta) in enumerate(config.grid()):
-        sizes: list[int] = []
-        heights: list[int] = []
-        seed_counts: list[int] = []
+        batches: list[BatchStats] = []
         point_trees: list[SharingTree] = []
         for iteration in range(config.iterations):
             ss = np.random.SeedSequence(config.master_seed, spawn_key=(point_index, iteration))
-            outcomes, counts = simulate_point(
-                config.n, config.m, config.z, phi_hl, r, delta, config.first_sharers, ss
+            stats, outcomes = simulate_point(
+                config.n, config.m, config.z, phi_hl, r, delta, config.first_sharers, ss,
+                collect_trees=collect_trees,
             )
-            seed_counts.extend(counts)
-            for outcome in outcomes:
-                sizes.append(trees.tree_size(outcome.tree))
-                heights.append(trees.tree_height(outcome.tree))
+            batches.append(stats)
             if collect_trees:
                 point_trees.extend(o.tree for o in outcomes)
 
         mu = branching.branching_ratio(config.z, delta, q=1.0 - phi_hl)
-        mean_seeds = float(np.mean(seed_counts)) if seed_counts else 0.0
+        seed_counts = np.concatenate([b.seeds for b in batches])
+        mean_seeds = float(np.mean(seed_counts)) if seed_counts.size else 0.0
         try:
             size_pred = branching.expected_cascade_size(mean_seeds, mu)
             supercritical = False
@@ -224,8 +239,8 @@ def run_sweep(config: SweepConfig, collect_trees: bool = False):
                 "grid point (phi_hl=%s, r=%s, delta=%s) is supercritical (mu=%.3f); no size prediction",
                 phi_hl, r, delta, mu,
             )
-        size_arr = np.asarray(sizes, dtype=float)
-        height_arr = np.asarray(heights, dtype=float)
+        size_arr = np.concatenate([b.sizes for b in batches]).astype(float)
+        height_arr = np.concatenate([b.heights for b in batches]).astype(float)
         results.append(
             SweepResult(
                 phi_hl=phi_hl,
@@ -235,6 +250,7 @@ def run_sweep(config: SweepConfig, collect_trees: bool = False):
                 sd_size=float(size_arr.std(ddof=1)) if size_arr.size > 1 else 0.0,
                 mean_height=float(height_arr.mean()),
                 sd_height=float(height_arr.std(ddof=1)) if height_arr.size > 1 else 0.0,
+                mean_seeds=mean_seeds,
                 mu_pred=mu,
                 size_pred=size_pred,
                 iterations=config.iterations,
@@ -250,7 +266,7 @@ def run_sweep(config: SweepConfig, collect_trees: bool = False):
 
 SWEEP_COLUMNS = (
     "phi_hl", "r", "delta", "mean_size", "sd_size", "mean_height", "sd_height",
-    "mu_pred", "size_pred", "iterations",
+    "mean_seeds", "mu_pred", "size_pred", "iterations", "supercritical",
 )
 
 
@@ -263,19 +279,34 @@ def write_sweep_csv(results: list[SweepResult], path) -> None:
 
 
 def read_sweep_csv(path) -> list[dict]:
+    """Parse a write_sweep_csv file: blank cells are None, flags bool, counts int.
+
+    Raises:
+        ParameterError: a cell that does not parse as its column's type.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         out = []
-        for row in csv.DictReader(fh):
+        for line, row in enumerate(csv.DictReader(fh), start=2):
             parsed = {}
             for key, value in row.items():
-                if value == "":
-                    parsed[key] = None
-                elif key == "iterations":
-                    parsed[key] = int(value)
-                else:
-                    parsed[key] = float(value)
+                try:
+                    parsed[key] = _sweep_cell(key, value)
+                except ValueError as exc:
+                    raise ParameterError(f"{path}, line {line}, column {key}: {exc}") from exc
             out.append(parsed)
         return out
+
+
+def _sweep_cell(key: str, value: str):
+    if value == "":
+        return None
+    if key == "iterations":
+        return int(value)
+    if key == "supercritical":
+        if value not in ("True", "False"):
+            raise ValueError(f"expected True or False, got {value!r}")
+        return value == "True"
+    return float(value)
 
 
 # --- ingestion and analysis -----------------------------------------------------

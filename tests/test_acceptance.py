@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from cascadekit.diffusion import NewsItem, run_batch, sample_news
+from cascadekit.diffusion import NewsItem, batch_stats, run_batch, sample_news
 from cascadekit.graph import generate_small_world, label_edges
 from cascadekit.harness import run_sweep, troll_fit_config
 from cascadekit.stats import (
@@ -98,8 +98,10 @@ def test_criterion_1_size_height_frontier():
     least 1.092. The scan keeps the preset's n, m, z, phi_hl, r and first
     sharers and varies delta. Each iteration builds one graph, labeling and
     news batch from the preset's seed sequence, as simulate_point does, and
-    diffuses that batch at every delta. A point's ratio is its mean size over
-    the scan's own mean seed count, so seed sampling noise does not move it.
+    diffuses that batch at every delta with batch_stats, which gives
+    run_batch's sizes and heights without building trees. A point's ratio is
+    its mean size over the scan's own mean seed count, so seed sampling noise
+    does not move it.
     """
     config = troll_fit_config(master_seed=101, iterations=3)
     [phi_hl], [r] = config.phis, config.rs
@@ -120,9 +122,9 @@ def test_criterion_1_size_height_frontier():
         news = sample_news(config.m, config.first_sharers, seed=s_news, max_count=config.n)
         seed_counts.extend(item.first_sharer_count for item in news)
         for delta in deltas:
-            outcomes = run_batch(g, news, delta, seed=s_batch)
-            sizes[delta].extend(tree_size(o.tree) for o in outcomes)
-            heights[delta].extend(tree_height(o.tree) for o in outcomes)
+            stats = batch_stats(g, news, delta, seed=s_batch)
+            sizes[delta].extend(stats.sizes.tolist())
+            heights[delta].extend(stats.heights.tolist())
 
     mean_seeds = float(np.mean(seed_counts))
     frontier = {

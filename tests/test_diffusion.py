@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
 
-from cascadekit.diffusion import NewsItem, run_batch, run_cascade, sample_first_sharers, sample_news
+from cascadekit import diffusion
+from cascadekit.diffusion import (
+    NewsItem,
+    batch_stats,
+    run_batch,
+    run_cascade,
+    sample_first_sharers,
+    sample_news,
+)
 from cascadekit.errors import ParameterError
 from cascadekit.graph import generate_small_world, label_edges
 from cascadekit.stats import FittedDistribution
-from cascadekit.trees import tree_size, tree_to_dict
+from cascadekit.trees import tree_height, tree_size, tree_to_dict
 
 from oracles import brute_force_sharers
 
@@ -192,3 +200,71 @@ def test_single_seed_sizes_track_branching_formula():
     mean_seeds = float(np.mean([item.first_sharer_count for item in news]))
     predicted = mean_seeds / (1.0 - 2 * 0.015 * 8)
     assert abs(mean_size - predicted) / predicted < 0.10
+
+
+# --- the batch frontier kernel ---------------------------------------------------------
+
+def mixed_batch(g, count, seed, max_seeds=6):
+    """Items with random fitness and seed counts, including zero seeds and every node."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, max_seeds + 1, size=count)
+    counts[:2] = (0, g.node_count)
+    return [NewsItem(id=i, fitness=float(f), first_sharer_count=int(c))
+            for i, (f, c) in enumerate(zip(rng.uniform(size=count), counts))]
+
+
+def test_batch_sharer_sets_match_brute_force_closure():
+    # Many items expand together in one frontier; each item's sharer set must
+    # still be the threshold closure of its own seeds and nothing else.
+    rng = np.random.default_rng(25)
+    for case in range(12):
+        n = int(rng.integers(6, 40))
+        g = generate_small_world(n, 2 * int(rng.integers(1, min(4, (n - 1) // 2) + 1)), float(rng.uniform()),
+                                 seed=int(rng.integers(2**32)))
+        g = label_edges(g, float(rng.uniform(0.3, 1.0)), seed=int(rng.integers(2**32)))
+        news = mixed_batch(g, 40, seed=case)
+        delta = float(rng.uniform(0, 0.5))
+        outcomes = run_batch(g, news, delta, seed=case)
+        for item, outcome in zip(news, outcomes):
+            seeds = [nd.user for nd in outcome.tree.nodes if nd.parent is None]
+            assert len(seeds) == item.first_sharer_count
+            expected = brute_force_sharers(g, item.fitness, delta, seeds)
+            assert {nd.user for nd in outcome.tree.nodes} == expected
+
+
+def test_batch_stats_match_run_batch_trees():
+    for seed, (n, z, r, phi, delta) in enumerate([(60, 4, 0.3, 0.8, 0.3), (500, 6, 1.0, 1.0, 0.15),
+                                                   (9, 8, 0.5, 1.0, 1.0)]):
+        g = label_edges(generate_small_world(n, z, r, seed=seed), phi, seed=seed + 10)
+        news = mixed_batch(g, 50, seed=seed + 20)
+        outcomes = run_batch(g, news, delta, seed=seed + 30)
+        stats = batch_stats(g, news, delta, seed=seed + 30)
+        assert stats.seeds.tolist() == [item.first_sharer_count for item in news]
+        assert stats.sizes.tolist() == [tree_size(o.tree) for o in outcomes]
+        assert stats.heights.tolist() == [tree_height(o.tree) for o in outcomes]
+        assert stats.rounds.tolist() == [o.rounds for o in outcomes]
+
+
+def test_expansion_slices_do_not_change_results(monkeypatch):
+    g = label_edges(generate_small_world(400, 6, 0.5, seed=26), 0.9, seed=27)
+    news = mixed_batch(g, 30, seed=28, max_seeds=20)
+    expected = [tree_to_dict(o.tree) for o in run_batch(g, news, 0.3, seed=29)]
+    expected_sizes = batch_stats(g, news, 0.3, seed=29).sizes.tolist()
+    for bound in (1, 50):  # one item per slice, and a few items per slice
+        monkeypatch.setattr(diffusion, "_SLICE_PAIRS", bound)
+        assert [tree_to_dict(o.tree) for o in run_batch(g, news, 0.3, seed=29)] == expected
+        assert batch_stats(g, news, 0.3, seed=29).sizes.tolist() == expected_sizes
+
+
+def test_batch_input_errors():
+    g = small_graph()
+    news = [NewsItem(id=0, fitness=0.5, first_sharer_count=1),
+            NewsItem(id=1, fitness=0.5, first_sharer_count=g.node_count + 1)]
+    with pytest.raises(ParameterError, match="first sharers"):
+        run_batch(g, news, 0.1, seed=0)
+    with pytest.raises(ParameterError, match="first sharers"):
+        batch_stats(g, news, 0.1, seed=0)
+    with pytest.raises(ParameterError, match="threshold"):
+        batch_stats(g, news[:1], -0.1, seed=0)
+    with pytest.raises(ParameterError, match=">= 0"):
+        run_batch(g, [NewsItem(id=2, fitness=0.5, first_sharer_count=-1)], 0.1, seed=0)

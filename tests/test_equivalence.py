@@ -1,0 +1,155 @@
+"""Golden digests: graphs, trees and sweep results stay bit-identical for a seed.
+
+The digests below were captured with the set-based graph builder and the
+per-sharer cascade loop, at commit 4c87903, before the edge-key builder and
+the array frontier kernel replaced them. Capture method: run this file as a
+script against that checkout,
+
+    PYTHONPATH=<checkout>/src python tests/test_equivalence.py
+
+which prints every digest in GOLDEN's format. Each digest is a SHA-256 over
+the raw little-endian bytes of a graph's arrays, or over the repr of every
+tree node's (id, user, sigma, t, parent) plus each outcome's news id and
+round count, or over the float.hex() of every field a SweepResult had then.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from cascadekit.diffusion import NewsItem, run_batch
+from cascadekit.graph import generate_small_world, label_edges
+from cascadekit.harness import SweepConfig, run_sweep, troll_fit_config
+from cascadekit.stats import FittedDistribution
+
+# (n, z) lattices, each built at every rate in GRAPH_RATES; n = z + 1 is the
+# complete graph, where every rewiring is skipped.
+GRAPH_SHAPES = ((5, 4), (9, 8), (7, 2), (30, 4), (200, 6), (2000, 8), (16889, 8))
+GRAPH_RATES = (0.0, 0.01, 0.1, 0.5, 1.0)
+
+# name: (n, z, r, phi_hl, delta, item count, batch seed). Each batch mixes
+# zero-seed items, items seeding every node (m == n) and random counts.
+TREE_CASES = {
+    "ring_12": (12, 2, 0.5, 1.0, 0.6, 30, 71),
+    "complete_9": (9, 8, 0.3, 1.0, 1.0, 25, 72),
+    "sparse_300": (300, 4, 0.2, 0.7, 0.1, 80, 73),
+    "rewired_2000": (2000, 8, 1.0, 1.0, 0.2, 30, 74),
+    "lattice_5000": (5000, 8, 0.01, 0.9, 0.3, 12, 75),
+}
+
+TOY_SWEEP = dict(
+    n=300, m=60, z=4, master_seed=9, first_sharers=FittedDistribution.poisson(3.0),
+    phis=(0.6, 1.0), rs=(0.1, 1.0), deltas=(0.05, 0.2), iterations=2,
+)
+
+GOLDEN = {
+    "graph_5_4": "589162606fa6622c42c9d98ffad643faed71c20001da481f7d12415dbd24a1e2",
+    "graph_9_8": "437aa15acd7a8a9ad0bfc795c3bf9e7b369eb69a19263110f8d4308f6712ae21",
+    "graph_7_2": "2aee555d6d9ee0c8febeac9a9fed8e9c902dbc3f1fd1d7b5cd217cd01518b990",
+    "graph_30_4": "3b4bb31da4c25fc0e84e295aae75ba5210441ce3d1d1f12a05c14f2f5da66003",
+    "graph_200_6": "3a13ce82ef39393fd1e6b37ce29995da75109349536557216cc6b56cdf10de3d",
+    "graph_2000_8": "21b02d74ea799ae56df737db671c56877a5962949911df344cc1594b3cd1670e",
+    "graph_16889_8": "ee2d3a7391b39349243074b8485fffebe3b944ba693566ad6b05de68ef08b0e5",
+    "trees_ring_12": "14904505c1046189d416febe8c1511025d435deb009b92ca152d15b872d66b42",
+    "trees_complete_9": "7c5d4afec53673a3bfd0c8a9099a4901e0b5ad66014b7415688affefe9b3df0b",
+    "trees_sparse_300": "90f3f10c02deb6f0c132205ec336b89e782f4964c7c409aef5dd289e8dd1190f",
+    "trees_rewired_2000": "ecf9303923b714a3fd807f7e4beb55e7999cf266b9e5b796832f162be7d2c7ce",
+    "trees_lattice_5000": "4e6c0f5f584dd107e33aa95fc92175042291c02596531f9186e214567166d0c2",
+    "sweep_toy": "25b082ce3583465f329747b763bce5583ac9b66993b7590f3870d863ed7f0df3",
+    "sweep_toy_trees": "361edcc3fe6f6913670ed3c16ff5f4ef1c433cd518c7a936c4896353be3ecfb5",
+    "sweep_troll": "3f6462005f188e438c46b2e6d255bd694b776f86fe3224da960674295bffd144",
+}
+
+
+def graph_digest(n: int, z: int) -> str:
+    h = hashlib.sha256()
+    for k, r in enumerate(GRAPH_RATES):
+        g = generate_small_world(n, z, r, seed=[n, z, k])
+        h.update(g.edges.astype("<i8").tobytes())
+        h.update(g.opinions.astype("<f8").tobytes())
+        h.update(g.homogeneous.astype(np.uint8).tobytes())
+    return h.hexdigest()
+
+
+def tree_case(name: str):
+    n, z, r, phi, delta, items, batch_seed = TREE_CASES[name]
+    g = label_edges(generate_small_world(n, z, r, seed=batch_seed), phi, seed=batch_seed + 1)
+    rng = np.random.default_rng(batch_seed + 2)
+    counts = rng.integers(0, min(n, 8) + 1, size=items)
+    counts[:3] = (0, n, 1)
+    news = [NewsItem(id=i, fitness=float(f), first_sharer_count=int(c))
+            for i, (f, c) in enumerate(zip(rng.uniform(size=items), counts))]
+    return g, news, delta, batch_seed
+
+
+def hash_tree(h, tree) -> None:
+    h.update(repr([(nd.id, nd.user, nd.sigma, nd.t, nd.parent) for nd in tree.nodes]).encode())
+
+
+def outcomes_digest(outcomes) -> str:
+    h = hashlib.sha256()
+    for o in outcomes:
+        h.update(repr((o.news_id, o.rounds)).encode())
+        hash_tree(h, o.tree)
+    return h.hexdigest()
+
+
+def trees_digest(name: str) -> str:
+    g, news, delta, batch_seed = tree_case(name)
+    return outcomes_digest(run_batch(g, news, delta, seed=batch_seed))
+
+
+def results_digest(results) -> str:
+    h = hashlib.sha256()
+    for res in results:
+        values = (res.phi_hl, res.r, res.delta, res.mean_size, res.sd_size,
+                  res.mean_height, res.sd_height, res.mu_pred)
+        h.update(repr([float(v).hex() for v in values]).encode())
+        h.update(repr((res.size_pred, res.iterations, res.supercritical)).encode())
+    return h.hexdigest()
+
+
+def sweep_toy_digests() -> tuple[str, str]:
+    results, point_trees = run_sweep(SweepConfig(**TOY_SWEEP), collect_trees=True)
+    h = hashlib.sha256()
+    for point in sorted(point_trees):
+        h.update(repr(point).encode())
+        for tree in point_trees[point]:
+            h.update(repr(tree.news_id).encode())
+            hash_tree(h, tree)
+    return results_digest(results), h.hexdigest()
+
+
+def all_digests() -> dict[str, str]:
+    out = {f"graph_{n}_{z}": graph_digest(n, z) for n, z in GRAPH_SHAPES}
+    out.update({f"trees_{name}": trees_digest(name) for name in TREE_CASES})
+    out["sweep_toy"], out["sweep_toy_trees"] = sweep_toy_digests()
+    out["sweep_troll"] = results_digest(run_sweep(troll_fit_config(master_seed=23, iterations=2)))
+    return out
+
+
+@pytest.mark.parametrize("n,z", GRAPH_SHAPES)
+def test_graph_digest_unchanged(n, z):
+    assert graph_digest(n, z) == GOLDEN[f"graph_{n}_{z}"]
+
+
+@pytest.mark.parametrize("name", sorted(TREE_CASES))
+def test_batch_tree_digest_unchanged(name):
+    assert trees_digest(name) == GOLDEN[f"trees_{name}"]
+
+
+def test_toy_sweep_digests_unchanged():
+    assert sweep_toy_digests() == (GOLDEN["sweep_toy"], GOLDEN["sweep_toy_trees"])
+
+
+def test_troll_sweep_digest_unchanged():
+    results = run_sweep(troll_fit_config(master_seed=23, iterations=2))
+    assert results_digest(results) == GOLDEN["sweep_troll"]
+
+
+if __name__ == "__main__":
+    for key, value in all_digests().items():
+        print(f'    "{key}": "{value}",')

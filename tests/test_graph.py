@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -149,6 +150,30 @@ def test_graph_from_dict_rejects_bad_documents():
     bad["nodes"] = doc["nodes"][:-1]
     with pytest.raises(ParameterError):
         graph_from_dict(bad)
+
+    # Missing fields, wrong kinds and non-finite numbers raise ParameterError,
+    # never a raw KeyError, TypeError or ValueError, and never pass silently.
+    missing = [("n",), ("z",), ("r",), ("nodes",), ("edges",), ("nodes", 2, "id"),
+               ("nodes", 2, "opinion"), ("edges", 3, "u"), ("edges", 3, "homogeneous")]
+    malformed = [
+        (("nodes", 4, "opinion"), float("nan")), (("nodes", 4, "opinion"), float("inf")),
+        (("nodes", 4, "opinion"), "high"), (("nodes", 4, "opinion"), None),
+        (("edges", 0, "u"), "a"), (("edges", 0, "v"), 2.5), (("edges", 1, "homogeneous"), "false"),
+        (("nodes", 0, "id"), "zero"), (("nodes", 3), 7), (("edges",), None),
+        (("n",), "ten"), (("z",), 2.0), (("r",), "often"), (("r",), float("nan")),
+    ]
+    delete = object()
+    for path, value in [(p, delete) for p in missing] + malformed:
+        bad = json.loads(json.dumps(doc))
+        target = bad
+        for key in path[:-1]:
+            target = target[key]
+        if value is delete:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        with pytest.raises(ParameterError):
+            graph_from_dict(bad)
 
 
 def test_adjacency_views_agree_with_edge_list():

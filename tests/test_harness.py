@@ -77,8 +77,8 @@ def test_sweep_aggregation_matches_naive_recomputation():
     sizes, heights = [], []
     for iteration in range(config.iterations):
         ss = np.random.SeedSequence(config.master_seed, spawn_key=(0, iteration))
-        outcomes, _ = simulate_point(
-            config.n, config.m, config.z, 0.6, 0.2, 0.05, config.first_sharers, ss
+        _, outcomes = simulate_point(
+            config.n, config.m, config.z, 0.6, 0.2, 0.05, config.first_sharers, ss, collect_trees=True
         )
         sizes += [tree_size(o.tree) for o in outcomes]
         heights += [tree_height(o.tree) for o in outcomes]
@@ -95,9 +95,10 @@ def test_sweep_mean_size_at_least_mean_seeds():
         seed_counts = []
         for iteration in range(config.iterations):
             ss = np.random.SeedSequence(config.master_seed, spawn_key=(results.index(res), iteration))
-            _, counts = simulate_point(config.n, config.m, config.z, phi, r, delta, config.first_sharers, ss)
-            seed_counts += counts
-        assert res.mean_size >= np.mean(seed_counts)
+            stats, _ = simulate_point(config.n, config.m, config.z, phi, r, delta, config.first_sharers, ss)
+            seed_counts += stats.seeds.tolist()
+        assert res.mean_seeds == np.mean(seed_counts)
+        assert res.mean_size >= res.mean_seeds
 
 
 def test_supercritical_point_warns_but_completes():
@@ -119,7 +120,8 @@ def test_sweep_predictions_attached():
 
 def test_sweep_csv_round_trip(tmp_path):
     path = tmp_path / "grid.csv"
-    results = run_sweep(tiny_config())
+    results = run_sweep(tiny_config(phis=(0.6, 1.0), deltas=(0.02, 0.2)))  # mu = 1.6 at (1.0, 0.2)
+    assert [res.supercritical for res in results] == [False, False, False, True]
     write_sweep_csv(results, path)
     rows = read_sweep_csv(path)
     assert len(rows) == len(results)
@@ -127,6 +129,31 @@ def test_sweep_csv_round_trip(tmp_path):
         assert row["mean_size"] == res.mean_size
         assert row["sd_height"] == res.sd_height
         assert row["mu_pred"] == res.mu_pred
+        assert row["mean_seeds"] == res.mean_seeds
+        assert row["size_pred"] == res.size_pred
+        assert row["supercritical"] is res.supercritical
+
+
+def test_sweep_csv_rejects_malformed_cells(tmp_path):
+    path = tmp_path / "grid.csv"
+    write_sweep_csv(run_sweep(tiny_config(deltas=(0.02,))), path)
+    text = path.read_text()
+    header, row = text.splitlines()[:2]
+    cells = row.split(",")
+    for column, bad in (("supercritical", "no"), ("mean_size", "big"), ("iterations", "2.5")):
+        broken = list(cells)
+        broken[header.split(",").index(column)] = bad
+        path.write_text(header + "\n" + ",".join(broken) + "\n")
+        with pytest.raises(ParameterError, match=column):
+            read_sweep_csv(path)
+
+
+def test_sweep_results_do_not_depend_on_collect_trees():
+    config = tiny_config(phis=(0.6, 1.0), deltas=(0.05, 0.2), iterations=3)
+    results, point_trees = run_sweep(config, collect_trees=True)
+    assert run_sweep(config) == results
+    assert sorted(point_trees) == sorted(config.grid())
+    assert all(len(batch) == config.m * config.iterations for batch in point_trees.values())
 
 
 def test_config_validation_errors():
