@@ -19,6 +19,7 @@ from .diffusion import (
     CascadeOutcome,
     NewsItem,
     batch_stats,
+    diffuse,
     run_batch,
     run_cascade,
     sample_first_sharers,

@@ -7,10 +7,12 @@ threshold of the fitness. Every user shares at most once, so the sharer
 set is the threshold-restricted reachability closure of the seeds.
 
 One numpy frontier kernel expands a whole batch at once, round by round.
-run_batch and run_cascade build sharing trees from it; batch_stats returns
-only per-item sizes, heights and round counts and builds no tree. For a
-given seed all three give exactly the trees and numbers of the earlier
-per-sharer loop (tests/test_equivalence.py holds digests of its output).
+diffuse is its entry point: it returns per-item seed counts, sizes, heights
+and round counts, plus the sharing trees only with build_trees. run_batch
+and batch_stats are its tree and stats halves, run_cascade the kernel on
+one item. For a given seed they all give exactly the trees and numbers of
+the earlier per-sharer loop (tests/test_equivalence.py holds digests of
+its output).
 """
 
 from __future__ import annotations
@@ -110,22 +112,25 @@ def run_batch(g: SignedGraph, news_list, delta: float, seed) -> list[CascadeOutc
     its own Generator on the i-th child of the master SeedSequence, so its
     tree equals run_cascade on that child.
     """
-    children = as_seed_sequence(seed).spawn(len(news_list))
-    _, outcomes = _diffuse(g, news_list, delta, children, build_trees=True)
-    return outcomes
+    return diffuse(g, news_list, delta, seed, build_trees=True)[1]
 
 
 def batch_stats(g: SignedGraph, news_list, delta: float, seed) -> BatchStats:
-    """Per-item sizes, heights and round counts of run_batch, without its trees.
+    """Per-item sizes, heights and round counts of run_batch, without its trees."""
+    return diffuse(g, news_list, delta, seed)[0]
 
-    Takes the same arguments and gives the same numbers as run_batch for
-    every seed: sizes and heights depend only on the graph, the fitness,
-    the seeds and delta, and each item draws its seeds before any parent.
-    No parent is drawn and no TreeNode is built.
+
+def diffuse(g: SignedGraph, news_list, delta: float, seed,
+            build_trees: bool = False) -> tuple[BatchStats, list[CascadeOutcome] | None]:
+    """Diffuse a batch from a master seed: (BatchStats, outcomes or None).
+
+    Item i's Generator runs on the i-th child of the master SeedSequence.
+    The stats are the same with and without build_trees: sizes and heights
+    depend only on the graph, the fitness, the seeds and delta, and each
+    item draws its seeds before any parent. Without build_trees no parent
+    is drawn and no TreeNode is built.
     """
-    children = as_seed_sequence(seed).spawn(len(news_list))
-    stats, _ = _diffuse(g, news_list, delta, children, build_trees=False)
-    return stats
+    return _diffuse(g, news_list, delta, as_seed_sequence(seed).spawn(len(news_list)), build_trees)
 
 
 def _diffuse(g: SignedGraph, news_list, delta: float, item_seeds, build_trees: bool):
@@ -142,7 +147,7 @@ def _diffuse(g: SignedGraph, news_list, delta: float, item_seeds, build_trees: b
     with k > 1 parents takes the one at index rng.integers(k), drawn in
     node order per item and round.
 
-    Returns (BatchStats, outcomes); outcomes is None unless build_trees.
+    Returns what diffuse returns.
     """
     if not 0.0 <= delta <= 1.0:
         raise ParameterError(f"sharing threshold must be in [0, 1], got {delta}")

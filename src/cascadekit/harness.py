@@ -7,10 +7,10 @@ the closed-form branching predictions. All randomness derives from one
 master seed through a documented SeedSequence splitting scheme, so results
 are reproducible and independent of execution order.
 
-A sweep reads sizes and heights from diffusion.batch_stats and builds
-sharing trees only with collect_trees=True. Both paths give the same
-SweepResult, bit for bit, and the same results as the per-tree reduction
-the sweep used before batch_stats existed.
+A sweep reads per-item sizes and heights from the stats of
+diffusion.diffuse, which builds sharing trees only with collect_trees=True.
+The SweepResult does not depend on collect_trees, and it is bit-identical
+to that of the earlier per-tree reduction.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import branching, stats, trees
-from .diffusion import BatchStats, CascadeOutcome, batch_stats, run_batch, sample_news
+from .diffusion import BatchStats, CascadeOutcome, diffuse, sample_news
 from .errors import DegenerateSampleError, ParameterError, SupercriticalError
 from .graph import generate_small_world, label_edges
 from .stats import FittedDistribution
@@ -85,10 +85,10 @@ class SweepResult:
     sd_size: float
     mean_height: float
     sd_height: float
-    mean_seeds: float
     mu_pred: float
     size_pred: float | None
     iterations: int
+    mean_seeds: float
     supercritical: bool = False
 
 
@@ -187,16 +187,7 @@ def simulate_point(n, m, z, phi_hl, r, delta, dist, seed_sequence,
     g = generate_small_world(n, z, r, seed=s_graph)
     g = label_edges(g, phi_hl, seed=s_label)
     news = sample_news(m, dist, seed=s_news, max_count=n)
-    if not collect_trees:
-        return batch_stats(g, news, delta, seed=s_batch), None
-    outcomes = run_batch(g, news, delta, seed=s_batch)
-    stats = BatchStats(
-        seeds=np.array([item.first_sharer_count for item in news], dtype=np.int64),
-        sizes=np.array([trees.tree_size(o.tree) for o in outcomes], dtype=np.int64),
-        heights=np.array([trees.tree_height(o.tree) for o in outcomes], dtype=np.int64),
-        rounds=np.array([o.rounds for o in outcomes], dtype=np.int64),
-    )
-    return stats, outcomes
+    return diffuse(g, news, delta, seed=s_batch, build_trees=collect_trees)
 
 
 def run_sweep(config: SweepConfig, collect_trees: bool = False):
@@ -250,10 +241,10 @@ def run_sweep(config: SweepConfig, collect_trees: bool = False):
                 sd_size=float(size_arr.std(ddof=1)) if size_arr.size > 1 else 0.0,
                 mean_height=float(height_arr.mean()),
                 sd_height=float(height_arr.std(ddof=1)) if height_arr.size > 1 else 0.0,
-                mean_seeds=mean_seeds,
                 mu_pred=mu,
                 size_pred=size_pred,
                 iterations=config.iterations,
+                mean_seeds=mean_seeds,
                 supercritical=supercritical,
             )
         )
@@ -266,7 +257,7 @@ def run_sweep(config: SweepConfig, collect_trees: bool = False):
 
 SWEEP_COLUMNS = (
     "phi_hl", "r", "delta", "mean_size", "sd_size", "mean_height", "sd_height",
-    "mean_seeds", "mu_pred", "size_pred", "iterations", "supercritical",
+    "mu_pred", "size_pred", "iterations", "mean_seeds", "supercritical",
 )
 
 

@@ -5,6 +5,7 @@ from cascadekit import diffusion
 from cascadekit.diffusion import (
     NewsItem,
     batch_stats,
+    diffuse,
     run_batch,
     run_cascade,
     sample_first_sharers,
@@ -232,13 +233,16 @@ def test_batch_sharer_sets_match_brute_force_closure():
             assert {nd.user for nd in outcome.tree.nodes} == expected
 
 
-def test_batch_stats_match_run_batch_trees():
+def test_diffuse_stats_match_trees_with_and_without_build_trees():
     for seed, (n, z, r, phi, delta) in enumerate([(60, 4, 0.3, 0.8, 0.3), (500, 6, 1.0, 1.0, 0.15),
                                                    (9, 8, 0.5, 1.0, 1.0)]):
         g = label_edges(generate_small_world(n, z, r, seed=seed), phi, seed=seed + 10)
         news = mixed_batch(g, 50, seed=seed + 20)
-        outcomes = run_batch(g, news, delta, seed=seed + 30)
-        stats = batch_stats(g, news, delta, seed=seed + 30)
+        stats, outcomes = diffuse(g, news, delta, seed=seed + 30, build_trees=True)
+        bare, no_trees = diffuse(g, news, delta, seed=seed + 30)
+        assert no_trees is None
+        for field in ("seeds", "sizes", "heights", "rounds"):
+            assert getattr(bare, field).tolist() == getattr(stats, field).tolist()
         assert stats.seeds.tolist() == [item.first_sharer_count for item in news]
         assert stats.sizes.tolist() == [tree_size(o.tree) for o in outcomes]
         assert stats.heights.tolist() == [tree_height(o.tree) for o in outcomes]

@@ -148,14 +148,6 @@ def test_sweep_csv_rejects_malformed_cells(tmp_path):
             read_sweep_csv(path)
 
 
-def test_sweep_results_do_not_depend_on_collect_trees():
-    config = tiny_config(phis=(0.6, 1.0), deltas=(0.05, 0.2), iterations=3)
-    results, point_trees = run_sweep(config, collect_trees=True)
-    assert run_sweep(config) == results
-    assert sorted(point_trees) == sorted(config.grid())
-    assert all(len(batch) == config.m * config.iterations for batch in point_trees.values())
-
-
 def test_config_validation_errors():
     with pytest.raises(ParameterError):
         tiny_config(deltas=()).validate()
