@@ -26,6 +26,7 @@ from .diffusion import (
     sample_news,
 )
 from .errors import (
+    CascadekitError,
     DegenerateSampleError,
     OrphanParentError,
     ParameterError,
@@ -51,7 +52,6 @@ from .harness import (
     SweepConfig,
     SweepResult,
     analyze,
-    ingest_trees,
     load_config,
     run_sweep,
     save_config,
@@ -89,6 +89,7 @@ from .trees import (
     load_trees,
     mean_edge_homogeneity,
     metrics_row,
+    metrics_rows,
     path_length_profile,
     save_trees,
     sharing_paths,

@@ -4,7 +4,8 @@ Subcommands map one-to-one onto library operations: generate (graph
 construction), simulate (cascade batches), sweep (parameter grids),
 analyze (tree metrics and curves), fit-first-sharers (distribution
 fitting), and stats-test (KS and Wald). Every command that draws random
-numbers requires an explicit --seed.
+numbers requires an explicit --seed. A cascadekit error ends a command
+with a one-line message on stderr and exit code 3, without a traceback.
 """
 
 from __future__ import annotations
@@ -17,8 +18,11 @@ import numpy as np
 
 from . import harness, stats, trees
 from .diffusion import run_batch, sample_news
+from .errors import CascadekitError
 from .graph import generate_small_world, label_edges, load_graph, save_graph
 from .stats import FittedDistribution
+
+EXIT_ERROR = 3  # a CascadekitError; argparse exits with 2 on bad arguments
 
 
 def _parse_distribution(spec: str) -> FittedDistribution:
@@ -93,7 +97,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    tree_list = harness.ingest_trees(args.infile)
+    tree_list = trees.load_trees(args.infile)
     result = harness.analyze(tree_list, by_category=args.group == "category")
     written = harness.write_analysis(result, args.out)
     print(f"wrote {len(written)} files to {args.out}")
@@ -181,7 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CascadekitError as exc:
+        message = " ".join(str(exc).split())
+        print(f"cascadekit {args.command}: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from .errors import ParameterError
 from .graph import SignedGraph
 from .rng import as_generator, as_seed_sequence
 from .stats import FittedDistribution
-from .trees import SharingTree, TreeNode
+from .trees import SharingTree
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def diffuse(g: SignedGraph, news_list, delta: float, seed,
     The stats are the same with and without build_trees: sizes and heights
     depend only on the graph, the fitness, the seeds and delta, and each
     item draws its seeds before any parent. Without build_trees no parent
-    is drawn and no TreeNode is built.
+    is drawn and no tree is built.
     """
     return _diffuse(g, news_list, delta, as_seed_sequence(seed).spawn(len(news_list)), build_trees)
 
@@ -166,7 +166,7 @@ def _diffuse(g: SignedGraph, news_list, delta: float, item_seeds, build_trees: b
 
     indptr, indices = g.adjacency(homogeneous_only=True)
     expand = _Expansion(indptr, indices, g.opinions, fitness, delta, n, rngs if build_trees else None)
-    trees = _TreeBuilder(len(counts), n) if build_trees else None
+    shared = [] if build_trees else None  # per round: sharer keys, their parent nodes, the round
     sizes = counts.copy()
     rounds = np.zeros(len(counts), dtype=np.int64)
     # A neighbor of a round-k sharer has either not shared yet or shared in
@@ -176,8 +176,8 @@ def _diffuse(g: SignedGraph, news_list, delta: float, item_seeds, build_trees: b
     layer = np.sort(frontier)
     visited = layer
     round_k = 0
-    if trees is not None:
-        trees.add(frontier, None, round_k)
+    if shared is not None:
+        shared.append((frontier, np.full(frontier.size, -1), round_k))
     while frontier.size:
         frontier, parents = expand(frontier, visited)
         if not frontier.size:
@@ -186,21 +186,17 @@ def _diffuse(g: SignedGraph, news_list, delta: float, item_seeds, build_trees: b
         item_of = frontier // n
         rounds[item_of] = round_k
         sizes += np.bincount(item_of, minlength=len(counts))
-        if trees is not None:
-            trees.add(frontier, parents, round_k)
+        if shared is not None:
+            shared.append((frontier, parents, round_k))
         visited = np.sort(np.concatenate([layer, frontier]))
         layer = frontier
 
     stats = BatchStats(seeds=counts, sizes=sizes, heights=np.where(counts > 0, rounds + 1, 0), rounds=rounds)
-    if trees is None:
+    if shared is None:
         return stats, None
     return stats, [
-        CascadeOutcome(
-            news_id=item.id,
-            tree=SharingTree(news_id=item.id, category="synthetic", nodes=nodes, virtual_root=True, page_sign=1),
-            rounds=int(k),
-        )
-        for item, nodes, k in zip(news_list, trees.nodes, rounds.tolist())
+        CascadeOutcome(news_id=item.id, tree=tree, rounds=int(k))
+        for item, tree, k in zip(news_list, _trees(news_list, n, shared), rounds.tolist())
     ]
 
 
@@ -285,43 +281,24 @@ def _item_slices(items: np.ndarray, pairs: np.ndarray):
         lo = hi
 
 
-class _TreeBuilder:
-    """Per-item TreeNode lists, grown one round at a time.
+def _trees(news_list, n: int, shared: list) -> list[SharingTree]:
+    """One tree per item, on slices of batch-wide arrays, from each round's (keys, parent nodes, round).
 
-    An item's tree ids follow its share order: seeds in draw order, then
-    each round's sharers in node order. A node's parent field is the id
-    object of its parent's TreeNode, so no id is held twice.
+    A stable sort by item keeps each item's sharers in share order: seeds
+    in draw order, then each round's sharers in node order. A node's id is
+    its index in its tree, so every parent comes before its children.
     """
-
-    def __init__(self, items: int, n: int):
-        self.n = n
-        self.nodes: list[list[TreeNode]] = [[] for _ in range(items)]
-        self._count = np.zeros(items, dtype=np.int64)
-        self._last_keys = self._last_ids = None  # previous round, sorted by key
-
-    def add(self, keys: np.ndarray, parents: np.ndarray | None, t: int) -> None:
-        """Append one round: keys grouped by item, parent nodes (None for seeds)."""
-        if not keys.size:
-            return
-        items, users = np.divmod(keys, self.n)
-        starts = _run_starts(items)
-        lengths = np.diff(np.append(starts, keys.size))
-        ids = np.arange(keys.size) - np.repeat(starts - self._count[items[starts]], lengths)
-        if parents is not None:
-            at = np.searchsorted(self._last_keys, items * self.n + parents)
-            parent_ids = self._last_ids[at]
-        for a, b, item in zip(starts.tolist(), (starts + lengths).tolist(), items[starts].tolist()):
-            nodes = self.nodes[item]
-            new = range(len(nodes), len(nodes) + b - a)
-            us = users[a:b].tolist()
-            if parents is None:
-                nodes.extend([TreeNode(j, u, 1.0, t, None) for j, u in zip(new, us)])
-            else:
-                nodes.extend([
-                    TreeNode(j, u, 1.0, t, nodes[p].id) for j, u, p in zip(new, us, parent_ids[a:b].tolist())
-                ])
-        self._count += np.bincount(items, minlength=self._count.size)
-        if parents is None:  # seeds come in draw order; later rounds in key order
-            order = np.argsort(keys)
-            keys, ids = keys[order], ids[order]
-        self._last_keys, self._last_ids = keys, ids
+    keys, parents, t = (np.concatenate(part) for part in zip(*[(k, p, np.full(k.size, r)) for k, p, r in shared]))
+    order = np.argsort(keys // n, kind="stable")
+    keys, parents, t = keys[order], parents[order], t[order]
+    items, user = np.divmod(keys, n)
+    offset = np.searchsorted(items, np.arange(len(news_list) + 1))
+    by_key = np.argsort(keys)
+    found = by_key[np.searchsorted(keys, items * n + parents, sorter=by_key)]
+    parent = np.where(parents < 0, -1, found - offset[items])
+    ids = np.arange(keys.size) - offset[items]
+    sigma = np.ones(keys.size)
+    return [
+        SharingTree.from_arrays(item.id, "synthetic", ids[a:b], user[a:b], sigma[a:b], t[a:b], parent[a:b])
+        for item, a, b in zip(news_list, offset[:-1].tolist(), offset[1:].tolist())
+    ]

@@ -1,23 +1,31 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error cascadekit raises on purpose derives from CascadekitError, and
+each concrete type is also a ValueError.
+"""
 
 
-class ParameterError(ValueError):
+class CascadekitError(Exception):
+    """Base class of every cascadekit error."""
+
+
+class ParameterError(CascadekitError, ValueError):
     """An argument falls outside its valid domain."""
 
 
-class DegenerateSampleError(ValueError):
+class DegenerateSampleError(CascadekitError, ValueError):
     """A sample cannot support the requested fit or test."""
 
 
-class SupercriticalError(ValueError):
+class SupercriticalError(CascadekitError, ValueError):
     """A branching ratio >= 1 makes the expected cascade size diverge."""
 
 
-class UndefinedMetricError(ValueError):
+class UndefinedMetricError(CascadekitError, ValueError):
     """A tree metric has no defined value (e.g. empty tree, no eligible edges)."""
 
 
-class TreeValidationError(ValueError):
+class TreeValidationError(CascadekitError, ValueError):
     """Base class for sharing-tree schema violations."""
 
 

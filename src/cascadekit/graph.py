@@ -58,7 +58,8 @@ class SignedGraph:
         edges = self.edges[self.homogeneous] if homogeneous_only else self.edges
         heads = np.concatenate([edges[:, 0], edges[:, 1]])
         tails = np.concatenate([edges[:, 1], edges[:, 0]])
-        order = np.argsort(heads, kind="stable")
+        # head*size + position is unique, so a plain sort orders it as a stable sort of heads would
+        order = np.argsort(heads * heads.size + np.arange(heads.size))
         indptr = np.zeros(self.node_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(heads, minlength=self.node_count), out=indptr[1:])
         return indptr, tails[order]

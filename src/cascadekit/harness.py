@@ -1,4 +1,4 @@
-"""Parameter sweeps, dataset ingestion, and cascade analysis.
+"""Parameter sweeps and cascade analysis.
 
 A sweep walks a (phi_hl, r, delta) grid, builds a fresh labeled graph per
 iteration, diffuses a full news batch, and pools cascade sizes and heights
@@ -29,7 +29,7 @@ from .diffusion import BatchStats, CascadeOutcome, diffuse, sample_news
 from .errors import DegenerateSampleError, ParameterError, SupercriticalError
 from .graph import generate_small_world, label_edges
 from .stats import FittedDistribution
-from .trees import SharingTree, load_trees
+from .trees import SharingTree
 
 log = logging.getLogger(__name__)
 
@@ -300,12 +300,7 @@ def _sweep_cell(key: str, value: str):
     return float(value)
 
 
-# --- ingestion and analysis -----------------------------------------------------
-
-def ingest_trees(path) -> list[SharingTree]:
-    """Load and validate a sharing-tree batch file (JSON array of tree documents)."""
-    return load_trees(path)
-
+# --- analysis --------------------------------------------------------------------
 
 @dataclass
 class GroupAnalysis:
@@ -400,17 +395,17 @@ def analyze(tree_list: list[SharingTree], by_category: bool = True,
     Curves per group: size CCDF, height CDF, lifetime PDF, mean-homogeneity
     PDF, path-count CCDFs, and the binned lifetime-by-size and
     size-by-homogeneity relations. Group pairs are compared with KS tests on
-    size and lifetime and a Wald test on power-law size exponents.
+    size and lifetime and a Wald test on power-law size exponents. The
+    metric rows of all trees come from one trees.metrics_rows pass.
     """
     if not tree_list:
         raise ParameterError("no trees to analyze")
     groups: dict[str, GroupAnalysis] = {}
-    keyfn = (lambda t: t.category) if by_category else (lambda t: "all")
-    for tree in tree_list:
-        key = keyfn(tree)
+    for tree, row in zip(tree_list, trees.metrics_rows(tree_list)):
+        key = tree.category if by_category else "all"
         groups.setdefault(key, GroupAnalysis(category=key, tree_count=0, metric_rows=[]))
         groups[key].tree_count += 1
-        groups[key].metric_rows.append(trees.metrics_row(tree))
+        groups[key].metric_rows.append(row)
     for group in groups.values():
         group.curves = _group_curves(group.metric_rows, bins)
     comparisons = _compare_groups(groups, alpha) if len(groups) > 1 else []

@@ -81,6 +81,19 @@ def test_analyze_command(tmp_path):
     assert (out_dir / "synthetic__size_ccdf.csv").exists()
 
 
+def test_analyze_malformed_tree_file_is_a_one_line_error(tmp_path, capsys):
+    trees_path = tmp_path / "trees.json"
+    trees_path.write_text(json.dumps([{
+        "news_id": 3, "category": "science", "root": {"virtual": True, "page_sign": -1},
+        "nodes": [{"id": 0, "user": 1, "sigma": 0.5, "t": "noon", "parent": None}],
+    }]))
+    code = main(["analyze", "--in", str(trees_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("cascadekit analyze: TreeSchemaError: tree 3: node t must be a finite number")
+
+
 def test_fit_first_sharers_command(tmp_path):
     counts_path = tmp_path / "counts.csv"
     table_path = tmp_path / "table.csv"

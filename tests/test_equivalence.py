@@ -1,29 +1,37 @@
 """Golden digests: graphs, trees and sweep results stay bit-identical for a seed.
 
-The digests below were captured with the set-based graph builder and the
-per-sharer cascade loop, at commit 4c87903, before the edge-key builder and
-the array frontier kernel replaced them. Capture method: run this file as a
-script against that checkout,
+The graph, tree and sweep digests below were captured with the set-based
+graph builder and the per-sharer cascade loop, at commit 4c87903, before the
+edge-key builder and the array frontier kernel replaced them. The tree-JSON
+and metrics-CSV digests were captured at commit f9dbb52, before sharing trees
+became arrays and the metrics one forest pass. Capture method: run this file
+as a script against that checkout,
 
     PYTHONPATH=<checkout>/src python tests/test_equivalence.py
 
 which prints every digest in GOLDEN's format. Each digest is a SHA-256 over
 the raw little-endian bytes of a graph's arrays, or over the repr of every
 tree node's (id, user, sigma, t, parent) plus each outcome's news id and
-round count, or over the float.hex() of every field a SweepResult had then.
+round count, or over the float.hex() of every field a SweepResult had then,
+or over the bytes of a trees_to_json document or a metrics.csv file.
 """
 
 from __future__ import annotations
 
 import hashlib
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cascadekit.diffusion import NewsItem, run_batch
 from cascadekit.graph import generate_small_world, label_edges
-from cascadekit.harness import SweepConfig, run_sweep, troll_fit_config
+from cascadekit.harness import SweepConfig, analyze, run_sweep, troll_fit_config, write_analysis
 from cascadekit.stats import FittedDistribution
+from cascadekit.trees import trees_to_json
+
+from oracles import random_tree
 
 # (n, z) lattices, each built at every rate in GRAPH_RATES; n = z + 1 is the
 # complete graph, where every rewiring is skipped.
@@ -58,6 +66,8 @@ GOLDEN = {
     "trees_sparse_300": "90f3f10c02deb6f0c132205ec336b89e782f4964c7c409aef5dd289e8dd1190f",
     "trees_rewired_2000": "ecf9303923b714a3fd807f7e4beb55e7999cf266b9e5b796832f162be7d2c7ce",
     "trees_lattice_5000": "4e6c0f5f584dd107e33aa95fc92175042291c02596531f9186e214567166d0c2",
+    "tree_json_rewired_2000": "1dc390461f20f0259f9e0be5d4c937af93c2c158c432162dc91ce56ff51004f7",
+    "metrics_csv_random_200": "6abec05cc6d50a478ce8d1faff4386785a977a4af2d8b6263c7eb1e406d0d8e5",
     "sweep_toy": "25b082ce3583465f329747b763bce5583ac9b66993b7590f3870d863ed7f0df3",
     "sweep_toy_trees": "361edcc3fe6f6913670ed3c16ff5f4ef1c433cd518c7a936c4896353be3ecfb5",
     "sweep_troll": "3f6462005f188e438c46b2e6d255bd694b776f86fe3224da960674295bffd144",
@@ -123,9 +133,28 @@ def sweep_toy_digests() -> tuple[str, str]:
     return results_digest(results), h.hexdigest()
 
 
+def tree_json_digest() -> str:
+    """The cli simulate file format, over the rewired_2000 batch."""
+    g, news, delta, batch_seed = tree_case("rewired_2000")
+    text = trees_to_json([o.tree for o in run_batch(g, news, delta, seed=batch_seed)])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def metrics_csv_digest() -> str:
+    """metrics.csv of 200 random signed trees in three categories, virtual and real roots."""
+    rng = np.random.default_rng(83)
+    categories = ("science", "conspiracy", "troll")
+    batch = [random_tree(rng, max_nodes=14, category=categories[i % 3]) for i in range(200)]
+    with tempfile.TemporaryDirectory() as out:
+        write_analysis(analyze(batch), out)
+        return hashlib.sha256((Path(out) / "metrics.csv").read_bytes()).hexdigest()
+
+
 def all_digests() -> dict[str, str]:
     out = {f"graph_{n}_{z}": graph_digest(n, z) for n, z in GRAPH_SHAPES}
     out.update({f"trees_{name}": trees_digest(name) for name in TREE_CASES})
+    out["tree_json_rewired_2000"] = tree_json_digest()
+    out["metrics_csv_random_200"] = metrics_csv_digest()
     out["sweep_toy"], out["sweep_toy_trees"] = sweep_toy_digests()
     out["sweep_troll"] = results_digest(run_sweep(troll_fit_config(master_seed=23, iterations=2)))
     return out
@@ -136,9 +165,38 @@ def test_graph_digest_unchanged(n, z):
     assert graph_digest(n, z) == GOLDEN[f"graph_{n}_{z}"]
 
 
+def stable_adjacency(g, homogeneous_only):
+    """The CSR arrays by a stable argsort of both edge directions by head."""
+    edges = g.edges[g.homogeneous] if homogeneous_only else g.edges
+    heads = np.concatenate([edges[:, 0], edges[:, 1]])
+    tails = np.concatenate([edges[:, 1], edges[:, 0]])
+    indptr = np.zeros(g.node_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(heads, minlength=g.node_count), out=indptr[1:])
+    return indptr, tails[np.argsort(heads, kind="stable")]
+
+
+@pytest.mark.parametrize("n,z", GRAPH_SHAPES)
+def test_adjacency_equals_stable_sort_by_head(n, z):
+    for k, r in enumerate(GRAPH_RATES):
+        g = label_edges(generate_small_world(n, z, r, seed=[n, z, k]), 0.5, seed=[n, z, k, 1])
+        for homogeneous_only in (False, True):
+            indptr, indices = g.adjacency(homogeneous_only=homogeneous_only)
+            expected_indptr, expected_indices = stable_adjacency(g, homogeneous_only)
+            assert np.array_equal(indptr, expected_indptr)
+            assert np.array_equal(indices, expected_indices)
+
+
 @pytest.mark.parametrize("name", sorted(TREE_CASES))
 def test_batch_tree_digest_unchanged(name):
     assert trees_digest(name) == GOLDEN[f"trees_{name}"]
+
+
+def test_tree_json_digest_unchanged():
+    assert tree_json_digest() == GOLDEN["tree_json_rewired_2000"]
+
+
+def test_metrics_csv_digest_unchanged():
+    assert metrics_csv_digest() == GOLDEN["metrics_csv_random_200"]
 
 
 def test_toy_sweep_digests_unchanged():

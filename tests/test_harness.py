@@ -14,7 +14,6 @@ from cascadekit.harness import (
     analyze,
     config_from_dict,
     config_to_dict,
-    ingest_trees,
     read_sweep_csv,
     run_sweep,
     simulate_point,
@@ -190,14 +189,14 @@ def test_troll_preset_parameters():
     assert config.first_sharers.params == {"mean": 18.73, "shape": 9.63}
 
 
-# --- ingestion -------------------------------------------------------------------
+# --- loading ---------------------------------------------------------------------
 
 def test_ingest_single_node_tree(tmp_path):
     tree = SharingTree(news_id="post-1", category="science", page_sign=-1, virtual_root=False,
                        nodes=[TreeNode(0, "user-9", -0.2, 12.5, None)])
     path = tmp_path / "trees.json"
     save_trees([tree], path)
-    [back] = ingest_trees(path)
+    [back] = load_trees(path)
     assert tree_size(back) == 1
     assert back.news_id == "post-1"
 
@@ -214,7 +213,7 @@ def test_ingest_reports_cycles_with_node_context(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(TreeCycleError, match="node"):
-        ingest_trees(path)
+        load_trees(path)
 
 
 def test_ingest_detects_orphans_and_bad_json(tmp_path):
@@ -226,11 +225,11 @@ def test_ingest_detects_orphans_and_bad_json(tmp_path):
     path = tmp_path / "orphan.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(OrphanParentError):
-        ingest_trees(path)
+        load_trees(path)
     broken = tmp_path / "broken.json"
     broken.write_text("[{]")
     with pytest.raises(TreeSchemaError, match="malformed JSON"):
-        ingest_trees(broken)
+        load_trees(broken)
 
 
 def test_simulated_batch_round_trip_preserves_metrics(tmp_path):
