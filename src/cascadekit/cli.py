@@ -18,7 +18,7 @@ import numpy as np
 
 from . import harness, stats, trees
 from .diffusion import run_batch, sample_news
-from .errors import CascadekitError
+from .errors import CascadekitError, ParameterError
 from .graph import generate_small_world, label_edges, load_graph, save_graph
 from .stats import FittedDistribution
 
@@ -26,39 +26,43 @@ EXIT_ERROR = 3  # a CascadekitError; argparse exits with 2 on bad arguments
 
 
 def _parse_distribution(spec: str) -> FittedDistribution:
-    """Parse 'family:params' specs, e.g. ig:18.73,9.63 or empirical:counts.csv."""
-    family, _, raw = spec.partition(":")
-    family = family.lower()
-    if family in ("ig", "inverse_gaussian"):
-        mean, shape = (float(v) for v in raw.split(","))
-        return FittedDistribution.inverse_gaussian(mean, shape)
-    if family in ("ln", "log_normal", "lognormal"):
-        mu, sd = (float(v) for v in raw.split(","))
-        return FittedDistribution.log_normal(mu, sd)
-    if family in ("poisson", "poi"):
-        return FittedDistribution.poisson(float(raw))
-    if family in ("uniform", "unif"):
-        low, high = (float(v) for v in raw.split(","))
-        return FittedDistribution.uniform(low, high)
-    if family in ("empirical", "emp"):
-        return FittedDistribution.empirical(_read_numbers(raw))
-    raise argparse.ArgumentTypeError(f"unknown distribution spec {spec!r}")
+    """Parse 'family:params' specs, e.g. ig:18.73,9.63 or empirical:counts.csv.
+
+    The family is any name or alias in stats.FAMILIES, in any case.
+    """
+    name, _, raw = spec.partition(":")
+    fam = next((f for f in stats.FAMILIES.values() if name.lower() in (f.name, *f.aliases)), None)
+    if fam is None:
+        raise argparse.ArgumentTypeError(f"unknown distribution spec {spec!r}")
+    try:
+        values = [_read_numbers(raw)] if stats.SAMPLE in fam.params else [float(v) for v in raw.split(",")]
+        if len(values) != len(fam.params):
+            raise ParameterError(f"{fam.name} takes parameters ({', '.join(fam.params)}), got {raw!r}")
+        return FittedDistribution(fam.name, dict(zip(fam.params, values)))
+    except (OSError, ValueError) as exc:  # ParameterError is a ValueError
+        raise argparse.ArgumentTypeError(f"{spec!r}: {exc}") from exc
 
 
 def _read_numbers(path) -> np.ndarray:
-    """One number per CSV row; a non-numeric first row is treated as a header."""
+    """One finite number per CSV row; a non-numeric first row is a header.
+
+    Anything else (another non-numeric row, NaN or infinity, no numbers,
+    text that is not CSV in UTF-8) is a ParameterError.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            cells = [row[0] for row in csv.reader(fh) if row]
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ParameterError(f"{path}: {exc}") from exc
     values = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            try:
-                values.append(float(row[0]))
-            except ValueError:
-                if values:
-                    raise
-    if not values:
-        raise SystemExit(f"no numeric values found in {path}")
+    for k, cell in enumerate(cells):
+        try:
+            values.append(float(cell))
+        except ValueError:
+            if k:
+                raise ParameterError(f"{path}, row {k + 1}: {cell!r} is not a number") from None
+    if not values or not np.all(np.isfinite(values)):
+        raise ParameterError(f"{path} must hold at least one number, and no NaN or infinity")
     return np.asarray(values)
 
 

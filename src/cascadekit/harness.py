@@ -19,6 +19,7 @@ import csv
 import itertools
 import json
 import logging
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -55,19 +56,14 @@ class SweepConfig:
     def validate(self) -> None:
         if self.n <= self.z:
             raise ParameterError(f"need n > z, got n={self.n}, z={self.z}")
-        if self.m < 0 or self.iterations < 1:
-            raise ParameterError("need m >= 0 and iterations >= 1")
-        if not self.deltas or not self.phis or not self.rs:
-            raise ParameterError("sweep grid is empty")
-        for d in self.deltas:
-            if not 0.0 <= d <= 1.0:
-                raise ParameterError(f"delta {d} outside [0, 1]")
-        for p in self.phis:
-            if not 0.0 <= p <= 1.0:
-                raise ParameterError(f"phi_hl {p} outside [0, 1]")
-        for r in self.rs:
-            if not 0.0 <= r <= 1.0:
-                raise ParameterError(f"r {r} outside [0, 1]")
+        if self.m < 0 or self.iterations < 1 or self.master_seed < 0:
+            raise ParameterError("need m >= 0, iterations >= 1 and master_seed >= 0")
+        for name, grid in (("delta", self.deltas), ("phi_hl", self.phis), ("r", self.rs)):
+            if not grid:
+                raise ParameterError(f"sweep grid of {name} is empty")
+            for v in grid:
+                if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0.0 <= v <= 1.0:
+                    raise ParameterError(f"{name} {v!r} is not a number in [0, 1]")
 
     def grid(self) -> list[tuple[float, float, float]]:
         """Grid points in canonical (phi_hl, r, delta) order."""
@@ -92,35 +88,13 @@ class SweepResult:
     supercritical: bool = False
 
 
-def _dist_to_dict(dist: FittedDistribution) -> dict:
-    doc = {"family": dist.family, **dist.params}
-    if dist.family == stats.FAMILY_EMPIRICAL:
-        doc["sample"] = dist.sample_ref.tolist()
-    return doc
-
-
-def _dist_from_dict(doc: dict) -> FittedDistribution:
-    family = doc["family"]
-    if family == stats.FAMILY_IG:
-        return FittedDistribution.inverse_gaussian(doc["mean"], doc["shape"])
-    if family == stats.FAMILY_LN:
-        return FittedDistribution.log_normal(doc["log_mean"], doc["log_sd"])
-    if family == stats.FAMILY_POISSON:
-        return FittedDistribution.poisson(doc["rate"])
-    if family == stats.FAMILY_UNIFORM:
-        return FittedDistribution.uniform(doc["low"], doc["high"])
-    if family == stats.FAMILY_EMPIRICAL:
-        return FittedDistribution.empirical(doc["sample"])
-    raise ParameterError(f"unknown distribution family {family!r}")
-
-
 def config_to_dict(config: SweepConfig) -> dict:
     return {
         "n": config.n,
         "m": config.m,
         "z": config.z,
         "master_seed": config.master_seed,
-        "first_sharers": _dist_to_dict(config.first_sharers),
+        "first_sharers": config.first_sharers.to_dict(),
         "deltas": list(config.deltas),
         "phis": list(config.phis),
         "rs": list(config.rs),
@@ -128,17 +102,44 @@ def config_to_dict(config: SweepConfig) -> dict:
     }
 
 
+def _int_field(doc: dict, key: str, default=None) -> int:
+    value = doc.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"config field {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _grid_field(doc: dict, key: str, default: tuple) -> tuple:
+    values = doc.get(key, default)
+    if not isinstance(values, (list, tuple)):
+        raise ParameterError(f"config field {key!r} must be a list of numbers, got {values!r}")
+    return tuple(values)
+
+
 def config_from_dict(doc: dict, master_seed: int | None = None) -> SweepConfig:
+    """Build and validate a sweep config from a config_to_dict document.
+
+    A given master_seed replaces the document's. Raises ParameterError, naming
+    the field, for a missing or malformed field or a non-object document.
+    """
+    if not isinstance(doc, dict):
+        raise ParameterError(f"a sweep config must be a JSON object, got {type(doc).__name__}")
+    try:
+        first_sharers = FittedDistribution.from_dict(doc.get("first_sharers"))
+    except ParameterError as exc:
+        raise ParameterError(f"config field 'first_sharers': {exc}") from exc
     config = SweepConfig(
-        n=int(doc["n"]),
-        m=int(doc["m"]),
-        z=int(doc["z"]),
-        master_seed=int(doc["master_seed"]) if master_seed is None else master_seed,
-        first_sharers=_dist_from_dict(doc["first_sharers"]),
-        deltas=tuple(doc.get("deltas", DEFAULT_DELTA_GRID)),
-        phis=tuple(doc.get("phis", DEFAULT_PHI_GRID)),
-        rs=tuple(doc.get("rs", DEFAULT_R_GRID)),
-        iterations=int(doc.get("iterations", 100)),
+        n=_int_field(doc, "n"),
+        m=_int_field(doc, "m"),
+        z=_int_field(doc, "z"),
+        master_seed=_int_field(doc, "master_seed") if master_seed is None else master_seed,
+        first_sharers=first_sharers,
+        deltas=_grid_field(doc, "deltas", DEFAULT_DELTA_GRID),
+        phis=_grid_field(doc, "phis", DEFAULT_PHI_GRID),
+        rs=_grid_field(doc, "rs", DEFAULT_R_GRID),
+        iterations=_int_field(doc, "iterations", 100),
     )
     config.validate()
     return config
@@ -146,7 +147,11 @@ def config_from_dict(doc: dict, master_seed: int | None = None) -> SweepConfig:
 
 def load_config(path, master_seed: int | None = None) -> SweepConfig:
     with open(path, encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh), master_seed=master_seed)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ParameterError(f"malformed config JSON: {exc}") from exc
+    return config_from_dict(doc, master_seed=master_seed)
 
 
 def save_config(config: SweepConfig, path) -> None:

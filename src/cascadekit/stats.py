@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import zeta
+from scipy.special import kolmogi, zeta
 
 from .errors import DegenerateSampleError, ParameterError
 from .rng import as_generator
@@ -177,26 +180,11 @@ def wald_test(fit1: PowerLawFit, fit2: PowerLawFit, alpha: float = 0.05) -> Wald
 
 # --- two-sample Kolmogorov-Smirnov ---------------------------------------------
 
-def kolmogorov_sf(x: float) -> float:
-    """Survival function of the asymptotic Kolmogorov distribution."""
-    if x <= 0:
-        return 1.0
-    total = 0.0
-    sign = 1.0
-    for k in range(1, 100_000):
-        term = math.exp(-2.0 * k * k * x * x)
-        total += sign * term
-        if term < 1e-16:
-            break
-        sign = -sign
-    return min(1.0, max(0.0, 2.0 * total))
-
-
 def kolmogorov_critical(alpha: float) -> float:
-    """c(alpha) with P(K > c) = alpha, by inverting the Kolmogorov survival function."""
+    """c(alpha) with P(K > c) = alpha for the asymptotic Kolmogorov distribution K."""
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"significance level must be in (0, 1), got {alpha}")
-    return brentq(lambda c: kolmogorov_sf(c) - alpha, 1e-4, 8.0, xtol=1e-12)
+    return float(kolmogi(alpha))
 
 
 @dataclass(frozen=True)
@@ -234,6 +222,8 @@ FAMILY_POISSON = "poisson"
 FAMILY_UNIFORM = "uniform"
 FAMILY_EMPIRICAL = "empirical"
 
+SAMPLE = "sample"  # the empirical family's one parameter, kept in sample_ref
+
 
 def sample_inverse_gaussian(rng: np.random.Generator, mean: float, shape: float, size: int) -> np.ndarray:
     """Draw IG(mean, shape) variates via the Michael-Schucany-Haas transform."""
@@ -244,81 +234,158 @@ def sample_inverse_gaussian(rng: np.random.Generator, mean: float, shape: float,
     return np.where(u * (mean + x1) <= mean, x1, mean * mean / x1)
 
 
+def _fit_inverse_gaussian(x: np.ndarray) -> tuple | None:
+    x = x[x > 0]
+    mean = float(x.mean())
+    recip_gap = float(np.sum(1.0 / x - 1.0 / mean))
+    return (mean, x.size / recip_gap) if recip_gap > 0 else None  # all equal: shape -> infinity
+
+
+def _fit_log_normal(x: np.ndarray) -> tuple | None:
+    logs = np.log(x[x > 0])
+    log_sd = float(logs.std())
+    return (float(logs.mean()), log_sd) if log_sd > 0 else None
+
+
+class Family(NamedTuple):
+    """A first-sharer count family. `check`, `draw` (after rng and size) and
+    `mean` take the parameters in `params` order; `rule` says what `check`
+    requires; `fit` gives maximum likelihood parameters for counts, or None
+    when the counts cannot identify them; `label` is a first-sharer table column."""
+
+    name: str
+    aliases: tuple[str, ...]
+    params: tuple[str, ...]
+    rule: str
+    check: Callable[..., bool]
+    draw: Callable[..., np.ndarray]
+    mean: Callable[..., float]
+    fit: Callable[[np.ndarray], tuple | None]
+    label: str | None = None
+
+
+# fit_first_sharers fits the families and draws their comparison samples in this order.
+FAMILIES = {f.name: f for f in (
+    Family(FAMILY_IG, ("ig",), ("mean", "shape"), "IG needs positive mean and shape, got ({mean}, {shape})",
+           check=lambda mean, shape: mean > 0 and shape > 0,
+           draw=lambda rng, size, mean, shape: sample_inverse_gaussian(rng, mean, shape, size),
+           mean=lambda mean, shape: mean, fit=_fit_inverse_gaussian, label="IG"),
+    Family(FAMILY_LN, ("ln", "lognormal"), ("log_mean", "log_sd"), "log-normal needs positive log-sd, got {log_sd}",
+           check=lambda log_mean, log_sd: log_sd > 0,
+           draw=lambda rng, size, log_mean, log_sd: rng.lognormal(log_mean, log_sd, size),
+           mean=lambda log_mean, log_sd: math.exp(log_mean + log_sd ** 2 / 2.0), fit=_fit_log_normal, label="LN"),
+    Family(FAMILY_POISSON, ("poi",), ("rate",), "Poisson rate must be >= 0, got {rate}",
+           check=lambda rate: rate >= 0,
+           draw=lambda rng, size, rate: rng.poisson(rate, size).astype(float),
+           mean=lambda rate: rate, fit=lambda x: (float(x.mean()),), label="Poi"),
+    Family(FAMILY_UNIFORM, ("unif",), ("low", "high"), "uniform needs low <= high, got ({low}, {high})",
+           check=lambda low, high: low <= high,
+           draw=lambda rng, size, low, high: rng.uniform(low, high, size),
+           mean=lambda low, high: 0.5 * (low + high), fit=lambda x: (float(x.min()), float(x.max()))),
+    Family(FAMILY_EMPIRICAL, ("emp",), (SAMPLE,), "empirical distribution needs a non-empty sample",
+           check=lambda sample: sample.size > 0,
+           draw=lambda rng, size, sample: rng.choice(sample, size=size, replace=True),
+           mean=lambda sample: float(sample.mean()), fit=lambda x: (x,)),
+)}
+
+
+def _finite_number(what: str, value) -> float:
+    try:
+        number = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParameterError(f"{what} must be a finite number, got {value!r}")
+    return number
+
+
+def _finite_sample(what: str, value) -> np.ndarray:
+    if isinstance(value, (list, tuple)):  # as in a JSON document: check each entry
+        value = [_finite_number(f"{what} entry", v) for v in value]
+    data = np.asarray(value)
+    if data.ndim != 1 or data.dtype.kind not in "iuf" or not np.all(np.isfinite(data)):
+        raise ParameterError(f"{what} must be a list of finite numbers")
+    return data.astype(float, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class FittedDistribution:
-    """A first-sharer count model: family name plus family-specific parameters."""
+    """A first-sharer count model: family name plus family-specific parameters.
+
+    Construction checks them against FAMILIES: each must be given and be a
+    finite number, and together they must meet the family's rule. The
+    empirical family keeps its sample in sample_ref, not in params.
+    """
 
     family: str
     params: dict = field(default_factory=dict)
     sample_ref: np.ndarray | None = None
 
+    def __post_init__(self) -> None:
+        fam = FAMILIES.get(self.family) if isinstance(self.family, str) else None
+        if fam is None:
+            raise ParameterError(f"unknown distribution family {self.family!r}")
+        given = dict(self.params) if isinstance(self.params, dict) else {}
+        if self.sample_ref is not None:
+            given[SAMPLE] = self.sample_ref
+        if set(given) != set(fam.params):
+            raise ParameterError(f"{fam.name} takes parameters ({', '.join(fam.params)}), "
+                                 f"got ({', '.join(map(str, given))})")
+        values = {p: (_finite_sample if p == SAMPLE else _finite_number)(f"{fam.name} {p}", given[p])
+                  for p in fam.params}
+        if not fam.check(**values):
+            raise ParameterError(fam.rule.format(**values))
+        object.__setattr__(self, "sample_ref", values.pop(SAMPLE, None))
+        object.__setattr__(self, "params", values)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, FittedDistribution):
             return NotImplemented
-        if self.family != other.family or self.params != other.params:
-            return False
-        if (self.sample_ref is None) != (other.sample_ref is None):
-            return False
-        return self.sample_ref is None or np.array_equal(self.sample_ref, other.sample_ref)
+        return self.to_dict() == other.to_dict()
 
     @classmethod
     def inverse_gaussian(cls, mean: float, shape: float) -> "FittedDistribution":
-        if mean <= 0 or shape <= 0:
-            raise ParameterError(f"IG needs positive mean and shape, got ({mean}, {shape})")
-        return cls(FAMILY_IG, {"mean": float(mean), "shape": float(shape)})
+        return cls(FAMILY_IG, {"mean": mean, "shape": shape})
 
     @classmethod
     def log_normal(cls, log_mean: float, log_sd: float) -> "FittedDistribution":
-        if log_sd <= 0:
-            raise ParameterError(f"log-normal needs positive log-sd, got {log_sd}")
-        return cls(FAMILY_LN, {"log_mean": float(log_mean), "log_sd": float(log_sd)})
+        return cls(FAMILY_LN, {"log_mean": log_mean, "log_sd": log_sd})
 
     @classmethod
     def poisson(cls, rate: float) -> "FittedDistribution":
-        if rate < 0:
-            raise ParameterError(f"Poisson rate must be >= 0, got {rate}")
-        return cls(FAMILY_POISSON, {"rate": float(rate)})
+        return cls(FAMILY_POISSON, {"rate": rate})
 
     @classmethod
     def uniform(cls, low: float, high: float) -> "FittedDistribution":
-        if low > high:
-            raise ParameterError(f"uniform needs low <= high, got ({low}, {high})")
-        return cls(FAMILY_UNIFORM, {"low": float(low), "high": float(high)})
+        return cls(FAMILY_UNIFORM, {"low": low, "high": high})
 
     @classmethod
     def empirical(cls, samples) -> "FittedDistribution":
-        data = np.asarray(samples, dtype=float)
-        if data.size == 0:
-            raise ParameterError("empirical distribution needs a non-empty sample")
-        return cls(FAMILY_EMPIRICAL, {}, sample_ref=data)
+        return cls(FAMILY_EMPIRICAL, sample_ref=samples)
+
+    def _values(self) -> list:
+        return [self.sample_ref if p == SAMPLE else self.params[p] for p in FAMILIES[self.family].params]
 
     def sample(self, size: int, seed) -> np.ndarray:
         """Draw `size` real-valued variates (integer-valued for Poisson/empirical counts)."""
-        rng = as_generator(seed)
-        if self.family == FAMILY_IG:
-            return sample_inverse_gaussian(rng, self.params["mean"], self.params["shape"], size)
-        if self.family == FAMILY_LN:
-            return rng.lognormal(self.params["log_mean"], self.params["log_sd"], size)
-        if self.family == FAMILY_POISSON:
-            return rng.poisson(self.params["rate"], size).astype(float)
-        if self.family == FAMILY_UNIFORM:
-            return rng.uniform(self.params["low"], self.params["high"], size)
-        if self.family == FAMILY_EMPIRICAL:
-            return rng.choice(self.sample_ref, size=size, replace=True)
-        raise ParameterError(f"unknown distribution family {self.family!r}")
+        return FAMILIES[self.family].draw(as_generator(seed), size, *self._values())
 
     def mean(self) -> float:
-        if self.family == FAMILY_IG:
-            return self.params["mean"]
-        if self.family == FAMILY_LN:
-            return math.exp(self.params["log_mean"] + self.params["log_sd"] ** 2 / 2.0)
-        if self.family == FAMILY_POISSON:
-            return self.params["rate"]
-        if self.family == FAMILY_UNIFORM:
-            return 0.5 * (self.params["low"] + self.params["high"])
-        if self.family == FAMILY_EMPIRICAL:
-            return float(self.sample_ref.mean())
-        raise ParameterError(f"unknown distribution family {self.family!r}")
+        return FAMILIES[self.family].mean(*self._values())
+
+    def to_dict(self) -> dict:
+        """The config-JSON document: the family, then its parameters in table order."""
+        doc = {"family": self.family, **self.params}
+        if self.sample_ref is not None:
+            doc[SAMPLE] = self.sample_ref.tolist()
+        return doc
+
+    @classmethod
+    def from_dict(cls, doc) -> "FittedDistribution":
+        """Read a to_dict document; raises ParameterError as the constructor does."""
+        if not isinstance(doc, dict):
+            raise ParameterError(f"a distribution must be a JSON object, got {type(doc).__name__}")
+        return cls(doc.get("family"), {k: v for k, v in doc.items() if k != "family"})
 
 
 # --- fitting first-sharer counts ------------------------------------------------
@@ -343,41 +410,27 @@ def fit_first_sharers(samples, seed) -> FirstSharerFit:
 
     Raises:
         DegenerateSampleError: fewer than two positive samples.
+        ParameterError: an empty sample, or a negative or non-finite count.
     """
     counts = np.asarray(samples, dtype=float)
-    if counts.size == 0 or np.any(counts < 0):
-        raise ParameterError("first-sharer counts must be non-negative and non-empty")
-    positives = counts[counts > 0]
-    if positives.size < 2:
+    if counts.size == 0 or not np.all(np.isfinite(counts) & (counts >= 0)):
+        raise ParameterError("first-sharer counts must be finite, non-negative and non-empty")
+    zeros_excluded = int(np.count_nonzero(counts == 0))
+    if counts.size - zeros_excluded < 2:
         raise DegenerateSampleError("need at least two positive first-sharer counts")
-    zeros_excluded = int(counts.size - positives.size)
-
-    fits: dict[str, FittedDistribution] = {}
-    degenerate: list[str] = []
-
-    mean_pos = float(positives.mean())
-    recip_gap = float(np.sum(1.0 / positives - 1.0 / mean_pos))
-    if recip_gap > 0:
-        fits[FAMILY_IG] = FittedDistribution.inverse_gaussian(mean_pos, positives.size / recip_gap)
-    else:
-        degenerate.append(FAMILY_IG)  # all-equal sample drives the IG shape to infinity
-
-    logs = np.log(positives)
-    log_sd = float(logs.std())
-    if log_sd > 0:
-        fits[FAMILY_LN] = FittedDistribution.log_normal(float(logs.mean()), log_sd)
-    else:
-        degenerate.append(FAMILY_LN)
-
-    fits[FAMILY_POISSON] = FittedDistribution.poisson(float(counts.mean()))
-    fits[FAMILY_UNIFORM] = FittedDistribution.uniform(float(counts.min()), float(counts.max()))
-    fits[FAMILY_EMPIRICAL] = FittedDistribution.empirical(counts)
 
     rng = as_generator(seed)
+    fits: dict[str, FittedDistribution] = {}
     family_stats = {}
-    for family in (FAMILY_IG, FAMILY_LN, FAMILY_POISSON, FAMILY_UNIFORM):
-        if family in fits:
-            family_stats[family] = summary_stats(fits[family].sample(counts.size, rng))
+    degenerate: list[str] = []
+    for fam in FAMILIES.values():
+        values = fam.fit(counts)
+        if values is None:
+            degenerate.append(fam.name)
+            continue
+        fits[fam.name] = FittedDistribution(fam.name, dict(zip(fam.params, values)))
+        if SAMPLE not in fam.params:
+            family_stats[fam.name] = summary_stats(fits[fam.name].sample(counts.size, rng))
 
     return FirstSharerFit(
         data_stats=summary_stats(counts),
@@ -389,7 +442,7 @@ def fit_first_sharers(samples, seed) -> FirstSharerFit:
 
 
 TABLE_ROWS = ("min", "q1", "median", "mean", "q3", "max")
-TABLE_FAMILIES = ((FAMILY_IG, "IG"), (FAMILY_LN, "LN"), (FAMILY_POISSON, "Poi"))
+TABLE_FAMILIES = tuple((f.name, f.label) for f in FAMILIES.values() if f.label)
 
 
 def first_sharer_table(fit: FirstSharerFit) -> list[dict]:
@@ -407,7 +460,8 @@ def first_sharer_table(fit: FirstSharerFit) -> list[dict]:
 def write_first_sharer_table(fit: FirstSharerFit, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["statistic", "data", "IG", "LN", "Poi"])
+        columns = ["data"] + [label for _, label in TABLE_FAMILIES]
+        writer.writerow(["statistic"] + columns)
         for row in first_sharer_table(fit):
-            cells = ["" if row[c] is None else repr(float(row[c])) for c in ("data", "IG", "LN", "Poi")]
+            cells = ["" if row[c] is None else repr(float(row[c])) for c in columns]
             writer.writerow([row["statistic"]] + cells)

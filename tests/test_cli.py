@@ -1,11 +1,19 @@
+import argparse
 import csv
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cascadekit.cli import main
+from cascadekit.cli import _parse_distribution, _read_numbers, main
+from cascadekit.errors import ParameterError
 from cascadekit.graph import load_graph
+from cascadekit.stats import FAMILIES, FittedDistribution
 from cascadekit.trees import load_trees
 
 from oracles import sample_power_law
@@ -125,6 +133,97 @@ def test_stats_test_wald(tmp_path, capsys):
     assert main(["stats-test", "wald", "--a", str(a_path), "--b", str(b_path)]) == 0
     out = capsys.readouterr().out
     assert "W=" in out and "reject=True" in out
+
+
+def one_line_error(capsys, command: str) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"cascadekit {command}: ParameterError: ")
+    return err
+
+
+@pytest.mark.parametrize("rows,message", [
+    (["count", "1", "abc"], "row 3: 'abc' is not a number"),
+    (["1", "2", "3.5.1"], "row 3: '3.5.1' is not a number"),
+    ([], "at least one number"),
+    (["count"], "at least one number"),
+    (["1", "nan", "2"], "no NaN or infinity"),
+    (["1", "inf"], "no NaN or infinity"),
+    (["count", "-Infinity", "2"], "no NaN or infinity"),
+], ids=repr)
+def test_malformed_number_files_are_one_line_errors(tmp_path, capsys, rows, message):
+    bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+    write_column(bad, rows)
+    write_column(good, [1, 2, 3])
+    assert main(["stats-test", "ks", "--a", str(good), "--b", str(bad)]) == 3
+    assert message in one_line_error(capsys, "stats-test")
+    assert main(["fit-first-sharers", "--in", str(bad), "--seed", "1", "--out", str(tmp_path / "t.csv")]) == 3
+    assert message in one_line_error(capsys, "fit-first-sharers")
+
+
+@pytest.mark.parametrize("changes", [
+    {"first_sharers": {"family": "poisson"}},
+    {"first_sharers": {"family": "ig", "mean": float("nan"), "shape": 1.0}},
+    {"n": 16889.7},
+    {"deltas": [0.02, "x"]},
+], ids=repr)
+def test_sweep_with_malformed_config_is_a_one_line_error(tmp_path, capsys, changes):
+    config = {
+        "n": 100, "m": 20, "z": 4, "master_seed": 0,
+        "first_sharers": {"family": "poisson", "rate": 2.0},
+        "deltas": [0.02], "phis": [0.6], "rs": [0.1], "iterations": 2,
+    }
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps(config | changes))
+    assert main(["sweep", "--config", str(config_path), "--seed", "7", "--out", str(tmp_path / "a.csv")]) == 3
+    one_line_error(capsys, "sweep")
+    config_path.write_text("{")
+    assert main(["sweep", "--config", str(config_path), "--seed", "7", "--out", str(tmp_path / "a.csv")]) == 3
+    assert "malformed config JSON" in one_line_error(capsys, "sweep")
+
+
+@pytest.mark.parametrize("spec", [
+    "ig:nan,1", "ig:1,inf", "ig:1", "ig:1,2,3", "ln:0,-1", "poisson:", "poi:-inf", "uniform:2,1",
+    "unif:1,NaN", "gamma:1,2", "emp:no-such-file.csv",
+])
+def test_bad_first_sharer_specs_are_argument_errors(tmp_path, capsys, spec):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["simulate", "--graph", "g.json", "--items", "5", "--first-sharers", spec,
+              "--delta", "0.1", "--seed", "1", "--out", str(tmp_path / "t.json")])
+    assert excinfo.value.code == 2
+    assert "--first-sharers" in capsys.readouterr().err
+
+
+PROPERTY = settings(max_examples=150, deadline=None, database=None)
+
+
+@PROPERTY
+@given(st.text(max_size=40))
+def test_any_csv_text_reads_as_finite_numbers_or_is_a_parameter_error(text):
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "numbers.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            values = _read_numbers(path)
+        except ParameterError:
+            return
+    assert values.dtype == float and values.size > 0 and np.all(np.isfinite(values))
+
+
+SPEC_NAMES = [name for f in FAMILIES.values() for name in (f.name, *f.aliases)]
+SPEC_VALUES = st.sampled_from(["1", "0", "-2.5", "nan", "inf", "1e999", "", "x", " 3 "]) | st.floats().map(repr)
+
+
+@PROPERTY
+@given(st.sampled_from(SPEC_NAMES) | st.text(max_size=8), st.lists(SPEC_VALUES, max_size=3), st.booleans())
+def test_any_first_sharer_spec_parses_or_is_an_argument_error(name, values, upper):
+    spec = f"{name.upper() if upper else name}:{','.join(values)}"
+    try:
+        dist = _parse_distribution(spec)
+    except argparse.ArgumentTypeError:
+        return
+    assert isinstance(dist, FittedDistribution)
+    assert all(math.isfinite(v) for v in dist.params.values())
 
 
 def test_missing_required_arguments_exit_nonzero(tmp_path):

@@ -4,8 +4,10 @@ The graph, tree and sweep digests below were captured with the set-based
 graph builder and the per-sharer cascade loop, at commit 4c87903, before the
 edge-key builder and the array frontier kernel replaced them. The tree-JSON
 and metrics-CSV digests were captured at commit f9dbb52, before sharing trees
-became arrays and the metrics one forest pass. Capture method: run this file
-as a script against that checkout,
+became arrays and the metrics one forest pass. The sampler, config-JSON and
+first-sharer-table digests were captured at commit 5355c4d, before one family
+table replaced the per-module dispatch on distribution family. Capture
+method: run this file as a script against that checkout,
 
     PYTHONPATH=<checkout>/src python tests/test_equivalence.py
 
@@ -13,22 +15,39 @@ which prints every digest in GOLDEN's format. Each digest is a SHA-256 over
 the raw little-endian bytes of a graph's arrays, or over the repr of every
 tree node's (id, user, sigma, t, parent) plus each outcome's news id and
 round count, or over the float.hex() of every field a SweepResult had then,
-or over the bytes of a trees_to_json document or a metrics.csv file.
+or over the bytes of a trees_to_json document, a metrics.csv file, a
+sampled array (with its dtype), a config JSON document, or a first-sharer
+table file plus the repr of its fits' parameters. The CLI alias test holds
+every --first-sharers name to its constructor's result.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cascadekit.cli import _parse_distribution
 from cascadekit.diffusion import NewsItem, run_batch
 from cascadekit.graph import generate_small_world, label_edges
-from cascadekit.harness import SweepConfig, analyze, run_sweep, troll_fit_config, write_analysis
-from cascadekit.stats import FittedDistribution
+from cascadekit.harness import (
+    SweepConfig,
+    analyze,
+    config_to_dict,
+    run_sweep,
+    troll_fit_config,
+    write_analysis,
+)
+from cascadekit.stats import (
+    FittedDistribution,
+    fit_first_sharers,
+    sample_inverse_gaussian,
+    write_first_sharer_table,
+)
 from cascadekit.trees import trees_to_json
 
 from oracles import random_tree
@@ -53,6 +72,23 @@ TOY_SWEEP = dict(
     phis=(0.6, 1.0), rs=(0.1, 1.0), deltas=(0.05, 0.2), iterations=2,
 )
 
+# One distribution per family, keyed by family name.
+DISTRIBUTIONS = {
+    "inverse_gaussian": FittedDistribution.inverse_gaussian(18.73, 9.63),
+    "log_normal": FittedDistribution.log_normal(1.2, 0.8),
+    "poisson": FittedDistribution.poisson(39.24),
+    "uniform": FittedDistribution.uniform(1.0, 6.5),
+    "empirical": FittedDistribution.empirical([0, 1, 1, 2, 3, 5, 8, 13, 21.5]),
+}
+
+# First-sharer samples for the comparison table: an IG sample truncated to
+# integers (124 zeros), and an all-equal sample, for which IG and LN are
+# degenerate.
+FIRST_SHARER_SAMPLES = {
+    "ig_with_zeros": np.floor(sample_inverse_gaussian(np.random.default_rng(17), 4.0, 2.0, 500)),
+    "all_equal": np.full(40, 7.0),
+}
+
 GOLDEN = {
     "graph_5_4": "589162606fa6622c42c9d98ffad643faed71c20001da481f7d12415dbd24a1e2",
     "graph_9_8": "437aa15acd7a8a9ad0bfc795c3bf9e7b369eb69a19263110f8d4308f6712ae21",
@@ -71,6 +107,18 @@ GOLDEN = {
     "sweep_toy": "25b082ce3583465f329747b763bce5583ac9b66993b7590f3870d863ed7f0df3",
     "sweep_toy_trees": "361edcc3fe6f6913670ed3c16ff5f4ef1c433cd518c7a936c4896353be3ecfb5",
     "sweep_troll": "3f6462005f188e438c46b2e6d255bd694b776f86fe3224da960674295bffd144",
+    "sample_inverse_gaussian": "99e6414b69ba898aadf2ff07cb40c375f31f7c539bfcd153a4bb33926b3d9eea",
+    "sample_log_normal": "fc3dce4771848b97d65af00f3547a389847eac5985e339771de9f3f2329b7ea8",
+    "sample_poisson": "c98f73854ef1723c655f89c0e3af2a0675e51d0edc24f3a5d9c3ce7ff139c933",
+    "sample_uniform": "4cd4b633858303d35c7acf2b284c53fc10e902063973196c644560aa81ca4ede",
+    "sample_empirical": "c43df1f4f9364db2968d2caa00b0ef7e986c1a8baba2ef29dd64cec3a20af3c7",
+    "config_json_inverse_gaussian": "076ab9e45f6e9f6d6a5fde121ae437899c0667718351f13fc30c8383e7279a1d",
+    "config_json_log_normal": "4098afd601a8e72a3b0c62d860027b0bd3fcf7483105c6e556eb21cbd0a70872",
+    "config_json_poisson": "cde742cbfb41870a9d93c89bf42a2f69d6b9565cf0c898a47763de9473c9627a",
+    "config_json_uniform": "2f82b85758f915d4ee975ffbcd7c63fc61155da39f41d20979a3a9fe35b445fd",
+    "config_json_empirical": "37978a0b466d911bf416c7ba6b97163857ba7318e20554bb101116584fa4d5c2",
+    "first_sharer_table_ig_with_zeros": "0e555d0e428b11d8b748c4d95f8b4ed66a605680ab4388ff492b4c54d2a60c03",
+    "first_sharer_table_all_equal": "eb48e1837b4af59ffed49d58910154e0a3c0bf1c94cbb6967e5949a6305052cb",
 }
 
 
@@ -150,6 +198,30 @@ def metrics_csv_digest() -> str:
         return hashlib.sha256((Path(out) / "metrics.csv").read_bytes()).hexdigest()
 
 
+def sample_digest(family: str) -> str:
+    draws = DISTRIBUTIONS[family].sample(2000, 101)
+    return hashlib.sha256(draws.dtype.str.encode() + draws.tobytes()).hexdigest()
+
+
+def config_json_digest(family: str) -> str:
+    """json.dumps of a default-grid config with this family's first sharers."""
+    config = SweepConfig(n=500, m=40, z=6, master_seed=5, first_sharers=DISTRIBUTIONS[family])
+    return hashlib.sha256(json.dumps(config_to_dict(config)).encode()).hexdigest()
+
+
+def first_sharer_table_digest(name: str) -> str:
+    """The table file plus the order, parameters and degeneracies of the fits."""
+    fit = fit_first_sharers(FIRST_SHARER_SAMPLES[name], seed=19)
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "table.csv"
+        write_first_sharer_table(fit, path)
+        h.update(path.read_bytes())
+    h.update(repr([(family, d.params) for family, d in fit.fits.items()]).encode())
+    h.update(repr((fit.zeros_excluded, fit.degenerate)).encode())
+    return h.hexdigest()
+
+
 def all_digests() -> dict[str, str]:
     out = {f"graph_{n}_{z}": graph_digest(n, z) for n, z in GRAPH_SHAPES}
     out.update({f"trees_{name}": trees_digest(name) for name in TREE_CASES})
@@ -157,6 +229,9 @@ def all_digests() -> dict[str, str]:
     out["metrics_csv_random_200"] = metrics_csv_digest()
     out["sweep_toy"], out["sweep_toy_trees"] = sweep_toy_digests()
     out["sweep_troll"] = results_digest(run_sweep(troll_fit_config(master_seed=23, iterations=2)))
+    out.update({f"sample_{family}": sample_digest(family) for family in DISTRIBUTIONS})
+    out.update({f"config_json_{family}": config_json_digest(family) for family in DISTRIBUTIONS})
+    out.update({f"first_sharer_table_{name}": first_sharer_table_digest(name) for name in FIRST_SHARER_SAMPLES})
     return out
 
 
@@ -206,6 +281,40 @@ def test_toy_sweep_digests_unchanged():
 def test_troll_sweep_digest_unchanged():
     results = run_sweep(troll_fit_config(master_seed=23, iterations=2))
     assert results_digest(results) == GOLDEN["sweep_troll"]
+
+
+@pytest.mark.parametrize("family", sorted(DISTRIBUTIONS))
+def test_sampler_digest_unchanged(family):
+    assert sample_digest(family) == GOLDEN[f"sample_{family}"]
+
+
+@pytest.mark.parametrize("family", sorted(DISTRIBUTIONS))
+def test_config_json_digest_unchanged(family):
+    assert config_json_digest(family) == GOLDEN[f"config_json_{family}"]
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_SHARER_SAMPLES))
+def test_first_sharer_table_digest_unchanged(name):
+    assert first_sharer_table_digest(name) == GOLDEN[f"first_sharer_table_{name}"]
+
+
+# Every CLI family name and alias, in any case, parses to its constructor's result.
+CLI_SPECS = {
+    "inverse_gaussian": (("ig", "inverse_gaussian", "IG"), "18.73,9.63"),
+    "log_normal": (("ln", "log_normal", "lognormal", "LogNormal"), "1.2,0.8"),
+    "poisson": (("poisson", "poi", "Poi"), "39.24"),
+    "uniform": (("uniform", "unif", "UNIF"), "1,6.5"),
+    "empirical": (("empirical", "emp", "Emp"), None),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CLI_SPECS))
+def test_cli_aliases_parse_to_the_constructor_result(family, tmp_path):
+    counts = tmp_path / "counts.csv"
+    counts.write_text("count\n0\n1\n1\n2\n3\n5\n8\n13\n21.5\n")
+    names, params = CLI_SPECS[family]
+    for name in names:
+        assert _parse_distribution(f"{name}:{params or counts}") == DISTRIBUTIONS[family]
 
 
 if __name__ == "__main__":

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascadekit.errors import (
     OrphanParentError,
@@ -163,6 +165,82 @@ def test_config_json_round_trip():
     doc = json.loads(json.dumps(config_to_dict(config)))
     back = config_from_dict(doc)
     assert back == config
+
+
+def config_doc(changes: dict) -> dict:
+    """tiny_config's JSON document with some fields replaced, or dropped where the value is ..."""
+    doc = json.loads(json.dumps(config_to_dict(tiny_config())))
+    doc.update(changes)
+    return {key: value for key, value in doc.items() if value is not ...}
+
+
+def test_config_from_dict_rejects_a_document_that_is_not_an_object():
+    for doc in ([], "config", None, 3):
+        with pytest.raises(ParameterError, match="must be a JSON object"):
+            config_from_dict(doc)
+
+
+@pytest.mark.parametrize("changes,field", [
+    *(({key: ...}, repr(key)) for key in ("n", "m", "z", "master_seed", "first_sharers")),
+    ({"n": 16889.7}, "'n'"),
+    ({"n": "abc"}, "'n'"),
+    ({"n": True}, "'n'"),
+    ({"m": None}, "'m'"),
+    ({"z": [4]}, "'z'"),
+    ({"iterations": 2.5}, "'iterations'"),
+    ({"master_seed": False}, "'master_seed'"),
+    ({"deltas": [0.02, "a"]}, "delta 'a'"),
+    ({"phis": [None]}, "phi_hl None"),
+    ({"rs": [True]}, "r True"),
+    ({"deltas": 0.02}, "'deltas'"),
+    ({"phis": "0.6"}, "'phis'"),
+    ({"deltas": [float("nan")]}, "delta nan"),
+    ({"first_sharers": {"family": "poisson"}}, "'first_sharers'"),
+    ({"first_sharers": {"family": "poisson", "rate": float("nan")}}, "'first_sharers'"),
+    ({"first_sharers": {"family": "poisson", "rate": float("inf")}}, "'first_sharers'"),
+    ({"first_sharers": {"family": "ig", "mean": 1, "shape": 1}}, "'first_sharers'"),
+    ({"first_sharers": {"family": "empirical", "sample": [1, None]}}, "'first_sharers'"),
+    ({"first_sharers": [2.0]}, "'first_sharers'"),
+], ids=repr)
+def test_config_from_dict_names_the_bad_field(changes, field):
+    with pytest.raises(ParameterError) as excinfo:
+        config_from_dict(config_doc(changes))
+    assert field in str(excinfo.value)
+
+
+def test_config_from_dict_takes_integral_floats_and_a_seed_override():
+    config = config_from_dict(config_doc({"master_seed": ..., "n": 120.0}), master_seed=3)
+    assert config == tiny_config(master_seed=3)
+    assert type(config.n) is int
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+DISTRIBUTIONS = (
+    FittedDistribution.inverse_gaussian(18.73, 9.63), FittedDistribution.log_normal(1.0, 0.5),
+    FittedDistribution.poisson(2.0), FittedDistribution.uniform(0.0, 3.0),
+    FittedDistribution.empirical([1, 2, 5]),
+)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.sampled_from(DISTRIBUTIONS), st.data())
+def test_mutated_config_document_loads_and_round_trips_or_is_a_parameter_error(dist, data):
+    doc = json.loads(json.dumps(config_to_dict(tiny_config(first_sharers=dist))))
+    target = data.draw(st.sampled_from([doc, doc["first_sharers"]]))
+    key = data.draw(st.sampled_from(sorted(target)) | st.text(max_size=6))
+    if data.draw(st.booleans()):
+        target.pop(key, None)
+    else:
+        target[key] = data.draw(JSON_VALUES)
+    try:
+        config = config_from_dict(doc)
+    except ParameterError:
+        return
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
 
 
 def test_default_grids_cover_reference_protocol():

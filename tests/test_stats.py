@@ -7,6 +7,8 @@ from scipy import stats as scipy_stats
 
 from cascadekit.errors import DegenerateSampleError, ParameterError
 from cascadekit.stats import (
+    FAMILIES,
+    FAMILY_EMPIRICAL,
     FAMILY_IG,
     FAMILY_LN,
     FAMILY_POISSON,
@@ -242,6 +244,51 @@ def test_distribution_parameter_validation():
         FittedDistribution.empirical([])
 
 
+NOT_FINITE = (math.nan, math.inf, -math.inf, 10**400, True, "3", None)
+
+
+@pytest.mark.parametrize("bad", NOT_FINITE, ids=["nan", "inf", "-inf", "huge_int", "bool", "str", "none"])
+def test_distribution_rejects_a_parameter_that_is_not_a_finite_number(bad):
+    for make in (lambda: FittedDistribution.inverse_gaussian(bad, 1.0),
+                 lambda: FittedDistribution.inverse_gaussian(1.0, bad),
+                 lambda: FittedDistribution.log_normal(bad, 1.0),
+                 lambda: FittedDistribution.log_normal(0.0, bad),
+                 lambda: FittedDistribution.poisson(bad),
+                 lambda: FittedDistribution.uniform(bad, 1.0),
+                 lambda: FittedDistribution.uniform(0.0, bad),
+                 lambda: FittedDistribution.empirical([1.0, bad])):
+        with pytest.raises(ParameterError, match="finite number"):
+            make()
+
+
+def test_distribution_rejects_unknown_family_and_missing_or_extra_parameters():
+    with pytest.raises(ParameterError, match="unknown distribution family 'ig'"):
+        FittedDistribution("ig", {"mean": 1.0, "shape": 1.0})
+    with pytest.raises(ParameterError, match=r"poisson takes parameters \(rate\), got \(\)"):
+        FittedDistribution(FAMILY_POISSON)
+    with pytest.raises(ParameterError, match=r"got \(mean\)"):
+        FittedDistribution(FAMILY_IG, {"mean": 1.0})
+    with pytest.raises(ParameterError, match=r"got \(rate, scale\)"):
+        FittedDistribution(FAMILY_POISSON, {"rate": 1.0, "scale": 2.0})
+    with pytest.raises(ParameterError, match="sample"):
+        FittedDistribution(FAMILY_EMPIRICAL)
+    for nested in ([[1, 2], [3]], np.ones((2, 2))):
+        with pytest.raises(ParameterError, match="finite number"):
+            FittedDistribution.empirical(nested)
+
+
+def test_distribution_dict_round_trip_keeps_table_order():
+    for dist in (FittedDistribution.inverse_gaussian(shape=2, mean=3),
+                 FittedDistribution.log_normal(0.5, 1.5), FittedDistribution.poisson(4),
+                 FittedDistribution.uniform(-1, 2), FittedDistribution.empirical([3, 1, 2])):
+        doc = dist.to_dict()
+        assert list(doc) == ["family", *FAMILIES[dist.family].params]
+        assert FittedDistribution.from_dict(doc) == dist
+    assert FittedDistribution.empirical([3, 1]).params == {}
+    with pytest.raises(ParameterError, match="JSON object"):
+        FittedDistribution.from_dict(["poisson", 1.0])
+
+
 def test_empirical_point_mass_draws_constant():
     dist = FittedDistribution.empirical([5, 5, 5])
     assert np.all(dist.sample(50, seed=0) == 5.0)
@@ -312,6 +359,10 @@ def test_fit_first_sharers_needs_two_positive_counts():
         fit_first_sharers([0, 0, 5], seed=0)
     with pytest.raises(ParameterError):
         fit_first_sharers([-1, 3], seed=0)
+    with pytest.raises(ParameterError):
+        fit_first_sharers([2, 3, math.nan], seed=0)
+    with pytest.raises(ParameterError):
+        fit_first_sharers([2, 3, math.inf], seed=0)
 
 
 def test_write_curve_csv_round_trips(tmp_path):
