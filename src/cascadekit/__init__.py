@@ -18,10 +18,8 @@ from .diffusion import (
     BatchStats,
     CascadeOutcome,
     NewsItem,
-    batch_stats,
     diffuse,
     run_batch,
-    run_cascade,
     sample_first_sharers,
     sample_news,
 )
@@ -79,20 +77,18 @@ from .stats import (
     wald_test,
 )
 from .trees import (
+    Forest,
     SharingPath,
     SharingTree,
     TreeNode,
     UserProfile,
     edge_homogeneity,
-    homogeneous_paths,
     lifetime,
     load_trees,
     mean_edge_homogeneity,
-    metrics_row,
     metrics_rows,
     path_length_profile,
     save_trees,
-    sharing_paths,
     tree_from_dict,
     tree_height,
     tree_size,

@@ -4,8 +4,9 @@ Subcommands map one-to-one onto library operations: generate (graph
 construction), simulate (cascade batches), sweep (parameter grids),
 analyze (tree metrics and curves), fit-first-sharers (distribution
 fitting), and stats-test (KS and Wald). Every command that draws random
-numbers requires an explicit --seed. A cascadekit error ends a command
-with a one-line message on stderr and exit code 3, without a traceback.
+numbers requires an explicit --seed. A cascadekit error or a file that
+cannot be read or written ends a command with a one-line message on stderr
+and exit code 3, without a traceback.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import CascadekitError, ParameterError
 from .graph import generate_small_world, label_edges, load_graph, save_graph
 from .stats import FittedDistribution
 
-EXIT_ERROR = 3  # a CascadekitError; argparse exits with 2 on bad arguments
+EXIT_ERROR = 3  # a CascadekitError or OSError; argparse exits with 2 on bad arguments
 
 
 def _parse_distribution(spec: str) -> FittedDistribution:
@@ -125,6 +126,10 @@ def _cmd_stats_test(args) -> int:
         res = stats.ks_two_sample(a, b, alpha=args.alpha)
         print(f"D={res.D!r} D_alpha={res.D_alpha!r} reject={res.reject}")
     else:
+        for path, values in ((args.a, a), (args.b, b)):
+            fractional = values[values != np.floor(values)]
+            if fractional.size:
+                raise ParameterError(f"{path}: the Wald test needs integer sizes, got {float(fractional[0])!r}")
         fit_a = stats.fit_power_law(a.astype(int), x_min=args.x_min)
         fit_b = stats.fit_power_law(b.astype(int), x_min=args.x_min)
         res = stats.wald_test(fit_a, fit_b, alpha=args.alpha)
@@ -191,7 +196,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CascadekitError as exc:
+    except (CascadekitError, OSError) as exc:
         message = " ".join(str(exc).split())
         print(f"cascadekit {args.command}: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_ERROR

@@ -8,11 +8,10 @@ set is the threshold-restricted reachability closure of the seeds.
 
 One numpy frontier kernel expands a whole batch at once, round by round.
 diffuse is its entry point: it returns per-item seed counts, sizes, heights
-and round counts, plus the sharing trees only with build_trees. run_batch
-and batch_stats are its tree and stats halves, run_cascade the kernel on
-one item. For a given seed they all give exactly the trees and numbers of
-the earlier per-sharer loop (tests/test_equivalence.py holds digests of
-its output).
+and round counts, plus the sharing trees as one trees.Forest with
+build_trees. run_batch wraps it as one CascadeOutcome per item. For a given
+seed both give exactly the trees and numbers of the earlier per-sharer loop
+(tests/test_equivalence.py holds digests of its output).
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .errors import ParameterError
 from .graph import SignedGraph
 from .rng import as_generator, as_seed_sequence
 from .stats import FittedDistribution
-from .trees import SharingTree
+from .trees import Forest, SharingTree
 
 
 @dataclass(frozen=True)
@@ -87,67 +86,34 @@ def sample_news(count: int, dist: FittedDistribution, seed, max_count: int | Non
     ]
 
 
-def run_cascade(g: SignedGraph, news: NewsItem, delta: float, seed) -> CascadeOutcome:
-    """Diffuse one news item and record its sharing tree.
-
-    The first_sharer_count distinct seed nodes share at round 0 without any
-    threshold check. Afterwards, every not-yet-sharing neighbor of a
-    round-k sharer across a homogeneous edge shares at round k+1 iff
-    |opinion - fitness| <= delta. When several round-k sharers reach the
-    same new sharer, its tree parent is drawn uniformly among them. Seeds
-    hang off the virtual page root (parent None).
-
-    Raises:
-        ParameterError: delta outside [0, 1] or more seeds than nodes.
-    """
-    _, [outcome] = _diffuse(g, [news], delta, [seed], build_trees=True)
-    return outcome
-
-
 def run_batch(g: SignedGraph, news_list, delta: float, seed) -> list[CascadeOutcome]:
-    """Run one cascade per item with independent sub-seeds from a master seed.
-
-    Deterministic given (graph, news list, delta, master seed); outcomes
-    come back in news-list order. Item i draws its seeds and parents from
-    its own Generator on the i-th child of the master SeedSequence, so its
-    tree equals run_cascade on that child.
-    """
-    return diffuse(g, news_list, delta, seed, build_trees=True)[1]
-
-
-def batch_stats(g: SignedGraph, news_list, delta: float, seed) -> BatchStats:
-    """Per-item sizes, heights and round counts of run_batch, without its trees."""
-    return diffuse(g, news_list, delta, seed)[0]
+    """diffuse with build_trees, as one CascadeOutcome per item in news-list order."""
+    stats, forest = diffuse(g, news_list, delta, seed, build_trees=True)
+    return [CascadeOutcome(item.id, tree, k) for item, tree, k in zip(news_list, forest, stats.rounds.tolist())]
 
 
 def diffuse(g: SignedGraph, news_list, delta: float, seed,
-            build_trees: bool = False) -> tuple[BatchStats, list[CascadeOutcome] | None]:
-    """Diffuse a batch from a master seed: (BatchStats, outcomes or None).
+            build_trees: bool = False) -> tuple[BatchStats, Forest | None]:
+    """Diffuse a batch from a master seed: (BatchStats, the trees.Forest of its sharing trees or None).
+
+    An item's first_sharer_count distinct seeds share at round 0 without a
+    threshold check. Then every not-yet-sharing neighbor of a round-k sharer
+    across a homogeneous edge shares at round k+1 iff |opinion - fitness| <=
+    delta; a sharer reached by several round-k sharers takes one of them
+    uniformly as its tree parent. Seeds hang off the virtual page root.
 
     Item i's Generator runs on the i-th child of the master SeedSequence.
-    The stats are the same with and without build_trees: sizes and heights
-    depend only on the graph, the fitness, the seeds and delta, and each
-    item draws its seeds before any parent. Without build_trees no parent
-    is drawn and no tree is built.
-    """
-    return _diffuse(g, news_list, delta, as_seed_sequence(seed).spawn(len(news_list)), build_trees)
+    It draws the seeds with rng.choice(n, m, replace=False), in the order
+    drawn, and with build_trees, for a child with k > 1 candidate parents
+    (in frontier order: seed order in round 1, node order later), the index
+    rng.integers(k), in node order per round. The stats do not depend on
+    build_trees, since every item draws its seeds before any parent, and
+    without it no parent is drawn and no tree is built.
+    All items expand at once, one round at a time, as int64 keys item*n + node.
 
-
-def _diffuse(g: SignedGraph, news_list, delta: float, item_seeds, build_trees: bool):
-    """Expand every item's cascade at once, one synchronous round at a time.
-
-    The state is the set of (item, node) pairs that have shared, held as
-    int64 keys item*n + node. Round 0 holds each item's seeds, drawn with
-    rng.choice(n, m, replace=False) from the Generator of item_seeds[item], in
-    the order drawn. Each round gathers the homogeneous neighbors of the
-    frontier, keeps those within delta of their item's fitness, and drops
-    the pairs already shared. In tree mode the surviving (child, parent)
-    pairs are stable-sorted by child key, so every child's parents keep
-    frontier order (seed order in round 1, node order later), and a child
-    with k > 1 parents takes the one at index rng.integers(k), drawn in
-    node order per item and round.
-
-    Returns what diffuse returns.
+    Raises:
+        ParameterError: delta outside [0, 1], or a first-sharer count below
+            0 or above the node count.
     """
     if not 0.0 <= delta <= 1.0:
         raise ParameterError(f"sharing threshold must be in [0, 1], got {delta}")
@@ -158,7 +124,7 @@ def _diffuse(g: SignedGraph, news_list, delta: float, item_seeds, build_trees: b
     if counts.size and counts.min() < 0:
         raise ParameterError(f"first-sharer count must be >= 0, got {counts.min()}")
     fitness = np.array([item.fitness for item in news_list], dtype=float)
-    rngs = [as_generator(s) if m else None for s, m in zip(item_seeds, counts.tolist())]
+    rngs = [as_generator(s) if m else None for s, m in zip(as_seed_sequence(seed).spawn(len(counts)), counts.tolist())]
     seed_nodes = [rng.choice(n, size=m, replace=False) for rng, m in zip(rngs, counts.tolist()) if m]
     frontier = np.repeat(np.arange(len(counts), dtype=np.int64), counts) * n
     if seed_nodes:
@@ -192,12 +158,7 @@ def _diffuse(g: SignedGraph, news_list, delta: float, item_seeds, build_trees: b
         layer = frontier
 
     stats = BatchStats(seeds=counts, sizes=sizes, heights=np.where(counts > 0, rounds + 1, 0), rounds=rounds)
-    if shared is None:
-        return stats, None
-    return stats, [
-        CascadeOutcome(news_id=item.id, tree=tree, rounds=int(k))
-        for item, tree, k in zip(news_list, _trees(news_list, n, shared), rounds.tolist())
-    ]
+    return stats, (None if shared is None else _trees(news_list, n, shared))
 
 
 # Neighbor pairs gathered at once. A round's frontier is expanded in slices
@@ -281,8 +242,8 @@ def _item_slices(items: np.ndarray, pairs: np.ndarray):
         lo = hi
 
 
-def _trees(news_list, n: int, shared: list) -> list[SharingTree]:
-    """One tree per item, on slices of batch-wide arrays, from each round's (keys, parent nodes, round).
+def _trees(news_list, n: int, shared: list) -> Forest:
+    """The Forest of the items' trees, from each round's (keys, parent nodes, round).
 
     A stable sort by item keeps each item's sharers in share order: seeds
     in draw order, then each round's sharers in node order. A node's id is
@@ -296,9 +257,6 @@ def _trees(news_list, n: int, shared: list) -> list[SharingTree]:
     by_key = np.argsort(keys)
     found = by_key[np.searchsorted(keys, items * n + parents, sorter=by_key)]
     parent = np.where(parents < 0, -1, found - offset[items])
-    ids = np.arange(keys.size) - offset[items]
-    sigma = np.ones(keys.size)
-    return [
-        SharingTree.from_arrays(item.id, "synthetic", ids[a:b], user[a:b], sigma[a:b], t[a:b], parent[a:b])
-        for item, a, b in zip(news_list, offset[:-1].tolist(), offset[1:].tolist())
-    ]
+    m = len(news_list)
+    return Forest([item.id for item in news_list], ["synthetic"] * m, [True] * m, [1] * m, offset,
+                  np.arange(keys.size) - offset[items], user, np.ones(keys.size), t, parent)

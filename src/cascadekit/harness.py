@@ -8,9 +8,11 @@ master seed through a documented SeedSequence splitting scheme, so results
 are reproducible and independent of execution order.
 
 A sweep reads per-item sizes and heights from the stats of
-diffusion.diffuse, which builds sharing trees only with collect_trees=True.
-The SweepResult does not depend on collect_trees, and it is bit-identical
-to that of the earlier per-tree reduction.
+diffusion.diffuse, which builds sharing trees only with collect_trees=True,
+one trees.Forest per grid point. The SweepResult does not depend on
+collect_trees, and it is bit-identical to that of the earlier per-tree
+reduction. analyze takes a Forest or any sequence of trees and computes
+their metric rows in one trees.metrics_rows pass.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import branching, stats, trees
-from .diffusion import BatchStats, CascadeOutcome, diffuse, sample_news
+from .diffusion import BatchStats, diffuse, sample_news
 from .errors import DegenerateSampleError, ParameterError, SupercriticalError
 from .graph import generate_small_world, label_edges
 from .stats import FittedDistribution
-from .trees import SharingTree
+from .trees import Forest
 
 log = logging.getLogger(__name__)
 
@@ -180,12 +182,12 @@ PRESETS = {"troll": troll_fit_config}
 
 
 def simulate_point(n, m, z, phi_hl, r, delta, dist, seed_sequence,
-                   collect_trees: bool = False) -> tuple[BatchStats, list[CascadeOutcome] | None]:
+                   collect_trees: bool = False) -> tuple[BatchStats, Forest | None]:
     """One iteration at one grid point: fresh graph, fresh news, full batch.
 
-    Returns (stats, outcomes): per-item seed counts, sizes, heights and
-    rounds, plus the cascade outcomes with their trees when collect_trees
-    is set (None otherwise). The seed sequence is split into four
+    Returns (stats, forest): per-item seed counts, sizes, heights and
+    rounds, plus the Forest of sharing trees when collect_trees is set
+    (None otherwise). The seed sequence is split into four
     independent streams: graph build, edge labeling, news sampling, cascades.
     """
     s_graph, s_label, s_news, s_batch = seed_sequence.spawn(4)
@@ -203,24 +205,25 @@ def run_sweep(config: SweepConfig, collect_trees: bool = False):
     so any execution order yields identical results.
 
     Returns the list of SweepResult; with collect_trees=True returns
-    (results, trees) where trees maps grid points to every sharing tree.
-    The results do not depend on collect_trees.
+    (results, trees) where trees maps each grid point to the Forest of all
+    its sharing trees, iteration by iteration. The results do not depend on
+    collect_trees.
     """
     config.validate()
     results: list[SweepResult] = []
-    all_trees: dict[tuple[float, float, float], list[SharingTree]] = {}
+    all_trees: dict[tuple[float, float, float], Forest] = {}
     for point_index, (phi_hl, r, delta) in enumerate(config.grid()):
         batches: list[BatchStats] = []
-        point_trees: list[SharingTree] = []
+        forests: list[Forest] = []
         for iteration in range(config.iterations):
             ss = np.random.SeedSequence(config.master_seed, spawn_key=(point_index, iteration))
-            stats, outcomes = simulate_point(
+            stats, forest = simulate_point(
                 config.n, config.m, config.z, phi_hl, r, delta, config.first_sharers, ss,
                 collect_trees=collect_trees,
             )
             batches.append(stats)
             if collect_trees:
-                point_trees.extend(o.tree for o in outcomes)
+                forests.append(forest)
 
         mu = branching.branching_ratio(config.z, delta, q=1.0 - phi_hl)
         seed_counts = np.concatenate([b.seeds for b in batches])
@@ -254,7 +257,7 @@ def run_sweep(config: SweepConfig, collect_trees: bool = False):
             )
         )
         if collect_trees:
-            all_trees[(phi_hl, r, delta)] = point_trees
+            all_trees[(phi_hl, r, delta)] = Forest.of(tree for forest in forests for tree in forest)
     if collect_trees:
         return results, all_trees
     return results
@@ -393,21 +396,22 @@ def _compare_groups(groups: dict[str, GroupAnalysis], alpha: float) -> list[dict
     return comparisons
 
 
-def analyze(tree_list: list[SharingTree], by_category: bool = True,
-            bins: int = 20, alpha: float = 0.05) -> AnalysisResult:
+def analyze(tree_list, by_category: bool = True, bins: int = 20, alpha: float = 0.05) -> AnalysisResult:
     """Compute metric tables, distribution curves, and cross-category tests.
 
     Curves per group: size CCDF, height CDF, lifetime PDF, mean-homogeneity
     PDF, path-count CCDFs, and the binned lifetime-by-size and
     size-by-homogeneity relations. Group pairs are compared with KS tests on
-    size and lifetime and a Wald test on power-law size exponents. The
-    metric rows of all trees come from one trees.metrics_rows pass.
+    size and lifetime and a Wald test on power-law size exponents. tree_list
+    is a Forest or any sequence of trees; the metric rows of all trees come
+    from one trees.metrics_rows pass over its Forest.
     """
-    if not tree_list:
+    forest = Forest.of(tree_list)
+    if not len(forest):
         raise ParameterError("no trees to analyze")
     groups: dict[str, GroupAnalysis] = {}
-    for tree, row in zip(tree_list, trees.metrics_rows(tree_list)):
-        key = tree.category if by_category else "all"
+    for category, row in zip(forest.category, trees.metrics_rows(forest)):
+        key = category if by_category else "all"
         groups.setdefault(key, GroupAnalysis(category=key, tree_count=0, metric_rows=[]))
         groups[key].tree_count += 1
         groups[key].metric_rows.append(row)

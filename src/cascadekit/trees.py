@@ -5,9 +5,14 @@ hang off a virtual page root (the publishing page, excluded from all node
 counts) or are rooted at a real user. Metrics cover size, height, lifetime,
 edge homogeneity, and root-to-leaf path classification.
 
-A SharingTree is a struct of node arrays; TreeNode is the record type of
-the boundary only. metrics_rows computes every metric of a tree list in one
-vectorized pass over the concatenated arrays, which the per-tree metric
+A Forest is the one tree-list type: the node arrays of all its trees end
+to end, plus per-tree fields. The cascade kernel and the tree-JSON loader
+build forests, and metrics_rows, harness.analyze, the JSON writer and the
+CSV export read them; Forest.of turns any other tree sequence into one.
+forest[k] is a SharingTree, a view of one tree built on each access, and a
+SharingTree made from TreeNode records views a one-tree forest; TreeNode is
+the record type of the boundary only. metrics_rows computes every metric of
+a forest in one vectorized pass over its arrays, which the per-tree metric
 functions wrap.
 """
 
@@ -16,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -57,7 +63,7 @@ class TreeNode:
 
 
 class SharingTree:
-    """Oriented tree of successive shares of one news item.
+    """Oriented tree of successive shares of one news item: one tree of a Forest.
 
     When virtual_root is True the (implicit) page node is the root: every
     node without a parent is a first sharer at depth 1. When False, exactly
@@ -65,41 +71,42 @@ class SharingTree:
 
     Node k has id id[k], user user[k], polarization sigma[k], share time t[k]
     and parent node parent[k], an index into the same arrays (-1 for none).
-    The arrays are read-only; user and t are int64 or float64 when all their
-    values are ints or all floats, else object arrays, so values keep their
-    type. The constructor takes TreeNode records, and tree.nodes builds them.
+    The arrays are read-only views of the forest's; user and t are int64 or
+    float64 when all their values are ints or all floats, else object
+    arrays, so values keep their type. The constructor takes TreeNode
+    records and builds a one-tree Forest; tree.nodes builds the records back.
     """
 
-    __slots__ = ("news_id", "category", "virtual_root", "page_sign", *_NODE_FIELDS, "_missing")
+    __slots__ = ("_forest", "_k", "_a", "_b")
 
     def __init__(self, news_id, category: str, nodes=(), virtual_root: bool = True, page_sign: int = 1):
         nodes = list(nodes)
         ids, users, sigmas, times, parent_ids = ([getattr(nd, f) for nd in nodes] for f in _NODE_FIELDS)
         parent, missing = _parent_indexes(ids, parent_ids)
-        self._set(news_id, category, virtual_root, page_sign, np.array(ids, dtype=np.int64), _column(users),
-                  np.array(sigmas, dtype=float), _column(times), np.array(parent, dtype=np.int64))
-        self._missing = missing
+        forest = Forest([news_id], [category], [virtual_root], [page_sign], np.array([0, len(nodes)]),
+                        np.array(ids, dtype=np.int64), _column(users), np.array(sigmas, dtype=float), _column(times),
+                        np.array(parent, dtype=np.int64), missing)
+        self._forest, self._k, self._a, self._b = forest, 0, 0, len(nodes)
 
-    @classmethod
-    def from_arrays(cls, news_id, category: str, id, user, sigma, t, parent,
-                    virtual_root: bool = True, page_sign: int = 1) -> SharingTree:
-        """A tree over ready node arrays, unchecked; validate() checks it."""
-        tree = cls.__new__(cls)
-        tree._set(news_id, category, virtual_root, page_sign, id, user, sigma, t, parent)
-        tree._missing = {}
-        return tree
+    news_id = property(lambda self: self._forest.news_id[self._k])
+    category = property(lambda self: self._forest.category[self._k])
+    virtual_root = property(lambda self: self._forest.virtual_root[self._k])
+    page_sign = property(lambda self: self._forest.page_sign[self._k])
+    id = property(lambda self: self._forest.id[self._a:self._b])
+    user = property(lambda self: self._forest.user[self._a:self._b])
+    sigma = property(lambda self: self._forest.sigma[self._a:self._b])
+    t = property(lambda self: self._forest.t[self._a:self._b])
+    parent = property(lambda self: self._forest.parent[self._a:self._b])
 
-    def _set(self, news_id, category, virtual_root, page_sign, id, user, sigma, t, parent):
-        self.news_id, self.category, self.virtual_root, self.page_sign = news_id, category, virtual_root, page_sign
-        for values in (id, user, sigma, t, parent):
-            values.flags.writeable = False
-        self.id, self.user, self.sigma, self.t, self.parent = id, user, sigma, t, parent
+    @property
+    def _missing(self) -> dict:
+        """Each orphan's parent id by node index."""
+        return {i - self._a: p for i, p in self._forest.missing.items() if self._a <= i < self._b}
 
     def _columns(self) -> tuple[list, ...]:
         """The node fields as lists of Python values, parents as ids."""
-        ids = self.id.tolist()
-        parents = [ids[p] if p >= 0 else None if p == -1 else self._missing[k]
-                   for k, p in enumerate(self.parent.tolist())]
+        ids, missing = self.id.tolist(), self._missing
+        parents = [ids[p] if p >= 0 else None if p == -1 else missing[k] for k, p in enumerate(self.parent.tolist())]
         return ids, self.user.tolist(), self.sigma.tolist(), self.t.tolist(), parents
 
     @property
@@ -178,74 +185,98 @@ def _climb(parent: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
     return live
 
 
-class _Forest:
-    """One vectorized pass over the concatenated node arrays of a tree list.
+class Forest:
+    """A list of sharing trees held as batch-wide node arrays.
 
-    Per node: its depth (edges from the root, the page edge included under a
-    virtual root), whether it is a leaf, and the kind of the path ending at
-    it (0 homogeneous, 1 k-1 homogeneous, 2 neither). An edge is discordant
-    when its sign, the product of its endpoint polarizations (the page sign
-    standing in for the page), is not positive; a path is homogeneous with no
-    discordant edge, k-1 homogeneous when its first edge is the only one.
+    id, user, sigma, t and parent hold the nodes of all trees end to end,
+    tree k's at start[k]:start[k + 1], with the dtypes of a SharingTree's
+    arrays; parent indexes the tree's own nodes (-1 for none, -2 for an
+    orphan, whose parent id is missing[i] for batch-wide node index i).
+    news_id, category, virtual_root and page_sign are per-tree lists. len,
+    iteration and forest[k] give the trees: forest[k] is a SharingTree over
+    views of the arrays, built on each access.
     """
 
-    def __init__(self, trees: list[SharingTree]):
-        self.trees = trees
-        self.size = np.array([tr.id.size for tr in trees], dtype=np.int64)
-        self.start = np.concatenate(([0], np.cumsum(self.size)))
-        self.tree_of = np.repeat(np.arange(len(trees)), self.size)
-        local = np.concatenate([tr.parent for tr in trees] or [np.zeros(0, dtype=np.int64)])
-        root = local < 0
-        self.parent = np.where(root, -1, local + self.start[self.tree_of])
-        self.sigma = np.concatenate([tr.sigma for tr in trees] or [np.zeros(0)])
-        virtual = np.array([tr.virtual_root for tr in trees], dtype=bool)[self.tree_of]
-        page = np.array([tr.page_sign for tr in trees], dtype=float)[self.tree_of]
-        up = np.where(root, 0, self.parent)
-        edge = ~root | virtual
-        bad = edge & ~(np.where(root, page, self.sigma[up]) * self.sigma > 0)
-        first = np.where(root, virtual, ~virtual & root[up])
-        width = np.int32 if local.size < 2**31 else np.int64  # path sums never exceed the node count
-        self.depth, discordant, later = weights = [w.astype(width) for w in (edge, bad, bad & ~first)]
-        _climb(self.parent, weights)
-        self.leaf = np.ones(local.size, dtype=bool)
-        self.leaf[self.parent[~root]] = False
-        self.kind = np.where(discordant == 0, 0, np.where((discordant == 1) & (later == 0), 1, 2))
+    __slots__ = ("news_id", "category", "virtual_root", "page_sign", "start", *_NODE_FIELDS, "missing")
 
-    def count(self, nodes: np.ndarray) -> np.ndarray:
-        """Per tree, how many of the given nodes (a mask or indexes) it holds."""
-        return np.bincount(self.tree_of[nodes], minlength=self.size.size)
+    def __init__(self, news_id: list, category: list, virtual_root: list, page_sign: list, start: np.ndarray,
+                 id, user, sigma, t, parent, missing: dict | None = None):
+        self.news_id, self.category, self.virtual_root, self.page_sign = news_id, category, virtual_root, page_sign
+        self.start = start
+        for values in (id, user, sigma, t, parent):
+            values.flags.writeable = False
+        self.id, self.user, self.sigma, self.t, self.parent = id, user, sigma, t, parent
+        self.missing = missing or {}
 
-    def heights(self) -> np.ndarray:
-        out = np.zeros(self.size.size, dtype=np.int64)
-        filled = self.size > 0
-        if filled.any():
-            out[filled] = np.maximum.reduceat(self.depth, self.start[:-1][filled])
-        return out
+    @classmethod
+    def of(cls, trees) -> Forest:
+        """trees itself when it is a Forest, the forest when trees lists all its trees in order, else a joined copy.
 
-    def lifetimes(self) -> list:
-        """max(t) - min(t) per tree, None when empty; int64 and float64 times in one pass each."""
-        out = [None] * self.size.size
-        for dtype in (np.int64, np.float64):
-            pick = [k for k, tr in enumerate(self.trees) if tr.t.dtype == dtype and tr.t.size]
-            if pick:
-                t = np.concatenate([self.trees[k].t for k in pick])
-                at = np.concatenate(([0], np.cumsum(self.size[pick][:-1])))
-                for k, span in zip(pick, (np.maximum.reduceat(t, at) - np.minimum.reduceat(t, at)).tolist()):
-                    out[k] = span
-        for k, tr in enumerate(self.trees):
-            if tr.t.size and tr.t.dtype not in (np.int64, np.float64):
-                out[k] = max(tr.t.tolist()) - min(tr.t.tolist())
-        return out
-
-    def mean_homogeneities(self) -> list:
-        """Per tree, fsum of sigma_parent * sigma_child over its edges over their count; None without edges.
-
-        fsum rounds the exact sum once, so the value does not depend on node order.
+        The copy joins each node column with one concatenate; a column whose
+        non-empty parts differ in dtype becomes an object array, so int and
+        float times keep each tree's type.
         """
-        child = np.flatnonzero(self.parent >= 0)
-        values = self.sigma[self.parent[child]] * self.sigma[child]
-        ends = np.cumsum(self.count(child)).tolist()
-        return [math.fsum(values[a:b].tolist()) / (b - a) if b > a else None for a, b in zip([0] + ends, ends)]
+        if isinstance(trees, Forest):
+            return trees
+        trees = list(trees)
+        whole = trees[0]._forest if trees else None
+        if whole is not None and len(whole) == len(trees) and all(
+                tr._forest is whole and tr._k == k for k, tr in enumerate(trees)):
+            return whole
+        start = np.concatenate(([0], np.cumsum([tr._b - tr._a for tr in trees], dtype=np.int64)))
+        columns = []
+        for field, empty in zip(_NODE_FIELDS, (np.int64, np.int64, float, np.int64, np.int64)):
+            parts = [values for values in (getattr(tr, field) for tr in trees) if values.size]
+            mixed = len({values.dtype for values in parts}) > 1
+            columns.append(np.concatenate(parts or [np.zeros(0, dtype=empty)], dtype=object if mixed else None))
+        missing = {a + i: p for a, tr in zip(start.tolist(), trees) for i, p in tr._missing.items()}
+        return cls([tr.news_id for tr in trees], [tr.category for tr in trees], [tr.virtual_root for tr in trees],
+                   [tr.page_sign for tr in trees], start, *columns, missing)
+
+    def __len__(self) -> int:
+        return len(self.news_id)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __getitem__(self, k: int) -> SharingTree:
+        k = range(len(self))[operator.index(k)]  # an int in range; a slice or float is a TypeError
+        tree = SharingTree.__new__(SharingTree)
+        tree._forest, tree._k, tree._a, tree._b = self, k, int(self.start[k]), int(self.start[k + 1])
+        return tree
+
+
+def _walk(forest: Forest) -> tuple[np.ndarray, ...]:
+    """One vectorized pass over a forest's nodes: (tree, parent, depth, leaf, kind) per node.
+
+    tree is the node's tree index, parent its parent's batch-wide index (-1
+    for none), depth its edges from the root (the page edge included under
+    a virtual root), leaf whether it has no children, and kind that of the
+    path ending at it (0 homogeneous, 1 k-1 homogeneous, 2 neither). An
+    edge is discordant when its sign, the product of its endpoint
+    polarizations (the page sign standing in for the page), is not
+    positive; a path is homogeneous with no discordant edge, k-1
+    homogeneous when its first edge is the only one.
+    """
+    tree_of = np.repeat(np.arange(len(forest)), np.diff(forest.start))
+    root = forest.parent < 0
+    parent = np.where(root, -1, forest.parent + forest.start[tree_of])
+    virtual = np.array(forest.virtual_root, dtype=bool)[tree_of]
+    up = np.where(root, 0, parent)
+    first = np.where(root, virtual, ~virtual & root[up])
+    above = forest.sigma[up]  # each edge's upper endpoint polarization, the page sign for a root
+    del up  # node-sized temporaries go as soon as they are used: big batches peak here
+    above[root] = np.array(forest.page_sign, dtype=float)[tree_of[root]]
+    edge = ~root | virtual
+    bad = edge & ~(above * forest.sigma > 0)
+    del above
+    width = np.int32 if root.size < 2**31 else np.int64  # path sums never exceed the node count
+    depth, discordant, later = weights = [w.astype(width) for w in (edge, bad, bad & ~first)]
+    _climb(parent, weights)
+    leaf = np.ones(root.size, dtype=bool)
+    leaf[parent[~root]] = False
+    kind = np.where(discordant == 0, 0, np.where((discordant == 1) & (later == 0), 1, 2))
+    return tree_of, parent, depth, leaf, kind
 
 
 @dataclass(frozen=True)
@@ -281,22 +312,23 @@ def tree_size(tree: SharingTree) -> int:
 
 def tree_height(tree: SharingTree) -> int:
     """Maximum path length from the root; first sharers under a virtual root sit at depth 1."""
-    return int(_Forest([tree]).heights()[0])
+    return metrics_rows([tree])[0]["height"]
 
 
 def lifetime(tree: SharingTree) -> float:
     """Time between the first and last share (hours for data, steps for simulation)."""
-    [value] = _Forest([tree]).lifetimes()
-    if value is None:
-        raise UndefinedMetricError(f"tree {tree.news_id}: lifetime undefined for an empty tree")
-    return value
+    return _defined(tree, "lifetime", "lifetime undefined for an empty tree")
 
 
 def mean_edge_homogeneity(tree: SharingTree) -> float:
     """Mean sigma_i*sigma_j over sharer-to-sharer tree edges (virtual-root edges excluded)."""
-    [value] = _Forest([tree]).mean_homogeneities()
+    return _defined(tree, "mean_homogeneity", "no edges between polarized nodes")
+
+
+def _defined(tree: SharingTree, column: str, problem: str):
+    value = metrics_rows([tree])[0][column]
     if value is None:
-        raise UndefinedMetricError(f"tree {tree.news_id}: no edges between polarized nodes")
+        raise UndefinedMetricError(f"tree {tree.news_id}: {problem}")
     return value
 
 
@@ -309,6 +341,9 @@ class SharingPath:
     kind: str
 
 
+_PATH_KINDS = (PATH_HOMOGENEOUS, PATH_K_MINUS_1, PATH_NON_HOMOGENEOUS)
+
+
 def path_length_profile(tree: SharingTree) -> list[SharingPath]:
     """Classify every root-to-leaf path, leaves in node order.
 
@@ -317,24 +352,9 @@ def path_length_profile(tree: SharingTree) -> list[SharingPath]:
     homogeneous when all its edge signs are positive and (k-1)-homogeneous
     when only the first edge is discordant.
     """
-    forest = _Forest([tree])
-    leaves = np.flatnonzero(forest.leaf)
-    kinds = (PATH_HOMOGENEOUS, PATH_K_MINUS_1, PATH_NON_HOMOGENEOUS)
-    return [
-        SharingPath(leaf_id=i, length=d, kind=kinds[k])
-        for i, d, k in zip(tree.id[leaves].tolist(), forest.depth[leaves].tolist(), forest.kind[leaves].tolist())
-    ]
-
-
-def sharing_paths(tree: SharingTree) -> int:
-    """Number of root-to-leaf paths, i.e. the number of leaves."""
-    return int(np.count_nonzero(_Forest([tree]).leaf))
-
-
-def homogeneous_paths(tree: SharingTree) -> int:
-    """Number of root-to-leaf paths whose edges are all homogeneous."""
-    forest = _Forest([tree])
-    return int(np.count_nonzero(forest.leaf & (forest.kind == 0)))
+    _, _, depth, leaf, kind = _walk(Forest.of([tree]))
+    return [SharingPath(i, d, _PATH_KINDS[k]) for i, d, k in zip(tree.id[leaf].tolist(), depth[leaf].tolist(),
+                                                                   kind[leaf].tolist())]
 
 
 # --- serialization -----------------------------------------------------------
@@ -370,16 +390,15 @@ _NODE_CHECKS = (  # per node field: the test each value must pass, and what it a
 )
 
 
-def _trees_from_docs(docs: list) -> list[SharingTree]:
-    """Parse tree documents, emptying the list, and validate the trees; the first fault in document order raises.
+def _trees_from_docs(docs: list) -> Forest:
+    """Parse tree documents into a Forest, emptying the list, and validate the trees; the first fault in document order raises.
 
     Node ids and parents must be integers (a float only when integral),
     users ints or strings, sigma and t finite numbers, nodes a list and
     root.virtual a boolean; a boolean is not a number. The nodes of all
-    documents are checked and stored together, each tree viewing its slice.
-    A vectorized screen passes the trees that are valid with ids 0..n-1 and
-    every parent before its children; the others run validate(), which
-    raises the exact error.
+    documents are checked and stored together. A vectorized screen passes
+    the trees that are valid with ids 0..n-1 and every parent before its
+    children; the others run validate(), which raises the exact error.
     """
     heads, sizes, columns, fault = [], [], tuple([] for _ in _NODE_FIELDS), None
     for j in range(len(docs)):
@@ -422,37 +441,30 @@ def _trees_from_docs(docs: list) -> list[SharingTree]:
     for k in np.flatnonzero(flagged).tolist():  # ids other than 0..n-1: parents found by id
         parent[start[k]:start[k + 1]] = _parent_indexes(ids[start[k]:start[k + 1]].tolist(),
                                                         parent_ids[start[k]:start[k + 1]])[0]
-    trees = [
-        SharingTree.from_arrays(news_id, category, ids[a:b], user[a:b], sigma[a:b], t[a:b], parent[a:b],
-                                virtual, page_sign)
-        for (news_id, category, virtual, page_sign), a, b in zip(heads, start[:-1].tolist(), start[1:].tolist())
-    ]
-    for k in np.unique(tree_of[parent == _ORPHAN]).tolist():
-        orphans = np.flatnonzero(trees[k].parent == _ORPHAN).tolist()
-        trees[k]._missing = {i: parent_ids[start[k] + i] for i in orphans}
-        flagged[k] = True
-
-    flagged[[k for k, (_, category, virtual, page_sign) in enumerate(heads)
-             if category not in CATEGORIES or page_sign not in (-1, 1)]] = True
-    real = ~np.array([head[2] for head in heads], dtype=bool)
-    flagged |= real & (np.bincount(tree_of[root], minlength=size.size) != 1)
+    orphans = np.flatnonzero(parent == _ORPHAN)
+    news_id, category, virtual, page_sign = [list(column) for column in zip(*heads)] or [[], [], [], []]
+    forest = Forest(news_id, category, virtual, page_sign, start[:len(heads) + 1], ids, user, sigma, t, parent,
+                    {i: parent_ids[i] for i in orphans.tolist()})
+    flagged[tree_of[orphans]] = True
+    flagged[[k for k, (c, p) in enumerate(zip(category, page_sign)) if c not in CATEGORIES or p not in (-1, 1)]] = True
+    flagged |= ~np.array(virtual, dtype=bool) & (np.bincount(tree_of[root], minlength=size.size) != 1)
     times = t.astype(float)  # exact below 2**53; trees with larger times are flagged
     bad = ~((sigma >= -1.0) & (sigma <= 1.0)) | (parent >= local) | ~(np.abs(times) < 2.0**53)
     child = np.flatnonzero(parent >= 0)
     bad[child] |= times[child] < times[child - local[child] + parent[child]]
     flagged[tree_of[bad]] = True
     for k in np.flatnonzero(flagged).tolist():
-        trees[k].validate()
+        forest[k].validate()
     if fault:
         raise TreeSchemaError(fault)
-    return trees
+    return forest
 
 
-def trees_to_json(trees: list[SharingTree]) -> str:
-    return json.dumps([tree_to_dict(t) for t in trees])
+def trees_to_json(trees) -> str:
+    return json.dumps([tree_to_dict(tree) for tree in Forest.of(trees)])
 
 
-def trees_from_json(text: str) -> list[SharingTree]:
+def trees_from_json(text: str) -> Forest:
     try:
         docs = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -462,41 +474,52 @@ def trees_from_json(text: str) -> list[SharingTree]:
     return _trees_from_docs(docs)
 
 
-def save_trees(trees: list[SharingTree], path) -> None:
+def save_trees(trees, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(trees_to_json(trees))
 
 
-def load_trees(path) -> list[SharingTree]:
+def load_trees(path) -> Forest:
     with open(path, encoding="utf-8") as fh:
         return trees_from_json(fh.read())
 
 
 # --- metric export -----------------------------------------------------------
 
-METRIC_COLUMNS = (
-    "news_id",
-    "category",
-    "size",
-    "height",
-    "lifetime",
-    "mean_homogeneity",
-    "paths",
-    "homo_paths",
-)
+METRIC_COLUMNS = ("news_id", "category", "size", "height", "lifetime", "mean_homogeneity", "paths", "homo_paths")
 
 
-def metrics_rows(trees: list[SharingTree]) -> list[dict]:
-    """metrics_row of every tree in the list, from one pass over all of them."""
-    forest = _Forest(trees)
-    columns = zip(forest.size.tolist(), forest.heights().tolist(), forest.lifetimes(), forest.mean_homogeneities(),
-                  forest.count(forest.leaf).tolist(), forest.count(forest.leaf & (forest.kind == 0)).tolist())
-    return [dict(zip(METRIC_COLUMNS, (tree.news_id, tree.category, *values))) for tree, values in zip(trees, columns)]
+def metrics_rows(trees) -> list[dict]:
+    """Every metric of every tree, one dict per tree keyed by METRIC_COLUMNS; undefined metrics are None.
 
-
-def metrics_row(tree: SharingTree) -> dict:
-    """All per-tree metrics; undefined ones come back as None."""
-    return metrics_rows([tree])[0]
+    Lifetimes of object times take Python's max and min, so each value keeps
+    its type. A mean homogeneity is the fsum of sigma_parent * sigma_child
+    over the tree's edges over their count: fsum rounds the exact sum once,
+    so the value does not depend on node order.
+    """
+    forest = Forest.of(trees)
+    tree_of, parent, depth, leaf, kind = _walk(forest)
+    count, t = len(forest), forest.t
+    filled = np.flatnonzero(np.diff(forest.start))
+    at = forest.start[filled]
+    height = np.zeros(count, dtype=np.int64)
+    height[filled] = np.maximum.reduceat(depth, at)
+    if t.dtype == object:
+        values, bounds = t.tolist(), forest.start.tolist()
+        spans = [max(values[a:b]) - min(values[a:b]) for a, b in zip(bounds, bounds[1:]) if b > a]
+    else:
+        spans = (np.maximum.reduceat(t, at) - np.minimum.reduceat(t, at)).tolist()
+    lifetime = [None] * count
+    for k, span in zip(filled.tolist(), spans):
+        lifetime[k] = span
+    child = np.flatnonzero(parent >= 0)
+    products = forest.sigma[parent[child]] * forest.sigma[child]
+    ends = np.cumsum(np.bincount(tree_of[child], minlength=count)).tolist()
+    homogeneity = [math.fsum(products[a:b].tolist()) / (b - a) if b > a else None for a, b in zip([0] + ends, ends)]
+    paths, homo_paths = (np.bincount(tree_of[nodes], minlength=count).tolist() for nodes in (leaf, leaf & (kind == 0)))
+    columns = zip(forest.news_id, forest.category, np.diff(forest.start).tolist(), height.tolist(), lifetime,
+                  homogeneity, paths, homo_paths)
+    return [dict(zip(METRIC_COLUMNS, values)) for values in columns]
 
 
 def csv_cell(value):
@@ -508,7 +531,7 @@ def csv_cell(value):
     return value
 
 
-def write_metrics_csv(trees: list[SharingTree], path) -> None:
+def write_metrics_csv(trees, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRIC_COLUMNS)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from cascadekit.diffusion import NewsItem, batch_stats, run_batch, sample_news
+from cascadekit.diffusion import NewsItem, diffuse, run_batch, sample_news
 from cascadekit.graph import generate_small_world, label_edges
 from cascadekit.harness import run_sweep, troll_fit_config
 from cascadekit.stats import (
@@ -24,10 +24,9 @@ from cascadekit.stats import (
     wald_test,
 )
 from cascadekit.trees import (
-    homogeneous_paths,
     lifetime,
     mean_edge_homogeneity,
-    sharing_paths,
+    metrics_rows,
     tree_height,
     tree_size,
 )
@@ -98,7 +97,7 @@ def test_criterion_1_size_height_frontier():
     least 1.092. The scan keeps the preset's n, m, z, phi_hl, r and first
     sharers and varies delta. Each iteration builds one graph, labeling and
     news batch from the preset's seed sequence, as simulate_point does, and
-    diffuses that batch at every delta with batch_stats, which gives
+    diffuses that batch at every delta with diffuse, whose stats give
     run_batch's sizes and heights without building trees. A point's ratio is
     its mean size over the scan's own mean seed count, so seed sampling noise
     does not move it.
@@ -122,7 +121,7 @@ def test_criterion_1_size_height_frontier():
         news = sample_news(config.m, config.first_sharers, seed=s_news, max_count=config.n)
         seed_counts.extend(item.first_sharer_count for item in news)
         for delta in deltas:
-            stats = batch_stats(g, news, delta, seed=s_batch)
+            stats, _ = diffuse(g, news, delta, seed=s_batch)
             sizes[delta].extend(stats.sizes.tolist())
             heights[delta].extend(stats.heights.tolist())
 
@@ -307,10 +306,11 @@ def test_criterion_9_metric_oracle_equivalence():
     mismatches = 0
     for _ in range(1000):
         tree = random_tree(rng, max_nodes=14)
+        row = metrics_rows([tree])[0]
         checks = [
             tree_size(tree) == len(tree.nodes),
             tree_height(tree) == naive_height(tree),
-            (sharing_paths(tree), homogeneous_paths(tree)) == naive_path_counts(tree),
+            (row["paths"], row["homo_paths"]) == naive_path_counts(tree),
         ]
         if tree.nodes:
             checks.append(lifetime(tree) == naive_lifetime(tree))

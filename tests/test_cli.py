@@ -161,6 +161,32 @@ def test_malformed_number_files_are_one_line_errors(tmp_path, capsys, rows, mess
     assert message in one_line_error(capsys, "fit-first-sharers")
 
 
+@pytest.mark.parametrize("command", [
+    ["stats-test", "ks", "--a", "missing.csv", "--b", "present.csv"],
+    ["analyze", "--in", "missing.json", "--out", "out"],
+    ["sweep", "--config", "missing.json", "--seed", "7", "--out", "grid.csv"],
+    ["simulate", "--graph", "missing.json", "--items", "5", "--first-sharers", "poisson:2",
+     "--delta", "0.1", "--seed", "1", "--out", "trees.json"],
+    ["fit-first-sharers", "--in", "missing.csv", "--seed", "1", "--out", "table.csv"],
+], ids=lambda command: command[0])
+def test_missing_input_files_are_one_line_errors(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    write_column(tmp_path / "present.csv", [1, 2, 3])
+    assert main(command) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"cascadekit {command[0]}: FileNotFoundError: ") and "missing." in err
+
+
+def test_stats_test_wald_rejects_non_integral_sizes(tmp_path, capsys):
+    a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_column(a_path, [1.9, 2.9, 3.9, 1.9, 5.9])
+    write_column(b_path, [1, 2, 3, 1, 5])
+    assert main(["stats-test", "wald", "--a", str(a_path), "--b", str(b_path)]) == 3
+    assert "integer sizes, got 1.9" in one_line_error(capsys, "stats-test")
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("changes", [
     {"first_sharers": {"family": "poisson"}},
     {"first_sharers": {"family": "ig", "mean": float("nan"), "shape": 1.0}},

@@ -4,10 +4,8 @@ import pytest
 from cascadekit import diffusion
 from cascadekit.diffusion import (
     NewsItem,
-    batch_stats,
     diffuse,
     run_batch,
-    run_cascade,
     sample_first_sharers,
     sample_news,
 )
@@ -72,14 +70,14 @@ def test_sample_news_clips_at_max_count():
 
 def test_full_threshold_spans_connected_graph():
     g = generate_small_world(150, 4, 0.0, seed=5)  # the ring is connected
-    outcome = run_cascade(g, NewsItem(id=0, fitness=0.5, first_sharer_count=1), delta=1.0, seed=6)
+    outcome = run_batch(g, [NewsItem(id=0, fitness=0.5, first_sharer_count=1)], delta=1.0, seed=6)[0]
     assert tree_size(outcome.tree) == 150
     assert len({nd.user for nd in outcome.tree.nodes}) == 150
 
 
 def test_zero_threshold_keeps_only_seeds():
     g = small_graph()
-    outcome = run_cascade(g, NewsItem(id=1, fitness=0.5, first_sharer_count=7), delta=0.0, seed=7)
+    outcome = run_batch(g, [NewsItem(id=1, fitness=0.5, first_sharer_count=7)], delta=0.0, seed=7)[0]
     assert tree_size(outcome.tree) == 7
     assert outcome.rounds == 0
     assert all(nd.parent is None and nd.t == 0 for nd in outcome.tree.nodes)
@@ -87,7 +85,7 @@ def test_zero_threshold_keeps_only_seeds():
 
 def test_zero_seeds_yield_empty_tree():
     g = small_graph()
-    outcome = run_cascade(g, NewsItem(id=2, fitness=0.2, first_sharer_count=0), delta=0.5, seed=8)
+    outcome = run_batch(g, [NewsItem(id=2, fitness=0.2, first_sharer_count=0)], delta=0.5, seed=8)[0]
     assert tree_size(outcome.tree) == 0
     assert outcome.rounds == 0
 
@@ -95,9 +93,9 @@ def test_zero_seeds_yield_empty_tree():
 def test_too_many_seeds_is_an_error():
     g = small_graph()
     with pytest.raises(ParameterError):
-        run_cascade(g, NewsItem(id=3, fitness=0.2, first_sharer_count=g.node_count + 1), delta=0.1, seed=9)
+        run_batch(g, [NewsItem(id=3, fitness=0.2, first_sharer_count=g.node_count + 1)], delta=0.1, seed=9)
     with pytest.raises(ParameterError):
-        run_cascade(g, NewsItem(id=4, fitness=0.2, first_sharer_count=1), delta=1.5, seed=9)
+        run_batch(g, [NewsItem(id=4, fitness=0.2, first_sharer_count=1)], delta=1.5, seed=9)
 
 
 def test_cascade_structure_invariants():
@@ -107,7 +105,7 @@ def test_cascade_structure_invariants():
     for case in range(30):
         news = NewsItem(id=case, fitness=float(rng.uniform()), first_sharer_count=int(rng.integers(0, 12)))
         delta = float(rng.uniform(0, 0.2))
-        outcome = run_cascade(g, news, delta, seed=int(rng.integers(2**32)))
+        outcome = run_batch(g, [news], delta, seed=int(rng.integers(2**32)))[0]
         nodes = outcome.tree.nodes
         by_id = {nd.id: nd for nd in nodes}
         users = [nd.user for nd in nodes]
@@ -133,7 +131,7 @@ def test_sharer_set_matches_brute_force_closure():
         m = int(rng.integers(1, n + 1))
         news = NewsItem(id=case, fitness=float(rng.uniform()), first_sharer_count=m)
         delta = float(rng.uniform(0, 0.6))
-        outcome = run_cascade(g, news, delta, seed=case)
+        outcome = run_batch(g, [news], delta, seed=case)[0]
         seeds = [nd.user for nd in outcome.tree.nodes if nd.parent is None]
         expected = brute_force_sharers(g, news.fitness, delta, seeds)
         assert {nd.user for nd in outcome.tree.nodes} == expected
@@ -144,7 +142,7 @@ def test_monotone_in_delta_for_fixed_seed():
     news = NewsItem(id=0, fitness=0.4, first_sharer_count=5)
     previous = set()
     for delta in (0.0, 0.02, 0.05, 0.1, 0.3, 1.0):
-        outcome = run_cascade(g, news, delta, seed=99)
+        outcome = run_batch(g, [news], delta, seed=99)[0]
         sharers = {nd.user for nd in outcome.tree.nodes}
         assert previous <= sharers
         previous = sharers
@@ -156,7 +154,7 @@ def test_monotone_in_phi_with_nested_labels():
     previous = set()
     for phi in (0.0, 0.25, 0.5, 0.75, 1.0):
         g = label_edges(base, phi, seed=1000)  # shared seed nests the edge sets
-        outcome = run_cascade(g, news, 0.08, seed=77)
+        outcome = run_batch(g, [news], 0.08, seed=77)[0]
         sharers = {nd.user for nd in outcome.tree.nodes}
         assert previous <= sharers
         previous = sharers
@@ -238,26 +236,26 @@ def test_diffuse_stats_match_trees_with_and_without_build_trees():
                                                    (9, 8, 0.5, 1.0, 1.0)]):
         g = label_edges(generate_small_world(n, z, r, seed=seed), phi, seed=seed + 10)
         news = mixed_batch(g, 50, seed=seed + 20)
-        stats, outcomes = diffuse(g, news, delta, seed=seed + 30, build_trees=True)
+        stats, forest = diffuse(g, news, delta, seed=seed + 30, build_trees=True)
         bare, no_trees = diffuse(g, news, delta, seed=seed + 30)
         assert no_trees is None
         for field in ("seeds", "sizes", "heights", "rounds"):
             assert getattr(bare, field).tolist() == getattr(stats, field).tolist()
         assert stats.seeds.tolist() == [item.first_sharer_count for item in news]
-        assert stats.sizes.tolist() == [tree_size(o.tree) for o in outcomes]
-        assert stats.heights.tolist() == [tree_height(o.tree) for o in outcomes]
-        assert stats.rounds.tolist() == [o.rounds for o in outcomes]
+        assert stats.sizes.tolist() == [tree_size(tree) for tree in forest]
+        assert stats.heights.tolist() == [tree_height(tree) for tree in forest]
+        assert stats.rounds.tolist() == [max(tree.t.tolist(), default=0) for tree in forest]
 
 
 def test_expansion_slices_do_not_change_results(monkeypatch):
     g = label_edges(generate_small_world(400, 6, 0.5, seed=26), 0.9, seed=27)
     news = mixed_batch(g, 30, seed=28, max_seeds=20)
     expected = [tree_to_dict(o.tree) for o in run_batch(g, news, 0.3, seed=29)]
-    expected_sizes = batch_stats(g, news, 0.3, seed=29).sizes.tolist()
+    expected_sizes = diffuse(g, news, 0.3, seed=29)[0].sizes.tolist()
     for bound in (1, 50):  # one item per slice, and a few items per slice
         monkeypatch.setattr(diffusion, "_SLICE_PAIRS", bound)
         assert [tree_to_dict(o.tree) for o in run_batch(g, news, 0.3, seed=29)] == expected
-        assert batch_stats(g, news, 0.3, seed=29).sizes.tolist() == expected_sizes
+        assert diffuse(g, news, 0.3, seed=29)[0].sizes.tolist() == expected_sizes
 
 
 def test_batch_input_errors():
@@ -267,8 +265,8 @@ def test_batch_input_errors():
     with pytest.raises(ParameterError, match="first sharers"):
         run_batch(g, news, 0.1, seed=0)
     with pytest.raises(ParameterError, match="first sharers"):
-        batch_stats(g, news, 0.1, seed=0)
+        diffuse(g, news, 0.1, seed=0)
     with pytest.raises(ParameterError, match="threshold"):
-        batch_stats(g, news[:1], -0.1, seed=0)
+        diffuse(g, news[:1], -0.1, seed=0)
     with pytest.raises(ParameterError, match=">= 0"):
         run_batch(g, [NewsItem(id=2, fitness=0.5, first_sharer_count=-1)], 0.1, seed=0)

@@ -1,9 +1,11 @@
-"""Array-backed sharing trees: layout, the one-pass metrics, and the tree-JSON boundary.
+"""Array-backed sharing trees: layout, the Forest, the one-pass metrics, and the tree-JSON boundary.
 
 The property tests draw random trees from oracles.random_tree (virtual and
 real roots, signed sigma) with shuffled node order and hold the forest
-metrics to the naive oracles; they also check that tree files round-trip
-exactly and that no document escapes the loader as an untyped error.
+metrics to the naive oracles; they check that a Forest built from a tree
+list holds the same trees and metric rows, with int and float times and
+empty trees mixed; and they check that tree files round-trip exactly and
+that no document escapes the loader as an untyped error.
 """
 
 import json
@@ -14,14 +16,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cascadekit.diffusion import NewsItem, run_batch
+from cascadekit.diffusion import NewsItem, diffuse, run_batch
 from cascadekit.errors import CascadekitError, TreeSchemaError, TreeValidationError
 from cascadekit.graph import generate_small_world, label_edges
 from cascadekit.harness import analyze
 from cascadekit.trees import (
+    Forest,
     SharingTree,
     TreeNode,
-    metrics_row,
     metrics_rows,
     tree_from_dict,
     tree_to_dict,
@@ -46,6 +48,25 @@ def random_batch(seed, count, max_nodes=12):
     categories = ("science", "conspiracy", "troll")
     batch = [random_tree(rng, max_nodes=max_nodes, category=categories[i % 3]) for i in range(count)]
     return [shuffled(t, rng) if rng.uniform() < 0.5 else t for t in batch]
+
+
+def mixed_batch(seed, count):
+    """random_batch with some trees emptied (under a virtual root) and some on integer times (t * 1000, floored)."""
+    rng = np.random.default_rng([seed, 1])
+    batch = []
+    for tree in random_batch(seed, count):
+        kind = rng.integers(3)
+        nodes = [] if kind == 0 else [TreeNode(nd.id, nd.user, nd.sigma, math.floor(nd.t * 1000), nd.parent)
+                                      for nd in tree.nodes] if kind == 1 else tree.nodes
+        batch.append(SharingTree(tree.news_id, tree.category, nodes, tree.virtual_root or not nodes, tree.page_sign))
+    return batch
+
+
+def forest_fields(forest):
+    """Every field of a forest, with the dtype of each node array, as a repr that tells 1 from 1.0."""
+    columns = [(getattr(forest, f).dtype.str, getattr(forest, f).tolist()) for f in ("id", "user", "sigma", "t", "parent")]
+    return repr((forest.news_id, forest.category, forest.virtual_root, forest.page_sign, forest.start.tolist(),
+                 columns, forest.missing))
 
 
 def a_doc(**node_changes):
@@ -73,6 +94,13 @@ def test_kernel_trees_are_arrays_in_share_order():
             assert not values.flags.writeable
         assert [nd.parent for nd in tree.nodes] == [None if p < 0 else p for p in tree.parent.tolist()]
         tree.validate()
+    forest = diffuse(g, news, 0.2, seed=5, build_trees=True)[1]
+    assert isinstance(forest, Forest) and len(forest) == len(news)
+    assert [tree_to_dict(tree) for tree in forest] == [tree_to_dict(o.tree) for o in run_batch(g, news, 0.2, seed=5)]
+    with pytest.raises(IndexError):
+        forest[len(news)]
+    with pytest.raises(TypeError):
+        forest[:1]  # a Forest takes an index, not a slice
 
 
 def test_nodes_view_keeps_the_constructor_records():
@@ -85,7 +113,7 @@ def test_nodes_view_keeps_the_constructor_records():
 
 def test_analyze_never_builds_node_records(monkeypatch):
     batch = random_batch(3, 40)
-    expected = [metrics_row(t) for t in batch]
+    expected = [metrics_rows([t])[0] for t in batch]
 
     def forbidden(self):
         raise AssertionError("analyze read tree.nodes")
@@ -154,8 +182,31 @@ def test_analyze_rows_equal_per_tree_metrics_row(seed, count, by_category):
     result = analyze(batch, by_category=by_category)
     rows = [row for group in result.groups.values() for row in group.metric_rows]
     key = (lambda t: t.category) if by_category else (lambda t: "all")
-    expected = [metrics_row(t) for name in result.groups for t in batch if key(t) == name]
+    expected = [metrics_rows([t])[0] for name in result.groups for t in batch if key(t) == name]
     assert rows == expected
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 12))
+def test_forest_of_a_tree_list_holds_the_same_trees_and_rows(seed, count):
+    batch = mixed_batch(seed, count)
+    forest = Forest.of(batch)
+    assert Forest.of(forest) is forest
+    assert Forest.of(list(forest)) is forest or not batch  # a forest's own trees, in order, are that forest
+    assert len(forest) == len(batch)
+    backwards = Forest.of(list(forest)[::-1])
+    assert [tree_to_dict(tree) for tree in backwards] == [tree_to_dict(tree) for tree in batch[::-1]]
+    assert [tree_to_dict(tree) for tree in forest] == [tree_to_dict(tree) for tree in batch]
+    assert [tree_to_dict(forest[i]) for i in range(-len(batch), 0)] == [tree_to_dict(tree) for tree in batch]
+    rows = metrics_rows(forest)
+    assert repr(rows) == repr([metrics_rows([tree])[0] for tree in batch])
+    for tree, row in zip(batch, rows):
+        if tree.t.dtype == np.int64 and tree.t.size:
+            assert type(row["lifetime"]) is int
+    loaded = trees_from_json(trees_to_json(batch))
+    assert isinstance(loaded, Forest)
+    assert forest_fields(loaded) == forest_fields(forest)
+    assert repr(metrics_rows(loaded)) == repr(rows)
 
 
 @st.composite
@@ -239,7 +290,7 @@ def test_loader_matches_validate_on_restructured_documents(doc, data):
     except CascadekitError as exc:
         expected = (type(exc), str(exc))
     try:
-        [tree] = trees_from_json(json.dumps([doc, a_doc()]))[:1]
+        tree = trees_from_json(json.dumps([doc, a_doc()]))[0]
         got = None
     except CascadekitError as exc:
         got = (type(exc), str(exc))

@@ -18,12 +18,10 @@ from cascadekit.trees import (
     TreeNode,
     UserProfile,
     edge_homogeneity,
-    homogeneous_paths,
     lifetime,
     mean_edge_homogeneity,
-    metrics_row,
+    metrics_rows,
     path_length_profile,
-    sharing_paths,
     tree_from_dict,
     tree_height,
     tree_size,
@@ -34,6 +32,12 @@ from cascadekit.trees import (
 )
 
 from oracles import naive_height, naive_lifetime, naive_mean_homogeneity, naive_path_counts, random_tree
+
+
+def path_counts(tree):
+    """(root-to-leaf paths, fully homogeneous ones): the paths and homo_paths metrics of the tree."""
+    row = metrics_rows([tree])[0]
+    return row["paths"], row["homo_paths"]
 
 
 def chain_tree(sigmas, virtual=True, page_sign=1, category="synthetic"):
@@ -152,8 +156,7 @@ def test_mean_edge_homogeneity_invariant_under_node_order():
 def test_star_paths_all_homogeneous():
     nodes = [TreeNode(0, 0, 1.0, 0, None)] + [TreeNode(i, i, 1.0, 1, 0) for i in range(1, 6)]
     t = SharingTree(news_id=9, category="conspiracy", nodes=nodes, virtual_root=True, page_sign=1)
-    assert sharing_paths(t) == 5
-    assert homogeneous_paths(t) == 5
+    assert path_counts(t) == (5, 5)
 
 
 def test_discordant_first_step_is_k_minus_1_homogeneous():
@@ -162,14 +165,13 @@ def test_discordant_first_step_is_k_minus_1_homogeneous():
     profile = path_length_profile(t)
     assert [p.kind for p in profile] == [PATH_K_MINUS_1]
     assert profile[0].length == 3
-    assert homogeneous_paths(t) == 0
-    assert sharing_paths(t) == 1
+    assert path_counts(t) == (1, 0)
 
 
 def test_single_real_root_counts_one_trivial_path():
     t = SharingTree(news_id=10, category="science", page_sign=-1, virtual_root=False,
                     nodes=[TreeNode(0, "r", -0.4, 0.0, None)])
-    assert sharing_paths(t) == 1
+    assert path_counts(t)[0] == 1
     profile = path_length_profile(t)
     assert profile[0].length == 0 and profile[0].kind == PATH_HOMOGENEOUS
 
@@ -180,8 +182,7 @@ def test_path_counts_match_exhaustive_enumeration():
     for _ in range(300):
         t = random_tree(rng, max_nodes=10)
         total, homogeneous = naive_path_counts(t)
-        assert sharing_paths(t) == total
-        assert homogeneous_paths(t) == homogeneous
+        assert path_counts(t) == (total, homogeneous)
         checked += tree_size(t) > 0
     assert checked > 200
 
@@ -190,7 +191,8 @@ def test_homogeneous_paths_never_exceed_sharing_paths():
     rng = np.random.default_rng(23)
     for _ in range(200):
         t = random_tree(rng, max_nodes=12)
-        assert homogeneous_paths(t) <= sharing_paths(t)
+        paths, homogeneous = path_counts(t)
+        assert homogeneous <= paths
 
 
 def test_height_bounded_by_size_with_equality_on_chains():
@@ -229,8 +231,7 @@ def test_round_trip_preserves_all_metrics():
         back = tree_from_dict(json.loads(json.dumps(tree_to_dict(t))))
         assert tree_size(back) == tree_size(t)
         assert tree_height(back) == tree_height(t)
-        assert sharing_paths(back) == sharing_paths(t)
-        assert homogeneous_paths(back) == homogeneous_paths(t)
+        assert path_counts(back) == path_counts(t)
         if t.nodes:
             assert lifetime(back) == lifetime(t)
         if any(nd.parent is not None for nd in t.nodes):
@@ -309,7 +310,7 @@ def test_metrics_csv_round_trips_at_full_precision(tmp_path):
         rows = list(csv_mod.DictReader(fh))
     assert len(rows) == len(batch)
     for tree, row in zip(batch, rows):
-        expected = metrics_row(tree)
+        expected = metrics_rows([tree])[0]
         assert int(row["size"]) == expected["size"]
         assert int(row["height"]) == expected["height"]
         for key in ("lifetime", "mean_homogeneity"):
