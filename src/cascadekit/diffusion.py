@@ -9,9 +9,10 @@ set is the threshold-restricted reachability closure of the seeds.
 One numpy frontier kernel expands a whole batch at once, round by round.
 diffuse is its entry point: it returns per-item seed counts, sizes, heights
 and round counts, plus the sharing trees as one trees.Forest with
-build_trees. run_batch wraps it as one CascadeOutcome per item. For a given
-seed both give exactly the trees and numbers of the earlier per-sharer loop
-(tests/test_equivalence.py holds digests of its output).
+build_trees. run_batch wraps it as one CascadeOutcome per item. One
+Generator serves a whole batch: it draws every item's seed nodes in one
+vectorized step, then the tree parents round by round
+(tests/test_equivalence.py holds digests of the output for fixed seeds).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .graph import SignedGraph
-from .rng import as_generator, as_seed_sequence
+from .rng import as_generator
 from .stats import FittedDistribution
 from .trees import Forest, SharingTree
 
@@ -102,13 +103,14 @@ def diffuse(g: SignedGraph, news_list, delta: float, seed,
     delta; a sharer reached by several round-k sharers takes one of them
     uniformly as its tree parent. Seeds hang off the virtual page root.
 
-    Item i's Generator runs on the i-th child of the master SeedSequence.
-    It draws the seeds with rng.choice(n, m, replace=False), in the order
-    drawn, and with build_trees, for a child with k > 1 candidate parents
-    (in frontier order: seed order in round 1, node order later), the index
-    rng.integers(k), in node order per round. The stats do not depend on
-    build_trees, since every item draws its seeds before any parent, and
-    without it no parent is drawn and no tree is built.
+    One Generator serves the whole batch: seed is an int, a SeedSequence or
+    the Generator itself. It first draws every item's seeds (see
+    _seed_nodes), which keep their draw order. Then, with build_trees, it
+    draws for each sharer with k > 1 candidate parents (in frontier order:
+    seed order in round 1, node order later) the index rng.integers(k),
+    round by round in (item, node) order. The stats do not depend on
+    build_trees, since all seeds are drawn before any parent, and without
+    it no parent is drawn and no tree is built.
     All items expand at once, one round at a time, as int64 keys item*n + node.
 
     Raises:
@@ -124,14 +126,11 @@ def diffuse(g: SignedGraph, news_list, delta: float, seed,
     if counts.size and counts.min() < 0:
         raise ParameterError(f"first-sharer count must be >= 0, got {counts.min()}")
     fitness = np.array([item.fitness for item in news_list], dtype=float)
-    rngs = [as_generator(s) if m else None for s, m in zip(as_seed_sequence(seed).spawn(len(counts)), counts.tolist())]
-    seed_nodes = [rng.choice(n, size=m, replace=False) for rng, m in zip(rngs, counts.tolist()) if m]
-    frontier = np.repeat(np.arange(len(counts), dtype=np.int64), counts) * n
-    if seed_nodes:
-        frontier += np.concatenate(seed_nodes)
+    rng = as_generator(seed)
+    frontier = _seed_nodes(rng, counts, n)
 
     indptr, indices = g.adjacency(homogeneous_only=True)
-    expand = _Expansion(indptr, indices, g.opinions, fitness, delta, n, rngs if build_trees else None)
+    expand = _Expansion(indptr, indices, g.opinions, fitness, delta, n, rng if build_trees else None)
     shared = [] if build_trees else None  # per round: sharer keys, their parent nodes, the round
     sizes = counts.copy()
     rounds = np.zeros(len(counts), dtype=np.int64)
@@ -161,6 +160,32 @@ def diffuse(g: SignedGraph, news_list, delta: float, seed,
     return stats, (None if shared is None else _trees(news_list, n, shared))
 
 
+def _seed_nodes(rng: np.random.Generator, counts: np.ndarray, n: int) -> np.ndarray:
+    """Every item's counts[i] distinct seeds as keys item*n + node, item by item in draw order.
+
+    Items with 0 < 2*m <= n draw together: one rng.integers(n) call gives
+    each item m nodes in a row, and each item keeps the first occurrence of
+    every node. Items left short draw the missing count again the same way,
+    until none is; at least half the nodes are free for each draw, so this
+    ends in about log2(m) passes. Then each item with 2*m > n, in item order,
+    takes rng.permutation(n)[:m].
+    """
+    items = np.arange(counts.size, dtype=np.int64)
+    dense = 2 * counts > n
+    sparse_counts = np.where(dense, 0, counts)
+    keys = np.empty(0, dtype=np.int64)
+    short = sparse_counts
+    while short.any():
+        drawn = np.repeat(items, short) * n + rng.integers(n, size=int(short.sum()))
+        keys = np.concatenate([keys, drawn])
+        _, first = np.unique(keys, return_index=True)
+        keys = keys[np.sort(first)]
+        short = sparse_counts - np.bincount(keys // n, minlength=counts.size)
+    dense_keys = [i * n + rng.permutation(n)[:m] for i, m in zip(np.flatnonzero(dense), counts[dense].tolist())]
+    keys = np.concatenate([keys, *dense_keys])
+    return keys[np.argsort(keys // n, kind="stable")]
+
+
 # Neighbor pairs gathered at once. A round's frontier is expanded in slices
 # of whole items holding about this many pairs, which bounds the temporary
 # arrays of big cascades and costs small ones at most a few slices a round.
@@ -170,11 +195,11 @@ _SLICE_PAIRS = 1 << 16
 class _Expansion:
     """One round of the frontier kernel over a prepared homogeneous CSR view."""
 
-    def __init__(self, indptr, indices, opinions, fitness, delta, n, rngs):
+    def __init__(self, indptr, indices, opinions, fitness, delta, n, rng):
         self.indptr, self.indices, self.opinions = indptr, indices, opinions
         self.degree = np.diff(indptr)
         self.fitness, self.delta, self.n = fitness, delta, n
-        self.rngs = rngs  # per-item Generators in tree mode, None for stats only
+        self.rng = rng  # the batch Generator in tree mode, None for stats only
 
     def __call__(self, frontier: np.ndarray, visited: np.ndarray):
         """New sharer keys of the next round, sorted, and their parent nodes (tree mode)."""
@@ -188,7 +213,7 @@ class _Expansion:
             parents.append(p)
         if len(keys) == 1:
             return keys[0], parents[0]
-        return np.concatenate(keys), (np.concatenate(parents) if self.rngs is not None else None)
+        return np.concatenate(keys), (np.concatenate(parents) if self.rng is not None else None)
 
     def _slice(self, items, nodes, pairs, visited):
         n = self.n
@@ -200,7 +225,7 @@ class _Expansion:
         keys = pair_items[ok] * n + children[ok]
         fresh = visited[np.minimum(np.searchsorted(visited, keys), visited.size - 1)] != keys
         keys = keys[fresh]
-        if self.rngs is None:
+        if self.rng is None:
             return np.unique(keys), None
         parents = np.repeat(nodes, pairs)[ok][fresh]
         if not keys.size:
@@ -211,13 +236,10 @@ class _Expansion:
         first = _run_starts(keys)
         counts = np.diff(np.append(first, keys.size))
         chosen = first.copy()
-        multi = np.flatnonzero(counts > 1)
-        if multi.size:
-            multi_items = keys[first[multi]] // n
-            runs = _run_starts(multi_items)
-            for a, b in zip(runs.tolist(), np.append(runs[1:], multi.size).tolist()):
-                picks = multi[a:b]
-                chosen[picks] += self.rngs[int(multi_items[a])].integers(counts[picks])
+        multi = counts > 1
+        # An array of bounds draws what one scalar call per bound would, so
+        # the parents do not depend on how a round is sliced.
+        chosen[multi] += self.rng.integers(counts[multi])
         return keys[first], parents[chosen]
 
 

@@ -8,7 +8,6 @@ to hit a target homogeneous-link fraction exactly.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,7 +16,7 @@ from .errors import ParameterError
 from .rng import as_generator
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class SignedGraph:
     """Undirected simple graph with opinions on nodes and signs on edges.
 
@@ -28,6 +27,10 @@ class SignedGraph:
         opinions: float array of shape (n,), each value in [0, 1].
         edges: int array of shape (M, 2); no self loops, no duplicates.
         homogeneous: bool array of shape (M,); True marks a homogeneous edge.
+
+    The instance is frozen and its three arrays are read-only views, so the
+    CSR arrays that adjacency builds once per instance cannot go stale;
+    label_edges returns a new instance.
     """
 
     node_count: int
@@ -36,6 +39,11 @@ class SignedGraph:
     opinions: np.ndarray
     edges: np.ndarray
     homogeneous: np.ndarray
+
+    def __post_init__(self):
+        for name in ("opinions", "edges", "homogeneous"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+        object.__setattr__(self, "_csr", {})
 
     @property
     def edge_count(self) -> int:
@@ -50,19 +58,28 @@ class SignedGraph:
         return np.bincount(self.edges.ravel(), minlength=self.node_count)
 
     def adjacency(self, homogeneous_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """CSR-style (indptr, indices) neighbor arrays.
+        """CSR-style (indptr, indices) neighbor arrays, read-only and built once per view.
 
         With homogeneous_only=True only homogeneous edges contribute,
         which is the view cascade propagation uses.
         """
-        edges = self.edges[self.homogeneous] if homogeneous_only else self.edges
-        heads = np.concatenate([edges[:, 0], edges[:, 1]])
-        tails = np.concatenate([edges[:, 1], edges[:, 0]])
-        # head*size + position is unique, so a plain sort orders it as a stable sort of heads would
-        order = np.argsort(heads * heads.size + np.arange(heads.size))
-        indptr = np.zeros(self.node_count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(heads, minlength=self.node_count), out=indptr[1:])
-        return indptr, tails[order]
+        key = bool(homogeneous_only)
+        if key not in self._csr:
+            edges = self.edges[self.homogeneous] if key else self.edges
+            heads = np.concatenate([edges[:, 0], edges[:, 1]])
+            tails = np.concatenate([edges[:, 1], edges[:, 0]])
+            # head*size + position is unique, so a plain sort orders it as a stable sort of heads would
+            order = np.argsort(heads * heads.size + np.arange(heads.size))
+            indptr = np.zeros(self.node_count + 1, dtype=np.int64)
+            np.cumsum(np.bincount(heads, minlength=self.node_count), out=indptr[1:])
+            self._csr[key] = (_read_only(indptr), _read_only(tails[order]))
+        return self._csr[key]
+
+
+def _read_only(values) -> np.ndarray:
+    view = np.asarray(values).view()
+    view.flags.writeable = False
+    return view
 
 
 def generate_small_world(n: int, z: int, r: float, seed) -> SignedGraph:
@@ -179,10 +196,30 @@ def graph_to_dict(g: SignedGraph) -> dict:
     }
 
 
-def _flag(value) -> bool:
-    if not isinstance(value, (bool, np.bool_)):
-        raise TypeError(f"homogeneous flag must be a boolean, got {value!r}")
-    return bool(value)
+# Per column kind: the JSON types its values may have and the array dtype.
+# A boolean is not a number, nor is a string.
+_COLUMNS = {
+    "integer": ({int}, np.int64),
+    "number": ({int, float}, float),
+    "flag": ({bool}, bool),
+}
+
+
+def _column(values: list, kind: str) -> np.ndarray:
+    """Document values as an array of one _COLUMNS kind; raises TypeError, ValueError or OverflowError."""
+    types, dtype = _COLUMNS[kind]
+    if not set(map(type, values)) <= types:
+        bad = next(v for v in values if type(v) not in types)
+        raise TypeError(f"expected {kind} values, got {bad!r}")
+    array = np.array(values, dtype=dtype)
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"expected finite {kind} values")
+    return array
+
+
+def _scalar(value, kind: str):
+    """One document value of a _COLUMNS kind, as a Python int, float or bool."""
+    return _column([value], kind)[0].item()
 
 
 def graph_from_dict(doc: dict) -> SignedGraph:
@@ -190,41 +227,47 @@ def graph_from_dict(doc: dict) -> SignedGraph:
 
     Raises:
         ParameterError: a missing or malformed field (integers must be
-            integers, flags booleans), an opinion that is not a finite
-            number in [0, 1], r outside [0, 1], or an edge list with an
-            out-of-range endpoint, a self loop or a duplicate.
+            integers and numbers numbers, neither a boolean nor a string;
+            flags booleans), z not an even integer in [2, n), an opinion
+            that is not a finite number in [0, 1], r outside [0, 1], or an
+            edge list with an out-of-range endpoint, a self loop or a
+            duplicate.
     """
     try:
-        n = operator.index(doc["n"])
-        z = operator.index(doc["z"])
-        r = float(doc["r"])
-        nodes = sorted(doc["nodes"], key=lambda d: d["id"])
-        ids = [d["id"] for d in nodes]
-        opinions = np.array([float(d["opinion"]) for d in nodes])
-        edges = np.array([[operator.index(d["u"]), operator.index(d["v"])] for d in doc["edges"]], dtype=np.int64)
-        homogeneous = np.array([_flag(d["homogeneous"]) for d in doc["edges"]], dtype=bool)
-    except (KeyError, TypeError, ValueError) as exc:
+        n = _scalar(doc["n"], "integer")
+        z = _scalar(doc["z"], "integer")
+        r = _scalar(doc["r"], "number")
+        nodes, edge_docs = doc["nodes"], doc["edges"]
+        ids = _column([d["id"] for d in nodes], "integer")
+        opinions = _column([d["opinion"] for d in nodes], "number")
+        u = _column([d["u"] for d in edge_docs], "integer")
+        v = _column([d["v"] for d in edge_docs], "integer")
+        homogeneous = _column([d["homogeneous"] for d in edge_docs], "flag")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"malformed graph document: {type(exc).__name__}: {exc}") from exc
-    if len(nodes) != n or ids != list(range(n)):
+    if not 2 <= z < n or z % 2:
+        raise ParameterError(f"ring degree must be an even integer in [2, n), got z={z}, n={n}")
+    order = np.argsort(ids, kind="stable")
+    if ids.size != n or not np.array_equal(ids[order], np.arange(n)):
         raise ParameterError("node list must cover ids 0..n-1 exactly")
+    opinions = opinions[order]
     if not np.all((opinions >= 0) & (opinions <= 1)):
         raise ParameterError("opinions must be finite numbers in [0, 1]")
     if not 0.0 <= r <= 1.0:
         raise ParameterError(f"rewiring probability must be in [0, 1], got {r}")
-    edges = edges.reshape(-1, 2)
-    if len(edges) and (np.any(edges < 0) or np.any(edges >= n)):
+    if np.any((u < 0) | (u >= n) | (v < 0) | (v >= n)):
         raise ParameterError("edge endpoint out of range")
-    if len(edges) and np.any(edges[:, 0] == edges[:, 1]):
+    if np.any(u == v):
         raise ParameterError("self loop in edge list")
-    canon = {tuple(sorted(e)) for e in edges.tolist()}
-    if len(canon) != len(edges):
+    keys = np.minimum(u, v) * n + np.maximum(u, v)
+    if np.unique(keys).size != keys.size:
         raise ParameterError("duplicate edge in edge list")
     return SignedGraph(
         node_count=n,
         ring_degree=z,
         rewiring_probability=r,
         opinions=opinions,
-        edges=edges,
+        edges=np.column_stack([u, v]),
         homogeneous=homogeneous,
     )
 

@@ -1,17 +1,18 @@
 """Parameter sweeps and cascade analysis.
 
-A sweep walks a (phi_hl, r, delta) grid, builds a fresh labeled graph per
-iteration, diffuses a full news batch, and pools cascade sizes and heights
-across iterations into per-point means and standard deviations, alongside
-the closed-form branching predictions. All randomness derives from one
-master seed through a documented SeedSequence splitting scheme, so results
-are reproducible and independent of execution order.
+A sweep walks a (phi_hl, r, delta) grid with common random numbers: one
+graph per (r, iteration), labeled for every phi_hl under one seed so the
+homogeneous edge sets nest, and one news batch with its seed nodes per
+(phi_hl, r, iteration), diffused at every delta. It pools cascade sizes and
+heights across iterations into per-point means and standard deviations,
+alongside the closed-form branching predictions. All randomness derives
+from one master seed through the SeedSequence spawn keys that run_sweep
+documents, so results are reproducible and independent of execution order.
 
 A sweep reads per-item sizes and heights from the stats of
 diffusion.diffuse, which builds sharing trees only with collect_trees=True,
 one trees.Forest per grid point. The SweepResult does not depend on
-collect_trees, and it is bit-identical to that of the earlier per-tree
-reduction. analyze takes a Forest or any sequence of trees and computes
+collect_trees. analyze takes a Forest or any sequence of trees and computes
 their metric rows in one trees.metrics_rows pass.
 """
 
@@ -21,6 +22,7 @@ import csv
 import itertools
 import json
 import logging
+import math
 import numbers
 import os
 from dataclasses import dataclass, field
@@ -181,28 +183,25 @@ def troll_fit_config(master_seed: int, iterations: int = 100) -> SweepConfig:
 PRESETS = {"troll": troll_fit_config}
 
 
-def simulate_point(n, m, z, phi_hl, r, delta, dist, seed_sequence,
-                   collect_trees: bool = False) -> tuple[BatchStats, Forest | None]:
-    """One iteration at one grid point: fresh graph, fresh news, full batch.
-
-    Returns (stats, forest): per-item seed counts, sizes, heights and
-    rounds, plus the Forest of sharing trees when collect_trees is set
-    (None otherwise). The seed sequence is split into four
-    independent streams: graph build, edge labeling, news sampling, cascades.
-    """
-    s_graph, s_label, s_news, s_batch = seed_sequence.spawn(4)
-    g = generate_small_world(n, z, r, seed=s_graph)
-    g = label_edges(g, phi_hl, seed=s_label)
-    news = sample_news(m, dist, seed=s_news, max_count=n)
-    return diffuse(g, news, delta, seed=s_batch, build_trees=collect_trees)
-
-
 def run_sweep(config: SweepConfig, collect_trees: bool = False):
     """Execute every grid point of the sweep.
 
-    Statistics pool all cascades of all iterations of a point. Per-point
-    randomness comes from SeedSequence(master_seed, spawn_key=(point, iteration)),
-    so any execution order yields identical results.
+    Statistics pool all cascades of all iterations of a point. The sweep
+    uses common random numbers: each input is drawn once and shared by
+    every point that can share it. With r at index j of config.rs and phi_hl
+    at index i of config.phis, iteration k draws
+      - the graph and its edge labeling from the two children of
+        SeedSequence(master_seed, spawn_key=(0, j, k)): one graph per
+        (r, iteration), shared across phi_hl and delta, and one labeling
+        seed, under which label_edges nests the homogeneous edge sets
+        across phi_hl;
+      - the news batch and the diffuse seed from the two children of
+        SeedSequence(master_seed, spawn_key=(1, i, j, k)), shared across
+        delta only, so the deltas of one (phi_hl, r, iteration) diffuse the
+        same items from the same seed nodes.
+    The sweep holds one graph at a time, walking r and then the iteration,
+    and returns the results in grid() order; any execution order would
+    yield identical results.
 
     Returns the list of SweepResult; with collect_trees=True returns
     (results, trees) where trees maps each grid point to the Forest of all
@@ -210,57 +209,94 @@ def run_sweep(config: SweepConfig, collect_trees: bool = False):
     collect_trees.
     """
     config.validate()
-    results: list[SweepResult] = []
-    all_trees: dict[tuple[float, float, float], Forest] = {}
-    for point_index, (phi_hl, r, delta) in enumerate(config.grid()):
-        batches: list[BatchStats] = []
-        forests: list[Forest] = []
-        for iteration in range(config.iterations):
-            ss = np.random.SeedSequence(config.master_seed, spawn_key=(point_index, iteration))
-            stats, forest = simulate_point(
-                config.n, config.m, config.z, phi_hl, r, delta, config.first_sharers, ss,
-                collect_trees=collect_trees,
-            )
-            batches.append(stats)
-            if collect_trees:
-                forests.append(forest)
+    # Grid points by (phi, r, delta) index, in grid() order. Each point pools
+    # its batches' _moments, so memory does not grow with the iterations.
+    points = list(zip(np.ndindex(len(config.phis), len(config.rs), len(config.deltas)), config.grid()))
+    sums = {index: [0] * 6 for index, _ in points}
+    forests: dict[tuple, list[Forest]] = {index: [] for index, _ in points}
+    for j, r in enumerate(config.rs):
+        for k in range(config.iterations):
+            s_graph, s_label = np.random.SeedSequence(config.master_seed, spawn_key=(0, j, k)).spawn(2)
+            g = generate_small_world(config.n, config.z, r, seed=s_graph)
+            for i, phi_hl in enumerate(config.phis):
+                labeled = label_edges(g, phi_hl, seed=s_label)
+                s_news, s_batch = np.random.SeedSequence(config.master_seed, spawn_key=(1, i, j, k)).spawn(2)
+                news = sample_news(config.m, config.first_sharers, seed=s_news, max_count=config.n)
+                for d, delta in enumerate(config.deltas):
+                    batch, forest = diffuse(labeled, news, delta, seed=s_batch, build_trees=collect_trees)
+                    sums[i, j, d] = [a + b for a, b in zip(sums[i, j, d], _moments(batch))]
+                    if collect_trees:
+                        forests[i, j, d].append(forest)
 
-        mu = branching.branching_ratio(config.z, delta, q=1.0 - phi_hl)
-        seed_counts = np.concatenate([b.seeds for b in batches])
-        mean_seeds = float(np.mean(seed_counts)) if seed_counts.size else 0.0
-        try:
-            size_pred = branching.expected_cascade_size(mean_seeds, mu)
-            supercritical = False
-        except SupercriticalError:
-            size_pred = None
-            supercritical = True
-            log.warning(
-                "grid point (phi_hl=%s, r=%s, delta=%s) is supercritical (mu=%.3f); no size prediction",
-                phi_hl, r, delta, mu,
-            )
-        size_arr = np.concatenate([b.sizes for b in batches]).astype(float)
-        height_arr = np.concatenate([b.heights for b in batches]).astype(float)
-        results.append(
-            SweepResult(
-                phi_hl=phi_hl,
-                r=r,
-                delta=delta,
-                mean_size=float(size_arr.mean()),
-                sd_size=float(size_arr.std(ddof=1)) if size_arr.size > 1 else 0.0,
-                mean_height=float(height_arr.mean()),
-                sd_height=float(height_arr.std(ddof=1)) if height_arr.size > 1 else 0.0,
-                mu_pred=mu,
-                size_pred=size_pred,
-                iterations=config.iterations,
-                mean_seeds=mean_seeds,
-                supercritical=supercritical,
-            )
-        )
-        if collect_trees:
-            all_trees[(phi_hl, r, delta)] = Forest.of(tree for forest in forests for tree in forest)
+    results = [_pooled_result(config, point, sums[index]) for index, point in points]
     if collect_trees:
-        return results, all_trees
+        return results, {point: Forest.of(tree for forest in forests[index] for tree in forest)
+                         for index, point in points}
     return results
+
+
+def _moments(batch: BatchStats) -> list[int]:
+    """Item count and the sums of seeds, sizes, squared sizes, heights and squared heights."""
+    sizes, heights = batch.sizes, batch.heights
+    return [sizes.size, int(batch.seeds.sum()), int(sizes.sum()), int(sizes @ sizes),
+            int(heights.sum()), int(heights @ heights)]
+
+
+def _mean_sd(count: int, total: int, squares: int) -> tuple[float, float]:
+    """Mean and sample standard deviation from exact integer moments, each rounded once."""
+    if not count:
+        return math.nan, 0.0
+    if count == 1:
+        return total / count, 0.0
+    return total / count, _sqrt_of_ratio(count * squares - total * total, count * (count - 1))
+
+
+def _sqrt_of_ratio(num: int, den: int) -> float:
+    """sqrt(num / den) for integers num >= 0 and den > 0, correctly rounded to a float.
+
+    The integer root is taken to 2*53+3 bits of num/den, so it keeps at least
+    two bits beyond a float's 53, and its last bit is set when it is inexact
+    (round to odd); the one conversion to float then rounds it correctly, as
+    statistics.stdev does.
+    """
+    q = (num.bit_length() - den.bit_length() - 109) // 2
+    num, den = (num, den << 2 * q) if q >= 0 else (num << -2 * q, den)
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return float(root << q) if q >= 0 else root / (1 << -q)
+
+
+def _pooled_result(config: SweepConfig, point: tuple[float, float, float], sums: list[int]) -> SweepResult:
+    phi_hl, r, delta = point
+    count, seeds, size_sum, size_squares, height_sum, height_squares = sums
+    mu = branching.branching_ratio(config.z, delta, q=1.0 - phi_hl)
+    mean_seeds = seeds / count if count else 0.0
+    try:
+        size_pred = branching.expected_cascade_size(mean_seeds, mu)
+        supercritical = False
+    except SupercriticalError:
+        size_pred = None
+        supercritical = True
+        log.warning(
+            "grid point (phi_hl=%s, r=%s, delta=%s) is supercritical (mu=%.3f); no size prediction",
+            phi_hl, r, delta, mu,
+        )
+    mean_size, sd_size = _mean_sd(count, size_sum, size_squares)
+    mean_height, sd_height = _mean_sd(count, height_sum, height_squares)
+    return SweepResult(
+        phi_hl=phi_hl,
+        r=r,
+        delta=delta,
+        mean_size=mean_size,
+        sd_size=sd_size,
+        mean_height=mean_height,
+        sd_height=sd_height,
+        mu_pred=mu,
+        size_pred=size_pred,
+        iterations=config.iterations,
+        mean_seeds=mean_seeds,
+        supercritical=supercritical,
+    )
 
 
 SWEEP_COLUMNS = (

@@ -17,11 +17,3 @@ def as_generator(seed) -> np.random.Generator:
         return seed
     return np.random.default_rng(seed)
 
-
-def as_seed_sequence(seed) -> np.random.SeedSequence:
-    """Return a SeedSequence; Generators are rejected (not splittable)."""
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    if isinstance(seed, np.random.Generator):
-        raise TypeError("a Generator cannot be split deterministically; pass an int or SeedSequence")
-    return np.random.SeedSequence(seed)

@@ -126,6 +126,71 @@ def brute_force_sharers(g, theta: float, delta: float, seeds) -> set[int]:
     return sharers
 
 
+def threshold_rounds(adj, opinions, theta: float, delta: float, seeds) -> tuple[int, int]:
+    """(sharer count, rounds) of a cascade by breadth-first layers from the seeds."""
+    shared = set(seeds)
+    layer, rounds = list(shared), 0
+    while True:
+        fresh = {v for u in layer for v in adj.get(u, ()) if v not in shared and abs(opinions[v] - theta) <= delta}
+        if not fresh:
+            return len(shared), rounds
+        shared |= fresh
+        layer, rounds = sorted(fresh), rounds + 1
+
+
+def earlier_scheme_sweep(config):
+    """run_sweep under the seeding scheme that common random numbers replaced.
+
+    Every (point, iteration) draws a fresh graph, labeling, news batch and
+    cascades from the four children of SeedSequence(master_seed,
+    spawn_key=(point index, iteration)); the cascade child gives item i the
+    Generator of its own i-th child, which draws the item's seeds with
+    choice(n, m, replace=False). Cascades run as breadth-first layers here
+    and the pooling uses numpy means and standard deviations, as that code
+    did. Graphs, labels and news come from the package.
+    """
+    from cascadekit import branching
+    from cascadekit.diffusion import sample_news
+    from cascadekit.errors import SupercriticalError
+    from cascadekit.graph import generate_small_world, label_edges
+    from cascadekit.harness import SweepResult
+
+    results = []
+    for point, (phi_hl, r, delta) in enumerate(config.grid()):
+        seeds, sizes, heights = [], [], []
+        for iteration in range(config.iterations):
+            ss = np.random.SeedSequence(config.master_seed, spawn_key=(point, iteration))
+            s_graph, s_label, s_news, s_batch = ss.spawn(4)
+            g = label_edges(generate_small_world(config.n, config.z, r, seed=s_graph), phi_hl, seed=s_label)
+            news = sample_news(config.m, config.first_sharers, seed=s_news, max_count=config.n)
+            adj = adjacency_sets(g.edges, g.homogeneous.tolist())
+            opinions = g.opinions.tolist()
+            for item, child in zip(news, s_batch.spawn(len(news))):
+                m = item.first_sharer_count
+                start = np.random.default_rng(child).choice(config.n, size=m, replace=False).tolist() if m else []
+                size, rounds = threshold_rounds(adj, opinions, item.fitness, delta, start)
+                seeds.append(m)
+                sizes.append(size)
+                heights.append(rounds + 1 if m else 0)
+        mu = branching.branching_ratio(config.z, delta, q=1.0 - phi_hl)
+        mean_seeds = float(np.mean(seeds)) if seeds else 0.0
+        try:
+            size_pred, supercritical = branching.expected_cascade_size(mean_seeds, mu), False
+        except SupercriticalError:
+            size_pred, supercritical = None, True
+        size_arr, height_arr = np.array(sizes, dtype=float), np.array(heights, dtype=float)
+        results.append(SweepResult(
+            phi_hl=phi_hl, r=r, delta=delta,
+            mean_size=float(size_arr.mean()),
+            sd_size=float(size_arr.std(ddof=1)) if size_arr.size > 1 else 0.0,
+            mean_height=float(height_arr.mean()),
+            sd_height=float(height_arr.std(ddof=1)) if height_arr.size > 1 else 0.0,
+            mu_pred=mu, size_pred=size_pred, iterations=config.iterations,
+            mean_seeds=mean_seeds, supercritical=supercritical,
+        ))
+    return results
+
+
 # --- tree oracles ----------------------------------------------------------------
 
 def children_map(tree: SharingTree) -> dict[int | None, list[TreeNode]]:

@@ -96,9 +96,10 @@ def test_criterion_1_size_height_frontier():
     window's lower edge 23.42 * 0.85 needs a mean-size-to-seed ratio of at
     least 1.092. The scan keeps the preset's n, m, z, phi_hl, r and first
     sharers and varies delta. Each iteration builds one graph, labeling and
-    news batch from the preset's seed sequence, as simulate_point does, and
-    diffuses that batch at every delta with diffuse, whose stats give
-    run_batch's sizes and heights without building trees. A point's ratio is
+    news batch from its own seed sequence and diffuses that batch at every
+    delta from one seed, as run_sweep shares them across delta, with
+    diffuse, whose stats give run_batch's sizes and heights without
+    building trees. A point's ratio is
     its mean size over the scan's own mean seed count, so seed sampling noise
     does not move it.
     """

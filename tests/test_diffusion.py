@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from cascadekit import diffusion
 from cascadekit.diffusion import (
@@ -256,6 +257,33 @@ def test_expansion_slices_do_not_change_results(monkeypatch):
         monkeypatch.setattr(diffusion, "_SLICE_PAIRS", bound)
         assert [tree_to_dict(o.tree) for o in run_batch(g, news, 0.3, seed=29)] == expected
         assert diffuse(g, news, 0.3, seed=29)[0].sizes.tolist() == expected_sizes
+
+
+def test_batch_seed_draw_is_distinct_and_uniform():
+    # One Generator draws every item's seeds at once: keys with duplicates
+    # dropped and topped up while 2*m <= n (m = 25 tops up most), a
+    # permutation prefix when 2*m > n. With delta = 0 each tree is exactly
+    # its seeds in draw order.
+    n = 50
+    g = generate_small_world(n, 2, 0.0, seed=30)
+    classes = (0, 1, 5, 25, 26, 49, n)
+    counts = np.tile(classes, 400)
+    np.random.default_rng(31).shuffle(counts)
+    news = [NewsItem(id=i, fitness=0.5, first_sharer_count=int(c)) for i, c in enumerate(counts)]
+    stats, forest = diffuse(g, news, 0.0, seed=32, build_trees=True)
+    assert stats.sizes.tolist() == counts.tolist()
+    for m in classes:
+        seeds = [tree.user for tree, c in zip(forest, counts) if c == m]
+        assert all(s.size == m and np.unique(s).size == m for s in seeds)
+        if m == 0:
+            continue
+        everywhere = np.bincount(np.concatenate(seeds), minlength=n)
+        first = np.bincount([s[0] for s in seeds], minlength=n)
+        if m == n:
+            assert np.all(everywhere == len(seeds))
+        else:
+            assert scipy_stats.chisquare(everywhere).pvalue > 1e-4, (m, everywhere)
+        assert scipy_stats.chisquare(first).pvalue > 1e-4, (m, first)
 
 
 def test_batch_input_errors():

@@ -1,13 +1,16 @@
 """Golden digests: graphs, trees and sweep results stay bit-identical for a seed.
 
-The graph, tree and sweep digests below were captured with the set-based
-graph builder and the per-sharer cascade loop, at commit 4c87903, before the
-edge-key builder and the array frontier kernel replaced them. The tree-JSON
-and metrics-CSV digests were captured at commit f9dbb52, before sharing trees
-became arrays and the metrics one forest pass. The sampler, config-JSON and
+The graph digests below were captured with the set-based graph builder at
+commit 4c87903, before the edge-key builder replaced it. The metrics-CSV
+digest was captured at commit f9dbb52, before sharing trees became arrays
+and the metrics one forest pass. The sampler, config-JSON and
 first-sharer-table digests were captured at commit 5355c4d, before one family
-table replaced the per-module dispatch on distribution family. Capture
-method: run this file as a script against that checkout,
+table replaced the per-module dispatch on distribution family. The tree,
+tree-JSON and sweep digests were captured by the commit after 310e2be, which
+gave diffuse one Generator per batch and run_sweep common random numbers;
+EARLIER_SCHEME keeps the sweep digests of the scheme before it, which
+oracles.earlier_scheme_sweep still reproduces. Capture method: run
+this file as a script against that checkout,
 
     PYTHONPATH=<checkout>/src python tests/test_equivalence.py
 
@@ -50,7 +53,7 @@ from cascadekit.stats import (
 )
 from cascadekit.trees import trees_to_json
 
-from oracles import random_tree
+from oracles import earlier_scheme_sweep, random_tree
 
 # (n, z) lattices, each built at every rate in GRAPH_RATES; n = z + 1 is the
 # complete graph, where every rewiring is skipped.
@@ -97,16 +100,16 @@ GOLDEN = {
     "graph_200_6": "3a13ce82ef39393fd1e6b37ce29995da75109349536557216cc6b56cdf10de3d",
     "graph_2000_8": "21b02d74ea799ae56df737db671c56877a5962949911df344cc1594b3cd1670e",
     "graph_16889_8": "ee2d3a7391b39349243074b8485fffebe3b944ba693566ad6b05de68ef08b0e5",
-    "trees_ring_12": "14904505c1046189d416febe8c1511025d435deb009b92ca152d15b872d66b42",
-    "trees_complete_9": "7c5d4afec53673a3bfd0c8a9099a4901e0b5ad66014b7415688affefe9b3df0b",
-    "trees_sparse_300": "90f3f10c02deb6f0c132205ec336b89e782f4964c7c409aef5dd289e8dd1190f",
-    "trees_rewired_2000": "ecf9303923b714a3fd807f7e4beb55e7999cf266b9e5b796832f162be7d2c7ce",
-    "trees_lattice_5000": "4e6c0f5f584dd107e33aa95fc92175042291c02596531f9186e214567166d0c2",
-    "tree_json_rewired_2000": "1dc390461f20f0259f9e0be5d4c937af93c2c158c432162dc91ce56ff51004f7",
+    "trees_ring_12": "746b5c915257b8b8eed2780f2e8f0aafc3ffbca61fabf2971bca82f2c6858eea",
+    "trees_complete_9": "6657013987357b8ccd8d46ead72d941b029319690ce040f05fcfa67dacf309ed",
+    "trees_sparse_300": "d416108116fe2efdc5e6f268b59269637f7e449d0738eb00aea91f423d9db7a1",
+    "trees_rewired_2000": "69f2c88de2b3cfcf15d7ba19b9b2b23f1ec1d8345d411cac99c967151d8a5060",
+    "trees_lattice_5000": "40c4180ac382041a392590441619ab6932e13713eb84a61ad6a358084b21208d",
+    "tree_json_rewired_2000": "b5596f4f9f0190c31a0cf23017fd8f35b69095d76206c053308dfd1d1226b53d",
     "metrics_csv_random_200": "6abec05cc6d50a478ce8d1faff4386785a977a4af2d8b6263c7eb1e406d0d8e5",
-    "sweep_toy": "25b082ce3583465f329747b763bce5583ac9b66993b7590f3870d863ed7f0df3",
-    "sweep_toy_trees": "361edcc3fe6f6913670ed3c16ff5f4ef1c433cd518c7a936c4896353be3ecfb5",
-    "sweep_troll": "3f6462005f188e438c46b2e6d255bd694b776f86fe3224da960674295bffd144",
+    "sweep_toy": "0d37c44a3db68780a1d2dd7ace503438eb8b676aacf82d7a63dd90b51ea57bec",
+    "sweep_toy_trees": "6c71f7a5d92dab69e45aace1a755bf877709b34779f74cb22059e6ada16d4be5",
+    "sweep_troll": "bb6803678264073fe0aeb8a86b57a6beff727dbe032907f205bfdc9cb238b1c7",
     "sample_inverse_gaussian": "99e6414b69ba898aadf2ff07cb40c375f31f7c539bfcd153a4bb33926b3d9eea",
     "sample_log_normal": "fc3dce4771848b97d65af00f3547a389847eac5985e339771de9f3f2329b7ea8",
     "sample_poisson": "c98f73854ef1723c655f89c0e3af2a0675e51d0edc24f3a5d9c3ce7ff139c933",
@@ -119,6 +122,14 @@ GOLDEN = {
     "config_json_empirical": "37978a0b466d911bf416c7ba6b97163857ba7318e20554bb101116584fa4d5c2",
     "first_sharer_table_ig_with_zeros": "0e555d0e428b11d8b748c4d95f8b4ed66a605680ab4388ff492b4c54d2a60c03",
     "first_sharer_table_all_equal": "eb48e1837b4af59ffed49d58910154e0a3c0bf1c94cbb6967e5949a6305052cb",
+}
+
+# Sweep digests of the seeding scheme before common random numbers: one
+# SeedSequence(master_seed, spawn_key=(point, iteration)) per point-iteration
+# and one Generator per item, captured at commit 310e2be.
+EARLIER_SCHEME = {
+    "sweep_toy": "25b082ce3583465f329747b763bce5583ac9b66993b7590f3870d863ed7f0df3",
+    "sweep_troll": "3f6462005f188e438c46b2e6d255bd694b776f86fe3224da960674295bffd144",
 }
 
 
@@ -281,6 +292,14 @@ def test_toy_sweep_digests_unchanged():
 def test_troll_sweep_digest_unchanged():
     results = run_sweep(troll_fit_config(master_seed=23, iterations=2))
     assert results_digest(results) == GOLDEN["sweep_troll"]
+
+
+def test_earlier_scheme_oracle_reproduces_the_earlier_sweep_digests():
+    # The reference that the old-versus-new statistical test compares against
+    # is exactly the earlier run_sweep, at toy and at troll scale.
+    assert results_digest(earlier_scheme_sweep(SweepConfig(**TOY_SWEEP))) == EARLIER_SCHEME["sweep_toy"]
+    troll = earlier_scheme_sweep(troll_fit_config(master_seed=23, iterations=2))
+    assert results_digest(troll) == EARLIER_SCHEME["sweep_troll"]
 
 
 @pytest.mark.parametrize("family", sorted(DISTRIBUTIONS))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascadekit.errors import ParameterError
 from cascadekit.graph import (
@@ -161,6 +163,10 @@ def test_graph_from_dict_rejects_bad_documents():
         (("edges", 0, "u"), "a"), (("edges", 0, "v"), 2.5), (("edges", 1, "homogeneous"), "false"),
         (("nodes", 0, "id"), "zero"), (("nodes", 3), 7), (("edges",), None),
         (("n",), "ten"), (("z",), 2.0), (("r",), "often"), (("r",), float("nan")),
+        # z must be an even integer in [2, n); booleans and strings are not numbers
+        (("z",), 3), (("z",), -2), (("z",), 0), (("z",), 10), (("z",), True), (("n",), True),
+        (("r",), True), (("r",), "0.5"), (("nodes", 4, "opinion"), "0.5"), (("nodes", 4, "opinion"), True),
+        (("nodes", 4, "id"), 4.0), (("edges", 0, "u"), False), (("nodes", 4, "opinion"), 10**400),
     ]
     delete = object()
     for path, value in [(p, delete) for p in missing] + malformed:
@@ -174,6 +180,72 @@ def test_graph_from_dict_rejects_bad_documents():
             target[path[-1]] = value
         with pytest.raises(ParameterError):
             graph_from_dict(bad)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2, 12) | st.floats()
+    | st.floats(0.0, 1.0) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_mutated_graph_document_loads_and_round_trips_or_is_a_parameter_error(data):
+    g = label_edges(generate_small_world(8, 4, 0.5, seed=40), 0.5, seed=41)
+    doc = json.loads(json.dumps(graph_to_dict(g)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        lists = [doc[key] for key in ("nodes", "edges") if isinstance(doc.get(key), list)]
+        target = data.draw(st.sampled_from([doc, *lists, *[d for part in lists for d in part]]))
+        if isinstance(target, list):
+            if target and data.draw(st.booleans()):
+                target.pop(data.draw(st.integers(0, len(target) - 1)))
+            else:
+                target.append(data.draw(st.sampled_from(target) | JSON_VALUES))
+        elif isinstance(target, dict):
+            key = data.draw(st.sampled_from(sorted(target)) | st.text(max_size=6))
+            if data.draw(st.booleans()):
+                target.pop(key, None)
+            else:
+                target[key] = data.draw(JSON_VALUES)
+    try:
+        loaded = graph_from_dict(doc)
+    except ParameterError:
+        return
+    # What loads is the document: integers as integers, numbers as numbers
+    # (neither a boolean nor a string), flags as booleans; z even in [2, n).
+    out = graph_to_dict(loaded)
+    assert 2 <= out["z"] < out["n"] and out["z"] % 2 == 0
+    pairs = [(doc[key], out[key], kind) for key, kind in (("n", int), ("z", int), ("r", float))]
+    by_id = {d["id"]: d for d in doc["nodes"]}
+    pairs += [(by_id[d["id"]][key], d[key], kind)
+              for d in out["nodes"] for key, kind in (("id", int), ("opinion", float))]
+    pairs += [(d[key], e[key], kind) for d, e in zip(doc["edges"], out["edges"])
+              for key, kind in (("u", int), ("v", int), ("homogeneous", bool))]
+    for value, loaded_value, kind in pairs:
+        if kind is float:
+            assert type(value) in (int, float) and value == loaded_value
+        else:
+            assert type(value) is kind and value == loaded_value
+    again = graph_from_dict(json.loads(json.dumps(out)))
+    assert (again.node_count, again.ring_degree, again.rewiring_probability) == (
+        loaded.node_count, loaded.ring_degree, loaded.rewiring_probability)
+    for name in ("opinions", "edges", "homogeneous"):
+        assert np.array_equal(getattr(again, name), getattr(loaded, name))
+        assert getattr(again, name).dtype == getattr(loaded, name).dtype
+
+
+def test_graph_arrays_are_read_only_and_the_csr_is_built_once():
+    g = label_edges(generate_small_world(60, 4, 0.5, seed=8), 0.5, seed=9)
+    for values in (g.opinions, g.edges, g.homogeneous, *g.adjacency(), *g.adjacency(homogeneous_only=True)):
+        with pytest.raises(ValueError):
+            values[0] = 0
+    assert g.adjacency(homogeneous_only=True) is g.adjacency(homogeneous_only=True)
+    with pytest.raises(AttributeError):
+        g.homogeneous = np.ones(g.edge_count, dtype=bool)
+    relabeled = label_edges(g, 1.0, seed=9)
+    assert relabeled.adjacency(homogeneous_only=True)[1].size == 2 * g.edge_count
 
 
 def test_adjacency_views_agree_with_edge_list():

@@ -1,24 +1,27 @@
 import json
+import statistics
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cascadekit.diffusion import diffuse, sample_news
 from cascadekit.errors import (
     OrphanParentError,
     ParameterError,
     TreeCycleError,
     TreeSchemaError,
 )
+from cascadekit.graph import generate_small_world, label_edges
 from cascadekit.harness import (
     SweepConfig,
+    _mean_sd,
     analyze,
     config_from_dict,
     config_to_dict,
     read_sweep_csv,
     run_sweep,
-    simulate_point,
     troll_fit_config,
     write_analysis,
     write_sweep_csv,
@@ -33,6 +36,8 @@ from cascadekit.trees import (
     tree_height,
     tree_size,
 )
+
+from oracles import earlier_scheme_sweep
 
 
 def tiny_config(**overrides) -> SweepConfig:
@@ -72,34 +77,91 @@ def test_sweep_deterministic_output(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def documented_batches(config, i, j, d, build_trees=False):
+    """diffuse's output per iteration at grid point (phis[i], rs[j], deltas[d]), from run_sweep's spawn keys."""
+    for k in range(config.iterations):
+        s_graph, s_label = np.random.SeedSequence(config.master_seed, spawn_key=(0, j, k)).spawn(2)
+        g = generate_small_world(config.n, config.z, config.rs[j], seed=s_graph)
+        g = label_edges(g, config.phis[i], seed=s_label)
+        s_news, s_batch = np.random.SeedSequence(config.master_seed, spawn_key=(1, i, j, k)).spawn(2)
+        news = sample_news(config.m, config.first_sharers, seed=s_news, max_count=config.n)
+        yield diffuse(g, news, config.deltas[d], seed=s_batch, build_trees=build_trees)
+
+
 def test_sweep_aggregation_matches_naive_recomputation():
-    config = tiny_config(deltas=(0.05,), iterations=3)
-    [result] = run_sweep(config)
-    sizes, heights = [], []
-    for iteration in range(config.iterations):
-        ss = np.random.SeedSequence(config.master_seed, spawn_key=(0, iteration))
-        _, forest = simulate_point(
-            config.n, config.m, config.z, 0.6, 0.2, 0.05, config.first_sharers, ss, collect_trees=True
-        )
-        sizes += [tree_size(tree) for tree in forest]
-        heights += [tree_height(tree) for tree in forest]
-    assert result.mean_size == np.mean(sizes)
-    assert result.sd_size == np.std(sizes, ddof=1)
-    assert result.mean_height == np.mean(heights)
-    assert result.sd_height == np.std(heights, ddof=1)
+    config = tiny_config(phis=(0.5, 0.6), rs=(0.1, 0.2), deltas=(0.02, 0.05), iterations=3)
+    results = run_sweep(config)
+    for res, index in zip(results, np.ndindex(2, 2, 2)):
+        sizes, heights = [], []
+        for _, forest in documented_batches(config, *index, build_trees=True):
+            sizes += [tree_size(tree) for tree in forest]
+            heights += [tree_height(tree) for tree in forest]
+        assert res.mean_size == statistics.fmean(sizes)
+        assert res.mean_height == statistics.fmean(heights)
+        # The sweep and statistics.stdev both round the exact sample standard
+        # deviation once; numpy's sum and square root may round twice.
+        assert res.sd_size == statistics.stdev(sizes)
+        assert res.sd_height == statistics.stdev(heights)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.integers(0, 10**6) | st.integers(0, 3) | st.integers(0, 2**70), min_size=2, max_size=40))
+def test_sweep_sd_is_the_correctly_rounded_sample_sd(values):
+    mean, sd = _mean_sd(len(values), sum(values), sum(v * v for v in values))
+    assert sd == statistics.stdev(values)
+    assert mean == sum(values) / len(values)
 
 
 def test_sweep_mean_size_at_least_mean_seeds():
     config = tiny_config(first_sharers=FittedDistribution.poisson(4.0), iterations=2)
     results = run_sweep(config)
-    for res, (phi, r, delta) in zip(results, config.grid()):
-        seed_counts = []
-        for iteration in range(config.iterations):
-            ss = np.random.SeedSequence(config.master_seed, spawn_key=(results.index(res), iteration))
-            stats, _ = simulate_point(config.n, config.m, config.z, phi, r, delta, config.first_sharers, ss)
-            seed_counts += stats.seeds.tolist()
+    for res, index in zip(results, np.ndindex(1, 1, 2)):
+        seed_counts = [count for stats, _ in documented_batches(config, *index) for count in stats.seeds.tolist()]
         assert res.mean_seeds == np.mean(seed_counts)
         assert res.mean_size >= res.mean_seeds
+
+
+def test_sweep_sharer_sets_nest_in_delta():
+    # Common random numbers: at one (phi_hl, r, iteration) every delta
+    # diffuses the same items from the same seed nodes on the same graph, so
+    # each item's sharer set can only grow with delta.
+    config = tiny_config(phis=(0.6, 1.0), rs=(0.0, 1.0), deltas=(0.0, 0.02, 0.05, 0.1), iterations=2)
+    _, forests = run_sweep(config, collect_trees=True)
+    for phi_hl in config.phis:
+        for r in config.rs:
+            previous = [set()] * (config.m * config.iterations)
+            for delta in config.deltas:
+                sharers = [set(tree.user.tolist()) for tree in forests[(phi_hl, r, delta)]]
+                assert all(a <= b for a, b in zip(previous, sharers))
+                previous = sharers
+
+
+def test_sweep_shares_news_across_delta_only():
+    config = tiny_config(phis=(0.6, 1.0), rs=(0.1, 0.5), deltas=(0.02, 0.1), iterations=2)
+    results = run_sweep(config)
+    by_pair = {}
+    for res in results:
+        by_pair.setdefault((res.phi_hl, res.r), []).append(res.mean_seeds)
+    assert all(a == b for a, b in by_pair.values())
+    assert len({seeds[0] for seeds in by_pair.values()}) == len(by_pair)
+
+
+def test_sweep_agrees_with_the_earlier_scheme():
+    # Common random numbers change which draws a point sees, not their law:
+    # over 30 master seeds, every point's mean size and mean height under
+    # the new scheme agree with the earlier per-point-iteration scheme.
+    base = dict(n=300, m=40, z=4, first_sharers=FittedDistribution.poisson(3.0),
+                phis=(0.6, 1.0), rs=(0.1, 1.0), deltas=(0.05, 0.1), iterations=2)
+    fields = ("mean_size", "mean_height")
+    new, old = [], []
+    for master_seed in range(1, 31):
+        config = SweepConfig(master_seed=master_seed, **base)
+        new.append([[getattr(res, f) for f in fields] for res in run_sweep(config)])
+        old.append([[getattr(res, f) for f in fields] for res in earlier_scheme_sweep(config)])
+    new, old = np.array(new), np.array(old)  # (seed, point, field)
+    spread = np.sqrt((new.var(axis=0, ddof=1) + old.var(axis=0, ddof=1)) / len(new))
+    z = (new.mean(axis=0) - old.mean(axis=0)) / spread
+    assert np.all(np.abs(z) < 4.0), z
 
 
 def test_supercritical_point_warns_but_completes():
