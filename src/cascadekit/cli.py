@@ -12,13 +12,12 @@ and exit code 3, without a traceback.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 import numpy as np
 
-from . import harness, stats, trees
-from .diffusion import run_batch, sample_news
+from . import files, harness, stats, trees
+from .diffusion import diffuse, sample_news
 from .errors import CascadekitError, ParameterError
 from .graph import generate_small_world, label_edges, load_graph, save_graph
 from .stats import FittedDistribution
@@ -50,13 +49,8 @@ def _read_numbers(path) -> np.ndarray:
     Anything else (another non-numeric row, NaN or infinity, no numbers,
     text that is not CSV in UTF-8) is a ParameterError.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            cells = [row[0] for row in csv.reader(fh) if row]
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise ParameterError(f"{path}: {exc}") from exc
     values = []
-    for k, cell in enumerate(cells):
+    for k, (cell, *_) in enumerate(files.read_csv(path, ParameterError)):
         try:
             values.append(float(cell))
         except ValueError:
@@ -65,6 +59,14 @@ def _read_numbers(path) -> np.ndarray:
     if not values or not np.all(np.isfinite(values)):
         raise ParameterError(f"{path} must hold at least one number, and no NaN or infinity")
     return np.asarray(values)
+
+
+def _non_negative_int(text: str) -> int:
+    """The argparse type of every --seed and --items."""
+    value = int(text)  # a ValueError is an argument error too
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 def _cmd_generate(args) -> int:
@@ -78,13 +80,11 @@ def _cmd_generate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     g = load_graph(args.graph)
-    ss = np.random.SeedSequence(args.seed)
-    s_news, s_batch = ss.spawn(2)
+    s_news, s_batch = np.random.SeedSequence(args.seed).spawn(2)
     news = sample_news(args.items, args.first_sharers, seed=s_news, max_count=g.node_count)
-    outcomes = run_batch(g, news, args.delta, seed=s_batch)
-    trees.save_trees([o.tree for o in outcomes], args.out)
-    sizes = [trees.tree_size(o.tree) for o in outcomes]
-    print(f"wrote {len(outcomes)} trees: mean size {np.mean(sizes):.3f}")
+    batch, forest = diffuse(g, news, args.delta, seed=s_batch, build_trees=True)
+    trees.save_trees(forest, args.out)
+    print(f"wrote {len(forest)} trees: mean size {np.mean(batch.sizes):.3f}")
     return 0
 
 
@@ -146,17 +146,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring-degree", type=int, default=8)
     p.add_argument("--rewiring", type=float, required=True)
     p.add_argument("--phi-hl", type=float, default=None, help="homogeneous-link fraction to label")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_non_negative_int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("simulate", help="diffuse a news batch over a graph")
     p.add_argument("--graph", required=True)
-    p.add_argument("--items", type=int, required=True)
+    p.add_argument("--items", type=_non_negative_int, required=True)
     p.add_argument("--first-sharers", type=_parse_distribution, required=True,
                    help="family:params, e.g. ig:18.73,9.63 or poisson:39.24")
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_non_negative_int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--config", help="JSON sweep configuration file")
     source.add_argument("--preset", choices=sorted(harness.PRESETS))
     p.add_argument("--iterations", type=int, default=None, help="override iteration count")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_non_negative_int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 
@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-first-sharers", help="fit count distributions and emit the comparison table")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_non_negative_int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fit_first_sharers)
 

@@ -76,6 +76,8 @@ def sample_news(count: int, dist: FittedDistribution, seed, max_count: int | Non
     max_count clips each sharer count (at the node count of the target
     graph, typically), keeping heavy-tailed draws seedable.
     """
+    if count < 0:
+        raise ParameterError(f"news count must be >= 0, got {count}")
     rng = as_generator(seed)
     fitness = rng.uniform(0.0, 1.0, size=count)
     counts = sample_first_sharers(dist, count, rng)

@@ -1,0 +1,44 @@
+"""The package's two file kinds, JSON documents and CSV tables, read and written in one place.
+
+Files are UTF-8; CSV files open with newline="" as the csv module asks. An
+OSError (a missing file, a directory, no permission) passes through; text
+that is not UTF-8 or does not parse raises the caller's typed error, naming
+the file. CSV cells follow csv's own rule: None is a blank cell, a float (a
+numpy float too) its shortest repr, any other value its str().
+"""
+
+import csv
+import json
+
+
+def write_json(path, doc, indent: int | None = None) -> None:
+    """Write doc as one JSON text: json.dumps without indent runs the C encoder, which json.dump never does."""
+    text = json.dumps(doc, indent=indent)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def read_json(path, error: type[Exception], problem: str):
+    """The document in a JSON file; text that is not UTF-8 or not JSON raises error("<path>: <problem>: ...")."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError both are
+            raise error(f"{path}: {problem}: {exc}") from exc
+
+
+def write_csv(path, columns, rows) -> None:
+    """Write a header of columns, then one line per row: a mapping from column name to cell."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([row[c] for c in columns] for row in rows)
+
+
+def read_csv(path, error: type[Exception]) -> list[list[str]]:
+    """The non-blank rows of a CSV file as lists of cells; text that is not UTF-8 or not CSV raises error."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            return [row for row in csv.reader(fh) if row]
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise error(f"{path}: {exc}") from exc

@@ -7,11 +7,11 @@ to hit a target homogeneous-link fraction exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import files
 from .errors import ParameterError
 from .rng import as_generator
 
@@ -273,10 +273,8 @@ def graph_from_dict(doc: dict) -> SignedGraph:
 
 
 def save_graph(g: SignedGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_dict(g), fh)
+    files.write_json(path, graph_to_dict(g))
 
 
 def load_graph(path) -> SignedGraph:
-    with open(path, encoding="utf-8") as fh:
-        return graph_from_dict(json.load(fh))
+    return graph_from_dict(files.read_json(path, ParameterError, "malformed graph JSON"))

@@ -18,9 +18,7 @@ their metric rows in one trees.metrics_rows pass.
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 import logging
 import math
 import numbers
@@ -29,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import branching, stats, trees
+from . import branching, files, stats, trees
 from .diffusion import BatchStats, diffuse, sample_news
 from .errors import DegenerateSampleError, ParameterError, SupercriticalError
 from .graph import generate_small_world, label_edges
@@ -150,17 +148,11 @@ def config_from_dict(doc: dict, master_seed: int | None = None) -> SweepConfig:
 
 
 def load_config(path, master_seed: int | None = None) -> SweepConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ParameterError(f"malformed config JSON: {exc}") from exc
-    return config_from_dict(doc, master_seed=master_seed)
+    return config_from_dict(files.read_json(path, ParameterError, "malformed config JSON"), master_seed)
 
 
 def save_config(config: SweepConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(config), fh, indent=2)
+    files.write_json(path, config_to_dict(config), indent=2)
 
 
 def troll_fit_config(master_seed: int, iterations: int = 100) -> SweepConfig:
@@ -306,30 +298,30 @@ SWEEP_COLUMNS = (
 
 
 def write_sweep_csv(results: list[SweepResult], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        for res in results:
-            writer.writerow([trees.csv_cell(getattr(res, col)) for col in SWEEP_COLUMNS])
+    files.write_csv(path, SWEEP_COLUMNS, map(vars, results))
 
 
 def read_sweep_csv(path) -> list[dict]:
     """Parse a write_sweep_csv file: blank cells are None, flags bool, counts int.
 
     Raises:
-        ParameterError: a cell that does not parse as its column's type.
+        ParameterError: text that is not CSV in UTF-8, a row with more or
+            fewer cells than the header, or a cell that does not parse as
+            its column's type.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        out = []
-        for line, row in enumerate(csv.DictReader(fh), start=2):
-            parsed = {}
-            for key, value in row.items():
-                try:
-                    parsed[key] = _sweep_cell(key, value)
-                except ValueError as exc:
-                    raise ParameterError(f"{path}, line {line}, column {key}: {exc}") from exc
-            out.append(parsed)
-        return out
+    header, *rows = files.read_csv(path, ParameterError) or [[]]
+    out = []
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ParameterError(f"{path}, line {line}: {len(row)} cells under a header of {len(header)}")
+        parsed = {}
+        for key, value in zip(header, row):
+            try:
+                parsed[key] = _sweep_cell(key, value)
+            except ValueError as exc:
+                raise ParameterError(f"{path}, line {line}, column {key}: {exc}") from exc
+        out.append(parsed)
+    return out
 
 
 def _sweep_cell(key: str, value: str):
@@ -460,16 +452,9 @@ def analyze(tree_list, by_category: bool = True, bins: int = 20, alpha: float = 
 def write_analysis(result: AnalysisResult, out_dir) -> list[str]:
     """Write metrics.csv, comparisons.csv, and one CSV per (group, curve); returns paths."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-
-    metrics_path = os.path.join(out_dir, "metrics.csv")
-    with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(trees.METRIC_COLUMNS)
-        for group in result.groups.values():
-            for row in group.metric_rows:
-                writer.writerow([trees.csv_cell(row[c]) for c in trees.METRIC_COLUMNS])
-    written.append(metrics_path)
+    written = [os.path.join(out_dir, "metrics.csv")]
+    rows = (row for group in result.groups.values() for row in group.metric_rows)
+    files.write_csv(written[0], trees.METRIC_COLUMNS, rows)
 
     for name, group in sorted(result.groups.items()):
         for curve_name, (xs, ys) in sorted(group.curves.items()):
@@ -479,9 +464,7 @@ def write_analysis(result: AnalysisResult, out_dir) -> list[str]:
 
     if result.comparisons:
         comp_path = os.path.join(out_dir, "comparisons.csv")
-        with open(comp_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["test", "group_a", "group_b", "statistic", "reference", "reject"])
-            writer.writeheader()
-            writer.writerows(result.comparisons)
+        files.write_csv(comp_path, ("test", "group_a", "group_b", "statistic", "reference", "reject"),
+                        result.comparisons)
         written.append(comp_path)
     return written

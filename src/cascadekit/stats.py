@@ -8,7 +8,6 @@ Poisson, uniform, empirical), and quartile summary tables.
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from collections.abc import Callable
@@ -19,6 +18,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import kolmogi, zeta
 
+from . import files
 from .errors import DegenerateSampleError, ParameterError
 from .rng import as_generator
 
@@ -75,12 +75,8 @@ def empirical_pdf(samples, bins=30) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_curve_csv(xs, ys, path) -> None:
-    """Write an (x, y) curve table; float cells round-trip at full precision."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"])
-        for x, y in zip(xs, ys):
-            writer.writerow([repr(float(x)), repr(float(y))])
+    """Write an (x, y) curve table of floats; each cell round-trips at full precision."""
+    files.write_csv(path, ("x", "y"), ({"x": float(x), "y": float(y)} for x, y in zip(xs, ys)))
 
 
 # --- discrete power-law fitting ------------------------------------------------
@@ -458,10 +454,5 @@ def first_sharer_table(fit: FirstSharerFit) -> list[dict]:
 
 
 def write_first_sharer_table(fit: FirstSharerFit, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        columns = ["data"] + [label for _, label in TABLE_FAMILIES]
-        writer.writerow(["statistic"] + columns)
-        for row in first_sharer_table(fit):
-            cells = ["" if row[c] is None else repr(float(row[c])) for c in columns]
-            writer.writerow([row["statistic"]] + cells)
+    columns = ("statistic", "data", *(label for _, label in TABLE_FAMILIES))
+    files.write_csv(path, columns, first_sharer_table(fit))

@@ -18,7 +18,6 @@ functions wrap.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import operator
@@ -27,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import files
 from .errors import (
     OrphanParentError,
     SigmaRangeError,
@@ -37,11 +37,6 @@ from .errors import (
 )
 
 CATEGORIES = ("science", "conspiracy", "troll", "synthetic")
-
-# Sign the publishing page contributes to the first edge of a path. Science
-# pages sit at the negative end of the polarization axis (sigma measures
-# conspiracy-likeness), troll content is parody conspiracy.
-DEFAULT_PAGE_SIGNS = {"science": -1, "conspiracy": 1, "troll": 1, "synthetic": 1}
 
 PATH_HOMOGENEOUS = "homogeneous"
 PATH_K_MINUS_1 = "k_minus_1_homogeneous"
@@ -400,6 +395,8 @@ def _trees_from_docs(docs: list) -> Forest:
     the trees that are valid with ids 0..n-1 and every parent before its
     children; the others run validate(), which raises the exact error.
     """
+    if not isinstance(docs, list):
+        raise TreeSchemaError("tree batch must be a JSON array")
     heads, sizes, columns, fault = [], [], tuple([] for _ in _NODE_FIELDS), None
     for j in range(len(docs)):
         doc, docs[j] = docs[j], None  # the node dicts go as soon as their columns are taken
@@ -469,19 +466,15 @@ def trees_from_json(text: str) -> Forest:
         docs = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TreeSchemaError(f"malformed JSON: {exc}") from exc
-    if not isinstance(docs, list):
-        raise TreeSchemaError("tree batch must be a JSON array")
     return _trees_from_docs(docs)
 
 
 def save_trees(trees, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(trees_to_json(trees))
+    files.write_json(path, [tree_to_dict(tree) for tree in Forest.of(trees)])
 
 
 def load_trees(path) -> Forest:
-    with open(path, encoding="utf-8") as fh:
-        return trees_from_json(fh.read())
+    return _trees_from_docs(files.read_json(path, TreeSchemaError, "malformed JSON"))
 
 
 # --- metric export -----------------------------------------------------------
@@ -522,18 +515,5 @@ def metrics_rows(trees) -> list[dict]:
     return [dict(zip(METRIC_COLUMNS, values)) for values in columns]
 
 
-def csv_cell(value):
-    """Blank for None; repr for floats so they round-trip at full precision."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return value
-
-
 def write_metrics_csv(trees, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRIC_COLUMNS)
-        for row in metrics_rows(trees):
-            writer.writerow([csv_cell(row[c]) for c in METRIC_COLUMNS])
+    files.write_csv(path, METRIC_COLUMNS, metrics_rows(trees))

@@ -252,6 +252,46 @@ def test_any_first_sharer_spec_parses_or_is_an_argument_error(name, values, uppe
     assert all(math.isfinite(v) for v in dist.params.values())
 
 
+@pytest.mark.parametrize("command", [
+    ["generate", "--nodes", "100", "--rewiring", "0.1", "--seed", "-1", "--out", "g.json"],
+    ["simulate", "--graph", "g.json", "--items", "5", "--first-sharers", "poisson:2", "--delta", "0.1",
+     "--seed", "-3", "--out", "t.json"],
+    ["simulate", "--graph", "g.json", "--items", "-1", "--first-sharers", "poisson:2", "--delta", "0.1",
+     "--seed", "1", "--out", "t.json"],
+    ["sweep", "--preset", "troll", "--seed", "-5", "--out", "grid.csv"],
+    ["fit-first-sharers", "--in", "counts.csv", "--seed", "-2", "--out", "table.csv"],
+    ["generate", "--nodes", "100", "--rewiring", "0.1", "--seed", "1.5", "--out", "g.json"],
+], ids=["generate seed -1", "simulate seed -3", "simulate items -1", "sweep seed -5", "fit-first-sharers seed -2",
+        "generate seed 1.5"])
+def test_negative_seeds_and_item_counts_are_argument_errors(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(command)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and ("--seed" in err or "--items" in err)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command,content,error", [
+    (["simulate", "--graph", "in.json", "--items", "5", "--first-sharers", "poisson:2", "--delta", "0.1",
+      "--seed", "1", "--out", "t.json"], b"n,z,r\n5,4,0.1\n", "ParameterError: in.json: malformed graph JSON"),
+    (["simulate", "--graph", "in.json", "--items", "5", "--first-sharers", "poisson:2", "--delta", "0.1",
+      "--seed", "1", "--out", "t.json"], b'{"n": "\xe9"}', "ParameterError: in.json: malformed graph JSON"),
+    (["analyze", "--in", "in.json", "--out", "out"], b'[{"news_id": "\xff"}]', "TreeSchemaError: in.json: malformed JSON"),
+    (["sweep", "--config", "in.json", "--seed", "1", "--out", "grid.csv"], b'{"n": "\xe9"}',
+     "ParameterError: in.json: malformed config JSON"),
+], ids=["graph not JSON", "graph not UTF-8", "trees not UTF-8", "config not UTF-8"])
+def test_undecodable_input_files_are_one_line_errors(tmp_path, monkeypatch, capsys, command, content, error):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.json").write_bytes(content)
+    assert main(command) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"cascadekit {command[0]}: {error}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
+
+
 def test_missing_required_arguments_exit_nonzero(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["generate", "--nodes", "100", "--rewiring", "0.1", "--out", str(tmp_path / "g.json")])

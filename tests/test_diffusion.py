@@ -60,6 +60,14 @@ def test_sample_first_sharers_rejects_negative_count():
         sample_first_sharers(FittedDistribution.poisson(1.0), -1, seed=0)
 
 
+def test_sample_news_rejects_a_negative_count_before_it_draws():
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    with pytest.raises(ParameterError, match="news count"):
+        sample_news(-1, FittedDistribution.poisson(1.0), seed=rng)
+    assert rng.bit_generator.state == state
+
+
 def test_sample_news_clips_at_max_count():
     dist = FittedDistribution.uniform(50, 60)
     news = sample_news(20, dist, seed=3, max_count=10)

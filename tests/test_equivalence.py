@@ -9,8 +9,11 @@ table replaced the per-module dispatch on distribution family. The tree,
 tree-JSON and sweep digests were captured by the commit after 310e2be, which
 gave diffuse one Generator per batch and run_sweep common random numbers;
 EARLIER_SCHEME keeps the sweep digests of the scheme before it, which
-oracles.earlier_scheme_sweep still reproduces. Capture method: run
-this file as a script against that checkout,
+oracles.earlier_scheme_sweep still reproduces. The file digests (a
+save_graph file, save_config files, a write_sweep_csv file, every file of
+write_analysis, and a cli simulate tree file) were captured at commit
+36d2d8d, before one module took over reading and writing every file.
+Capture method: run this file as a script against that checkout,
 
     PYTHONPATH=<checkout>/src python tests/test_equivalence.py
 
@@ -19,14 +22,17 @@ the raw little-endian bytes of a graph's arrays, or over the repr of every
 tree node's (id, user, sigma, t, parent) plus each outcome's news id and
 round count, or over the float.hex() of every field a SweepResult had then,
 or over the bytes of a trees_to_json document, a metrics.csv file, a
-sampled array (with its dtype), a config JSON document, or a first-sharer
-table file plus the repr of its fits' parameters. The CLI alias test holds
-every --first-sharers name to its constructor's result.
+sampled array (with its dtype), a config JSON document, a file the package
+writes, or a first-sharer table file plus the repr of its fits' parameters.
+The CLI alias test holds every --first-sharers name to its constructor's
+result.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -34,16 +40,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cascadekit.cli import _parse_distribution
+from cascadekit.cli import _parse_distribution, main
 from cascadekit.diffusion import NewsItem, run_batch
-from cascadekit.graph import generate_small_world, label_edges
+from cascadekit.graph import generate_small_world, label_edges, save_graph
 from cascadekit.harness import (
     SweepConfig,
     analyze,
     config_to_dict,
     run_sweep,
+    save_config,
     troll_fit_config,
     write_analysis,
+    write_sweep_csv,
 )
 from cascadekit.stats import (
     FittedDistribution,
@@ -122,6 +130,15 @@ GOLDEN = {
     "config_json_empirical": "37978a0b466d911bf416c7ba6b97163857ba7318e20554bb101116584fa4d5c2",
     "first_sharer_table_ig_with_zeros": "0e555d0e428b11d8b748c4d95f8b4ed66a605680ab4388ff492b4c54d2a60c03",
     "first_sharer_table_all_equal": "eb48e1837b4af59ffed49d58910154e0a3c0bf1c94cbb6967e5949a6305052cb",
+    "config_file_inverse_gaussian": "da129d438e00989d9e686c3a5809f20fd0d9e6ba9ab84653ce0a92184b1722b5",
+    "config_file_log_normal": "1a628dfc220b8f633cfce052f61be7d06efccacf0ef4e07745918c264577b135",
+    "config_file_poisson": "306f833d6735fa0d079a31b2973cd35175452cf58d98665dd47e5a9e5c57e39f",
+    "config_file_uniform": "40a234a993307ebbf41400f9601dde207015652da96b96b64f545b539951117d",
+    "config_file_empirical": "bf57052a393a919cddab165b59cf1eadb28bc046aa0d4024ed30a61d7034ea30",
+    "graph_file": "6c4adb29154b2d7e3271c911a5e9de4d0d3070f0c831a34c46a782ed0c889a7a",
+    "sweep_csv_toy": "e9ec7d76377e6381658d6cfd0bce982ebef8cfd9c3c4bb635fa288841bcf45b1",
+    "analysis_files_random_200": "c5c910d9ae7b66f29775175b6b2b7fc02d14a421f4a7c11e1ab7c742040c5ac6",
+    "cli_simulate_tree_file": "7252aa406c8685b7f6061fbfbbe224e30a46edc2ecf5743aae7f407a149aab24",
 }
 
 # Sweep digests of the seeding scheme before common random numbers: one
@@ -199,14 +216,55 @@ def tree_json_digest() -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def metrics_csv_digest() -> str:
-    """metrics.csv of 200 random signed trees in three categories, virtual and real roots."""
+def analysis_batch() -> list:
+    """200 random signed trees in three categories, virtual and real roots."""
     rng = np.random.default_rng(83)
     categories = ("science", "conspiracy", "troll")
-    batch = [random_tree(rng, max_nodes=14, category=categories[i % 3]) for i in range(200)]
+    return [random_tree(rng, max_nodes=14, category=categories[i % 3]) for i in range(200)]
+
+
+def metrics_csv_digest() -> str:
     with tempfile.TemporaryDirectory() as out:
-        write_analysis(analyze(batch), out)
+        write_analysis(analyze(analysis_batch()), out)
         return hashlib.sha256((Path(out) / "metrics.csv").read_bytes()).hexdigest()
+
+
+def analysis_files_digest() -> str:
+    """The name and bytes of every file write_analysis writes for analysis_batch, in the order it lists them."""
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as out:
+        for path in write_analysis(analyze(analysis_batch()), out):
+            h.update(Path(path).name.encode() + b"\0" + Path(path).read_bytes())
+    return h.hexdigest()
+
+
+def file_digest(write, *args) -> str:
+    """The bytes of the file that write(*args, path) writes."""
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "file"
+        write(*args, path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def graph_file_digest() -> str:
+    g = label_edges(generate_small_world(200, 6, 0.1, seed=31), 0.7, seed=32)
+    return file_digest(save_graph, g)
+
+
+def sweep_csv_digest() -> str:
+    """The toy sweep as a CSV file; its (phi_hl, delta) = (1.0, 0.2) points are supercritical, so blank cells occur."""
+    return file_digest(write_sweep_csv, run_sweep(SweepConfig(**TOY_SWEEP)))
+
+
+def cli_simulate_digest() -> str:
+    """The tree file of cli simulate over a cli generate graph, and the stdout of both commands."""
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()) as stdout:
+        graph, tree_file = Path(out) / "graph.json", Path(out) / "trees.json"
+        main(["generate", "--nodes", "300", "--ring-degree", "4", "--rewiring", "0.1", "--phi-hl", "0.8",
+              "--seed", "5", "--out", str(graph)])
+        main(["simulate", "--graph", str(graph), "--items", "40", "--first-sharers", "poisson:3",
+              "--delta", "0.2", "--seed", "6", "--out", str(tree_file)])
+        return hashlib.sha256(tree_file.read_bytes() + stdout.getvalue().encode()).hexdigest()
 
 
 def sample_digest(family: str) -> str:
@@ -214,10 +272,17 @@ def sample_digest(family: str) -> str:
     return hashlib.sha256(draws.dtype.str.encode() + draws.tobytes()).hexdigest()
 
 
+def family_config(family: str) -> SweepConfig:
+    """A default-grid config with this family's first sharers."""
+    return SweepConfig(n=500, m=40, z=6, master_seed=5, first_sharers=DISTRIBUTIONS[family])
+
+
 def config_json_digest(family: str) -> str:
-    """json.dumps of a default-grid config with this family's first sharers."""
-    config = SweepConfig(n=500, m=40, z=6, master_seed=5, first_sharers=DISTRIBUTIONS[family])
-    return hashlib.sha256(json.dumps(config_to_dict(config)).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(config_to_dict(family_config(family))).encode()).hexdigest()
+
+
+def config_file_digest(family: str) -> str:
+    return file_digest(save_config, family_config(family))
 
 
 def first_sharer_table_digest(name: str) -> str:
@@ -242,6 +307,11 @@ def all_digests() -> dict[str, str]:
     out["sweep_troll"] = results_digest(run_sweep(troll_fit_config(master_seed=23, iterations=2)))
     out.update({f"sample_{family}": sample_digest(family) for family in DISTRIBUTIONS})
     out.update({f"config_json_{family}": config_json_digest(family) for family in DISTRIBUTIONS})
+    out.update({f"config_file_{family}": config_file_digest(family) for family in DISTRIBUTIONS})
+    out["graph_file"] = graph_file_digest()
+    out["sweep_csv_toy"] = sweep_csv_digest()
+    out["analysis_files_random_200"] = analysis_files_digest()
+    out["cli_simulate_tree_file"] = cli_simulate_digest()
     out.update({f"first_sharer_table_{name}": first_sharer_table_digest(name) for name in FIRST_SHARER_SAMPLES})
     return out
 
@@ -310,6 +380,27 @@ def test_sampler_digest_unchanged(family):
 @pytest.mark.parametrize("family", sorted(DISTRIBUTIONS))
 def test_config_json_digest_unchanged(family):
     assert config_json_digest(family) == GOLDEN[f"config_json_{family}"]
+
+
+@pytest.mark.parametrize("family", sorted(DISTRIBUTIONS))
+def test_config_file_digest_unchanged(family):
+    assert config_file_digest(family) == GOLDEN[f"config_file_{family}"]
+
+
+def test_graph_file_digest_unchanged():
+    assert graph_file_digest() == GOLDEN["graph_file"]
+
+
+def test_sweep_csv_digest_unchanged():
+    assert sweep_csv_digest() == GOLDEN["sweep_csv_toy"]
+
+
+def test_analysis_files_digest_unchanged():
+    assert analysis_files_digest() == GOLDEN["analysis_files_random_200"]
+
+
+def test_cli_simulate_tree_file_digest_unchanged():
+    assert cli_simulate_digest() == GOLDEN["cli_simulate_tree_file"]
 
 
 @pytest.mark.parametrize("name", sorted(FIRST_SHARER_SAMPLES))

@@ -202,9 +202,10 @@ def test_mutated_graph_document_loads_and_round_trips_or_is_a_parameter_error(da
             if target and data.draw(st.booleans()):
                 target.pop(data.draw(st.integers(0, len(target) - 1)))
             else:
-                target.append(data.draw(st.sampled_from(target) | JSON_VALUES))
+                target.append(data.draw(st.sampled_from(target) | JSON_VALUES if target else JSON_VALUES))
         elif isinstance(target, dict):
-            key = data.draw(st.sampled_from(sorted(target)) | st.text(max_size=6))
+            keys = st.text(max_size=6)
+            key = data.draw(st.sampled_from(sorted(target)) | keys if target else keys)
             if data.draw(st.booleans()):
                 target.pop(key, None)
             else:
