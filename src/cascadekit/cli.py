@@ -69,6 +69,14 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """The argparse type of --iterations."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _cmd_generate(args) -> int:
     g = generate_small_world(args.nodes, args.ring_degree, args.rewiring, seed=args.seed)
     if args.phi_hl is not None:
@@ -164,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--config", help="JSON sweep configuration file")
     source.add_argument("--preset", choices=sorted(harness.PRESETS))
-    p.add_argument("--iterations", type=int, default=None, help="override iteration count")
+    p.add_argument("--iterations", type=_positive_int, default=None, help="override iteration count")
     p.add_argument("--seed", type=_non_negative_int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)

@@ -2,9 +2,10 @@
 
 Files are UTF-8; CSV files open with newline="" as the csv module asks. An
 OSError (a missing file, a directory, no permission) passes through; text
-that is not UTF-8 or does not parse raises the caller's typed error, naming
-the file. CSV cells follow csv's own rule: None is a blank cell, a float (a
-numpy float too) its shortest repr, any other value its str().
+that is not UTF-8 or does not parse, JSON nested too deep to parse
+included, raises the caller's typed error, naming the file. CSV cells
+follow csv's own rule: None is a blank cell, a float (a numpy float too)
+its shortest repr, any other value its str().
 """
 
 import csv
@@ -23,7 +24,7 @@ def read_json(path, error: type[Exception], problem: str):
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError both are
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             raise error(f"{path}: {problem}: {exc}") from exc
 
 

@@ -92,6 +92,12 @@ def generate_small_world(n: int, z: int, r: float, seed) -> SignedGraph:
     edges. Edge count n*z/2 is preserved exactly. All edges start out
     flagged homogeneous; use label_edges to set a different fraction.
 
+    The rewiring is an exact vectorized replay of one scalar loop (see
+    _rewire; tests/oracles.py keeps the loop as scalar_small_world). For
+    the same seed it makes the same draws and returns the same graph, and
+    a Generator passed as seed advances as far: one target per attempt,
+    plus the targets a skipped rewiring leaves drawn but unused.
+
     Args:
         n: node count, must exceed z.
         z: even ring degree, at least 2.
@@ -116,44 +122,8 @@ def generate_small_world(n: int, z: int, r: float, seed) -> SignedGraph:
     heads = np.tile(np.arange(n), half)
     offsets = np.repeat(np.arange(1, half + 1), n)
     tails = (heads + offsets) % n
-    degree = [z] * n  # every lattice node has degree z
-
-    # Rewiring visits each lattice edge once and only ever removes that
-    # edge, so the current edge set is the lattice minus `removed` plus
-    # `added`, with undirected edges held as keys min*n + max. Targets are
-    # drawn in blocks as long as the rewirings still to come:
-    # rng.integers(n, size=k) yields the same values as k scalar
-    # rng.integers(n) calls, so this matches one draw per attempt. Only
-    # rewirings skipped below leave drawn targets unused, which advances a
-    # caller's Generator further than one draw per attempt would.
-    rewire = np.flatnonzero(rng.uniform(size=len(heads)) < r).tolist()
-    head_list, new_tails = heads.tolist(), tails.tolist()
-    removed: set[int] = set()
-    added: set[int] = set()
-    block: list[int] = []
-    drawn = 0
-    for done, k in enumerate(rewire):
-        u, v = head_list[k], new_tails[k]
-        if degree[u] >= n - 1:
-            continue  # u already adjacent to everyone else; nothing to rewire to
-        while True:
-            if drawn == len(block):
-                block, drawn = rng.integers(n, size=len(rewire) - done).tolist(), 0
-            w = block[drawn]
-            drawn += 1
-            if w == u:
-                continue
-            key = u * n + w if u < w else w * n + u
-            gap = u - w if u > w else w - u
-            if key not in added and (half < gap < n - half or key in removed):
-                break
-        removed.add(u * n + v if u < v else v * n + u)
-        added.add(key)
-        degree[v] -= 1
-        degree[w] += 1
-        new_tails[k] = w
-
-    edges = np.column_stack([heads, np.asarray(new_tails, dtype=np.int64)])
+    rewire = np.flatnonzero(rng.uniform(size=len(heads)) < r)
+    edges = np.column_stack([heads, _rewire(tails.reshape(half, n).T, rewire, rng)])
     return SignedGraph(
         node_count=n,
         ring_degree=z,
@@ -162,6 +132,70 @@ def generate_small_world(n: int, z: int, r: float, seed) -> SignedGraph:
         edges=edges,
         homogeneous=np.ones(len(edges), dtype=bool),
     )
+
+
+_MIN_WINDOW = 16  # shorter windows cost more than the loop's own steps
+
+
+def _rewire(adj: np.ndarray, rewire: np.ndarray, rng) -> np.ndarray:
+    """The tails after rewiring the lattice edges `rewire` (ascending): an exact replay of one scalar loop.
+
+    The loop visits edge k = (u, v). It skips it without a draw when u is
+    adjacent to every other node. Otherwise it takes the next target w,
+    again while w == u or (u, w) is a current edge, and replaces v by w.
+    Targets come in blocks of rng.integers(n, size=rewirings left), each
+    drawn when an attempt finds the last one used up: the same values as
+    one rng.integers(n) per attempt, except that a skipped rewiring leaves
+    drawn targets unused, which advances rng further.
+
+    The replay gives each rewiring of a window the next target in line and
+    accepts, at once, all before the first that would reject its target: a
+    self loop, an edge before the window (a conservative test, as the
+    window may remove it first) or the target of an earlier rewiring in the
+    window. A rewiring the loop skips would reject every target, so no
+    window accepts one. After each window, the next rewiring (at the
+    reject, at the end of the block or past the window) takes one step of
+    the loop itself, and so does every rewiring when the mean run between
+    rejects is too short for a window to pay.
+
+    adj[x, j] is the tail of edge j*n + x, the edge of x at ring distance
+    j + 1. A rewired edge keeps its head, so adj is the current graph
+    throughout: (u, w) is an edge exactly when w is in row u or u in row w.
+    """
+    n, half = adj.shape
+    adj = adj.copy()
+    degree = np.full(n, 2 * half)
+    run = n // (2 * half + 1)  # a target is rejected with probability about (z + 1) / n
+    block, drawn, i = np.empty(0, dtype=np.int64), 0, 0
+    while i < len(rewire):
+        size = min(run, len(rewire) - i, len(block) - drawn)
+        if size >= _MIN_WINDOW:
+            k = rewire[i:i + size]
+            u, j, w = k % n, k // n, block[drawn:drawn + size]
+            keys = np.minimum(u, w) * n + np.maximum(u, w)
+            taken = np.ones(size, dtype=bool)
+            taken[np.unique(keys, return_index=True)[1]] = False
+            reject = (u == w) | (adj[u] == w[:, None]).any(1) | (adj[w] == u[:, None]).any(1) | taken
+            done = int(reject.argmax()) if reject.any() else size
+            np.subtract.at(degree, adj[u[:done], j[:done]], 1)
+            np.add.at(degree, w[:done], 1)
+            adj[u[:done], j[:done]] = w[:done]
+            i, drawn = i + done, drawn + done
+        if i < len(rewire):
+            j, u = divmod(int(rewire[i]), n)
+            if degree[u] < n - 1:
+                while True:
+                    if drawn == len(block):
+                        block, drawn = rng.integers(n, size=len(rewire) - i), 0
+                    w = int(block[drawn])
+                    drawn += 1
+                    if w != u and w not in adj[u].tolist() and u not in adj[w].tolist():
+                        break
+                degree[adj[u, j]] -= 1
+                degree[w] += 1
+                adj[u, j] = w
+            i += 1
+    return adj.T.reshape(-1)
 
 
 def label_edges(g: SignedGraph, phi_hl: float, seed) -> SignedGraph:

@@ -464,7 +464,7 @@ def trees_to_json(trees) -> str:
 def trees_from_json(text: str) -> Forest:
     try:
         docs = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise TreeSchemaError(f"malformed JSON: {exc}") from exc
     return _trees_from_docs(docs)
 

@@ -12,6 +12,9 @@ from collections import deque
 import numpy as np
 from scipy import integrate, special
 
+from cascadekit.errors import ParameterError
+from cascadekit.graph import SignedGraph
+from cascadekit.rng import as_generator
 from cascadekit.trees import SharingTree, TreeNode
 
 
@@ -105,6 +108,90 @@ def bfs_eccentricity(adj, start, n) -> int:
 def graph_diameter(g) -> int:
     adj = adjacency_sets(g.edges)
     return max(bfs_eccentricity(adj, s, g.node_count) for s in range(g.node_count))
+
+
+def scalar_small_world(n: int, z: int, r: float, seed) -> SignedGraph:
+    """generate_small_world as it was before its rewiring was vectorized: one scalar loop, one draw per attempt.
+
+    Kept verbatim as the oracle the vectorized replay must match exactly.
+
+    Starts from a ring lattice where every node connects to its z nearest
+    neighbors (z/2 on each side), then visits each lattice edge once in
+    canonical order and, with probability r, re-targets its far endpoint to
+    a uniformly random node, resampling to avoid self loops and duplicate
+    edges. Edge count n*z/2 is preserved exactly. All edges start out
+    flagged homogeneous; use label_edges to set a different fraction.
+
+    Args:
+        n: node count, must exceed z.
+        z: even ring degree, at least 2.
+        r: rewiring probability in [0, 1].
+        seed: int seed, SeedSequence, or Generator.
+
+    Raises:
+        ParameterError: z odd, z < 2, z >= n, or r outside [0, 1].
+    """
+    if z < 2 or z % 2 != 0:
+        raise ParameterError(f"ring degree must be even and >= 2, got {z}")
+    if n <= z:
+        raise ParameterError(f"need n > z, got n={n}, z={z}")
+    if not 0.0 <= r <= 1.0:
+        raise ParameterError(f"rewiring probability must be in [0, 1], got {r}")
+
+    rng = as_generator(seed)
+    opinions = rng.uniform(0.0, 1.0, size=n)
+
+    # Ring lattice in canonical order: distance j = 1..z/2, then node index.
+    half = z // 2
+    heads = np.tile(np.arange(n), half)
+    offsets = np.repeat(np.arange(1, half + 1), n)
+    tails = (heads + offsets) % n
+    degree = [z] * n  # every lattice node has degree z
+
+    # Rewiring visits each lattice edge once and only ever removes that
+    # edge, so the current edge set is the lattice minus `removed` plus
+    # `added`, with undirected edges held as keys min*n + max. Targets are
+    # drawn in blocks as long as the rewirings still to come:
+    # rng.integers(n, size=k) yields the same values as k scalar
+    # rng.integers(n) calls, so this matches one draw per attempt. Only
+    # rewirings skipped below leave drawn targets unused, which advances a
+    # caller's Generator further than one draw per attempt would.
+    rewire = np.flatnonzero(rng.uniform(size=len(heads)) < r).tolist()
+    head_list, new_tails = heads.tolist(), tails.tolist()
+    removed: set[int] = set()
+    added: set[int] = set()
+    block: list[int] = []
+    drawn = 0
+    for done, k in enumerate(rewire):
+        u, v = head_list[k], new_tails[k]
+        if degree[u] >= n - 1:
+            continue  # u already adjacent to everyone else; nothing to rewire to
+        while True:
+            if drawn == len(block):
+                block, drawn = rng.integers(n, size=len(rewire) - done).tolist(), 0
+            w = block[drawn]
+            drawn += 1
+            if w == u:
+                continue
+            key = u * n + w if u < w else w * n + u
+            gap = u - w if u > w else w - u
+            if key not in added and (half < gap < n - half or key in removed):
+                break
+        removed.add(u * n + v if u < v else v * n + u)
+        added.add(key)
+        degree[v] -= 1
+        degree[w] += 1
+        new_tails[k] = w
+
+    edges = np.column_stack([heads, np.asarray(new_tails, dtype=np.int64)])
+    return SignedGraph(
+        node_count=n,
+        ring_degree=z,
+        rewiring_probability=float(r),
+        opinions=opinions,
+        edges=edges,
+        homogeneous=np.ones(len(edges), dtype=bool),
+    )
 
 
 def brute_force_sharers(g, theta: float, delta: float, seeds) -> set[int]:

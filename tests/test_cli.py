@@ -281,7 +281,13 @@ def test_negative_seeds_and_item_counts_are_argument_errors(tmp_path, monkeypatc
     (["analyze", "--in", "in.json", "--out", "out"], b'[{"news_id": "\xff"}]', "TreeSchemaError: in.json: malformed JSON"),
     (["sweep", "--config", "in.json", "--seed", "1", "--out", "grid.csv"], b'{"n": "\xe9"}',
      "ParameterError: in.json: malformed config JSON"),
-], ids=["graph not JSON", "graph not UTF-8", "trees not UTF-8", "config not UTF-8"])
+    (["simulate", "--graph", "in.json", "--items", "5", "--first-sharers", "poisson:2", "--delta", "0.1",
+      "--seed", "1", "--out", "t.json"], b"[" * 200_000, "ParameterError: in.json: malformed graph JSON"),
+    (["analyze", "--in", "in.json", "--out", "out"], b"[" * 200_000, "TreeSchemaError: in.json: malformed JSON"),
+    (["sweep", "--config", "in.json", "--seed", "1", "--out", "grid.csv"], b"[" * 200_000,
+     "ParameterError: in.json: malformed config JSON"),
+], ids=["graph not JSON", "graph not UTF-8", "trees not UTF-8", "config not UTF-8", "graph nested too deep",
+        "trees nested too deep", "config nested too deep"])
 def test_undecodable_input_files_are_one_line_errors(tmp_path, monkeypatch, capsys, command, content, error):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "in.json").write_bytes(content)
@@ -290,6 +296,17 @@ def test_undecodable_input_files_are_one_line_errors(tmp_path, monkeypatch, caps
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith(f"cascadekit {command[0]}: {error}: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
+
+
+@pytest.mark.parametrize("iterations", ["0", "-1", "2.5"])
+def test_sweep_iterations_below_one_are_argument_errors(tmp_path, monkeypatch, capsys, iterations):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--preset", "troll", "--iterations", iterations, "--seed", "1", "--out", "grid.csv"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "--iterations" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_missing_required_arguments_exit_nonzero(tmp_path):

@@ -61,7 +61,7 @@ from cascadekit.stats import (
 )
 from cascadekit.trees import trees_to_json
 
-from oracles import earlier_scheme_sweep, random_tree
+from oracles import earlier_scheme_sweep, random_tree, scalar_small_world
 
 # (n, z) lattices, each built at every rate in GRAPH_RATES; n = z + 1 is the
 # complete graph, where every rewiring is skipped.
@@ -150,10 +150,10 @@ EARLIER_SCHEME = {
 }
 
 
-def graph_digest(n: int, z: int) -> str:
+def graph_digest(n: int, z: int, generate=generate_small_world) -> str:
     h = hashlib.sha256()
     for k, r in enumerate(GRAPH_RATES):
-        g = generate_small_world(n, z, r, seed=[n, z, k])
+        g = generate(n, z, r, seed=[n, z, k])
         h.update(g.edges.astype("<i8").tobytes())
         h.update(g.opinions.astype("<f8").tobytes())
         h.update(g.homogeneous.astype(np.uint8).tobytes())
@@ -319,6 +319,13 @@ def all_digests() -> dict[str, str]:
 @pytest.mark.parametrize("n,z", GRAPH_SHAPES)
 def test_graph_digest_unchanged(n, z):
     assert graph_digest(n, z) == GOLDEN[f"graph_{n}_{z}"]
+
+
+@pytest.mark.parametrize("n,z", [(5, 4), (9, 8), (7, 2), (30, 4), (200, 6)])
+def test_scalar_oracle_reproduces_the_graph_digests(n, z):
+    # The scalar loop the rewiring replays is pinned to the same goldens, so
+    # the equivalence property in test_graph.py compares against them too.
+    assert graph_digest(n, z, scalar_small_world) == GOLDEN[f"graph_{n}_{z}"]
 
 
 def stable_adjacency(g, homogeneous_only):

@@ -16,7 +16,7 @@ from cascadekit.graph import (
     save_graph,
 )
 
-from oracles import adjacency_sets, graph_diameter
+from oracles import adjacency_sets, graph_diameter, scalar_small_world
 
 
 def test_edge_count_is_exact_at_paper_scale():
@@ -115,6 +115,70 @@ def test_label_edges_parameter_error():
 def test_ring_diameter_matches_closed_form_for_even_n(n, z):
     g = generate_small_world(n, z, 0.0, seed=0)
     assert graph_diameter(g) == math.ceil(n / z)
+
+
+@st.composite
+def small_world_cases(draw):
+    """(n, z, r, seed): complete lattices (every rewiring skipped), near-complete ones
+    (degree skips mid-run, many rejects) and sparse ones of a few hundred nodes,
+    where many rewirings go through the vectorized windows."""
+    z = draw(st.sampled_from([2, 4, 6, 8, 10]))
+    n = draw(st.just(z + 1) | st.integers(z + 2, z + 6) | st.integers(z + 2, 60) | st.integers(16 * (z + 1), 500))
+    r = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return n, z, r, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(small_world_cases())
+def test_rewiring_replays_the_scalar_loop_exactly(case):
+    n, z, r, seed = case
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    g, expected = generate_small_world(n, z, r, rng), scalar_small_world(n, z, r, oracle_rng)
+    assert np.array_equal(g.edges, expected.edges)
+    assert np.array_equal(g.opinions, expected.opinions)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+class HubGenerator(np.random.Generator):
+    """Rewires only the lattice edges `chosen`, and draws `hub` as the first `hub_draws` targets."""
+
+    def rig(self, edge_count, chosen, hub, hub_draws):
+        self.edge_count, self.chosen, self.hub, self.hub_left = edge_count, chosen, hub, hub_draws
+        return self
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        if size != self.edge_count:
+            return super().uniform(low, high, size)
+        values = np.ones(size)
+        values[self.chosen] = 0.0
+        return values
+
+    def integers(self, high, size=None):
+        values = super().integers(high, size=size)
+        hub = min(self.hub_left, len(values))
+        values[:hub] = self.hub
+        self.hub_left -= hub
+        return values
+
+
+@pytest.mark.parametrize("drop_98, hub_tail", [(False, 102), (True, 98)])
+def test_a_hub_adjacent_to_every_node_is_skipped_as_the_loop_skips_it(drop_98, hub_tail):
+    # At ring distance 1 every node not yet adjacent to node 100 is rewired
+    # to it, 195 rewirings in bulk. At distance 2, node 100 reaches its own
+    # edge (edge 300) with degree n - 1 and is skipped without a draw, unless
+    # the edge (98, 100) was rewired just before, when 98 is its one target.
+    n, z, hub = 200, 4, 100
+    near = range(98, 103)
+    chosen = [x for x in range(n) if x not in near] + [n + x for x in range(90, 111) if drop_98 or x != 98]
+
+    def rigged():
+        return HubGenerator(np.random.PCG64(3)).rig(n * z // 2, chosen, hub, n - len(near))
+
+    rng, oracle_rng = rigged(), rigged()
+    g, expected = generate_small_world(n, z, 0.5, rng), scalar_small_world(n, z, 0.5, oracle_rng)
+    assert expected.edges[n + hub].tolist() == [hub, hub_tail]
+    assert np.array_equal(g.edges, expected.edges)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_same_seed_reproduces_graph_exactly():

@@ -299,6 +299,11 @@ def test_malformed_json_is_a_schema_error():
         trees_from_json('[{"news_id": 1}]')  # missing fields
 
 
+def test_json_nested_too_deep_to_parse_is_a_schema_error():
+    with pytest.raises(TreeSchemaError, match="malformed JSON"):
+        trees_from_json("[" * 200_000)
+
+
 def test_metrics_csv_round_trips_at_full_precision(tmp_path):
     rng = np.random.default_rng(41)
     batch = [random_tree(rng, max_nodes=8) for _ in range(40)]
