@@ -7,7 +7,6 @@ statistics, and cross-check simulations against branching-process theory.
 """
 
 from .branching import (
-    BranchingInputs,
     branching_ratio,
     expected_cascade_size,
     heterogeneous_branching,

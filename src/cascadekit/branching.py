@@ -9,8 +9,6 @@ size-biased variant for heterogeneous degree distributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.integrate import quad
 
@@ -110,19 +108,3 @@ def heterogeneous_branching(degree_distribution, p: float, q: float = 0.0) -> fl
         raise ParameterError("degree distribution has no propagation capacity (<z> <= 0)")
     mean_z2 = float(np.sum(zs * zs * probs))
     return (1.0 - q) * p * mean_z2 / mean_z
-
-
-@dataclass(frozen=True)
-class BranchingInputs:
-    """Bundle of model parameters for prediction helpers."""
-
-    z: int
-    delta: float
-    q: float = 0.0
-    mean_first_sharers: float = 1.0
-
-    def mu(self, exact: bool = False) -> float:
-        return branching_ratio(self.z, self.delta, self.q, exact=exact)
-
-    def expected_size(self, exact: bool = False) -> float:
-        return expected_cascade_size(self.mean_first_sharers, self.mu(exact=exact))

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import ParameterError
 from .graph import SignedGraph
-from .rng import as_generator
 from .stats import FittedDistribution
 from .trees import Forest, SharingTree
 
@@ -61,9 +60,9 @@ def sample_first_sharers(dist: FittedDistribution, m: int, seed) -> np.ndarray:
 
     Truncation can produce zeros, which model never-shared items.
     """
-    if m < 0:
-        raise ParameterError(f"news count must be >= 0, got {m}")
-    draws = dist.sample(m, as_generator(seed))
+    if not 0 <= m < 2**63:
+        raise ParameterError(f"news count must be in [0, 2**63), got {m}")
+    draws = dist.sample(m, seed)
     counts = np.floor(draws).astype(np.int64)
     if np.any(counts < 0):
         raise ParameterError("first-sharer distribution produced negative draws")
@@ -76,9 +75,9 @@ def sample_news(count: int, dist: FittedDistribution, seed, max_count: int | Non
     max_count clips each sharer count (at the node count of the target
     graph, typically), keeping heavy-tailed draws seedable.
     """
-    if count < 0:
-        raise ParameterError(f"news count must be >= 0, got {count}")
-    rng = as_generator(seed)
+    if not 0 <= count < 2**63:
+        raise ParameterError(f"news count must be in [0, 2**63), got {count}")
+    rng = np.random.default_rng(seed)
     fitness = rng.uniform(0.0, 1.0, size=count)
     counts = sample_first_sharers(dist, count, rng)
     if max_count is not None:
@@ -128,7 +127,7 @@ def diffuse(g: SignedGraph, news_list, delta: float, seed,
     if counts.size and counts.min() < 0:
         raise ParameterError(f"first-sharer count must be >= 0, got {counts.min()}")
     fitness = np.array([item.fitness for item in news_list], dtype=float)
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     frontier = _seed_nodes(rng, counts, n)
 
     indptr, indices = g.adjacency(homogeneous_only=True)

@@ -13,7 +13,6 @@ import numpy as np
 
 from . import files
 from .errors import ParameterError
-from .rng import as_generator
 
 
 @dataclass(eq=False, frozen=True)
@@ -99,22 +98,22 @@ def generate_small_world(n: int, z: int, r: float, seed) -> SignedGraph:
     plus the targets a skipped rewiring leaves drawn but unused.
 
     Args:
-        n: node count, must exceed z.
+        n: node count, must exceed z and fit an int64.
         z: even ring degree, at least 2.
         r: rewiring probability in [0, 1].
         seed: int seed, SeedSequence, or Generator.
 
     Raises:
-        ParameterError: z odd, z < 2, z >= n, or r outside [0, 1].
+        ParameterError: z odd, z < 2, z >= n, n >= 2**63, or r outside [0, 1].
     """
     if z < 2 or z % 2 != 0:
         raise ParameterError(f"ring degree must be even and >= 2, got {z}")
-    if n <= z:
-        raise ParameterError(f"need n > z, got n={n}, z={z}")
+    if not z < n < 2**63:
+        raise ParameterError(f"need z < n < 2**63 (an int64), got n={n}, z={z}")
     if not 0.0 <= r <= 1.0:
         raise ParameterError(f"rewiring probability must be in [0, 1], got {r}")
 
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     opinions = rng.uniform(0.0, 1.0, size=n)
 
     # Ring lattice in canonical order: distance j = 1..z/2, then node index.
@@ -207,7 +206,7 @@ def label_edges(g: SignedGraph, phi_hl: float, seed) -> SignedGraph:
     """
     if not 0.0 <= phi_hl <= 1.0:
         raise ParameterError(f"phi_hl must be in [0, 1], got {phi_hl}")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     m = g.edge_count
     k = round(phi_hl * m)
     order = rng.permutation(m)

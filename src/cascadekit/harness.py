@@ -58,6 +58,9 @@ class SweepConfig:
     def validate(self) -> None:
         if self.n <= self.z:
             raise ParameterError(f"need n > z, got n={self.n}, z={self.z}")
+        for name, count in (("n", self.n), ("m", self.m)):
+            if count >= 2**63:
+                raise ParameterError(f"config field {name!r} must fit an int64, got {count}")
         if self.m < 0 or self.iterations < 1 or self.master_seed < 0:
             raise ParameterError("need m >= 0, iterations >= 1 and master_seed >= 0")
         for name, grid in (("delta", self.deltas), ("phi_hl", self.phis), ("r", self.rs)):

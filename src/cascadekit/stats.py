@@ -20,7 +20,6 @@ from scipy.special import kolmogi, zeta
 
 from . import files
 from .errors import DegenerateSampleError, ParameterError
-from .rng import as_generator
 
 
 # --- summary statistics -------------------------------------------------------
@@ -107,11 +106,6 @@ class PowerLawFit:
     @property
     def sd_alpha(self) -> float:
         return math.sqrt(self.var_alpha)
-
-    @property
-    def var_alpha_continuous(self) -> float:
-        """Continuous-approximation variance (alpha-1)^2 / n, for reference."""
-        return (self.alpha - 1.0) ** 2 / self.n_tail
 
 
 def fit_power_law(samples, x_min: int = 1) -> PowerLawFit:
@@ -364,7 +358,7 @@ class FittedDistribution:
 
     def sample(self, size: int, seed) -> np.ndarray:
         """Draw `size` real-valued variates (integer-valued for Poisson/empirical counts)."""
-        return FAMILIES[self.family].draw(as_generator(seed), size, *self._values())
+        return FAMILIES[self.family].draw(np.random.default_rng(seed), size, *self._values())
 
     def mean(self) -> float:
         return FAMILIES[self.family].mean(*self._values())
@@ -415,7 +409,7 @@ def fit_first_sharers(samples, seed) -> FirstSharerFit:
     if counts.size - zeros_excluded < 2:
         raise DegenerateSampleError("need at least two positive first-sharer counts")
 
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     fits: dict[str, FittedDistribution] = {}
     family_stats = {}
     degenerate: list[str] = []

@@ -69,16 +69,22 @@ class SharingTree:
     The arrays are read-only views of the forest's; user and t are int64 or
     float64 when all their values are ints or all floats, else object
     arrays, so values keep their type. The constructor takes TreeNode
-    records and builds a one-tree Forest; tree.nodes builds the records back.
+    records, numpy scalars read as the Python values they hold, and builds
+    a one-tree Forest (a node id that is not an integer is a
+    TreeSchemaError); tree.nodes builds the records back. A tree that
+    passes validate() holds only what the tree-JSON loader accepts.
     """
 
     __slots__ = ("_forest", "_k", "_a", "_b")
 
     def __init__(self, news_id, category: str, nodes=(), virtual_root: bool = True, page_sign: int = 1):
         nodes = list(nodes)
-        ids, users, sigmas, times, parent_ids = ([getattr(nd, f) for nd in nodes] for f in _NODE_FIELDS)
+        ids, users, sigmas, times, parent_ids = ([_plain(getattr(nd, f)) for nd in nodes] for f in _NODE_FIELDS)
+        bad = [i for i in ids if not _is_id(i)]
+        if bad:  # the loader's rule: an integer, or an integral float, in the int64 range
+            raise TreeSchemaError(f"tree {news_id}: node id must be an integer, got {bad[0]!r}")
         parent, missing = _parent_indexes(ids, parent_ids)
-        forest = Forest([news_id], [category], [virtual_root], [page_sign], np.array([0, len(nodes)]),
+        forest = Forest([news_id], [category], [_plain(virtual_root)], [_plain(page_sign)], np.array([0, len(nodes)]),
                         np.array(ids, dtype=np.int64), _column(users), np.array(sigmas, dtype=float), _column(times),
                         np.array(parent, dtype=np.int64), missing)
         self._forest, self._k, self._a, self._b = forest, 0, 0, len(nodes)
@@ -110,12 +116,17 @@ class SharingTree:
         return tuple(map(TreeNode, *self._columns()))
 
     def validate(self) -> None:
-        """Check every structural invariant; raise a typed error on the first violation."""
+        """Check the user and t types, then every structural invariant; raise a typed error on the first violation."""
         name = f"tree {self.news_id}"
+        for field in ("user", "t"):  # held to the tree-JSON loader's checks
+            (ok, kind), values = _NODE_CHECKS[_NODE_FIELDS.index(field)], getattr(self, field).tolist()
+            k = next((k for k, v in enumerate(values) if not ok(v)), None)
+            if k is not None:
+                raise TreeSchemaError(f"{name}: node {self.id[k]} {field} must be {kind}, got {values[k]!r}")
         if self.category not in CATEGORIES:
             raise TreeSchemaError(f"{name}: unknown category {self.category!r}")
-        if self.page_sign not in (-1, 1):
-            raise TreeSchemaError(f"{name}: page_sign must be -1 or 1")
+        if type(self.virtual_root) is not bool or self.page_sign not in (-1, 1) or not _is_id(self.page_sign):
+            raise TreeSchemaError(f"{name}: virtual_root must be a boolean and page_sign -1 or 1")
         n = self.id.size
         _, first = np.unique(self.id, return_index=True)
         if first.size != n:
@@ -141,6 +152,11 @@ class SharingTree:
         if late.size:
             k = child[late[0]]
             raise TimestampOrderError(f"{name}: node {self.id[k]} shares at t={self.t[k]} before its parent")
+
+
+def _plain(value):
+    """A numpy scalar as the Python value it holds; any other value as is."""
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _parent_indexes(ids: list, parent_ids: list) -> tuple[list, dict]:

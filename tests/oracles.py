@@ -14,7 +14,6 @@ from scipy import integrate, special
 
 from cascadekit.errors import ParameterError
 from cascadekit.graph import SignedGraph
-from cascadekit.rng import as_generator
 from cascadekit.trees import SharingTree, TreeNode
 
 
@@ -138,7 +137,7 @@ def scalar_small_world(n: int, z: int, r: float, seed) -> SignedGraph:
     if not 0.0 <= r <= 1.0:
         raise ParameterError(f"rewiring probability must be in [0, 1], got {r}")
 
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     opinions = rng.uniform(0.0, 1.0, size=n)
 
     # Ring lattice in canonical order: distance j = 1..z/2, then node index.

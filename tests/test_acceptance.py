@@ -4,13 +4,14 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 report lines as they execute.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from cascadekit.diffusion import NewsItem, diffuse, run_batch, sample_news
+from cascadekit.diffusion import NewsItem, run_batch, sample_news
 from cascadekit.graph import generate_small_world, label_edges
 from cascadekit.harness import run_sweep, troll_fit_config
 from cascadekit.stats import (
@@ -94,43 +95,23 @@ def test_criterion_1_size_height_frontier():
 
     The preset fixes the seed count: E[floor(IG(18.73, 9.63))] = 18.23, so the
     window's lower edge 23.42 * 0.85 needs a mean-size-to-seed ratio of at
-    least 1.092. The scan keeps the preset's n, m, z, phi_hl, r and first
-    sharers and varies delta. Each iteration builds one graph, labeling and
-    news batch from its own seed sequence and diffuses that batch at every
-    delta from one seed, as run_sweep shares them across delta, with
-    diffuse, whose stats give run_batch's sizes and heights without
-    building trees. A point's ratio is
-    its mean size over the scan's own mean seed count, so seed sampling noise
-    does not move it.
+    least 1.092. The scan is run_sweep over seven deltas at the preset's n,
+    m, z, phi_hl, r and first sharers, so it shares the graph, labeling,
+    news and seed nodes of each iteration across delta. A point's ratio is
+    its mean size over its mean seed count, which is the same at every
+    delta, so seed sampling noise does not move it.
     """
     config = troll_fit_config(master_seed=101, iterations=3)
-    [phi_hl], [r] = config.phis, config.rs
     ig = config.first_sharers.params
     seed_dist = scipy_stats.invgauss(ig["mean"] / ig["shape"], scale=ig["shape"])
     expected_seeds = float(seed_dist.sf(np.arange(1, 5000)).sum())  # E[floor X] = sum_k P(X >= k)
     required_ratio = TROLL_MEAN_SIZE * 0.85 / expected_seeds
 
     deltas = (0.002, 0.004, 0.006, 0.008, 0.010, 0.012, 0.015)
-    sizes = {delta: [] for delta in deltas}
-    heights = {delta: [] for delta in deltas}
-    seed_counts = []
-    for iteration in range(config.iterations):
-        ss = np.random.SeedSequence(config.master_seed, spawn_key=(0, iteration))
-        s_graph, s_label, s_news, s_batch = ss.spawn(4)
-        g = generate_small_world(config.n, config.z, r, seed=s_graph)
-        g = label_edges(g, phi_hl, seed=s_label)
-        news = sample_news(config.m, config.first_sharers, seed=s_news, max_count=config.n)
-        seed_counts.extend(item.first_sharer_count for item in news)
-        for delta in deltas:
-            stats, _ = diffuse(g, news, delta, seed=s_batch)
-            sizes[delta].extend(stats.sizes.tolist())
-            heights[delta].extend(stats.heights.tolist())
-
-    mean_seeds = float(np.mean(seed_counts))
-    frontier = {
-        delta: (float(np.mean(sizes[delta])) / mean_seeds, float(np.mean(heights[delta])))
-        for delta in deltas
-    }
+    results = run_sweep(dataclasses.replace(config, deltas=deltas))
+    assert [res.delta for res in results] == list(deltas)
+    assert len({res.mean_seeds for res in results}) == 1  # news is shared across delta
+    frontier = {res.delta: (res.mean_size / res.mean_seeds, res.mean_height) for res in results}
     reaching = [delta for delta, (ratio, _) in frontier.items() if ratio >= required_ratio]
     both_sides = 0 < len(reaching) < len(deltas)
     too_low = {delta: frontier[delta][1] for delta in reaching if frontier[delta][1] <= DROPPED_HEIGHT_EDGE}

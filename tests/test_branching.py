@@ -3,7 +3,6 @@ import pytest
 from scipy import integrate
 
 from cascadekit.branching import (
-    BranchingInputs,
     branching_ratio,
     expected_cascade_size,
     heterogeneous_branching,
@@ -53,6 +52,30 @@ def test_share_probability_rejects_unnormalized_density():
         share_probability(1.5, 0.1)
 
 
+def test_mean_share_probability_with_an_opinion_density():
+    assert mean_share_probability(0.1, opinion_density=lambda w: 1.0) == pytest.approx(0.19, abs=1e-9)
+    density = lambda w: 2.0 * w  # triangular: the window integral is hi^2 - lo^2
+    expected, _ = integrate.quad(lambda t: 2 * t * (min(1, t + 0.1) ** 2 - max(0, t - 0.1) ** 2), 0, 1, limit=200)
+    assert mean_share_probability(0.1, opinion_density=density) == pytest.approx(expected, rel=1e-7)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: share_probability(0.5, -0.01),
+    lambda: share_probability(0.5, 1.5),
+    lambda: mean_share_probability(-0.01),
+    lambda: mean_share_probability(1.01),
+    lambda: branching_ratio(0, 0.01),
+    lambda: branching_ratio(8, 0.01, q=-0.1),
+    lambda: branching_ratio(8, 0.01, q=1.1),
+    lambda: branching_ratio(8, 1.5),
+    lambda: heterogeneous_branching({3: 1.0}, p=0.1, q=1.5),
+], ids=["share delta<0", "share delta>1", "mean delta<0", "mean delta>1", "ratio z=0", "ratio q<0",
+        "ratio q>1", "ratio delta>1", "heterogeneous q>1"])
+def test_out_of_range_arguments_are_parameter_errors(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
 def test_branching_ratio_examples():
     assert branching_ratio(8, 0.015, q=0.0) == pytest.approx(0.24)
     assert branching_ratio(8, 0.05, q=1.0) == 0.0
@@ -100,10 +123,10 @@ def test_heterogeneous_accepts_arrays_and_validates():
         heterogeneous_branching({1: 1.0}, p=0.1)  # degree 1 means <z> = 0
 
 
-def test_branching_inputs_bundle():
-    inputs = BranchingInputs(z=8, delta=0.015, q=0.44, mean_first_sharers=18.73)
-    assert inputs.mu() == pytest.approx(8 * 0.56 * 0.03)
-    assert inputs.expected_size() == pytest.approx(18.73 / (1 - 8 * 0.56 * 0.03))
+def test_branching_ratio_feeds_expected_size():
+    mu = branching_ratio(8, 0.015, 0.44)
+    assert mu == pytest.approx(8 * 0.56 * 0.03)
+    assert expected_cascade_size(18.73, mu) == pytest.approx(18.73 / (1 - 8 * 0.56 * 0.03))
 
 
 def test_heterogeneous_prediction_matches_simulated_offspring():

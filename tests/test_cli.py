@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cascadekit.cli import _parse_distribution, _read_numbers, main
 from cascadekit.errors import ParameterError
-from cascadekit.graph import load_graph
+from cascadekit.graph import generate_small_world, load_graph, save_graph
 from cascadekit.stats import FAMILIES, FittedDistribution
 from cascadekit.trees import load_trees
 
@@ -113,6 +113,23 @@ def test_fit_first_sharers_command(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [row["statistic"] for row in rows] == ["min", "q1", "median", "mean", "q3", "max"]
     assert float(rows[3]["Poi"]) > 0
+
+
+def test_fit_first_sharers_reports_excluded_zero_counts(tmp_path, capsys):
+    counts_path = tmp_path / "counts.csv"
+    write_column(counts_path, [0, 3, 0, 5, 2, 0, 7], header="count")
+    assert main(["fit-first-sharers", "--in", str(counts_path), "--seed", "9",
+                 "--out", str(tmp_path / "table.csv")]) == 0
+    assert "excluded 3 zero counts from IG/LN fits" in capsys.readouterr().out
+
+
+def test_sweep_preset_writes_the_troll_point(tmp_path):
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", "--preset", "troll", "--iterations", "1", "--seed", "3", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        [row] = list(csv.DictReader(fh))
+    assert (float(row["phi_hl"]), float(row["r"]), float(row["delta"])) == (0.56, 0.01, 0.015)
+    assert row["iterations"] == "1"
 
 
 def test_stats_test_ks(tmp_path, capsys):
@@ -296,6 +313,28 @@ def test_undecodable_input_files_are_one_line_errors(tmp_path, monkeypatch, caps
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith(f"cascadekit {command[0]}: {error}: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
+
+
+HUGE = str(10**20)  # beyond int64
+
+
+@pytest.mark.parametrize("command,message", [
+    (["generate", "--nodes", HUGE, "--rewiring", "0.1", "--seed", "1", "--out", "out.json"], "n < 2**63"),
+    (["simulate", "--graph", "g.json", "--items", HUGE, "--first-sharers", "poisson:2", "--delta", "0.1",
+      "--seed", "1", "--out", "out.json"], "news count must be in [0, 2**63)"),
+    (["sweep", "--config", "n.json", "--seed", "1", "--out", "out.csv"], "config field 'n' must fit an int64"),
+    (["sweep", "--config", "m.json", "--seed", "1", "--out", "out.csv"], "config field 'm' must fit an int64"),
+], ids=["generate nodes", "simulate items", "sweep config n", "sweep config m"])
+def test_counts_beyond_int64_are_one_line_errors(tmp_path, monkeypatch, capsys, command, message):
+    monkeypatch.chdir(tmp_path)
+    save_graph(generate_small_world(20, 4, 0.1, seed=1), "g.json")
+    config = {"n": 100, "m": 20, "z": 4, "master_seed": 0, "first_sharers": {"family": "poisson", "rate": 2.0},
+              "deltas": [0.02], "phis": [0.6], "rs": [0.1], "iterations": 1}
+    for field in "nm":
+        (tmp_path / f"{field}.json").write_text(json.dumps(config | {field: 10**30}))
+    assert main(command) == 3
+    assert message in one_line_error(capsys, command[0])
+    assert not (tmp_path / command[-1]).exists()
 
 
 @pytest.mark.parametrize("iterations", ["0", "-1", "2.5"])

@@ -60,6 +60,22 @@ def test_sample_first_sharers_rejects_negative_count():
         sample_first_sharers(FittedDistribution.poisson(1.0), -1, seed=0)
 
 
+def test_a_count_beyond_int64_is_a_parameter_error_before_any_draw():
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    for count in (2**63, 10**20):
+        with pytest.raises(ParameterError, match="news count"):
+            sample_first_sharers(FittedDistribution.poisson(1.0), count, seed=rng)
+        with pytest.raises(ParameterError, match="news count"):
+            sample_news(count, FittedDistribution.poisson(1.0), seed=rng)
+    assert rng.bit_generator.state == state
+
+
+def test_negative_draws_are_a_parameter_error():
+    with pytest.raises(ParameterError, match="negative draws"):
+        sample_first_sharers(FittedDistribution.uniform(-3, -1), 5, seed=0)
+
+
 def test_sample_news_rejects_a_negative_count_before_it_draws():
     rng = np.random.default_rng(4)
     state = rng.bit_generator.state

@@ -59,6 +59,8 @@ def test_degree_sum_always_n_times_z(n, z, r):
     dict(n=8, z=8, r=0.1),       # z not below n
     dict(n=10, z=2, r=-0.1),     # r below range
     dict(n=10, z=2, r=1.5),      # r above range
+    dict(n=2**63, z=2, r=0.1),   # n beyond int64
+    dict(n=10**20, z=2, r=0.1),
 ])
 def test_generation_parameter_errors(bad):
     with pytest.raises(ParameterError):
@@ -231,6 +233,8 @@ def test_graph_from_dict_rejects_bad_documents():
         (("z",), 3), (("z",), -2), (("z",), 0), (("z",), 10), (("z",), True), (("n",), True),
         (("r",), True), (("r",), "0.5"), (("nodes", 4, "opinion"), "0.5"), (("nodes", 4, "opinion"), True),
         (("nodes", 4, "id"), 4.0), (("edges", 0, "u"), False), (("nodes", 4, "opinion"), 10**400),
+        # opinions and r lie in [0, 1]
+        (("nodes", 4, "opinion"), 1.5), (("nodes", 4, "opinion"), -0.25), (("r",), 1.5), (("r",), -0.1),
     ]
     delete = object()
     for path, value in [(p, delete) for p in missing] + malformed:

@@ -254,6 +254,21 @@ def test_config_validation_errors():
         tiny_config(n=4).validate()
 
 
+@pytest.mark.parametrize("field", ["n", "m"])
+def test_config_counts_beyond_int64_name_the_field(field):
+    with pytest.raises(ParameterError, match=f"config field '{field}' must fit an int64"):
+        tiny_config(**{field: 10**30}).validate()
+    with pytest.raises(ParameterError, match=f"'{field}'"):
+        config_from_dict(config_doc({field: 2**63}))
+
+
+def test_a_point_of_one_item_has_zero_standard_deviations():
+    assert _mean_sd(1, 7, 49) == (7.0, 0.0)
+    [result] = run_sweep(tiny_config(m=1, iterations=1, deltas=(0.1,), first_sharers=FittedDistribution.uniform(3, 3)))
+    assert (result.iterations, result.mean_seeds) == (1, 3.0) and result.mean_size >= 3
+    assert (result.sd_size, result.sd_height) == (0.0, 0.0)
+
+
 def test_config_json_round_trip():
     config = tiny_config(first_sharers=FittedDistribution.inverse_gaussian(18.73, 9.63))
     doc = json.loads(json.dumps(config_to_dict(config)))

@@ -125,7 +125,22 @@ def test_variance_close_to_continuous_approximation():
     draws = sample_power_law(np.random.default_rng(11), 2.5, 10**5)
     fit = fit_power_law(draws)
     # the two variance conventions agree within a factor of ~2 at x_min=1
-    assert 0.3 < fit.var_alpha / fit.var_alpha_continuous < 3.0
+    continuous = (fit.alpha - 1.0) ** 2 / fit.n_tail
+    assert 0.3 < fit.var_alpha / continuous < 3.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: empirical_cdf([]),
+    lambda: empirical_pdf([]),
+    lambda: fit_power_law([1, 2, 3], x_min=0),
+    lambda: kolmogorov_critical(0.0),
+    lambda: kolmogorov_critical(1.0),
+    lambda: ks_two_sample([1.0, 2.0], [3.0], alpha=0.0),
+    lambda: ks_two_sample([1.0, 2.0], [3.0], alpha=1.5),
+], ids=["cdf empty", "pdf empty", "x_min 0", "critical 0", "critical 1", "ks alpha 0", "ks alpha 1.5"])
+def test_empty_samples_and_levels_outside_the_unit_interval_are_parameter_errors(call):
+    with pytest.raises(ParameterError):
+        call()
 
 
 # --- Wald test --------------------------------------------------------------------
@@ -156,6 +171,13 @@ def test_wald_uses_variance_of_first_argument_only():
     loose = PowerLawFit(alpha=2.2, var_alpha=1.0, x_min=1, n_tail=10)
     assert wald_test(tight, loose).W == pytest.approx((0.2 ** 2) / 1e-4)
     assert wald_test(loose, tight).W == pytest.approx((0.2 ** 2) / 1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5])
+def test_wald_level_outside_the_unit_interval_is_a_parameter_error(alpha):
+    fit = fit_power_law([1, 2, 3, 1, 5])
+    with pytest.raises(ParameterError):
+        wald_test(fit, fit, alpha=alpha)
 
 
 def test_wald_degenerate_variance():
@@ -275,6 +297,13 @@ def test_distribution_rejects_unknown_family_and_missing_or_extra_parameters():
     for nested in ([[1, 2], [3]], np.ones((2, 2))):
         with pytest.raises(ParameterError, match="finite number"):
             FittedDistribution.empirical(nested)
+
+
+def test_a_distribution_never_equals_a_value_of_another_type():
+    dist = FittedDistribution.poisson(2.0)
+    assert dist.__eq__(dist.to_dict()) is NotImplemented
+    assert dist != dist.to_dict() and dist != 2.0
+    assert dist == FittedDistribution.from_dict(dist.to_dict())
 
 
 def test_distribution_dict_round_trip_keeps_table_order():

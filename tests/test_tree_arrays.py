@@ -4,10 +4,12 @@ The property tests draw random trees from oracles.random_tree (virtual and
 real roots, signed sigma) with shuffled node order and hold the forest
 metrics to the naive oracles; they check that a Forest built from a tree
 list holds the same trees and metric rows, with int and float times and
-empty trees mixed; and they check that tree files round-trip exactly and
-that no document escapes the loader as an untyped error.
+empty trees mixed; they check that tree files round-trip exactly and
+that no document escapes the loader as an untyped error; and they check
+that every record tree that validates round-trips through a tree file.
 """
 
+import dataclasses
 import json
 import math
 
@@ -24,7 +26,9 @@ from cascadekit.trees import (
     Forest,
     SharingTree,
     TreeNode,
+    load_trees,
     metrics_rows,
+    save_trees,
     tree_from_dict,
     tree_to_dict,
     trees_from_json,
@@ -146,6 +150,13 @@ def test_tree_json_takes_integral_float_ids():
     tree = tree_from_dict(a_doc(id=1.0, parent=0.0))
     assert tree_to_dict(tree)["nodes"][1]["id"] == 1
     assert tree_to_dict(tree)["nodes"][1]["parent"] == 0
+
+
+def test_tree_json_keeps_a_user_beyond_int64_in_an_object_column():
+    doc = a_doc(user=2**70)
+    tree = tree_from_dict(doc)
+    assert tree.user.dtype == object and tree.user.tolist() == [5, 2**70]
+    assert trees_to_json(trees_from_json(json.dumps([doc]))) == json.dumps([doc])
 
 
 def test_first_fault_in_document_order_raises():
@@ -297,3 +308,35 @@ def test_loader_matches_validate_on_restructured_documents(doc, data):
     assert got == expected
     if expected is None:
         assert tree_to_dict(tree) == tree_to_dict(reference)
+
+
+RECORD_VALUES = {
+    "id": st.integers(-2**64, 2**64) | st.floats(-10, 10) | st.floats(allow_nan=True, allow_infinity=True),
+    "user": st.integers(-2**70, 2**70) | st.text(max_size=3) | st.floats(-3, 3) | st.booleans() | st.none(),
+    "sigma": st.floats(-1.5, 1.5) | st.floats(allow_nan=True, allow_infinity=True) | st.integers(-1, 1),
+    "t": st.integers(-2**70, 2**70) | st.floats(allow_nan=True, allow_infinity=True) | st.booleans()
+    | st.just(2**1100),
+}
+
+
+@PROPERTY
+@given(doc=tree_docs(), data=st.data())
+def test_every_record_tree_that_validates_round_trips_through_tree_files(doc, data, tmp_path_factory):
+    """A record tree holds nothing the tree-JSON loader rejects: built, validated, saved and loaded, it is the same tree."""
+    nodes = [TreeNode(**nd) for nd in doc["nodes"]]
+    for _ in range(data.draw(st.integers(0, 3)) if nodes else 0):
+        k = data.draw(st.integers(0, len(nodes) - 1))
+        field = data.draw(st.sampled_from(sorted(RECORD_VALUES)))
+        nodes[k] = dataclasses.replace(nodes[k], **{field: data.draw(RECORD_VALUES[field])})
+    virtual = data.draw(st.sampled_from([doc["root"]["virtual"], 0, 1]))
+    page_sign = data.draw(st.sampled_from([doc["root"]["page_sign"], -1.0, True, 0]))
+    try:
+        tree = SharingTree(doc["news_id"], doc["category"], nodes, virtual, page_sign)
+        tree.validate()
+    except TreeValidationError:
+        return
+    path = tmp_path_factory.mktemp("records") / "trees.json"
+    save_trees([tree], path)
+    [loaded] = load_trees(path)
+    assert loaded.nodes == tuple(nodes)
+    assert tree_to_dict(loaded) == tree_to_dict(tree)

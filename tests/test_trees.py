@@ -290,6 +290,42 @@ def test_validation_duplicate_ids_and_bad_category():
         SharingTree(news_id=17, category="opinion", nodes=[]).validate()
 
 
+@pytest.mark.parametrize("root", [dict(page_sign=0), dict(page_sign=True), dict(virtual_root=1)], ids=repr)
+def test_validation_root_fields(root):
+    with pytest.raises(TreeSchemaError, match="virtual_root must be a boolean and page_sign -1 or 1"):
+        SharingTree(news_id=18, category="science", nodes=[], **root).validate()
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), True, 2**1100],
+                         ids=["nan", "inf", "-inf", "bool", "2**1100"])
+def test_validation_names_a_node_whose_time_is_not_a_finite_number(t):
+    tree = SharingTree(1, "science", [TreeNode(0, 0, 0.5, 0.0, None), TreeNode(7, 1, 0.5, t, 0)])
+    with pytest.raises(TreeSchemaError, match="node 7 t must be a finite number"):
+        tree.validate()
+
+
+@pytest.mark.parametrize("user", [1.5, 2.0, True, None])
+def test_validation_names_a_node_whose_user_is_neither_an_integer_nor_a_string(user):
+    tree = SharingTree(1, "science", [TreeNode(0, 0, 0.5, 0.0, None), TreeNode(7, user, 0.5, 1.0, 0)])
+    with pytest.raises(TreeSchemaError, match="node 7 user must be an integer or a string"):
+        tree.validate()
+
+
+@pytest.mark.parametrize("node_id", [1.5, -0.5, float("nan"), float("inf"), 2**63, "1"])
+def test_a_record_id_that_is_not_an_integer_is_a_schema_error(node_id):
+    with pytest.raises(TreeSchemaError, match="node id must be an integer"):
+        SharingTree(1, "science", [TreeNode(node_id, 0, 0.5, 0.0, None)])
+
+
+def test_records_may_hold_integral_float_ids_and_numpy_scalars():
+    tree = SharingTree(1, "science", [TreeNode(2.0, 0, 0.5, 0.0, None),
+                                      TreeNode(np.int64(3), np.int64(4), np.float64(0.5), np.float64(1.5), 2)])
+    tree.validate()
+    assert tree.id.tolist() == [2, 3] and tree.parent.tolist() == [-1, 0]
+    assert (tree.user.dtype, tree.t.dtype) == (np.int64, np.float64)
+    assert tree_to_dict(tree_from_dict(tree_to_dict(tree))) == tree_to_dict(tree)
+
+
 def test_malformed_json_is_a_schema_error():
     with pytest.raises(TreeSchemaError, match="malformed JSON"):
         trees_from_json("{not json")
