@@ -79,7 +79,6 @@ from .trees import (
     Forest,
     SharingPath,
     SharingTree,
-    TreeNode,
     UserProfile,
     edge_homogeneity,
     lifetime,

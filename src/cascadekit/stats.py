@@ -116,12 +116,13 @@ def fit_power_law(samples, x_min: int = 1) -> PowerLawFit:
 
     Raises:
         DegenerateSampleError: fewer than two tail samples, or all equal.
-        ParameterError: non-positive samples or x_min < 1.
+        ParameterError: samples that are not finite positive integers (an
+            integral float is taken), or x_min < 1.
     """
     x = np.asarray(samples)
     if x_min < 1:
         raise ParameterError(f"x_min must be >= 1, got {x_min}")
-    if x.size and np.any(x < 1):
+    if x.size and not (x.dtype.kind in "iuf" and np.all(np.isfinite(x) & (x == np.floor(x)) & (x >= 1))):
         raise ParameterError("power-law samples must be positive integers")
     tail = x[x >= x_min].astype(float)
     n = tail.size

@@ -6,14 +6,15 @@ counts) or are rooted at a real user. Metrics cover size, height, lifetime,
 edge homogeneity, and root-to-leaf path classification.
 
 A Forest is the one tree-list type: the node arrays of all its trees end
-to end, plus per-tree fields. The cascade kernel and the tree-JSON loader
-build forests, and metrics_rows, harness.analyze, the JSON writer and the
-CSV export read them; Forest.of turns any other tree sequence into one.
-forest[k] is a SharingTree, a view of one tree built on each access, and a
-SharingTree made from TreeNode records views a one-tree forest; TreeNode is
-the record type of the boundary only. metrics_rows computes every metric of
-a forest in one vectorized pass over its arrays, which the per-tree metric
-functions wrap.
+to end, plus per-tree fields. Trees enter it one way from each side: the
+cascade kernel builds forests, and external trees are tree documents,
+which the loader (tree_from_dict, trees_from_json, load_trees) parses
+under one node-field rule and validates into a forest. metrics_rows,
+harness.analyze, the JSON writer and the CSV export read forests;
+Forest.of joins any other sequence of trees into one. forest[k] is a
+SharingTree, a view of one tree built on each access. metrics_rows
+computes every metric of a forest in one vectorized pass over its arrays,
+which the per-tree metric functions wrap.
 """
 
 from __future__ import annotations
@@ -46,17 +47,6 @@ _NODE_FIELDS = ("id", "user", "sigma", "t", "parent")
 _ORPHAN = -2  # parent index of a node whose parent id names no node of its tree
 
 
-@dataclass(frozen=True, slots=True)
-class TreeNode:
-    """One share event: tree-local id, sharing user, polarization, time, parent id."""
-
-    id: int
-    user: int | str
-    sigma: float
-    t: float
-    parent: int | None
-
-
 class SharingTree:
     """Oriented tree of successive shares of one news item: one tree of a Forest.
 
@@ -68,26 +58,15 @@ class SharingTree:
     and parent node parent[k], an index into the same arrays (-1 for none).
     The arrays are read-only views of the forest's; user and t are int64 or
     float64 when all their values are ints or all floats, else object
-    arrays, so values keep their type. The constructor takes TreeNode
-    records, numpy scalars read as the Python values they hold, and builds
-    a one-tree Forest (a node id that is not an integer is a
-    TreeSchemaError); tree.nodes builds the records back. A tree that
-    passes validate() holds only what the tree-JSON loader accepts.
+    arrays, so values keep their type. SharingTree(forest, k) is what
+    forest[k] builds: a tree comes from the cascade kernel or from a tree
+    document, and there is no other constructor.
     """
 
     __slots__ = ("_forest", "_k", "_a", "_b")
 
-    def __init__(self, news_id, category: str, nodes=(), virtual_root: bool = True, page_sign: int = 1):
-        nodes = list(nodes)
-        ids, users, sigmas, times, parent_ids = ([_plain(getattr(nd, f)) for nd in nodes] for f in _NODE_FIELDS)
-        bad = [i for i in ids if not _is_id(i)]
-        if bad:  # the loader's rule: an integer, or an integral float, in the int64 range
-            raise TreeSchemaError(f"tree {news_id}: node id must be an integer, got {bad[0]!r}")
-        parent, missing = _parent_indexes(ids, parent_ids)
-        forest = Forest([news_id], [category], [_plain(virtual_root)], [_plain(page_sign)], np.array([0, len(nodes)]),
-                        np.array(ids, dtype=np.int64), _column(users), np.array(sigmas, dtype=float), _column(times),
-                        np.array(parent, dtype=np.int64), missing)
-        self._forest, self._k, self._a, self._b = forest, 0, 0, len(nodes)
+    def __init__(self, forest: Forest, k: int):
+        self._forest, self._k, self._a, self._b = forest, k, int(forest.start[k]), int(forest.start[k + 1])
 
     news_id = property(lambda self: self._forest.news_id[self._k])
     category = property(lambda self: self._forest.category[self._k])
@@ -99,21 +78,11 @@ class SharingTree:
     t = property(lambda self: self._forest.t[self._a:self._b])
     parent = property(lambda self: self._forest.parent[self._a:self._b])
 
-    @property
-    def _missing(self) -> dict:
-        """Each orphan's parent id by node index."""
-        return {i - self._a: p for i, p in self._forest.missing.items() if self._a <= i < self._b}
-
     def _columns(self) -> tuple[list, ...]:
         """The node fields as lists of Python values, parents as ids."""
-        ids, missing = self.id.tolist(), self._missing
-        parents = [ids[p] if p >= 0 else None if p == -1 else missing[k] for k, p in enumerate(self.parent.tolist())]
-        return ids, self.user.tolist(), self.sigma.tolist(), self.t.tolist(), parents
-
-    @property
-    def nodes(self) -> tuple[TreeNode, ...]:
-        """The nodes as TreeNode records in array order, built on each access."""
-        return tuple(map(TreeNode, *self._columns()))
+        ids = self.id.tolist()
+        return ids, self.user.tolist(), self.sigma.tolist(), self.t.tolist(), [
+            ids[p] if p >= 0 else None for p in self.parent.tolist()]
 
     def validate(self) -> None:
         """Check the user and t types, then every structural invariant; raise a typed error on the first violation."""
@@ -139,7 +108,8 @@ class SharingTree:
             k = int(bad[0])
             if self.parent[k] != _ORPHAN or not -1.0 <= self.sigma[k] <= 1.0:
                 raise SigmaRangeError(f"{name}: node {self.id[k]} has sigma {self.sigma[k]} outside [-1, 1]")
-            raise OrphanParentError(f"{name}: node {self.id[k]} references missing parent {self._missing[k]}")
+            missing = self._forest.missing[self._a + k]
+            raise OrphanParentError(f"{name}: node {self.id[k]} references missing parent {missing}")
         if not np.all(self.parent < np.arange(n)):  # parents before children rule out a cycle
             stuck = _climb(self.parent, [])
             if stuck.size:
@@ -152,18 +122,6 @@ class SharingTree:
         if late.size:
             k = child[late[0]]
             raise TimestampOrderError(f"{name}: node {self.id[k]} shares at t={self.t[k]} before its parent")
-
-
-def _plain(value):
-    """A numpy scalar as the Python value it holds; any other value as is."""
-    return value.item() if isinstance(value, np.generic) else value
-
-
-def _parent_indexes(ids: list, parent_ids: list) -> tuple[list, dict]:
-    """Parent ids as indexes into ids (-1 for None), and each orphan's parent id by node index."""
-    at = dict(zip(ids, range(len(ids))))
-    index = [-1 if p is None else at.get(p, _ORPHAN) for p in parent_ids]
-    return index, ({k: parent_ids[k] for k, p in enumerate(index) if p == _ORPHAN} if _ORPHAN in index else {})
 
 
 def _column(values: list) -> np.ndarray:
@@ -201,8 +159,9 @@ class Forest:
 
     id, user, sigma, t and parent hold the nodes of all trees end to end,
     tree k's at start[k]:start[k + 1], with the dtypes of a SharingTree's
-    arrays; parent indexes the tree's own nodes (-1 for none, -2 for an
-    orphan, whose parent id is missing[i] for batch-wide node index i).
+    arrays; parent indexes the tree's own nodes (-1 for none). While the
+    loader validates a forest, -2 marks an orphan, whose parent id is
+    missing[i] for batch-wide node index i; no forest it returns has one.
     news_id, category, virtual_root and page_sign are per-tree lists. len,
     iteration and forest[k] give the trees: forest[k] is a SharingTree over
     views of the arrays, built on each access.
@@ -240,9 +199,8 @@ class Forest:
             parts = [values for values in (getattr(tr, field) for tr in trees) if values.size]
             mixed = len({values.dtype for values in parts}) > 1
             columns.append(np.concatenate(parts or [np.zeros(0, dtype=empty)], dtype=object if mixed else None))
-        missing = {a + i: p for a, tr in zip(start.tolist(), trees) for i, p in tr._missing.items()}
         return cls([tr.news_id for tr in trees], [tr.category for tr in trees], [tr.virtual_root for tr in trees],
-                   [tr.page_sign for tr in trees], start, *columns, missing)
+                   [tr.page_sign for tr in trees], start, *columns)
 
     def __len__(self) -> int:
         return len(self.news_id)
@@ -252,9 +210,7 @@ class Forest:
 
     def __getitem__(self, k: int) -> SharingTree:
         k = range(len(self))[operator.index(k)]  # an int in range; a slice or float is a TypeError
-        tree = SharingTree.__new__(SharingTree)
-        tree._forest, tree._k, tree._a, tree._b = self, k, int(self.start[k]), int(self.start[k + 1])
-        return tree
+        return SharingTree(self, k)
 
 
 def _walk(forest: Forest) -> tuple[np.ndarray, ...]:
@@ -407,9 +363,10 @@ def _trees_from_docs(docs: list) -> Forest:
     Node ids and parents must be integers (a float only when integral),
     users ints or strings, sigma and t finite numbers, nodes a list and
     root.virtual a boolean; a boolean is not a number. The nodes of all
-    documents are checked and stored together. A vectorized screen passes
-    the trees that are valid with ids 0..n-1 and every parent before its
-    children; the others run validate(), which raises the exact error.
+    documents are checked and stored together. A vectorized screen
+    (_screen) passes the trees that are valid with ids 0..n-1 and every
+    parent before its children; the others run validate(), which raises
+    the exact error.
     """
     if not isinstance(docs, list):
         raise TreeSchemaError("tree batch must be a JSON array")
@@ -450,27 +407,37 @@ def _trees_from_docs(docs: list) -> Forest:
     root = np.fromiter((p is None for p in parent_ids), dtype=bool, count=end)
     parent = np.array([-1 if p is None else p for p in parent_ids], dtype=np.int64)
     parent[~root & ((parent < 0) | (parent >= size[tree_of]))] = _ORPHAN
-    flagged = np.bincount(tree_of[ids != local], minlength=size.size) > 0
-    for k in np.flatnonzero(flagged).tolist():  # ids other than 0..n-1: parents found by id
-        parent[start[k]:start[k + 1]] = _parent_indexes(ids[start[k]:start[k + 1]].tolist(),
-                                                        parent_ids[start[k]:start[k + 1]])[0]
-    orphans = np.flatnonzero(parent == _ORPHAN)
+    for k in np.unique(tree_of[ids != local]).tolist():  # ids other than 0..n-1: parents found by id
+        a, b = start[k], start[k + 1]
+        at = dict(zip(ids[a:b].tolist(), range(b - a)))
+        parent[a:b] = [-1 if p is None else at.get(p, _ORPHAN) for p in parent_ids[a:b]]
+    orphans = np.flatnonzero(parent == _ORPHAN).tolist()
     news_id, category, virtual, page_sign = [list(column) for column in zip(*heads)] or [[], [], [], []]
     forest = Forest(news_id, category, virtual, page_sign, start[:len(heads) + 1], ids, user, sigma, t, parent,
-                    {i: parent_ids[i] for i in orphans.tolist()})
-    flagged[tree_of[orphans]] = True
-    flagged[[k for k, (c, p) in enumerate(zip(category, page_sign)) if c not in CATEGORIES or p not in (-1, 1)]] = True
-    flagged |= ~np.array(virtual, dtype=bool) & (np.bincount(tree_of[root], minlength=size.size) != 1)
-    times = t.astype(float)  # exact below 2**53; trees with larger times are flagged
-    bad = ~((sigma >= -1.0) & (sigma <= 1.0)) | (parent >= local) | ~(np.abs(times) < 2.0**53)
-    child = np.flatnonzero(parent >= 0)
-    bad[child] |= times[child] < times[child - local[child] + parent[child]]
-    flagged[tree_of[bad]] = True
-    for k in np.flatnonzero(flagged).tolist():
+                    {i: parent_ids[i] for i in orphans})
+    for k in np.flatnonzero(_screen(forest, tree_of, local)).tolist():
         forest[k].validate()
     if fault:
         raise TreeSchemaError(fault)
     return forest
+
+
+def _screen(forest: Forest, tree_of: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """Per tree, False when it keeps every rule of validate() with ids 0..n-1 and parents before children, else True.
+
+    tree_of is each node's tree index and local its index within its tree.
+    """
+    count, parent, sigma = len(forest), forest.parent, forest.sigma
+    times = forest.t.astype(float)  # exact below 2**53; trees with larger times are flagged
+    bad = (forest.id != local) | (parent >= local) | (parent == _ORPHAN) | ~((sigma >= -1.0) & (sigma <= 1.0))
+    bad |= ~(np.abs(times) < 2.0**53)
+    child = np.flatnonzero(parent >= 0)
+    bad[child] |= times[child] < times[child - local[child] + parent[child]]
+    flagged = np.bincount(tree_of[bad], minlength=count) > 0
+    flagged |= ~np.array(forest.virtual_root, dtype=bool) & (np.bincount(tree_of[parent == -1], minlength=count) != 1)
+    flagged[[k for k, (c, p) in enumerate(zip(forest.category, forest.page_sign))
+             if c not in CATEGORIES or p not in (-1, 1)]] = True
+    return flagged
 
 
 def trees_to_json(trees) -> str:

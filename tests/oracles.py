@@ -7,14 +7,14 @@ inverse-CDF sampling) and shares no code with the package paths it checks.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import deque, namedtuple
 
 import numpy as np
 from scipy import integrate, special
 
 from cascadekit.errors import ParameterError
 from cascadekit.graph import SignedGraph
-from cascadekit.trees import SharingTree, TreeNode
+from cascadekit.trees import SharingTree, tree_from_dict, tree_to_dict
 
 
 # --- sampling ----------------------------------------------------------------
@@ -277,11 +277,28 @@ def earlier_scheme_sweep(config):
     return results
 
 
+# --- trees from node tuples, and back ----------------------------------------------
+
+Node = namedtuple("Node", "id user sigma t parent")  # one node of a tree document
+
+
+def tree_from_nodes(news_id, category: str, nodes, virtual_root: bool = True, page_sign: int = 1) -> SharingTree:
+    """The tree of a tree document whose nodes are (id, user, sigma, t, parent) tuples; raises the loader's errors."""
+    return tree_from_dict({"news_id": news_id, "category": category,
+                           "root": {"virtual": virtual_root, "page_sign": page_sign},
+                           "nodes": [dict(zip(Node._fields, node)) for node in nodes]})
+
+
+def nodes_of(tree: SharingTree) -> list[Node]:
+    """The nodes of a tree in array order, read back from its tree document."""
+    return [Node(**node) for node in tree_to_dict(tree)["nodes"]]
+
+
 # --- tree oracles ----------------------------------------------------------------
 
-def children_map(tree: SharingTree) -> dict[int | None, list[TreeNode]]:
-    out: dict[int | None, list[TreeNode]] = {}
-    for nd in tree.nodes:
+def children_map(tree: SharingTree) -> dict[int | None, list[Node]]:
+    out: dict[int | None, list[Node]] = {}
+    for nd in nodes_of(tree):
         out.setdefault(nd.parent, []).append(nd)
     return out
 
@@ -291,7 +308,7 @@ def naive_height(tree: SharingTree) -> int:
     kids = children_map(tree)
     base = 1 if tree.virtual_root else 0
     best = 0
-    stack = [(nd, base) for nd in tree.nodes if nd.parent is None]
+    stack = [(nd, base) for nd in nodes_of(tree) if nd.parent is None]
     while stack:
         nd, depth = stack.pop()
         best = max(best, depth)
@@ -300,13 +317,14 @@ def naive_height(tree: SharingTree) -> int:
 
 
 def naive_lifetime(tree: SharingTree) -> float:
-    times = sorted(nd.t for nd in tree.nodes)
+    times = sorted(nd.t for nd in nodes_of(tree))
     return times[-1] - times[0]
 
 
 def naive_mean_homogeneity(tree: SharingTree) -> float:
-    by_id = {nd.id: nd for nd in tree.nodes}
-    vals = [by_id[nd.parent].sigma * nd.sigma for nd in tree.nodes if nd.parent is not None]
+    nodes = nodes_of(tree)
+    by_id = {nd.id: nd for nd in nodes}
+    vals = [by_id[nd.parent].sigma * nd.sigma for nd in nodes if nd.parent is not None]
     return sum(vals) / len(vals)
 
 
@@ -315,7 +333,7 @@ def enumerate_paths(tree: SharingTree) -> list[list[float]]:
     kids = children_map(tree)
     paths: list[list[float]] = []
 
-    def walk(node: TreeNode, signs: list[float]) -> None:
+    def walk(node: Node, signs: list[float]) -> None:
         below = kids.get(node.id, [])
         if not below:
             paths.append(signs)
@@ -323,7 +341,7 @@ def enumerate_paths(tree: SharingTree) -> list[list[float]]:
         for child in below:
             walk(child, signs + [node.sigma * child.sigma])
 
-    for root in (nd for nd in tree.nodes if nd.parent is None):
+    for root in (nd for nd in nodes_of(tree) if nd.parent is None):
         first = [float(tree.page_sign) * root.sigma] if tree.virtual_root else []
         walk(root, first)
     return paths
@@ -342,7 +360,7 @@ def random_tree(rng, max_nodes: int = 10, category: str = "science") -> SharingT
     """A structurally valid random SharingTree with mixed polarizations."""
     virtual = bool(rng.integers(2))
     n = int(rng.integers(0 if virtual else 1, max_nodes + 1))
-    nodes: list[TreeNode] = []
+    nodes: list[Node] = []
     for i in range(n):
         if i == 0 or (virtual and rng.uniform() < 0.3):
             parent = None
@@ -351,7 +369,6 @@ def random_tree(rng, max_nodes: int = 10, category: str = "science") -> SharingT
             parent = int(rng.integers(i))
             t = nodes[parent].t + float(np.round(rng.uniform(0, 5), 3))
         sigma = float(np.round(rng.uniform(-1, 1), 3))
-        nodes.append(TreeNode(id=i, user=1000 + i, sigma=sigma, t=t, parent=parent))
+        nodes.append(Node(id=i, user=1000 + i, sigma=sigma, t=t, parent=parent))
     page_sign = -1 if category == "science" else 1
-    return SharingTree(news_id=int(rng.integers(10**6)), category=category, nodes=nodes,
-                       virtual_root=virtual, page_sign=page_sign)
+    return tree_from_nodes(int(rng.integers(10**6)), category, nodes, virtual, page_sign)

@@ -39,6 +39,7 @@ from oracles import (
     naive_lifetime,
     naive_mean_homogeneity,
     naive_path_counts,
+    nodes_of,
     random_tree,
     sample_power_law,
 )
@@ -166,8 +167,9 @@ def test_criterion_3_homogeneity_invariant_exact():
         homog = {tuple(sorted(e)) for e, h in zip(g.edges.tolist(), g.homogeneous.tolist()) if h}
         for outcome, item in zip(outcomes, news):
             trees_checked += 1
-            by_id = {nd.id: nd for nd in outcome.tree.nodes}
-            for nd in outcome.tree.nodes:
+            nodes = nodes_of(outcome.tree)
+            by_id = {nd.id: nd for nd in nodes}
+            for nd in nodes:
                 if nd.parent is None:
                     continue
                 parent = by_id[nd.parent]
@@ -273,9 +275,10 @@ def test_criterion_8_brute_force_cascade_equivalence():
                         first_sharer_count=int(rng.integers(1, n + 1)))
         delta = float(rng.uniform(0, 0.7))
         outcome = run_batch(g, [news], delta, seed=int(rng.integers(2**31)))[0]
-        seeds = [nd.user for nd in outcome.tree.nodes if nd.parent is None]
+        nodes = nodes_of(outcome.tree)
+        seeds = [nd.user for nd in nodes if nd.parent is None]
         expected = brute_force_sharers(g, news.fitness, delta, seeds)
-        if {nd.user for nd in outcome.tree.nodes} != expected:
+        if {nd.user for nd in nodes} != expected:
             mismatches += 1
     ok = mismatches == 0
     report(8, "brute-force cascade equivalence", ok, f"{mismatches} mismatches in 1000 graphs")
@@ -289,14 +292,15 @@ def test_criterion_9_metric_oracle_equivalence():
     for _ in range(1000):
         tree = random_tree(rng, max_nodes=14)
         row = metrics_rows([tree])[0]
+        nodes = nodes_of(tree)
         checks = [
-            tree_size(tree) == len(tree.nodes),
+            tree_size(tree) == len(nodes),
             tree_height(tree) == naive_height(tree),
             (row["paths"], row["homo_paths"]) == naive_path_counts(tree),
         ]
-        if tree.nodes:
+        if nodes:
             checks.append(lifetime(tree) == naive_lifetime(tree))
-        if any(nd.parent is not None for nd in tree.nodes):
+        if any(nd.parent is not None for nd in nodes):
             checks.append(abs(mean_edge_homogeneity(tree) - naive_mean_homogeneity(tree)) < 1e-12)
         mismatches += not all(checks)
     ok = mismatches == 0

@@ -13,6 +13,8 @@ from cascadekit.diffusion import NewsItem, run_batch
 from cascadekit.errors import ParameterError, SupercriticalError
 from cascadekit.graph import generate_small_world
 
+from oracles import nodes_of
+
 
 def test_share_probability_window_cases():
     assert share_probability(0.5, 0.015) == pytest.approx(0.03)
@@ -145,7 +147,7 @@ def test_heterogeneous_prediction_matches_simulated_offspring():
     children = 0
     non_seed = 0
     for outcome in outcomes:
-        nodes = outcome.tree.nodes
+        nodes = nodes_of(outcome.tree)
         child_counts = {}
         for nd in nodes:
             if nd.parent is not None:

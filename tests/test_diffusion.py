@@ -15,7 +15,7 @@ from cascadekit.graph import generate_small_world, label_edges
 from cascadekit.stats import FittedDistribution
 from cascadekit.trees import tree_height, tree_size, tree_to_dict
 
-from oracles import brute_force_sharers
+from oracles import brute_force_sharers, nodes_of
 
 
 def small_graph(seed=0, n=200, z=4, r=0.2, phi=0.7):
@@ -97,7 +97,7 @@ def test_full_threshold_spans_connected_graph():
     g = generate_small_world(150, 4, 0.0, seed=5)  # the ring is connected
     outcome = run_batch(g, [NewsItem(id=0, fitness=0.5, first_sharer_count=1)], delta=1.0, seed=6)[0]
     assert tree_size(outcome.tree) == 150
-    assert len({nd.user for nd in outcome.tree.nodes}) == 150
+    assert len({nd.user for nd in nodes_of(outcome.tree)}) == 150
 
 
 def test_zero_threshold_keeps_only_seeds():
@@ -105,7 +105,7 @@ def test_zero_threshold_keeps_only_seeds():
     outcome = run_batch(g, [NewsItem(id=1, fitness=0.5, first_sharer_count=7)], delta=0.0, seed=7)[0]
     assert tree_size(outcome.tree) == 7
     assert outcome.rounds == 0
-    assert all(nd.parent is None and nd.t == 0 for nd in outcome.tree.nodes)
+    assert all(nd.parent is None and nd.t == 0 for nd in nodes_of(outcome.tree))
 
 
 def test_zero_seeds_yield_empty_tree():
@@ -131,7 +131,7 @@ def test_cascade_structure_invariants():
         news = NewsItem(id=case, fitness=float(rng.uniform()), first_sharer_count=int(rng.integers(0, 12)))
         delta = float(rng.uniform(0, 0.2))
         outcome = run_batch(g, [news], delta, seed=int(rng.integers(2**32)))[0]
-        nodes = outcome.tree.nodes
+        nodes = nodes_of(outcome.tree)
         by_id = {nd.id: nd for nd in nodes}
         users = [nd.user for nd in nodes]
         assert len(users) == len(set(users))  # nobody shares twice
@@ -157,9 +157,10 @@ def test_sharer_set_matches_brute_force_closure():
         news = NewsItem(id=case, fitness=float(rng.uniform()), first_sharer_count=m)
         delta = float(rng.uniform(0, 0.6))
         outcome = run_batch(g, [news], delta, seed=case)[0]
-        seeds = [nd.user for nd in outcome.tree.nodes if nd.parent is None]
+        nodes = nodes_of(outcome.tree)
+        seeds = [nd.user for nd in nodes if nd.parent is None]
         expected = brute_force_sharers(g, news.fitness, delta, seeds)
-        assert {nd.user for nd in outcome.tree.nodes} == expected
+        assert {nd.user for nd in nodes} == expected
 
 
 def test_monotone_in_delta_for_fixed_seed():
@@ -168,7 +169,7 @@ def test_monotone_in_delta_for_fixed_seed():
     previous = set()
     for delta in (0.0, 0.02, 0.05, 0.1, 0.3, 1.0):
         outcome = run_batch(g, [news], delta, seed=99)[0]
-        sharers = {nd.user for nd in outcome.tree.nodes}
+        sharers = {nd.user for nd in nodes_of(outcome.tree)}
         assert previous <= sharers
         previous = sharers
 
@@ -180,7 +181,7 @@ def test_monotone_in_phi_with_nested_labels():
     for phi in (0.0, 0.25, 0.5, 0.75, 1.0):
         g = label_edges(base, phi, seed=1000)  # shared seed nests the edge sets
         outcome = run_batch(g, [news], 0.08, seed=77)[0]
-        sharers = {nd.user for nd in outcome.tree.nodes}
+        sharers = {nd.user for nd in nodes_of(outcome.tree)}
         assert previous <= sharers
         previous = sharers
 
@@ -250,10 +251,11 @@ def test_batch_sharer_sets_match_brute_force_closure():
         delta = float(rng.uniform(0, 0.5))
         outcomes = run_batch(g, news, delta, seed=case)
         for item, outcome in zip(news, outcomes):
-            seeds = [nd.user for nd in outcome.tree.nodes if nd.parent is None]
+            nodes = nodes_of(outcome.tree)
+            seeds = [nd.user for nd in nodes if nd.parent is None]
             assert len(seeds) == item.first_sharer_count
             expected = brute_force_sharers(g, item.fitness, delta, seeds)
-            assert {nd.user for nd in outcome.tree.nodes} == expected
+            assert {nd.user for nd in nodes} == expected
 
 
 def test_diffuse_stats_match_trees_with_and_without_build_trees():

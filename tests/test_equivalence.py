@@ -61,7 +61,7 @@ from cascadekit.stats import (
 )
 from cascadekit.trees import trees_to_json
 
-from oracles import earlier_scheme_sweep, random_tree, scalar_small_world
+from oracles import earlier_scheme_sweep, nodes_of, random_tree, scalar_small_world
 
 # (n, z) lattices, each built at every rate in GRAPH_RATES; n = z + 1 is the
 # complete graph, where every rewiring is skipped.
@@ -172,7 +172,7 @@ def tree_case(name: str):
 
 
 def hash_tree(h, tree) -> None:
-    h.update(repr([(nd.id, nd.user, nd.sigma, nd.t, nd.parent) for nd in tree.nodes]).encode())
+    h.update(repr([(nd.id, nd.user, nd.sigma, nd.t, nd.parent) for nd in nodes_of(tree)]).encode())
 
 
 def outcomes_digest(outcomes) -> str:

@@ -28,8 +28,6 @@ from cascadekit.harness import (
 )
 from cascadekit.stats import FittedDistribution
 from cascadekit.trees import (
-    SharingTree,
-    TreeNode,
     load_trees,
     metrics_rows,
     save_trees,
@@ -37,7 +35,7 @@ from cascadekit.trees import (
     tree_size,
 )
 
-from oracles import earlier_scheme_sweep
+from oracles import earlier_scheme_sweep, tree_from_nodes
 
 
 def tiny_config(**overrides) -> SweepConfig:
@@ -379,8 +377,7 @@ def test_troll_preset_parameters():
 # --- loading ---------------------------------------------------------------------
 
 def test_ingest_single_node_tree(tmp_path):
-    tree = SharingTree(news_id="post-1", category="science", page_sign=-1, virtual_root=False,
-                       nodes=[TreeNode(0, "user-9", -0.2, 12.5, None)])
+    tree = tree_from_nodes("post-1", "science", [(0, "user-9", -0.2, 12.5, None)], virtual_root=False, page_sign=-1)
     path = tmp_path / "trees.json"
     save_trees([tree], path)
     [back] = load_trees(path)
@@ -438,12 +435,8 @@ def test_simulated_batch_round_trip_preserves_metrics(tmp_path):
 
 def make_tree(news_id, category, sigmas, t_step=1.0):
     page_sign = -1 if category == "science" else 1
-    nodes = [
-        TreeNode(id=i, user=f"u{news_id}-{i}", sigma=s, t=i * t_step, parent=None if i == 0 else i - 1)
-        for i, s in enumerate(sigmas)
-    ]
-    return SharingTree(news_id=news_id, category=category, nodes=nodes, virtual_root=True,
-                       page_sign=page_sign)
+    nodes = [(i, f"u{news_id}-{i}", s, i * t_step, None if i == 0 else i - 1) for i, s in enumerate(sigmas)]
+    return tree_from_nodes(news_id, category, nodes, virtual_root=True, page_sign=page_sign)
 
 
 def test_analyze_size_one_trees_degenerate_curves():

@@ -111,6 +111,14 @@ def test_fit_power_law_degenerate_cases():
         fit_power_law([0, 1, 2])
 
 
+def test_fit_power_law_takes_only_finite_integers():
+    for samples in ([1.5, 2.5, 3.5, 1.2], [math.nan, 2, 3, 5], [math.inf, 2, 3, 5]):
+        with pytest.raises(ParameterError, match="positive integers"):
+            fit_power_law(samples)
+    draws = np.random.default_rng(7).zipf(2.5, 2000)
+    assert fit_power_law(draws.astype(float)) == fit_power_law(draws)  # an integral float fits as its integer
+
+
 @pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0])
 def test_fit_power_law_round_trip_rate(alpha):
     # at n = 1e5 the estimator must land within +-0.05 in at least 95 of 100 seeds

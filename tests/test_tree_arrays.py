@@ -6,10 +6,10 @@ metrics to the naive oracles; they check that a Forest built from a tree
 list holds the same trees and metric rows, with int and float times and
 empty trees mixed; they check that tree files round-trip exactly and
 that no document escapes the loader as an untyped error; and they check
-that every record tree that validates round-trips through a tree file.
+that the loader's vectorized screen raises what validate() run on every
+tree raises.
 """
 
-import dataclasses
 import json
 import math
 
@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cascadekit import trees
 from cascadekit.diffusion import NewsItem, diffuse, run_batch
 from cascadekit.errors import CascadekitError, TreeSchemaError, TreeValidationError
 from cascadekit.graph import generate_small_world, label_edges
@@ -25,26 +26,31 @@ from cascadekit.harness import analyze
 from cascadekit.trees import (
     Forest,
     SharingTree,
-    TreeNode,
-    load_trees,
     metrics_rows,
-    save_trees,
     tree_from_dict,
     tree_to_dict,
     trees_from_json,
     trees_to_json,
 )
 
-from oracles import naive_height, naive_lifetime, naive_mean_homogeneity, naive_path_counts, random_tree
+from oracles import (
+    naive_height,
+    naive_lifetime,
+    naive_mean_homogeneity,
+    naive_path_counts,
+    nodes_of,
+    random_tree,
+    tree_from_nodes,
+)
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
 def shuffled(tree, rng):
-    nodes = list(tree.nodes)
+    nodes = nodes_of(tree)
     order = rng.permutation(len(nodes))
-    return SharingTree(tree.news_id, tree.category, [nodes[i] for i in order], tree.virtual_root, tree.page_sign)
+    return tree_from_nodes(tree.news_id, tree.category, [nodes[i] for i in order], tree.virtual_root, tree.page_sign)
 
 
 def random_batch(seed, count, max_nodes=12):
@@ -60,9 +66,10 @@ def mixed_batch(seed, count):
     batch = []
     for tree in random_batch(seed, count):
         kind = rng.integers(3)
-        nodes = [] if kind == 0 else [TreeNode(nd.id, nd.user, nd.sigma, math.floor(nd.t * 1000), nd.parent)
-                                      for nd in tree.nodes] if kind == 1 else tree.nodes
-        batch.append(SharingTree(tree.news_id, tree.category, nodes, tree.virtual_root or not nodes, tree.page_sign))
+        nodes = [] if kind == 0 else [nd._replace(t=math.floor(nd.t * 1000))
+                                      for nd in nodes_of(tree)] if kind == 1 else nodes_of(tree)
+        batch.append(tree_from_nodes(tree.news_id, tree.category, nodes, tree.virtual_root or not nodes,
+                                     tree.page_sign))
     return batch
 
 
@@ -96,7 +103,7 @@ def test_kernel_trees_are_arrays_in_share_order():
         assert (tree.user.dtype, tree.t.dtype, tree.sigma.dtype) == (np.int64, np.int64, np.float64)
         for values in (tree.id, tree.user, tree.sigma, tree.t, tree.parent):
             assert not values.flags.writeable
-        assert [nd.parent for nd in tree.nodes] == [None if p < 0 else p for p in tree.parent.tolist()]
+        assert [nd.parent for nd in nodes_of(tree)] == [None if p < 0 else p for p in tree.parent.tolist()]
         tree.validate()
     forest = diffuse(g, news, 0.2, seed=5, build_trees=True)[1]
     assert isinstance(forest, Forest) and len(forest) == len(news)
@@ -107,22 +114,14 @@ def test_kernel_trees_are_arrays_in_share_order():
         forest[:1]  # a Forest takes an index, not a slice
 
 
-def test_nodes_view_keeps_the_constructor_records():
-    nodes = [TreeNode(7, "a", 0.5, 1.5, None), TreeNode(3, 9, -0.5, 4, 7), TreeNode(12, "b", 1.0, 2.0, 99)]
-    tree = SharingTree(news_id="x", category="troll", nodes=nodes)
-    assert tree.nodes == tuple(nodes)
-    assert tree.parent.tolist() == [-1, 0, -2]
-    assert [type(nd.t) for nd in tree.nodes] == [float, int, float]
-
-
 def test_analyze_never_builds_node_records(monkeypatch):
     batch = random_batch(3, 40)
     expected = [metrics_rows([t])[0] for t in batch]
 
     def forbidden(self):
-        raise AssertionError("analyze read tree.nodes")
+        raise AssertionError("analyze converted a tree's nodes to Python values")
 
-    monkeypatch.setattr(SharingTree, "nodes", property(forbidden))
+    monkeypatch.setattr(SharingTree, "_columns", forbidden)
     assert analyze(batch, by_category=False).groups["all"].metric_rows == expected
 
 
@@ -175,7 +174,7 @@ def test_first_fault_in_document_order_raises():
 def test_forest_metrics_equal_naive_oracles(seed, count):
     batch = random_batch(seed, count)
     for tree, row in zip(batch, metrics_rows(batch)):
-        nodes = tree.nodes
+        nodes = nodes_of(tree)
         assert row["size"] == len(nodes)
         assert row["height"] == naive_height(tree)
         assert (row["paths"], row["homo_paths"]) == naive_path_counts(tree)
@@ -284,7 +283,7 @@ def test_mutated_documents_parse_or_raise_a_validation_error(doc, data):
 @PROPERTY
 @given(doc=tree_docs(), data=st.data())
 def test_loader_matches_validate_on_restructured_documents(doc, data):
-    """Valid field types, possibly broken structure: the batch loader agrees with per-tree validate()."""
+    """Valid field types, possibly broken structure: the batch loader agrees with validate() run on every tree."""
     nodes = doc["nodes"]
     ids = [nd["id"] for nd in nodes] + [99]
     values = {"id": st.sampled_from(ids), "parent": st.one_of(st.none(), st.sampled_from(ids)),
@@ -293,50 +292,17 @@ def test_loader_matches_validate_on_restructured_documents(doc, data):
         node = data.draw(st.sampled_from(nodes))
         field = data.draw(st.sampled_from(sorted(values)))
         node[field] = data.draw(values[field])
-    reference = SharingTree(doc["news_id"], doc["category"], [TreeNode(**nd) for nd in nodes],
-                            doc["root"]["virtual"], doc["root"]["page_sign"])
-    try:
-        reference.validate()
-        expected = None
-    except CascadekitError as exc:
-        expected = (type(exc), str(exc))
-    try:
-        tree = trees_from_json(json.dumps([doc, a_doc()]))[0]
-        got = None
-    except CascadekitError as exc:
-        got = (type(exc), str(exc))
+
+    def load(batch):
+        try:
+            return trees_from_json(json.dumps(batch))[0], None
+        except CascadekitError as exc:
+            return None, (type(exc), str(exc))
+
+    tree, got = load([doc, a_doc()])
+    with pytest.MonkeyPatch.context() as patch:  # the screen flags every tree, so validate() runs on each
+        patch.setattr(trees, "_screen", lambda forest, tree_of, local: np.ones(len(forest), dtype=bool))
+        reference, expected = load([doc, a_doc()])
     assert got == expected
     if expected is None:
         assert tree_to_dict(tree) == tree_to_dict(reference)
-
-
-RECORD_VALUES = {
-    "id": st.integers(-2**64, 2**64) | st.floats(-10, 10) | st.floats(allow_nan=True, allow_infinity=True),
-    "user": st.integers(-2**70, 2**70) | st.text(max_size=3) | st.floats(-3, 3) | st.booleans() | st.none(),
-    "sigma": st.floats(-1.5, 1.5) | st.floats(allow_nan=True, allow_infinity=True) | st.integers(-1, 1),
-    "t": st.integers(-2**70, 2**70) | st.floats(allow_nan=True, allow_infinity=True) | st.booleans()
-    | st.just(2**1100),
-}
-
-
-@PROPERTY
-@given(doc=tree_docs(), data=st.data())
-def test_every_record_tree_that_validates_round_trips_through_tree_files(doc, data, tmp_path_factory):
-    """A record tree holds nothing the tree-JSON loader rejects: built, validated, saved and loaded, it is the same tree."""
-    nodes = [TreeNode(**nd) for nd in doc["nodes"]]
-    for _ in range(data.draw(st.integers(0, 3)) if nodes else 0):
-        k = data.draw(st.integers(0, len(nodes) - 1))
-        field = data.draw(st.sampled_from(sorted(RECORD_VALUES)))
-        nodes[k] = dataclasses.replace(nodes[k], **{field: data.draw(RECORD_VALUES[field])})
-    virtual = data.draw(st.sampled_from([doc["root"]["virtual"], 0, 1]))
-    page_sign = data.draw(st.sampled_from([doc["root"]["page_sign"], -1.0, True, 0]))
-    try:
-        tree = SharingTree(doc["news_id"], doc["category"], nodes, virtual, page_sign)
-        tree.validate()
-    except TreeValidationError:
-        return
-    path = tmp_path_factory.mktemp("records") / "trees.json"
-    save_trees([tree], path)
-    [loaded] = load_trees(path)
-    assert loaded.nodes == tuple(nodes)
-    assert tree_to_dict(loaded) == tree_to_dict(tree)

@@ -14,8 +14,6 @@ from cascadekit.errors import (
 from cascadekit.trees import (
     PATH_HOMOGENEOUS,
     PATH_K_MINUS_1,
-    SharingTree,
-    TreeNode,
     UserProfile,
     edge_homogeneity,
     lifetime,
@@ -31,7 +29,15 @@ from cascadekit.trees import (
     write_metrics_csv,
 )
 
-from oracles import naive_height, naive_lifetime, naive_mean_homogeneity, naive_path_counts, random_tree
+from oracles import (
+    naive_height,
+    naive_lifetime,
+    naive_mean_homogeneity,
+    naive_path_counts,
+    nodes_of,
+    random_tree,
+    tree_from_nodes,
+)
 
 
 def path_counts(tree):
@@ -41,11 +47,8 @@ def path_counts(tree):
 
 
 def chain_tree(sigmas, virtual=True, page_sign=1, category="synthetic"):
-    nodes = [
-        TreeNode(id=i, user=i, sigma=s, t=i, parent=None if i == 0 else i - 1)
-        for i, s in enumerate(sigmas)
-    ]
-    return SharingTree(news_id=0, category=category, nodes=nodes, virtual_root=virtual, page_sign=page_sign)
+    nodes = [(i, i, s, i, None if i == 0 else i - 1) for i, s in enumerate(sigmas)]
+    return tree_from_nodes(0, category, nodes, virtual, page_sign)
 
 
 # --- polarization -------------------------------------------------------------
@@ -77,7 +80,7 @@ def test_chain_under_virtual_root():
 
 
 def test_empty_tree_size_and_height():
-    t = SharingTree(news_id=1, category="synthetic", nodes=[], virtual_root=True)
+    t = tree_from_nodes(1, "synthetic", [], virtual_root=True)
     assert tree_size(t) == 0
     assert tree_height(t) == 0
 
@@ -89,20 +92,18 @@ def test_real_rooted_tree_depth_starts_at_zero():
 
 
 def test_seeds_only_tree_has_height_one():
-    nodes = [TreeNode(id=i, user=i, sigma=1.0, t=0, parent=None) for i in range(4)]
-    t = SharingTree(news_id=2, category="synthetic", nodes=nodes)
+    t = tree_from_nodes(2, "synthetic", [(i, i, 1.0, 0, None) for i in range(4)])
     assert tree_height(t) == 1
 
 
 def test_lifetime_examples():
-    single = SharingTree(news_id=3, category="science", page_sign=-1,
-                         nodes=[TreeNode(0, "u", 0.2, 7.5, None)], virtual_root=False)
+    single = tree_from_nodes(3, "science", [(0, "u", 0.2, 7.5, None)], virtual_root=False, page_sign=-1)
     assert lifetime(single) == 0.0
-    times = SharingTree(news_id=4, category="science", page_sign=-1, virtual_root=True, nodes=[
-        TreeNode(0, "a", 0.5, 3.0, None),
-        TreeNode(1, "b", 0.5, 4.5, 0),
-        TreeNode(2, "c", 0.5, 23.0, 1),
-    ])
+    times = tree_from_nodes(4, "science", [
+        (0, "a", 0.5, 3.0, None),
+        (1, "b", 0.5, 4.5, 0),
+        (2, "c", 0.5, 23.0, 1),
+    ], virtual_root=True, page_sign=-1)
     assert lifetime(times) == 20.0
     rounds = chain_tree([1.0, 1.0, 1.0])
     assert lifetime(rounds) == 2
@@ -110,7 +111,7 @@ def test_lifetime_examples():
 
 def test_lifetime_undefined_for_empty_tree():
     with pytest.raises(UndefinedMetricError):
-        lifetime(SharingTree(news_id=5, category="synthetic", nodes=[]))
+        lifetime(tree_from_nodes(5, "synthetic", []))
 
 
 # --- homogeneity -----------------------------------------------------------------
@@ -121,19 +122,18 @@ def test_mean_edge_homogeneity_all_aligned():
 
 def test_mean_edge_homogeneity_balances_to_zero():
     # star: center sigma 1 with children +1 and -1 -> edge values {1, -1}
-    t = SharingTree(news_id=6, category="synthetic", nodes=[
-        TreeNode(0, 0, 1.0, 0, None),
-        TreeNode(1, 1, 1.0, 1, 0),
-        TreeNode(2, 2, -1.0, 1, 0),
+    t = tree_from_nodes(6, "synthetic", [
+        (0, 0, 1.0, 0, None),
+        (1, 1, 1.0, 1, 0),
+        (2, 2, -1.0, 1, 0),
     ])
     assert mean_edge_homogeneity(t) == 0.0
 
 
 def test_mean_edge_homogeneity_undefined_without_edges():
     with pytest.raises(UndefinedMetricError):
-        mean_edge_homogeneity(SharingTree(news_id=7, category="synthetic", nodes=[]))
-    seeds_only = SharingTree(news_id=8, category="synthetic",
-                             nodes=[TreeNode(0, 0, 1.0, 0, None), TreeNode(1, 1, 1.0, 0, None)])
+        mean_edge_homogeneity(tree_from_nodes(7, "synthetic", []))
+    seeds_only = tree_from_nodes(8, "synthetic", [(0, 0, 1.0, 0, None), (1, 1, 1.0, 0, None)])
     with pytest.raises(UndefinedMetricError):
         mean_edge_homogeneity(seeds_only)
 
@@ -142,20 +142,20 @@ def test_mean_edge_homogeneity_invariant_under_node_order():
     rng = np.random.default_rng(5)
     for _ in range(50):
         t = random_tree(rng, max_nodes=12)
-        if sum(nd.parent is not None for nd in t.nodes) == 0:
+        nodes = nodes_of(t)
+        if sum(nd.parent is not None for nd in nodes) == 0:
             continue
         value = mean_edge_homogeneity(t)
-        shuffled = SharingTree(t.news_id, t.category,
-                               [t.nodes[i] for i in rng.permutation(len(t.nodes))],
-                               t.virtual_root, t.page_sign)
+        shuffled = tree_from_nodes(t.news_id, t.category, [nodes[i] for i in rng.permutation(len(nodes))],
+                                   t.virtual_root, t.page_sign)
         assert mean_edge_homogeneity(shuffled) == value
 
 
 # --- paths -----------------------------------------------------------------------
 
 def test_star_paths_all_homogeneous():
-    nodes = [TreeNode(0, 0, 1.0, 0, None)] + [TreeNode(i, i, 1.0, 1, 0) for i in range(1, 6)]
-    t = SharingTree(news_id=9, category="conspiracy", nodes=nodes, virtual_root=True, page_sign=1)
+    nodes = [(0, 0, 1.0, 0, None)] + [(i, i, 1.0, 1, 0) for i in range(1, 6)]
+    t = tree_from_nodes(9, "conspiracy", nodes, virtual_root=True, page_sign=1)
     assert path_counts(t) == (5, 5)
 
 
@@ -169,8 +169,7 @@ def test_discordant_first_step_is_k_minus_1_homogeneous():
 
 
 def test_single_real_root_counts_one_trivial_path():
-    t = SharingTree(news_id=10, category="science", page_sign=-1, virtual_root=False,
-                    nodes=[TreeNode(0, "r", -0.4, 0.0, None)])
+    t = tree_from_nodes(10, "science", [(0, "r", -0.4, 0.0, None)], virtual_root=False, page_sign=-1)
     assert path_counts(t)[0] == 1
     profile = path_length_profile(t)
     assert profile[0].length == 0 and profile[0].kind == PATH_HOMOGENEOUS
@@ -203,9 +202,10 @@ def test_height_bounded_by_size_with_equality_on_chains():
         assert height <= size + (0 if t.virtual_root else 0)
         if t.virtual_root:
             assert height <= size
+            nodes = nodes_of(t)
             is_chain = size > 0 and all(
-                sum(1 for nd in t.nodes if nd.parent == pid) <= 1
-                for pid in [None] + [nd.id for nd in t.nodes]
+                sum(1 for nd in nodes if nd.parent == pid) <= 1
+                for pid in [None] + [nd.id for nd in nodes]
             )
             if height == size and size > 0:
                 assert is_chain
@@ -216,9 +216,10 @@ def test_metrics_match_naive_oracles_on_random_trees():
     for _ in range(300):
         t = random_tree(rng, max_nodes=12)
         assert tree_height(t) == naive_height(t)
-        if t.nodes:
+        nodes = nodes_of(t)
+        if nodes:
             assert lifetime(t) == naive_lifetime(t)
-        if any(nd.parent is not None for nd in t.nodes):
+        if any(nd.parent is not None for nd in nodes):
             assert mean_edge_homogeneity(t) == pytest.approx(naive_mean_homogeneity(t), rel=1e-12)
 
 
@@ -232,98 +233,85 @@ def test_round_trip_preserves_all_metrics():
         assert tree_size(back) == tree_size(t)
         assert tree_height(back) == tree_height(t)
         assert path_counts(back) == path_counts(t)
-        if t.nodes:
+        nodes = nodes_of(t)
+        if nodes:
             assert lifetime(back) == lifetime(t)
-        if any(nd.parent is not None for nd in t.nodes):
+        if any(nd.parent is not None for nd in nodes):
             assert mean_edge_homogeneity(back) == mean_edge_homogeneity(t)
 
 
 def test_validation_cycle_names_offending_node():
-    t = SharingTree(news_id=11, category="science", page_sign=-1, virtual_root=True, nodes=[
-        TreeNode(0, 0, 0.1, 0, 1),
-        TreeNode(1, 1, 0.1, 0, 0),
-    ])
     with pytest.raises(TreeCycleError, match="node"):
-        t.validate()
+        tree_from_nodes(11, "science", [
+            (0, 0, 0.1, 0, 1),
+            (1, 1, 0.1, 0, 0),
+        ], virtual_root=True, page_sign=-1)
 
 
 def test_validation_orphan_parent():
-    t = SharingTree(news_id=12, category="science", page_sign=-1,
-                    nodes=[TreeNode(0, 0, 0.1, 0, 99)])
     with pytest.raises(OrphanParentError, match="99"):
-        t.validate()
+        tree_from_nodes(12, "science", [(0, 0, 0.1, 0, 99)], page_sign=-1)
 
 
 def test_validation_sigma_range():
-    t = SharingTree(news_id=13, category="science", page_sign=-1,
-                    nodes=[TreeNode(0, 0, 1.5, 0, None)])
     with pytest.raises(SigmaRangeError):
-        t.validate()
+        tree_from_nodes(13, "science", [(0, 0, 1.5, 0, None)], page_sign=-1)
 
 
 def test_validation_timestamp_order():
-    t = SharingTree(news_id=14, category="science", page_sign=-1, virtual_root=True, nodes=[
-        TreeNode(0, 0, 0.1, 5.0, None),
-        TreeNode(1, 1, 0.1, 4.0, 0),
-    ])
     with pytest.raises(TimestampOrderError):
-        t.validate()
+        tree_from_nodes(14, "science", [
+            (0, 0, 0.1, 5.0, None),
+            (1, 1, 0.1, 4.0, 0),
+        ], virtual_root=True, page_sign=-1)
 
 
 def test_validation_real_root_must_be_unique():
-    t = SharingTree(news_id=15, category="science", page_sign=-1, virtual_root=False, nodes=[
-        TreeNode(0, 0, 0.1, 0, None),
-        TreeNode(1, 1, 0.1, 0, None),
-    ])
     with pytest.raises(TreeSchemaError):
-        t.validate()
+        tree_from_nodes(15, "science", [
+            (0, 0, 0.1, 0, None),
+            (1, 1, 0.1, 0, None),
+        ], virtual_root=False, page_sign=-1)
 
 
 def test_validation_duplicate_ids_and_bad_category():
-    dup = SharingTree(news_id=16, category="science", page_sign=-1, nodes=[
-        TreeNode(0, 0, 0.1, 0, None),
-        TreeNode(0, 1, 0.1, 0, None),
-    ])
     with pytest.raises(TreeSchemaError):
-        dup.validate()
+        tree_from_nodes(16, "science", [
+            (0, 0, 0.1, 0, None),
+            (0, 1, 0.1, 0, None),
+        ], page_sign=-1)
     with pytest.raises(TreeSchemaError):
-        SharingTree(news_id=17, category="opinion", nodes=[]).validate()
+        tree_from_nodes(17, "opinion", [])
 
 
-@pytest.mark.parametrize("root", [dict(page_sign=0), dict(page_sign=True), dict(virtual_root=1)], ids=repr)
-def test_validation_root_fields(root):
-    with pytest.raises(TreeSchemaError, match="virtual_root must be a boolean and page_sign -1 or 1"):
-        SharingTree(news_id=18, category="science", nodes=[], **root).validate()
+@pytest.mark.parametrize("root, message", [
+    pytest.param(root, message, id=repr(root)) for root, message in [
+        (dict(page_sign=0), "virtual_root must be a boolean and page_sign -1 or 1"),
+        (dict(page_sign=True), "root.virtual a boolean and root.page_sign an integer"),
+        (dict(virtual_root=1), "root.virtual a boolean and root.page_sign an integer"),
+    ]])
+def test_validation_root_fields(root, message):
+    with pytest.raises(TreeSchemaError, match=message):
+        tree_from_nodes(18, "science", [], **root)
 
 
 @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), True, 2**1100],
                          ids=["nan", "inf", "-inf", "bool", "2**1100"])
 def test_validation_names_a_node_whose_time_is_not_a_finite_number(t):
-    tree = SharingTree(1, "science", [TreeNode(0, 0, 0.5, 0.0, None), TreeNode(7, 1, 0.5, t, 0)])
-    with pytest.raises(TreeSchemaError, match="node 7 t must be a finite number"):
-        tree.validate()
+    with pytest.raises(TreeSchemaError, match="tree 1: node t must be a finite number"):
+        tree_from_nodes(1, "science", [(0, 0, 0.5, 0.0, None), (7, 1, 0.5, t, 0)])
 
 
 @pytest.mark.parametrize("user", [1.5, 2.0, True, None])
 def test_validation_names_a_node_whose_user_is_neither_an_integer_nor_a_string(user):
-    tree = SharingTree(1, "science", [TreeNode(0, 0, 0.5, 0.0, None), TreeNode(7, user, 0.5, 1.0, 0)])
-    with pytest.raises(TreeSchemaError, match="node 7 user must be an integer or a string"):
-        tree.validate()
+    with pytest.raises(TreeSchemaError, match="tree 1: node user must be an integer or a string"):
+        tree_from_nodes(1, "science", [(0, 0, 0.5, 0.0, None), (7, user, 0.5, 1.0, 0)])
 
 
 @pytest.mark.parametrize("node_id", [1.5, -0.5, float("nan"), float("inf"), 2**63, "1"])
 def test_a_record_id_that_is_not_an_integer_is_a_schema_error(node_id):
-    with pytest.raises(TreeSchemaError, match="node id must be an integer"):
-        SharingTree(1, "science", [TreeNode(node_id, 0, 0.5, 0.0, None)])
-
-
-def test_records_may_hold_integral_float_ids_and_numpy_scalars():
-    tree = SharingTree(1, "science", [TreeNode(2.0, 0, 0.5, 0.0, None),
-                                      TreeNode(np.int64(3), np.int64(4), np.float64(0.5), np.float64(1.5), 2)])
-    tree.validate()
-    assert tree.id.tolist() == [2, 3] and tree.parent.tolist() == [-1, 0]
-    assert (tree.user.dtype, tree.t.dtype) == (np.int64, np.float64)
-    assert tree_to_dict(tree_from_dict(tree_to_dict(tree))) == tree_to_dict(tree)
+    with pytest.raises(TreeSchemaError, match="tree 1: node id must be an integer"):
+        tree_from_nodes(1, "science", [(node_id, 0, 0.5, 0.0, None)])
 
 
 def test_malformed_json_is_a_schema_error():
