@@ -23,7 +23,7 @@ write_sweep_csv(results, "demo_grid.csv")
 
 # Size CCDF and height CDF of the pooled cascades, ready for plotting.
 batch = trees_by_point[(0.56, 0.01, 0.015)]
-analysis = analyze(batch, by_category=False, bins=25)
+analysis = analyze(batch, by_category=False)
 written = write_analysis(analysis, "demo_troll_curves")
 group = analysis.groups["all"]
 xs, ys = group.curves["size_ccdf"]

@@ -17,6 +17,8 @@ vectorized step, then the tree parents round by round
 
 from __future__ import annotations
 
+import contextlib
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,22 +117,20 @@ def diffuse(g: SignedGraph, news_list, delta: float, seed,
     All items expand at once, one round at a time, as int64 keys item*n + node.
 
     Raises:
-        ParameterError: delta outside [0, 1], or a first-sharer count below
-            0 or above the node count.
+        ParameterError: delta outside [0, 1], a fitness not a number in [0, 1],
+            or a first-sharer count not an integer from 0 to the node count.
     """
     if not 0.0 <= delta <= 1.0:
         raise ParameterError(f"sharing threshold must be in [0, 1], got {delta}")
     n = g.node_count
-    counts = np.array([item.first_sharer_count for item in news_list], dtype=np.int64)
-    if counts.size and counts.max() > n:
-        raise ParameterError(f"cannot seed {counts.max()} first sharers in a graph of {n} nodes")
-    if counts.size and counts.min() < 0:
-        raise ParameterError(f"first-sharer count must be >= 0, got {counts.min()}")
-    fitness = np.array([item.fitness for item in news_list], dtype=float)
+    counts = _item_values(news_list, [item.first_sharer_count for item in news_list], numbers.Integral, 0, n,
+                          np.int64, f"first sharers must be an integer >= 0 and <= the node count {n}")
+    fitness = _item_values(news_list, [item.fitness for item in news_list], numbers.Real, 0.0, 1.0, float,
+                           "fitness must be a number in [0, 1]")
     rng = np.random.default_rng(seed)
     frontier = _seed_nodes(rng, counts, n)
 
-    indptr, indices = g.adjacency(homogeneous_only=True)
+    indptr, indices = g.adjacency()
     expand = _Expansion(indptr, indices, g.opinions, fitness, delta, n, rng if build_trees else None)
     shared = [] if build_trees else None  # per round: sharer keys, their parent nodes, the round
     sizes = counts.copy()
@@ -159,6 +159,17 @@ def diffuse(g: SignedGraph, news_list, delta: float, seed,
 
     stats = BatchStats(seeds=counts, sizes=sizes, heights=np.where(counts > 0, rounds + 1, 0), rounds=rounds)
     return stats, (None if shared is None else _trees(news_list, n, shared))
+
+
+def _item_values(news_list, values: list, kind: type, low, high, dtype, rule: str) -> np.ndarray:
+    """One value per item as an array; a ParameterError on the first that is a bool, not a kind or out of range."""
+    if all(issubclass(t, kind) and t is not bool for t in set(map(type, values))):
+        with contextlib.suppress(OverflowError):  # an int beyond the dtype is out of range: the search below finds it
+            array = np.array(values, dtype=dtype)
+            if np.all((array >= low) & (array <= high)):
+                return array
+    k = next(k for k, v in enumerate(values) if type(v) is bool or not isinstance(v, kind) or not low <= v <= high)
+    raise ParameterError(f"news item {news_list[k].id}: {rule}, got {values[k]!r}")
 
 
 def _seed_nodes(rng: np.random.Generator, counts: np.ndarray, n: int) -> np.ndarray:

@@ -42,7 +42,7 @@ class SignedGraph:
     def __post_init__(self):
         for name in ("opinions", "edges", "homogeneous"):
             object.__setattr__(self, name, _read_only(getattr(self, name)))
-        object.__setattr__(self, "_csr", {})
+        object.__setattr__(self, "_csr", None)
 
     @property
     def edge_count(self) -> int:
@@ -56,23 +56,22 @@ class SignedGraph:
         """Degree of every node, via a tally of edge endpoints."""
         return np.bincount(self.edges.ravel(), minlength=self.node_count)
 
-    def adjacency(self, homogeneous_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """CSR-style (indptr, indices) neighbor arrays, read-only and built once per view.
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR-style (indptr, indices) neighbor arrays over the homogeneous edges, read-only and built once.
 
-        With homogeneous_only=True only homogeneous edges contribute,
-        which is the view cascade propagation uses.
+        News spreads only across homogeneous edges, so this is the one view
+        cascade propagation needs.
         """
-        key = bool(homogeneous_only)
-        if key not in self._csr:
-            edges = self.edges[self.homogeneous] if key else self.edges
+        if self._csr is None:
+            edges = self.edges[self.homogeneous]
             heads = np.concatenate([edges[:, 0], edges[:, 1]])
             tails = np.concatenate([edges[:, 1], edges[:, 0]])
             # head*size + position is unique, so a plain sort orders it as a stable sort of heads would
             order = np.argsort(heads * heads.size + np.arange(heads.size))
             indptr = np.zeros(self.node_count + 1, dtype=np.int64)
             np.cumsum(np.bincount(heads, minlength=self.node_count), out=indptr[1:])
-            self._csr[key] = (_read_only(indptr), _read_only(tails[order]))
-        return self._csr[key]
+            object.__setattr__(self, "_csr", (_read_only(indptr), _read_only(tails[order])))
+        return self._csr
 
 
 def _read_only(values) -> np.ndarray:

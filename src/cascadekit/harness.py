@@ -368,7 +368,8 @@ def _binned_mean(x: np.ndarray, y: np.ndarray, edges: np.ndarray) -> tuple[np.nd
     return np.asarray(centers), np.asarray(means)
 
 
-def _group_curves(rows: list[dict], bins: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+def _group_curves(rows: list[dict]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    bins = 20  # of the two pdfs and the two binned means
     sizes = np.array([row["size"] for row in rows], dtype=float)
     heights = np.array([row["height"] for row in rows], dtype=float)
     lifetimes = np.array([row["lifetime"] for row in rows if row["lifetime"] is not None], dtype=float)
@@ -398,7 +399,7 @@ def _group_curves(rows: list[dict], bins: int) -> dict[str, tuple[np.ndarray, np
     return curves
 
 
-def _compare_groups(groups: dict[str, GroupAnalysis], alpha: float) -> list[dict]:
+def _compare_groups(groups: dict[str, GroupAnalysis]) -> list[dict]:
     comparisons = []
     names = sorted(groups)
     for a, b in itertools.combinations(names, 2):
@@ -409,7 +410,7 @@ def _compare_groups(groups: dict[str, GroupAnalysis], alpha: float) -> list[dict
             if not s1 or not s2:
                 log.warning("skipping KS on %s for (%s, %s): empty sample", metric, a, b)
                 continue
-            ks = stats.ks_two_sample(s1, s2, alpha=alpha)
+            ks = stats.ks_two_sample(s1, s2)
             comparisons.append({
                 "test": f"ks_{metric}", "group_a": a, "group_b": b,
                 "statistic": ks.D, "reference": ks.D_alpha, "reject": ks.reject,
@@ -417,7 +418,7 @@ def _compare_groups(groups: dict[str, GroupAnalysis], alpha: float) -> list[dict
         try:
             fit_a = stats.fit_power_law([row["size"] for row in rows_a if row["size"] >= 1])
             fit_b = stats.fit_power_law([row["size"] for row in rows_b if row["size"] >= 1])
-            wald = stats.wald_test(fit_a, fit_b, alpha=alpha)
+            wald = stats.wald_test(fit_a, fit_b)
             comparisons.append({
                 "test": "wald_size_alpha", "group_a": a, "group_b": b,
                 "statistic": wald.W, "reference": wald.p_value, "reject": wald.reject,
@@ -427,15 +428,14 @@ def _compare_groups(groups: dict[str, GroupAnalysis], alpha: float) -> list[dict
     return comparisons
 
 
-def analyze(tree_list, by_category: bool = True, bins: int = 20, alpha: float = 0.05) -> AnalysisResult:
+def analyze(tree_list, by_category: bool = True) -> AnalysisResult:
     """Compute metric tables, distribution curves, and cross-category tests.
 
-    Curves per group: size CCDF, height CDF, lifetime PDF, mean-homogeneity
-    PDF, path-count CCDFs, and the binned lifetime-by-size and
-    size-by-homogeneity relations. Group pairs are compared with KS tests on
-    size and lifetime and a Wald test on power-law size exponents. tree_list
-    is a Forest or any sequence of trees; the metric rows of all trees come
-    from one trees.metrics_rows pass over its Forest.
+    Curves per group: size CCDF, height CDF, lifetime PDF, mean-homogeneity PDF, path-count
+    CCDFs, and the binned lifetime-by-size and size-by-homogeneity relations (20 bins each).
+    Group pairs are compared at the 0.05 level with KS tests on size and lifetime and a Wald
+    test on power-law size exponents. tree_list is a Forest or any sequence of trees; the
+    metric rows of all trees come from one trees.metrics_rows pass over its Forest.
     """
     forest = Forest.of(tree_list)
     if not len(forest):
@@ -447,8 +447,8 @@ def analyze(tree_list, by_category: bool = True, bins: int = 20, alpha: float = 
         groups[key].tree_count += 1
         groups[key].metric_rows.append(row)
     for group in groups.values():
-        group.curves = _group_curves(group.metric_rows, bins)
-    comparisons = _compare_groups(groups, alpha) if len(groups) > 1 else []
+        group.curves = _group_curves(group.metric_rows)
+    comparisons = _compare_groups(groups) if len(groups) > 1 else []
     return AnalysisResult(groups=groups, comparisons=comparisons)
 
 

@@ -39,35 +39,39 @@ class SummaryStats:
         return (self.min, self.q1, self.median, self.mean, self.q3, self.max)
 
 
-def summary_stats(samples) -> SummaryStats:
-    """Quartiles by linear interpolation between order statistics, plus mean."""
+def _sample(samples, what: str) -> np.ndarray:
+    """samples as a float array; a ParameterError when it is empty or holds NaN or an infinity."""
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
-        raise ParameterError("summary statistics need a non-empty sample")
+        raise ParameterError(f"{what} need a non-empty sample")
+    if not np.all(np.isfinite(x)):
+        raise ParameterError(f"{what} need finite samples")
+    return x
+
+
+def summary_stats(samples) -> SummaryStats:
+    """Quartiles by linear interpolation between order statistics, plus mean."""
+    x = _sample(samples, "summary statistics")
     lo, q1, med, q3, hi = np.quantile(x, [0.0, 0.25, 0.5, 0.75, 1.0])
     return SummaryStats(float(lo), float(q1), float(med), float(x.mean()), float(q3), float(hi))
 
 
-def empirical_cdf(samples, at=None) -> tuple[np.ndarray, np.ndarray]:
-    """P(X <= x) tabulated at the sorted unique sample values (or a given grid)."""
-    x = np.sort(np.asarray(samples, dtype=float))
-    if x.size == 0:
-        raise ParameterError("empirical curves need a non-empty sample")
-    grid = np.unique(x) if at is None else np.asarray(at, dtype=float)
+def empirical_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
+    """P(X <= x) tabulated at the sorted unique sample values."""
+    x = np.sort(_sample(samples, "empirical curves"))
+    grid = np.unique(x)
     return grid, np.searchsorted(x, grid, side="right") / x.size
 
 
-def empirical_ccdf(samples, at=None) -> tuple[np.ndarray, np.ndarray]:
-    """P(X > x) tabulated at the sorted unique sample values (or a given grid)."""
-    grid, cdf = empirical_cdf(samples, at=at)
+def empirical_ccdf(samples) -> tuple[np.ndarray, np.ndarray]:
+    """P(X > x) tabulated at the sorted unique sample values."""
+    grid, cdf = empirical_cdf(samples)
     return grid, 1.0 - cdf
 
 
 def empirical_pdf(samples, bins=30) -> tuple[np.ndarray, np.ndarray]:
     """Histogram density estimate; returns bin centers and densities."""
-    x = np.asarray(samples, dtype=float)
-    if x.size == 0:
-        raise ParameterError("empirical curves need a non-empty sample")
+    x = _sample(samples, "empirical curves")
     density, edges = np.histogram(x, bins=bins, density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return centers, density
@@ -193,10 +197,8 @@ def ks_two_sample(s1, s2, alpha: float = 0.05) -> KSTestResult:
     """
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"significance level must be in (0, 1), got {alpha}")
-    a = np.sort(np.asarray(s1, dtype=float))
-    b = np.sort(np.asarray(s2, dtype=float))
-    if a.size == 0 or b.size == 0:
-        raise ParameterError("both samples must be non-empty")
+    a = np.sort(_sample(s1, "KS tests"))
+    b = np.sort(_sample(s2, "KS tests"))
     pooled = np.concatenate([a, b])
     f1 = np.searchsorted(a, pooled, side="right") / a.size
     f2 = np.searchsorted(b, pooled, side="right") / b.size

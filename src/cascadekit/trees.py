@@ -84,45 +84,6 @@ class SharingTree:
         return ids, self.user.tolist(), self.sigma.tolist(), self.t.tolist(), [
             ids[p] if p >= 0 else None for p in self.parent.tolist()]
 
-    def validate(self) -> None:
-        """Check the user and t types, then every structural invariant; raise a typed error on the first violation."""
-        name = f"tree {self.news_id}"
-        for field in ("user", "t"):  # held to the tree-JSON loader's checks
-            (ok, kind), values = _NODE_CHECKS[_NODE_FIELDS.index(field)], getattr(self, field).tolist()
-            k = next((k for k, v in enumerate(values) if not ok(v)), None)
-            if k is not None:
-                raise TreeSchemaError(f"{name}: node {self.id[k]} {field} must be {kind}, got {values[k]!r}")
-        if self.category not in CATEGORIES:
-            raise TreeSchemaError(f"{name}: unknown category {self.category!r}")
-        if type(self.virtual_root) is not bool or self.page_sign not in (-1, 1) or not _is_id(self.page_sign):
-            raise TreeSchemaError(f"{name}: virtual_root must be a boolean and page_sign -1 or 1")
-        n = self.id.size
-        _, first = np.unique(self.id, return_index=True)
-        if first.size != n:
-            raise TreeSchemaError(f"{name}: duplicate node id {self.id[np.setdiff1d(np.arange(n), first)[0]]}")
-        roots = int(np.count_nonzero(self.parent == -1))
-        if not self.virtual_root and roots != 1:
-            raise TreeSchemaError(f"{name}: real-rooted tree needs exactly one parentless node, found {roots}")
-        bad = np.flatnonzero(~((self.sigma >= -1.0) & (self.sigma <= 1.0)) | (self.parent == _ORPHAN))
-        if bad.size:
-            k = int(bad[0])
-            if self.parent[k] != _ORPHAN or not -1.0 <= self.sigma[k] <= 1.0:
-                raise SigmaRangeError(f"{name}: node {self.id[k]} has sigma {self.sigma[k]} outside [-1, 1]")
-            missing = self._forest.missing[self._a + k]
-            raise OrphanParentError(f"{name}: node {self.id[k]} references missing parent {missing}")
-        if not np.all(self.parent < np.arange(n)):  # parents before children rule out a cycle
-            stuck = _climb(self.parent, [])
-            if stuck.size:
-                k = int(stuck[0])
-                for _ in range(n):  # n steps up from a node that never reaches a root end on its cycle
-                    k = int(self.parent[k])
-                raise TreeCycleError(f"{name}: cycle through node {self.id[k]}")
-        child = np.flatnonzero(self.parent >= 0)
-        late = np.flatnonzero(self.t[child] < self.t[self.parent[child]])
-        if late.size:
-            k = child[late[0]]
-            raise TimestampOrderError(f"{name}: node {self.id[k]} shares at t={self.t[k]} before its parent")
-
 
 def _column(values: list) -> np.ndarray:
     """int64 or float64 when the values are all ints or all floats, else an object array."""
@@ -160,23 +121,22 @@ class Forest:
     id, user, sigma, t and parent hold the nodes of all trees end to end,
     tree k's at start[k]:start[k + 1], with the dtypes of a SharingTree's
     arrays; parent indexes the tree's own nodes (-1 for none). While the
-    loader validates a forest, -2 marks an orphan, whose parent id is
-    missing[i] for batch-wide node index i; no forest it returns has one.
+    loader validates a forest, -2 marks an orphan; no forest it returns
+    has one.
     news_id, category, virtual_root and page_sign are per-tree lists. len,
     iteration and forest[k] give the trees: forest[k] is a SharingTree over
     views of the arrays, built on each access.
     """
 
-    __slots__ = ("news_id", "category", "virtual_root", "page_sign", "start", *_NODE_FIELDS, "missing")
+    __slots__ = ("news_id", "category", "virtual_root", "page_sign", "start", *_NODE_FIELDS)
 
     def __init__(self, news_id: list, category: list, virtual_root: list, page_sign: list, start: np.ndarray,
-                 id, user, sigma, t, parent, missing: dict | None = None):
+                 id, user, sigma, t, parent):
         self.news_id, self.category, self.virtual_root, self.page_sign = news_id, category, virtual_root, page_sign
         self.start = start
         for values in (id, user, sigma, t, parent):
             values.flags.writeable = False
         self.id, self.user, self.sigma, self.t, self.parent = id, user, sigma, t, parent
-        self.missing = missing or {}
 
     @classmethod
     def of(cls, trees) -> Forest:
@@ -365,7 +325,7 @@ def _trees_from_docs(docs: list) -> Forest:
     root.virtual a boolean; a boolean is not a number. The nodes of all
     documents are checked and stored together. A vectorized screen
     (_screen) passes the trees that are valid with ids 0..n-1 and every
-    parent before its children; the others run validate(), which raises
+    parent before its children; the others run _validate, which raises
     the exact error.
     """
     if not isinstance(docs, list):
@@ -411,19 +371,51 @@ def _trees_from_docs(docs: list) -> Forest:
         a, b = start[k], start[k + 1]
         at = dict(zip(ids[a:b].tolist(), range(b - a)))
         parent[a:b] = [-1 if p is None else at.get(p, _ORPHAN) for p in parent_ids[a:b]]
-    orphans = np.flatnonzero(parent == _ORPHAN).tolist()
     news_id, category, virtual, page_sign = [list(column) for column in zip(*heads)] or [[], [], [], []]
-    forest = Forest(news_id, category, virtual, page_sign, start[:len(heads) + 1], ids, user, sigma, t, parent,
-                    {i: parent_ids[i] for i in orphans})
+    forest = Forest(news_id, category, virtual, page_sign, start[:len(heads) + 1], ids, user, sigma, t, parent)
     for k in np.flatnonzero(_screen(forest, tree_of, local)).tolist():
-        forest[k].validate()
+        _validate(forest[k], parent_ids[start[k]:start[k + 1]])
     if fault:
         raise TreeSchemaError(fault)
     return forest
 
 
+def _validate(tree: SharingTree, parent_ids: list) -> None:
+    """Raise a typed error on a loaded tree's first structural fault; parent_ids are its nodes' parents as given."""
+    name = f"tree {tree.news_id}"
+    if tree.category not in CATEGORIES:
+        raise TreeSchemaError(f"{name}: unknown category {tree.category!r}")
+    if tree.page_sign not in (-1, 1):
+        raise TreeSchemaError(f"{name}: virtual_root must be a boolean and page_sign -1 or 1")
+    n = tree.id.size
+    _, first = np.unique(tree.id, return_index=True)
+    if first.size != n:
+        raise TreeSchemaError(f"{name}: duplicate node id {tree.id[np.setdiff1d(np.arange(n), first)[0]]}")
+    roots = int(np.count_nonzero(tree.parent == -1))
+    if not tree.virtual_root and roots != 1:
+        raise TreeSchemaError(f"{name}: real-rooted tree needs exactly one parentless node, found {roots}")
+    bad = np.flatnonzero(~((tree.sigma >= -1.0) & (tree.sigma <= 1.0)) | (tree.parent == _ORPHAN))
+    if bad.size:
+        k = int(bad[0])
+        if tree.parent[k] != _ORPHAN or not -1.0 <= tree.sigma[k] <= 1.0:
+            raise SigmaRangeError(f"{name}: node {tree.id[k]} has sigma {tree.sigma[k]} outside [-1, 1]")
+        raise OrphanParentError(f"{name}: node {tree.id[k]} references missing parent {parent_ids[k]}")
+    if not np.all(tree.parent < np.arange(n)):  # parents before children rule out a cycle
+        stuck = _climb(tree.parent, [])
+        if stuck.size:
+            k = int(stuck[0])
+            for _ in range(n):  # n steps up from a node that never reaches a root end on its cycle
+                k = int(tree.parent[k])
+            raise TreeCycleError(f"{name}: cycle through node {tree.id[k]}")
+    child = np.flatnonzero(tree.parent >= 0)
+    late = np.flatnonzero(tree.t[child] < tree.t[tree.parent[child]])
+    if late.size:
+        k = child[late[0]]
+        raise TimestampOrderError(f"{name}: node {tree.id[k]} shares at t={tree.t[k]} before its parent")
+
+
 def _screen(forest: Forest, tree_of: np.ndarray, local: np.ndarray) -> np.ndarray:
-    """Per tree, False when it keeps every rule of validate() with ids 0..n-1 and parents before children, else True.
+    """Per tree, False when it keeps every rule of _validate with ids 0..n-1 and parents before children, else True.
 
     tree_of is each node's tree index and local its index within its tree.
     """

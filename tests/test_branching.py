@@ -40,28 +40,11 @@ def test_share_probability_integrates_to_boundary_corrected_mean():
         assert mean_share_probability(delta) == pytest.approx(2 * delta - delta**2, abs=1e-12)
 
 
-def test_share_probability_with_custom_density():
-    density = lambda w: 2.0 * w  # triangular on [0, 1]
-    p = share_probability(0.5, 0.1, opinion_density=density)
-    window, _ = integrate.quad(density, 0.4, 0.6)
-    assert p == pytest.approx(density(0.5) * window)
-
-
-def test_share_probability_rejects_unnormalized_density():
-    with pytest.raises(ParameterError):
-        share_probability(0.5, 0.1, opinion_density=lambda w: 3.0)
-    with pytest.raises(ParameterError):
-        share_probability(1.5, 0.1)
-
-
-def test_mean_share_probability_with_an_opinion_density():
-    assert mean_share_probability(0.1, opinion_density=lambda w: 1.0) == pytest.approx(0.19, abs=1e-9)
-    density = lambda w: 2.0 * w  # triangular: the window integral is hi^2 - lo^2
-    expected, _ = integrate.quad(lambda t: 2 * t * (min(1, t + 0.1) ** 2 - max(0, t - 0.1) ** 2), 0, 1, limit=200)
-    assert mean_share_probability(0.1, opinion_density=density) == pytest.approx(expected, rel=1e-7)
+NAN = float("nan")
 
 
 @pytest.mark.parametrize("call", [
+    lambda: share_probability(1.5, 0.1),
     lambda: share_probability(0.5, -0.01),
     lambda: share_probability(0.5, 1.5),
     lambda: mean_share_probability(-0.01),
@@ -71,8 +54,25 @@ def test_mean_share_probability_with_an_opinion_density():
     lambda: branching_ratio(8, 0.01, q=1.1),
     lambda: branching_ratio(8, 1.5),
     lambda: heterogeneous_branching({3: 1.0}, p=0.1, q=1.5),
-], ids=["share delta<0", "share delta>1", "mean delta<0", "mean delta>1", "ratio z=0", "ratio q<0",
-        "ratio q>1", "ratio delta>1", "heterogeneous q>1"])
+    lambda: heterogeneous_branching({2: 0.5, 3: 0.5}, p=1.7),
+    lambda: heterogeneous_branching({3: 1.0}, p=-0.1),
+    lambda: share_probability(NAN, 0.1),
+    lambda: share_probability(0.5, NAN),
+    lambda: mean_share_probability(NAN),
+    lambda: branching_ratio(NAN, 0.01),
+    lambda: branching_ratio(8, NAN),
+    lambda: branching_ratio(8, 0.01, q=NAN),
+    lambda: expected_cascade_size(NAN, 0.5),
+    lambda: expected_cascade_size(1.0, NAN),
+    lambda: heterogeneous_branching({3: 1.0}, p=NAN),
+    lambda: heterogeneous_branching({3: 1.0}, p=0.1, q=NAN),
+    lambda: heterogeneous_branching({3: NAN}, p=0.1),
+    lambda: heterogeneous_branching(([NAN, 3], [0.5, 0.5]), p=0.1),
+], ids=["share theta>1", "share delta<0", "share delta>1", "mean delta<0", "mean delta>1", "ratio z=0", "ratio q<0",
+        "ratio q>1", "ratio delta>1", "heterogeneous q>1", "heterogeneous p>1", "heterogeneous p<0",
+        "share theta nan", "share delta nan", "mean delta nan", "ratio z nan", "ratio delta nan", "ratio q nan",
+        "size seeds nan", "size mu nan", "heterogeneous p nan", "heterogeneous q nan", "heterogeneous probability nan",
+        "heterogeneous degree nan"])
 def test_out_of_range_arguments_are_parameter_errors(call):
     with pytest.raises(ParameterError):
         call()
@@ -83,7 +83,7 @@ def test_branching_ratio_examples():
     assert branching_ratio(8, 0.05, q=1.0) == 0.0
     assert branching_ratio(8, 0.05, q=0.0) == pytest.approx(0.8)
     assert branching_ratio(8, 0.05, q=0.0) < 1.0  # subcritical at the sweep upper bound
-    assert branching_ratio(8, 0.05, q=0.0, exact=True) == pytest.approx(8 * (0.1 - 0.0025))
+    assert 8 * mean_share_probability(0.05) == pytest.approx(8 * (0.1 - 0.0025))  # the boundary-corrected ratio
 
 
 def test_expected_cascade_size():

@@ -324,3 +324,18 @@ def test_batch_input_errors():
         diffuse(g, news[:1], -0.1, seed=0)
     with pytest.raises(ParameterError, match=">= 0"):
         run_batch(g, [NewsItem(id=2, fitness=0.5, first_sharer_count=-1)], 0.1, seed=0)
+
+
+@pytest.mark.parametrize("fitness, count", [
+    (float("nan"), 1), (float("inf"), 1), (1.5, 1), (-0.2, 1), (True, 1), ("0.5", 1),
+    (0.5, 2.7), (0.5, True), (0.5, float("nan")), (0.5, 2.0), (0.5, "2"), (0.5, 2**70),
+], ids=["fitness nan", "fitness inf", "fitness 1.5", "fitness -0.2", "fitness bool", "fitness str",
+        "count 2.7", "count bool", "count nan", "count 2.0", "count str", "count beyond int64"])
+def test_news_items_need_a_fitness_in_the_unit_interval_and_an_integer_count(fitness, count):
+    g = small_graph()
+    news = [NewsItem(id=0, fitness=0.5, first_sharer_count=1),
+            NewsItem(id=1, fitness=fitness, first_sharer_count=count)]
+    with pytest.raises(ParameterError, match="news item 1"):
+        diffuse(g, news, 0.1, seed=0)
+    numpy_scalars = [NewsItem(id=0, fitness=np.float64(0.5), first_sharer_count=np.int64(2))]
+    assert diffuse(g, numpy_scalars, 0.1, seed=0)[0].seeds.tolist() == [2]

@@ -328,9 +328,9 @@ def test_scalar_oracle_reproduces_the_graph_digests(n, z):
     assert graph_digest(n, z, scalar_small_world) == GOLDEN[f"graph_{n}_{z}"]
 
 
-def stable_adjacency(g, homogeneous_only):
-    """The CSR arrays by a stable argsort of both edge directions by head."""
-    edges = g.edges[g.homogeneous] if homogeneous_only else g.edges
+def stable_adjacency(g):
+    """The homogeneous-edge CSR arrays by a stable argsort of both edge directions by head."""
+    edges = g.edges[g.homogeneous]
     heads = np.concatenate([edges[:, 0], edges[:, 1]])
     tails = np.concatenate([edges[:, 1], edges[:, 0]])
     indptr = np.zeros(g.node_count + 1, dtype=np.int64)
@@ -342,11 +342,10 @@ def stable_adjacency(g, homogeneous_only):
 def test_adjacency_equals_stable_sort_by_head(n, z):
     for k, r in enumerate(GRAPH_RATES):
         g = label_edges(generate_small_world(n, z, r, seed=[n, z, k]), 0.5, seed=[n, z, k, 1])
-        for homogeneous_only in (False, True):
-            indptr, indices = g.adjacency(homogeneous_only=homogeneous_only)
-            expected_indptr, expected_indices = stable_adjacency(g, homogeneous_only)
-            assert np.array_equal(indptr, expected_indptr)
-            assert np.array_equal(indices, expected_indices)
+        indptr, indices = g.adjacency()
+        expected_indptr, expected_indices = stable_adjacency(g)
+        assert np.array_equal(indptr, expected_indptr)
+        assert np.array_equal(indices, expected_indices)
 
 
 @pytest.mark.parametrize("name", sorted(TREE_CASES))

@@ -307,19 +307,19 @@ def test_mutated_graph_document_loads_and_round_trips_or_is_a_parameter_error(da
 
 def test_graph_arrays_are_read_only_and_the_csr_is_built_once():
     g = label_edges(generate_small_world(60, 4, 0.5, seed=8), 0.5, seed=9)
-    for values in (g.opinions, g.edges, g.homogeneous, *g.adjacency(), *g.adjacency(homogeneous_only=True)):
+    for values in (g.opinions, g.edges, g.homogeneous, *g.adjacency()):
         with pytest.raises(ValueError):
             values[0] = 0
-    assert g.adjacency(homogeneous_only=True) is g.adjacency(homogeneous_only=True)
+    assert g.adjacency() is g.adjacency()
     with pytest.raises(AttributeError):
         g.homogeneous = np.ones(g.edge_count, dtype=bool)
     relabeled = label_edges(g, 1.0, seed=9)
-    assert relabeled.adjacency(homogeneous_only=True)[1].size == 2 * g.edge_count
+    assert relabeled.adjacency()[1].size == 2 * g.edge_count
 
 
 def test_adjacency_views_agree_with_edge_list():
     g = label_edges(generate_small_world(60, 4, 0.5, seed=8), 0.5, seed=9)
-    indptr, indices = g.adjacency(homogeneous_only=True)
+    indptr, indices = g.adjacency()
     expected = adjacency_sets(g.edges, g.homogeneous.tolist())
     for u in range(g.node_count):
         assert set(indices[indptr[u]:indptr[u + 1]].tolist()) == expected.get(u, set())

@@ -60,12 +60,11 @@ def test_summary_stats_reproduces_engineered_data_column():
 
 def test_empirical_curve_boundary_identities():
     sample = [3, 1, 4, 1, 5, 9, 2, 6]
-    xs, ccdf = empirical_ccdf(sample, at=[min(sample) - 1])
-    assert ccdf[0] == 1.0
-    xs, cdf = empirical_cdf(sample, at=[max(sample)])
-    assert cdf[0] == 1.0
-    xs, ccdf = empirical_ccdf(sample, at=[max(sample)])
-    assert ccdf[0] == 0.0
+    xs, cdf = empirical_cdf(sample)
+    assert xs[-1] == max(sample) and cdf[-1] == 1.0
+    xs, ccdf = empirical_ccdf(sample)
+    assert xs[0] == min(sample) and ccdf[0] == 1.0 - sample.count(min(sample)) / len(sample)
+    assert xs[-1] == max(sample) and ccdf[-1] == 0.0
 
 
 def test_empirical_pdf_integrates_to_one():
@@ -149,6 +148,20 @@ def test_variance_close_to_continuous_approximation():
 def test_empty_samples_and_levels_outside_the_unit_interval_are_parameter_errors(call):
     with pytest.raises(ParameterError):
         call()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", [
+    summary_stats,
+    empirical_cdf,
+    empirical_ccdf,
+    empirical_pdf,
+    lambda sample: ks_two_sample(sample, [1.0, 2.0, 3.0]),
+    lambda sample: ks_two_sample([1.0, 2.0, 3.0], sample),
+], ids=["summary", "cdf", "ccdf", "pdf", "ks first", "ks second"])
+def test_non_finite_samples_are_parameter_errors(call, bad):
+    with pytest.raises(ParameterError, match="finite"):
+        call([1.0, 2.0, bad])
 
 
 # --- Wald test --------------------------------------------------------------------

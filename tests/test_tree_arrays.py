@@ -6,8 +6,8 @@ metrics to the naive oracles; they check that a Forest built from a tree
 list holds the same trees and metric rows, with int and float times and
 empty trees mixed; they check that tree files round-trip exactly and
 that no document escapes the loader as an untyped error; and they check
-that the loader's vectorized screen raises what validate() run on every
-tree raises.
+that the loader's vectorized screen raises what the exact per-tree check
+(trees._validate) run on every tree raises.
 """
 
 import json
@@ -77,7 +77,12 @@ def forest_fields(forest):
     """Every field of a forest, with the dtype of each node array, as a repr that tells 1 from 1.0."""
     columns = [(getattr(forest, f).dtype.str, getattr(forest, f).tolist()) for f in ("id", "user", "sigma", "t", "parent")]
     return repr((forest.news_id, forest.category, forest.virtual_root, forest.page_sign, forest.start.tolist(),
-                 columns, forest.missing))
+                 columns))
+
+
+def flag_every_tree(forest, tree_of, local):
+    """A stand-in for trees._screen that sends every tree to the exact per-tree check."""
+    return np.ones(len(forest), dtype=bool)
 
 
 def a_doc(**node_changes):
@@ -104,8 +109,10 @@ def test_kernel_trees_are_arrays_in_share_order():
         for values in (tree.id, tree.user, tree.sigma, tree.t, tree.parent):
             assert not values.flags.writeable
         assert [nd.parent for nd in nodes_of(tree)] == [None if p < 0 else p for p in tree.parent.tolist()]
-        tree.validate()
     forest = diffuse(g, news, 0.2, seed=5, build_trees=True)[1]
+    with pytest.MonkeyPatch.context() as patch:  # every kernel tree passes the exact per-tree check
+        patch.setattr(trees, "_screen", flag_every_tree)
+        assert trees_to_json(trees_from_json(trees_to_json(forest))) == trees_to_json(forest)
     assert isinstance(forest, Forest) and len(forest) == len(news)
     assert [tree_to_dict(tree) for tree in forest] == [tree_to_dict(o.tree) for o in run_batch(g, news, 0.2, seed=5)]
     with pytest.raises(IndexError):
@@ -283,7 +290,7 @@ def test_mutated_documents_parse_or_raise_a_validation_error(doc, data):
 @PROPERTY
 @given(doc=tree_docs(), data=st.data())
 def test_loader_matches_validate_on_restructured_documents(doc, data):
-    """Valid field types, possibly broken structure: the batch loader agrees with validate() run on every tree."""
+    """Valid field types, possibly broken structure: the batch loader agrees with _validate run on every tree."""
     nodes = doc["nodes"]
     ids = [nd["id"] for nd in nodes] + [99]
     values = {"id": st.sampled_from(ids), "parent": st.one_of(st.none(), st.sampled_from(ids)),
@@ -300,8 +307,8 @@ def test_loader_matches_validate_on_restructured_documents(doc, data):
             return None, (type(exc), str(exc))
 
     tree, got = load([doc, a_doc()])
-    with pytest.MonkeyPatch.context() as patch:  # the screen flags every tree, so validate() runs on each
-        patch.setattr(trees, "_screen", lambda forest, tree_of, local: np.ones(len(forest), dtype=bool))
+    with pytest.MonkeyPatch.context() as patch:  # the screen flags every tree, so _validate runs on each
+        patch.setattr(trees, "_screen", flag_every_tree)
         reference, expected = load([doc, a_doc()])
     assert got == expected
     if expected is None:

@@ -251,6 +251,12 @@ def test_validation_cycle_names_offending_node():
 def test_validation_orphan_parent():
     with pytest.raises(OrphanParentError, match="99"):
         tree_from_nodes(12, "science", [(0, 0, 0.1, 0, 99)], page_sign=-1)
+    # the orphan sits in the second tree of a batch, after its first node: the message still names its parent id
+    docs = [{"news_id": k, "category": "science", "root": {"virtual": True, "page_sign": 1},
+             "nodes": [{"id": i, "user": i, "sigma": 0.5, "t": 0, "parent": p} for i, p in enumerate(parents)]}
+            for k, parents in ((1, [None, 0]), (2, [None, 0, 77]))]
+    with pytest.raises(OrphanParentError, match="^tree 2: node 2 references missing parent 77$"):
+        trees_from_json(json.dumps(docs))
 
 
 def test_validation_sigma_range():
