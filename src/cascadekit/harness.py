@@ -8,6 +8,10 @@ heights across iterations into per-point means and standard deviations,
 alongside the closed-form branching predictions. All randomness derives
 from one master seed through the SeedSequence spawn keys that run_sweep
 documents, so results are reproducible and independent of execution order.
+Each (r, iteration) is one task; the tasks run on one forked worker process
+per CPU (in-process when there is one CPU, no fork or another thread), and
+their integer moments are summed in task order, so results are the same on
+any number of workers.
 
 A sweep reads per-item sizes and heights from the stats of
 diffusion.diffuse, which builds sharing trees only with collect_trees=True,
@@ -18,11 +22,14 @@ their metric rows in one trees.metrics_rows pass.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import logging
 import math
 import numbers
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,9 +201,17 @@ def run_sweep(config: SweepConfig, collect_trees: bool = False):
         SeedSequence(master_seed, spawn_key=(1, i, j, k)), shared across
         delta only, so the deltas of one (phi_hl, r, iteration) diffuse the
         same items from the same seed nodes.
-    The sweep holds one graph at a time, walking r and then the iteration,
-    and returns the results in grid() order; any execution order would
-    yield identical results.
+    So each (r, iteration) is one task: it builds its graph, labels it for
+    every phi_hl, samples the news and diffuses every delta, and returns
+    the integer moments of each of its points (and their Forests with
+    collect_trees=True). The tasks run on min(CPUs this process may use,
+    task count) worker processes, started with fork and joined before
+    run_sweep returns or raises; with one worker, where fork is not
+    available or while another thread runs, they run in this process. The
+    moments are summed in task order, r and then the iteration, so the
+    results, returned in grid() order, and the order of the trees do not
+    depend on the worker count. An error in a task cancels the tasks not
+    yet started and reaches the caller as the same exception.
 
     Returns the list of SweepResult; with collect_trees=True returns
     (results, trees) where trees maps each grid point to the Forest of all
@@ -209,25 +224,75 @@ def run_sweep(config: SweepConfig, collect_trees: bool = False):
     points = list(zip(np.ndindex(len(config.phis), len(config.rs), len(config.deltas)), config.grid()))
     sums = {index: [0] * 6 for index, _ in points}
     forests: dict[tuple, list[Forest]] = {index: [] for index, _ in points}
-    for j, r in enumerate(config.rs):
-        for k in range(config.iterations):
-            s_graph, s_label = np.random.SeedSequence(config.master_seed, spawn_key=(0, j, k)).spawn(2)
-            g = generate_small_world(config.n, config.z, r, seed=s_graph)
-            for i, phi_hl in enumerate(config.phis):
-                labeled = label_edges(g, phi_hl, seed=s_label)
-                s_news, s_batch = np.random.SeedSequence(config.master_seed, spawn_key=(1, i, j, k)).spawn(2)
-                news = sample_news(config.m, config.first_sharers, seed=s_news, max_count=config.n)
-                for d, delta in enumerate(config.deltas):
-                    batch, forest = diffuse(labeled, news, delta, seed=s_batch, build_trees=collect_trees)
-                    sums[i, j, d] = [a + b for a, b in zip(sums[i, j, d], _moments(batch))]
-                    if collect_trees:
-                        forests[i, j, d].append(forest)
+    tasks = list(itertools.product(range(len(config.rs)), range(config.iterations)))
+    with _task_map(len(tasks)) as task_map:
+        for outputs in task_map(functools.partial(_sweep_task, config, collect_trees), tasks):
+            for index, moments, forest in outputs:
+                sums[index] = [a + b for a, b in zip(sums[index], moments)]
+                if collect_trees:
+                    forests[index].append(forest)
 
     results = [_pooled_result(config, point, sums[index]) for index, point in points]
     if collect_trees:
         return results, {point: Forest.of(tree for forest in forests[index] for tree in forest)
                          for index, point in points}
     return results
+
+
+def _sweep_task(config: SweepConfig, collect_trees: bool, task: tuple[int, int]) -> list[tuple]:
+    """Task (j, k), iteration k at r = config.rs[j]: (point index, _moments, Forest or None) per (phi_hl, delta)."""
+    j, k = task
+    s_graph, s_label = np.random.SeedSequence(config.master_seed, spawn_key=(0, j, k)).spawn(2)
+    g = generate_small_world(config.n, config.z, config.rs[j], seed=s_graph)
+    outputs = []
+    for i, phi_hl in enumerate(config.phis):
+        labeled = label_edges(g, phi_hl, seed=s_label)
+        s_news, s_batch = np.random.SeedSequence(config.master_seed, spawn_key=(1, i, j, k)).spawn(2)
+        news = sample_news(config.m, config.first_sharers, seed=s_news, max_count=config.n)
+        for d, delta in enumerate(config.deltas):
+            batch, forest = diffuse(labeled, news, delta, seed=s_batch, build_trees=collect_trees)
+            outputs.append(((i, j, d), _moments(batch), forest))
+    return outputs
+
+
+def _worker_count(task_count: int) -> int:
+    """One worker per CPU this process may run on, and no more than there are tasks."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, task_count))
+
+
+@contextlib.contextmanager
+def _task_map(task_count: int):
+    """A map for task_count tasks: over a fork pool of _worker_count workers, or in-process.
+
+    Fork, not spawn: a spawned worker imports cascadekit afresh, which takes
+    longer than a small sweep. The pool's map yields results in task order.
+    On leaving the block the pool cancels the tasks not yet started and
+    joins every worker, also when the block raises. With one worker, where
+    fork is not available, or while another thread runs (a forked child
+    holds only the calling thread, and a lock held by another would never
+    be released in it), the builtin map runs the tasks in-process.
+    """
+    import multiprocessing  # imported here: a sweep is the only user, and the pool modules take about 20 ms
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = _worker_count(task_count)
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+        yield map
+        return
+    # numpy imports numpy.random and numpy.ma (which np.unique reads) on first use. The tasks need
+    # both; imported before the fork, they are imported once, not in each worker of each sweep.
+    import numpy.ma
+    import numpy.random
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool.map
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _moments(batch: BatchStats) -> list[int]:

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import kolmogi, zeta
 
 from . import files
 from .errors import DegenerateSampleError, ParameterError
@@ -85,6 +83,8 @@ def write_curve_csv(xs, ys, path) -> None:
 # --- discrete power-law fitting ------------------------------------------------
 
 def _log_zeta(alpha: float, x_min: int) -> float:
+    from scipy.special import zeta  # scipy is imported on first use: it takes most of a second
+
     return math.log(zeta(alpha, x_min))
 
 
@@ -146,6 +146,8 @@ def fit_power_law(samples, x_min: int = 1) -> PowerLawFit:
         hi *= 2.0
         if hi > 1e4:
             raise DegenerateSampleError("no finite exponent fits this sample")
+    from scipy.optimize import brentq
+
     alpha_hat = brentq(score, lo, hi, xtol=1e-10)
     info = _log_zeta_second(alpha_hat, x_min)
     return PowerLawFit(alpha=float(alpha_hat), var_alpha=1.0 / (n * info), x_min=x_min, n_tail=n)
@@ -179,6 +181,8 @@ def kolmogorov_critical(alpha: float) -> float:
     """c(alpha) with P(K > c) = alpha for the asymptotic Kolmogorov distribution K."""
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"significance level must be in (0, 1), got {alpha}")
+    from scipy.special import kolmogi
+
     return float(kolmogi(alpha))
 
 

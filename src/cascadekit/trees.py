@@ -138,6 +138,11 @@ class Forest:
             values.flags.writeable = False
         self.id, self.user, self.sigma, self.t, self.parent = id, user, sigma, t, parent
 
+    def __reduce__(self):
+        # Unpickling rebuilds through __init__, so the node arrays stay read-only across processes.
+        return Forest, (self.news_id, self.category, self.virtual_root, self.page_sign, self.start,
+                        *(getattr(self, field) for field in _NODE_FIELDS))
+
     @classmethod
     def of(cls, trees) -> Forest:
         """trees itself when it is a Forest, the forest when trees lists all its trees in order, else a joined copy.
@@ -322,11 +327,12 @@ def _trees_from_docs(docs: list) -> Forest:
 
     Node ids and parents must be integers (a float only when integral),
     users ints or strings, sigma and t finite numbers, nodes a list and
-    root.virtual a boolean; a boolean is not a number. The nodes of all
-    documents are checked and stored together. A vectorized screen
-    (_screen) passes the trees that are valid with ids 0..n-1 and every
-    parent before its children; the others run _validate, which raises
-    the exact error.
+    root.virtual a boolean; a boolean is not a number. A tree's latest
+    share time less its earliest, its lifetime, must be finite as a float.
+    The nodes of all documents are checked and stored together. A
+    vectorized screen (_screen) passes the trees that are valid with ids
+    0..n-1 and every parent before its children; the others run _validate,
+    which raises the exact error.
     """
     if not isinstance(docs, list):
         raise TreeSchemaError("tree batch must be a JSON array")
@@ -412,6 +418,11 @@ def _validate(tree: SharingTree, parent_ids: list) -> None:
     if late.size:
         k = child[late[0]]
         raise TimestampOrderError(f"{name}: node {tree.id[k]} shares at t={tree.t[k]} before its parent")
+    if n:  # the lifetime, an int or a float, must be finite as a float
+        times = tree.t.tolist()
+        first, last = min(times), max(times)
+        if last - first > sys.float_info.max:
+            raise TreeSchemaError(f"{name}: share times from {first} to {last} span no finite lifetime")
 
 
 def _screen(forest: Forest, tree_of: np.ndarray, local: np.ndarray) -> np.ndarray:
@@ -420,7 +431,8 @@ def _screen(forest: Forest, tree_of: np.ndarray, local: np.ndarray) -> np.ndarra
     tree_of is each node's tree index and local its index within its tree.
     """
     count, parent, sigma = len(forest), forest.parent, forest.sigma
-    times = forest.t.astype(float)  # exact below 2**53; trees with larger times are flagged
+    # Exact below 2**53; trees with larger times, which alone can overflow a lifetime, are flagged.
+    times = forest.t.astype(float)
     bad = (forest.id != local) | (parent >= local) | (parent == _ORPHAN) | ~((sigma >= -1.0) & (sigma <= 1.0))
     bad |= ~(np.abs(times) < 2.0**53)
     child = np.flatnonzero(parent >= 0)
@@ -476,7 +488,10 @@ def metrics_rows(trees) -> list[dict]:
         values, bounds = t.tolist(), forest.start.tolist()
         spans = [max(values[a:b]) - min(values[a:b]) for a, b in zip(bounds, bounds[1:]) if b > a]
     else:
-        spans = (np.maximum.reduceat(t, at) - np.minimum.reduceat(t, at)).tolist()
+        last, first = np.maximum.reduceat(t, at), np.minimum.reduceat(t, at)
+        if t.dtype == np.int64:  # a span may pass 2**63: subtract modulo 2**64, exact as last >= first
+            last, first = last.view(np.uint64), first.view(np.uint64)
+        spans = (last - first).tolist()
     lifetime = [None] * count
     for k, span in zip(filled.tolist(), spans):
         lifetime[k] = span

@@ -315,6 +315,19 @@ def test_undecodable_input_files_are_one_line_errors(tmp_path, monkeypatch, caps
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
 
 
+def test_analyze_of_a_tree_whose_times_span_no_finite_lifetime_is_a_one_line_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    nodes = [{"id": 0, "user": 5, "sigma": 0.5, "t": -1e308, "parent": None},
+             {"id": 1, "user": 6, "sigma": 0.25, "t": 1e308, "parent": 0}]
+    (tmp_path / "in.json").write_text(json.dumps(
+        [{"news_id": 4, "category": "science", "root": {"virtual": True, "page_sign": 1}, "nodes": nodes}]))
+    assert main(["analyze", "--in", "in.json", "--out", "out"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("cascadekit analyze: TreeSchemaError: tree 4: share times from -1e+308 to 1e+308 ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
+
+
 HUGE = str(10**20)  # beyond int64
 
 

@@ -40,6 +40,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cascadekit import harness
 from cascadekit.cli import _parse_distribution, main
 from cascadekit.diffusion import NewsItem, run_batch
 from cascadekit.graph import generate_small_world, label_edges, save_graph
@@ -368,6 +369,16 @@ def test_toy_sweep_digests_unchanged():
 def test_troll_sweep_digest_unchanged():
     results = run_sweep(troll_fit_config(master_seed=23, iterations=2))
     assert results_digest(results) == GOLDEN["sweep_troll"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_digests_are_the_same_on_one_and_two_workers(monkeypatch, workers):
+    # One worker runs the (r, iteration) tasks in this process, two on a fork
+    # pool; the troll sweep's two iterations are two tasks.
+    monkeypatch.setattr(harness, "_worker_count", lambda tasks: min(workers, tasks))
+    assert sweep_toy_digests() == (GOLDEN["sweep_toy"], GOLDEN["sweep_toy_trees"])
+    assert results_digest(run_sweep(troll_fit_config(master_seed=23, iterations=2))) == GOLDEN["sweep_troll"]
+    assert sweep_csv_digest() == GOLDEN["sweep_csv_toy"]
 
 
 def test_earlier_scheme_oracle_reproduces_the_earlier_sweep_digests():

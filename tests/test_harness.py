@@ -1,11 +1,17 @@
+import concurrent.futures
 import json
+import multiprocessing
+import os
 import statistics
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cascadekit import harness
 from cascadekit.diffusion import diffuse, sample_news
 from cascadekit.errors import (
     OrphanParentError,
@@ -177,6 +183,107 @@ def test_sweep_predictions_attached():
     assert result.size_pred == pytest.approx(
         np.clip(result.size_pred, result.mean_size * 0.2, result.mean_size * 5.0)
     )
+
+
+# --- the task pool ---------------------------------------------------------------
+
+@pytest.fixture(params=[1, 2], ids=["in-process", "two workers"])
+def workers(request, monkeypatch):
+    """Run the sweep's tasks in-process or on a fork pool of two workers."""
+    monkeypatch.setattr(harness, "_worker_count", lambda tasks: min(request.param, tasks))
+    return request.param
+
+
+def test_worker_count_is_the_cpus_this_process_may_use_capped_by_the_tasks(monkeypatch):
+    cpus = len(os.sched_getaffinity(0))
+    assert [harness._worker_count(tasks) for tasks in (1, cpus, cpus + 5)] == [1, cpus, cpus]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert [harness._worker_count(tasks) for tasks in (2, 400)] == [2, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert harness._worker_count(400) == 1
+
+
+@pytest.mark.parametrize("unsafe", ["no fork", "another thread"])
+def test_without_a_safe_fork_the_tasks_run_in_process(monkeypatch, unsafe):
+    expected = run_sweep(tiny_config(rs=(0.1, 0.5)))
+    monkeypatch.setattr(harness, "_worker_count", lambda tasks: min(2, tasks))
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    if unsafe == "no fork":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert run_sweep(tiny_config(rs=(0.1, 0.5))) == expected
+        return
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert run_sweep(tiny_config(rs=(0.1, 0.5))) == expected
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_pooled_forests_keep_read_only_arrays(workers):
+    # One iteration: each point's Forest is the one its task returned.
+    _, forests = run_sweep(tiny_config(rs=(0.1, 0.5), iterations=1), collect_trees=True)
+    for forest in forests.values():
+        for field in ("id", "user", "sigma", "t", "parent"):
+            assert not getattr(forest, field).flags.writeable
+
+
+def test_an_error_in_a_task_reaches_the_caller_unchanged(monkeypatch, workers):
+    def failing(graph, *args, **kwargs):
+        if graph.rewiring_probability == 0.5:
+            raise ParameterError("no diffusion at r=0.5")
+        return diffuse(graph, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "diffuse", failing)
+    with pytest.raises(ParameterError) as excinfo:
+        run_sweep(tiny_config(rs=(0.1, 0.5, 0.9)))
+    assert type(excinfo.value) is ParameterError and str(excinfo.value) == "no diffusion at r=0.5"
+    assert multiprocessing.active_children() == []
+
+
+def test_the_tasks_run_in_the_workers_and_no_worker_outlives_the_sweep(monkeypatch, tmp_path, workers):
+    log = tmp_path / "pids"
+
+    def logged(graph, *args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return diffuse(graph, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "diffuse", logged)
+    run_sweep(tiny_config(rs=(0.1, 0.5)), collect_trees=True)
+    assert multiprocessing.active_children() == [] and threading.active_count() == 1  # so the next sweep forks
+    pids = set(log.read_text().split())
+    assert (str(os.getpid()) in pids) == (workers == 1) and len(pids) <= workers
+
+
+def test_an_error_cancels_the_tasks_not_yet_started(monkeypatch, tmp_path):
+    # 20 tasks on two workers: the first (r = 0.1) fails at once and the
+    # others take 0.1 s each. Besides it, only the tasks running on the two
+    # workers and the workers + 1 the pool queues ahead start: 6 at most.
+    monkeypatch.setattr(harness, "_worker_count", lambda tasks: min(2, tasks))
+    log, original = tmp_path / "started", harness.generate_small_world
+
+    def slow(n, z, r, seed):
+        with open(log, "a") as fh:
+            fh.write(f"{r}\n")
+        if r == 0.1:
+            raise ParameterError("first task fails")
+        time.sleep(0.1)
+        return original(n, z, r, seed=seed)
+
+    monkeypatch.setattr(harness, "generate_small_world", slow)
+    with pytest.raises(ParameterError, match="first task fails"):
+        run_sweep(tiny_config(rs=tuple(k / 20 for k in range(2, 21)) + (0.01,), iterations=1))
+    assert multiprocessing.active_children() == []
+    assert 1 <= len(log.read_text().splitlines()) < 12  # slack for a slow host; no cancel starts all 20
 
 
 def assert_sweep_csv_round_trips(results, path):

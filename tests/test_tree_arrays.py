@@ -12,6 +12,7 @@ that the loader's vectorized screen raises what the exact per-tree check
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -172,6 +173,48 @@ def test_first_fault_in_document_order_raises():
         trees_from_json(json.dumps([a_doc(), late, malformed]))
     with pytest.raises(TreeSchemaError, match="sigma must be"):
         trees_from_json(json.dumps([a_doc(), malformed, late]))
+
+
+def spanning(first, last):
+    """a_doc with its two nodes, parent and child, shared at times first and last."""
+    doc = a_doc(t=last)
+    doc["nodes"][0]["t"] = first
+    return doc
+
+
+@pytest.mark.parametrize("first,last", [
+    (-1e308, 1e308), (-10**308, 10**308), (-10**308, 1e308),
+], ids=["float", "big int", "int and float"])
+def test_a_tree_whose_times_span_no_finite_lifetime_is_a_schema_error(first, last):
+    message = "tree 1: share times from .* span no finite lifetime"
+    with pytest.raises(TreeSchemaError, match=message):
+        tree_from_dict(spanning(first, last))
+    with pytest.raises(TreeSchemaError, match=message):
+        trees_from_json(json.dumps([a_doc(), spanning(first, last)]))
+
+
+@pytest.mark.parametrize("first,last", [
+    (0.0, 1e308), (-2**63, 2**63 - 1), (-5 * 10**18, 5 * 10**18), (0, 10**308), (0, 1e308),
+], ids=["float", "int64 extremes", "int64 span past 2**63", "big int", "int and float"])
+def test_a_tree_whose_times_span_a_finite_lifetime_loads(first, last):
+    # Alone the tree's times may be an int64 column, beside a tree of float times an object column.
+    for batch in ([spanning(first, last)], [spanning(first, last), a_doc()]):
+        row = metrics_rows(trees_from_json(json.dumps(batch)))[0]
+        assert row["lifetime"] == last - first and math.isfinite(row["lifetime"])
+
+
+@pytest.mark.parametrize("forest", [
+    diffuse(label_edges(generate_small_world(200, 6, 0.3, seed=3), 0.8, seed=4),
+            [NewsItem(id=i, fitness=0.1 * i, first_sharer_count=i) for i in range(6)], 0.2, seed=5,
+            build_trees=True)[1],
+    trees_from_json(json.dumps([a_doc(), a_doc(user="x", t=2.5), a_doc(user=2**70)])),
+], ids=["kernel", "loaded"])
+def test_a_pickled_forest_keeps_read_only_arrays_and_its_trees(forest):
+    back = pickle.loads(pickle.dumps(forest))
+    for field in ("id", "user", "sigma", "t", "parent"):
+        assert not getattr(back, field).flags.writeable
+    assert forest_fields(back) == forest_fields(forest)
+    assert trees_to_json(back) == trees_to_json(forest)
 
 
 # --- properties -------------------------------------------------------------------
