@@ -62,7 +62,7 @@ def _read_numbers(path) -> np.ndarray:
 
 
 def _non_negative_int(text: str) -> int:
-    """The argparse type of every --seed and --items."""
+    """The argparse type of every --seed."""
     value = int(text)  # a ValueError is an argument error too
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
@@ -70,7 +70,7 @@ def _non_negative_int(text: str) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """The argparse type of --iterations."""
+    """The argparse type of --items and --iterations."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
@@ -138,8 +138,8 @@ def _cmd_stats_test(args) -> int:
             fractional = values[values != np.floor(values)]
             if fractional.size:
                 raise ParameterError(f"{path}: the Wald test needs integer sizes, got {float(fractional[0])!r}")
-        fit_a = stats.fit_power_law(a.astype(int), x_min=args.x_min)
-        fit_b = stats.fit_power_law(b.astype(int), x_min=args.x_min)
+        fit_a = stats.fit_power_law(a, x_min=args.x_min)
+        fit_b = stats.fit_power_law(b, x_min=args.x_min)
         res = stats.wald_test(fit_a, fit_b, alpha=args.alpha)
         print(f"alpha1={fit_a.alpha!r} alpha2={fit_b.alpha!r} W={res.W!r} p={res.p_value!r} reject={res.reject}")
     return 0
@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="diffuse a news batch over a graph")
     p.add_argument("--graph", required=True)
-    p.add_argument("--items", type=_non_negative_int, required=True)
+    p.add_argument("--items", type=_positive_int, required=True)
     p.add_argument("--first-sharers", type=_parse_distribution, required=True,
                    help="family:params, e.g. ig:18.73,9.63 or poisson:39.24")
     p.add_argument("--delta", type=float, required=True)

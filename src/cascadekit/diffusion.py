@@ -84,10 +84,7 @@ def sample_news(count: int, dist: FittedDistribution, seed, max_count: int | Non
     counts = sample_first_sharers(dist, count, rng)
     if max_count is not None:
         counts = np.minimum(counts, max_count)
-    return [
-        NewsItem(id=i, fitness=float(f), first_sharer_count=int(c))
-        for i, (f, c) in enumerate(zip(fitness, counts))
-    ]
+    return list(map(NewsItem, range(count), fitness.tolist(), counts.tolist()))
 
 
 def run_batch(g: SignedGraph, news_list, delta: float, seed) -> list[CascadeOutcome]:
@@ -131,7 +128,7 @@ def diffuse(g: SignedGraph, news_list, delta: float, seed,
     frontier = _seed_nodes(rng, counts, n)
 
     indptr, indices = g.adjacency()
-    expand = _Expansion(indptr, indices, g.opinions, fitness, delta, n, rng if build_trees else None)
+    parent_rng = rng if build_trees else None
     shared = [] if build_trees else None  # per round: sharer keys, their parent nodes, the round
     sizes = counts.copy()
     rounds = np.zeros(len(counts), dtype=np.int64)
@@ -145,7 +142,7 @@ def diffuse(g: SignedGraph, news_list, delta: float, seed,
     if shared is not None:
         shared.append((frontier, np.full(frontier.size, -1), round_k))
     while frontier.size:
-        frontier, parents = expand(frontier, visited)
+        frontier, parents = _expand(indptr, indices, g.opinions, fitness, delta, n, parent_rng, frontier, visited)
         if not frontier.size:
             break
         round_k += 1
@@ -204,55 +201,45 @@ def _seed_nodes(rng: np.random.Generator, counts: np.ndarray, n: int) -> np.ndar
 _SLICE_PAIRS = 1 << 16
 
 
-class _Expansion:
-    """One round of the frontier kernel over a prepared homogeneous CSR view."""
+def _expand(indptr, indices, opinions, fitness, delta, n, rng, frontier, visited):
+    """One kernel round over the homogeneous CSR: the new sharer keys, sorted, and
+    their parent nodes with rng (the batch Generator, tree mode), None without."""
+    items, nodes = np.divmod(frontier, n)
+    pairs = indptr[nodes + 1] - indptr[nodes]
+    parts = [_slice(indptr, indices, opinions, fitness, delta, n, rng,
+                    items[lo:hi], nodes[lo:hi], pairs[lo:hi], visited) for lo, hi in _item_slices(items, pairs)]
+    if len(parts) == 1:
+        return parts[0]
+    keys, parents = zip(*parts)
+    return np.concatenate(keys), (np.concatenate(parents) if rng is not None else None)
 
-    def __init__(self, indptr, indices, opinions, fitness, delta, n, rng):
-        self.indptr, self.indices, self.opinions = indptr, indices, opinions
-        self.degree = np.diff(indptr)
-        self.fitness, self.delta, self.n = fitness, delta, n
-        self.rng = rng  # the batch Generator in tree mode, None for stats only
 
-    def __call__(self, frontier: np.ndarray, visited: np.ndarray):
-        """New sharer keys of the next round, sorted, and their parent nodes (tree mode)."""
-        n = self.n
-        items, nodes = np.divmod(frontier, n)
-        pairs = self.degree[nodes]
-        keys, parents = [], []
-        for lo, hi in _item_slices(items, pairs):
-            k, p = self._slice(items[lo:hi], nodes[lo:hi], pairs[lo:hi], visited)
-            keys.append(k)
-            parents.append(p)
-        if len(keys) == 1:
-            return keys[0], parents[0]
-        return np.concatenate(keys), (np.concatenate(parents) if self.rng is not None else None)
+def _slice(indptr, indices, opinions, fitness, delta, n, rng, items, nodes, pairs, visited):
+    """_expand on a slice of whole items of the frontier and their neighbor pair counts."""
+    ends = np.cumsum(pairs)
+    gather = np.repeat(indptr[nodes] - (ends - pairs), pairs) + np.arange(ends[-1])
+    children = indices[gather]
+    pair_items = np.repeat(items, pairs)
+    ok = np.abs(opinions[children] - fitness[pair_items]) <= delta
+    keys = pair_items[ok] * n + children[ok]
+    fresh = visited[np.minimum(np.searchsorted(visited, keys), visited.size - 1)] != keys
+    keys = keys[fresh]
+    if rng is None:
+        return np.unique(keys), None
+    parents = np.repeat(nodes, pairs)[ok][fresh]
+    if not keys.size:
+        return keys, parents
 
-    def _slice(self, items, nodes, pairs, visited):
-        n = self.n
-        ends = np.cumsum(pairs)
-        gather = np.repeat(self.indptr[nodes] - (ends - pairs), pairs) + np.arange(ends[-1])
-        children = self.indices[gather]
-        pair_items = np.repeat(items, pairs)
-        ok = np.abs(self.opinions[children] - self.fitness[pair_items]) <= self.delta
-        keys = pair_items[ok] * n + children[ok]
-        fresh = visited[np.minimum(np.searchsorted(visited, keys), visited.size - 1)] != keys
-        keys = keys[fresh]
-        if self.rng is None:
-            return np.unique(keys), None
-        parents = np.repeat(nodes, pairs)[ok][fresh]
-        if not keys.size:
-            return keys, parents
-
-        order = np.argsort(keys, kind="stable")
-        keys, parents = keys[order], parents[order]
-        first = _run_starts(keys)
-        counts = np.diff(np.append(first, keys.size))
-        chosen = first.copy()
-        multi = counts > 1
-        # An array of bounds draws what one scalar call per bound would, so
-        # the parents do not depend on how a round is sliced.
-        chosen[multi] += self.rng.integers(counts[multi])
-        return keys[first], parents[chosen]
+    order = np.argsort(keys, kind="stable")
+    keys, parents = keys[order], parents[order]
+    first = _run_starts(keys)
+    counts = np.diff(np.append(first, keys.size))
+    chosen = first.copy()
+    multi = counts > 1
+    # An array of bounds draws what one scalar call per bound would, so
+    # the parents do not depend on how a round is sliced.
+    chosen[multi] += rng.integers(counts[multi])
+    return keys[first], parents[chosen]
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:

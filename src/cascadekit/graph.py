@@ -220,11 +220,8 @@ def graph_to_dict(g: SignedGraph) -> dict:
         "n": g.node_count,
         "z": g.ring_degree,
         "r": g.rewiring_probability,
-        "nodes": [{"id": i, "opinion": float(w)} for i, w in enumerate(g.opinions)],
-        "edges": [
-            {"u": int(u), "v": int(v), "homogeneous": bool(h)}
-            for (u, v), h in zip(g.edges, g.homogeneous)
-        ],
+        "nodes": [{"id": i, "opinion": w} for i, w in enumerate(g.opinions.tolist())],
+        "edges": [{"u": u, "v": v, "homogeneous": h} for (u, v), h in zip(g.edges.tolist(), g.homogeneous.tolist())],
     }
 
 

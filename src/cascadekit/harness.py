@@ -30,7 +30,7 @@ import math
 import numbers
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -68,8 +68,9 @@ class SweepConfig:
         for name, count in (("n", self.n), ("m", self.m)):
             if count >= 2**63:
                 raise ParameterError(f"config field {name!r} must fit an int64, got {count}")
-        if self.m < 0 or self.iterations < 1 or self.master_seed < 0:
-            raise ParameterError("need m >= 0, iterations >= 1 and master_seed >= 0")
+        if self.m < 1 or self.iterations < 1 or self.master_seed < 0:
+            raise ParameterError(f"need m >= 1, iterations >= 1 and master_seed >= 0, got m={self.m}, "
+                                 f"iterations={self.iterations}, master_seed={self.master_seed}")
         for name, grid in (("delta", self.deltas), ("phi_hl", self.phis), ("r", self.rs)):
             if not grid:
                 raise ParameterError(f"sweep grid of {name} is empty")
@@ -101,17 +102,9 @@ class SweepResult:
 
 
 def config_to_dict(config: SweepConfig) -> dict:
-    return {
-        "n": config.n,
-        "m": config.m,
-        "z": config.z,
-        "master_seed": config.master_seed,
-        "first_sharers": config.first_sharers.to_dict(),
-        "deltas": list(config.deltas),
-        "phis": list(config.phis),
-        "rs": list(config.rs),
-        "iterations": config.iterations,
-    }
+    """The config's fields in field order, with the grids as lists and first_sharers as its to_dict()."""
+    doc = {key: list(value) if isinstance(value, (tuple, list)) else value for key, value in vars(config).items()}
+    return doc | {"first_sharers": config.first_sharers.to_dict()}
 
 
 def _int_field(doc: dict, key: str, default=None) -> int:
@@ -151,7 +144,7 @@ def config_from_dict(doc: dict, master_seed: int | None = None) -> SweepConfig:
         deltas=_grid_field(doc, "deltas", DEFAULT_DELTA_GRID),
         phis=_grid_field(doc, "phis", DEFAULT_PHI_GRID),
         rs=_grid_field(doc, "rs", DEFAULT_R_GRID),
-        iterations=_int_field(doc, "iterations", 100),
+        iterations=_int_field(doc, "iterations", SweepConfig.iterations),
     )
     config.validate()
     return config
@@ -165,10 +158,10 @@ def save_config(config: SweepConfig, path) -> None:
     files.write_json(path, config_to_dict(config), indent=2)
 
 
-def troll_fit_config(master_seed: int, iterations: int = 100) -> SweepConfig:
+def troll_fit_config(master_seed: int) -> SweepConfig:
     """Named preset for the troll-page scenario: 16889 users, 1072 items,
     inverse-Gaussian(18.73, 9.63) first sharers at (phi_hl, r, delta) =
-    (0.56, 0.01, 0.015)."""
+    (0.56, 0.01, 0.015), over the default 100 iterations."""
     return SweepConfig(
         n=16889,
         m=1072,
@@ -178,7 +171,6 @@ def troll_fit_config(master_seed: int, iterations: int = 100) -> SweepConfig:
         deltas=(0.015,),
         phis=(0.56,),
         rs=(0.01,),
-        iterations=iterations,
     )
 
 
@@ -303,9 +295,7 @@ def _moments(batch: BatchStats) -> list[int]:
 
 
 def _mean_sd(count: int, total: int, squares: int) -> tuple[float, float]:
-    """Mean and sample standard deviation from exact integer moments, each rounded once."""
-    if not count:
-        return math.nan, 0.0
+    """Mean and sample standard deviation from exact integer moments (count >= 1), each rounded once."""
     if count == 1:
         return total / count, 0.0
     return total / count, _sqrt_of_ratio(count * squares - total * total, count * (count - 1))
@@ -330,7 +320,7 @@ def _pooled_result(config: SweepConfig, point: tuple[float, float, float], sums:
     phi_hl, r, delta = point
     count, seeds, size_sum, size_squares, height_sum, height_squares = sums
     mu = branching.branching_ratio(config.z, delta, q=1.0 - phi_hl)
-    mean_seeds = seeds / count if count else 0.0
+    mean_seeds = seeds / count
     try:
         size_pred = branching.expected_cascade_size(mean_seeds, mu)
         supercritical = False
@@ -359,10 +349,7 @@ def _pooled_result(config: SweepConfig, point: tuple[float, float, float], sums:
     )
 
 
-SWEEP_COLUMNS = (
-    "phi_hl", "r", "delta", "mean_size", "sd_size", "mean_height", "sd_height",
-    "mu_pred", "size_pred", "iterations", "mean_seeds", "supercritical",
-)
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepResult))
 
 
 def write_sweep_csv(results: list[SweepResult], path) -> None:
@@ -464,6 +451,10 @@ def _group_curves(rows: list[dict]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     return curves
 
 
+# A comparison row; reference is the KS critical value or the Wald p-value.
+COMPARISON_COLUMNS = ("test", "group_a", "group_b", "statistic", "reference", "reject")
+
+
 def _compare_groups(groups: dict[str, GroupAnalysis]) -> list[dict]:
     comparisons = []
     names = sorted(groups)
@@ -476,18 +467,13 @@ def _compare_groups(groups: dict[str, GroupAnalysis]) -> list[dict]:
                 log.warning("skipping KS on %s for (%s, %s): empty sample", metric, a, b)
                 continue
             ks = stats.ks_two_sample(s1, s2)
-            comparisons.append({
-                "test": f"ks_{metric}", "group_a": a, "group_b": b,
-                "statistic": ks.D, "reference": ks.D_alpha, "reject": ks.reject,
-            })
+            comparisons.append(dict(zip(COMPARISON_COLUMNS, (f"ks_{metric}", a, b, ks.D, ks.D_alpha, ks.reject))))
         try:
             fit_a = stats.fit_power_law([row["size"] for row in rows_a if row["size"] >= 1])
             fit_b = stats.fit_power_law([row["size"] for row in rows_b if row["size"] >= 1])
             wald = stats.wald_test(fit_a, fit_b)
-            comparisons.append({
-                "test": "wald_size_alpha", "group_a": a, "group_b": b,
-                "statistic": wald.W, "reference": wald.p_value, "reject": wald.reject,
-            })
+            comparisons.append(dict(zip(COMPARISON_COLUMNS,
+                                        ("wald_size_alpha", a, b, wald.W, wald.p_value, wald.reject))))
         except (DegenerateSampleError, ParameterError) as exc:
             log.warning("skipping Wald on (%s, %s): %s", a, b, exc)
     return comparisons
@@ -532,7 +518,6 @@ def write_analysis(result: AnalysisResult, out_dir) -> list[str]:
 
     if result.comparisons:
         comp_path = os.path.join(out_dir, "comparisons.csv")
-        files.write_csv(comp_path, ("test", "group_a", "group_b", "statistic", "reference", "reject"),
-                        result.comparisons)
+        files.write_csv(comp_path, COMPARISON_COLUMNS, result.comparisons)
         written.append(comp_path)
     return written

@@ -67,7 +67,7 @@ def test_criterion_1_troll_fit_reproduction():
     that reaches the size window brings the mean height down to 1.43; see
     test_criterion_1_size_height_frontier.
     """
-    config = troll_fit_config(master_seed=101, iterations=20)
+    config = dataclasses.replace(troll_fit_config(master_seed=101), iterations=20)
     [result] = run_sweep(config)
     size_lo, size_hi = TROLL_MEAN_SIZE * 0.85, TROLL_MEAN_SIZE * 1.15
     height_lo, height_hi = TROLL_MEAN_HEIGHT - 0.15, TROLL_MEAN_HEIGHT + 0.15
@@ -102,7 +102,7 @@ def test_criterion_1_size_height_frontier():
     its mean size over its mean seed count, which is the same at every
     delta, so seed sampling noise does not move it.
     """
-    config = troll_fit_config(master_seed=101, iterations=3)
+    config = dataclasses.replace(troll_fit_config(master_seed=101), iterations=3)
     ig = config.first_sharers.params
     seed_dist = scipy_stats.invgauss(ig["mean"] / ig["shape"], scale=ig["shape"])
     expected_seeds = float(seed_dist.sf(np.arange(1, 5000)).sum())  # E[floor X] = sum_k P(X >= k)

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -204,11 +205,24 @@ def test_stats_test_wald_rejects_non_integral_sizes(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_stats_test_wald_fits_integral_sizes_beyond_int64(tmp_path, capsys):
+    # The sizes go to the fit as read: 1e20 is an integer, which a cast to
+    # int64 would wrap to a negative number.
+    a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_column(a_path, [1, 1, 2, 3, 1, 5, 1e20])
+    write_column(b_path, [1, 2, 3, 1, 5, 1, 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["stats-test", "wald", "--a", str(a_path), "--b", str(b_path)]) == 0
+    assert capsys.readouterr().out.startswith("alpha1=")
+
+
 @pytest.mark.parametrize("changes", [
     {"first_sharers": {"family": "poisson"}},
     {"first_sharers": {"family": "ig", "mean": float("nan"), "shape": 1.0}},
     {"n": 16889.7},
     {"deltas": [0.02, "x"]},
+    {"m": 0},
 ], ids=repr)
 def test_sweep_with_malformed_config_is_a_one_line_error(tmp_path, capsys, changes):
     config = {
@@ -275,11 +289,13 @@ def test_any_first_sharer_spec_parses_or_is_an_argument_error(name, values, uppe
      "--seed", "-3", "--out", "t.json"],
     ["simulate", "--graph", "g.json", "--items", "-1", "--first-sharers", "poisson:2", "--delta", "0.1",
      "--seed", "1", "--out", "t.json"],
+    ["simulate", "--graph", "g.json", "--items", "0", "--first-sharers", "poisson:2", "--delta", "0.1",
+     "--seed", "1", "--out", "t.json"],
     ["sweep", "--preset", "troll", "--seed", "-5", "--out", "grid.csv"],
     ["fit-first-sharers", "--in", "counts.csv", "--seed", "-2", "--out", "table.csv"],
     ["generate", "--nodes", "100", "--rewiring", "0.1", "--seed", "1.5", "--out", "g.json"],
-], ids=["generate seed -1", "simulate seed -3", "simulate items -1", "sweep seed -5", "fit-first-sharers seed -2",
-        "generate seed 1.5"])
+], ids=["generate seed -1", "simulate seed -3", "simulate items -1", "simulate items 0", "sweep seed -5",
+        "fit-first-sharers seed -2", "generate seed 1.5"])
 def test_negative_seeds_and_item_counts_are_argument_errors(tmp_path, monkeypatch, capsys, command):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as excinfo:

@@ -31,6 +31,7 @@ result.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -83,6 +84,12 @@ TOY_SWEEP = dict(
     n=300, m=60, z=4, master_seed=9, first_sharers=FittedDistribution.poisson(3.0),
     phis=(0.6, 1.0), rs=(0.1, 1.0), deltas=(0.05, 0.2), iterations=2,
 )
+
+
+def troll_sweep_config() -> SweepConfig:
+    """The troll preset at master seed 23, cut to two iterations."""
+    return dataclasses.replace(troll_fit_config(master_seed=23), iterations=2)
+
 
 # One distribution per family, keyed by family name.
 DISTRIBUTIONS = {
@@ -305,7 +312,7 @@ def all_digests() -> dict[str, str]:
     out["tree_json_rewired_2000"] = tree_json_digest()
     out["metrics_csv_random_200"] = metrics_csv_digest()
     out["sweep_toy"], out["sweep_toy_trees"] = sweep_toy_digests()
-    out["sweep_troll"] = results_digest(run_sweep(troll_fit_config(master_seed=23, iterations=2)))
+    out["sweep_troll"] = results_digest(run_sweep(troll_sweep_config()))
     out.update({f"sample_{family}": sample_digest(family) for family in DISTRIBUTIONS})
     out.update({f"config_json_{family}": config_json_digest(family) for family in DISTRIBUTIONS})
     out.update({f"config_file_{family}": config_file_digest(family) for family in DISTRIBUTIONS})
@@ -367,7 +374,7 @@ def test_toy_sweep_digests_unchanged():
 
 
 def test_troll_sweep_digest_unchanged():
-    results = run_sweep(troll_fit_config(master_seed=23, iterations=2))
+    results = run_sweep(troll_sweep_config())
     assert results_digest(results) == GOLDEN["sweep_troll"]
 
 
@@ -377,7 +384,7 @@ def test_sweep_digests_are_the_same_on_one_and_two_workers(monkeypatch, workers)
     # pool; the troll sweep's two iterations are two tasks.
     monkeypatch.setattr(harness, "_worker_count", lambda tasks: min(workers, tasks))
     assert sweep_toy_digests() == (GOLDEN["sweep_toy"], GOLDEN["sweep_toy_trees"])
-    assert results_digest(run_sweep(troll_fit_config(master_seed=23, iterations=2))) == GOLDEN["sweep_troll"]
+    assert results_digest(run_sweep(troll_sweep_config())) == GOLDEN["sweep_troll"]
     assert sweep_csv_digest() == GOLDEN["sweep_csv_toy"]
 
 
@@ -385,7 +392,7 @@ def test_earlier_scheme_oracle_reproduces_the_earlier_sweep_digests():
     # The reference that the old-versus-new statistical test compares against
     # is exactly the earlier run_sweep, at toy and at troll scale.
     assert results_digest(earlier_scheme_sweep(SweepConfig(**TOY_SWEEP))) == EARLIER_SCHEME["sweep_toy"]
-    troll = earlier_scheme_sweep(troll_fit_config(master_seed=23, iterations=2))
+    troll = earlier_scheme_sweep(troll_sweep_config())
     assert results_digest(troll) == EARLIER_SCHEME["sweep_troll"]
 
 

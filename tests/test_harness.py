@@ -150,10 +150,13 @@ def test_sweep_shares_news_across_delta_only():
     assert len({seeds[0] for seeds in by_pair.values()}) == len(by_pair)
 
 
-def test_sweep_agrees_with_the_earlier_scheme():
+def test_sweep_agrees_with_the_earlier_scheme(monkeypatch):
     # Common random numbers change which draws a point sees, not their law:
     # over 30 master seeds, every point's mean size and mean height under
-    # the new scheme agree with the earlier per-point-iteration scheme.
+    # the new scheme agree with the earlier per-point-iteration scheme. The
+    # results do not depend on the worker count, so the 30 small sweeps run
+    # in this process rather than each on a pool of its own.
+    monkeypatch.setattr(harness, "_worker_count", lambda tasks: 1)
     base = dict(n=300, m=40, z=4, first_sharers=FittedDistribution.poisson(3.0),
                 phis=(0.6, 1.0), rs=(0.1, 1.0), deltas=(0.05, 0.1), iterations=2)
     fields = ("mean_size", "mean_height")
@@ -353,6 +356,8 @@ def test_config_validation_errors():
         tiny_config(deltas=()).validate()
     with pytest.raises(ParameterError):
         tiny_config(iterations=0).validate()
+    with pytest.raises(ParameterError, match="m >= 1"):
+        tiny_config(m=0).validate()
     with pytest.raises(ParameterError):
         tiny_config(deltas=(1.5,)).validate()
     with pytest.raises(ParameterError):
@@ -400,6 +405,7 @@ def test_config_from_dict_rejects_a_document_that_is_not_an_object():
     ({"n": "abc"}, "'n'"),
     ({"n": True}, "'n'"),
     ({"m": None}, "'m'"),
+    ({"m": 0}, "m=0"),  # an empty news batch would pool no cascades and write NaN means
     ({"z": [4]}, "'z'"),
     ({"iterations": 2.5}, "'iterations'"),
     ({"master_seed": False}, "'master_seed'"),
@@ -474,8 +480,8 @@ def test_default_grids_cover_reference_protocol():
 
 
 def test_troll_preset_parameters():
-    config = troll_fit_config(master_seed=1, iterations=20)
-    assert (config.n, config.m, config.z) == (16889, 1072, 8)
+    config = troll_fit_config(master_seed=1)
+    assert (config.n, config.m, config.z, config.iterations) == (16889, 1072, 8, 100)
     assert config.grid() == [(0.56, 0.01, 0.015)]
     assert config.first_sharers.family == "inverse_gaussian"
     assert config.first_sharers.params == {"mean": 18.73, "shape": 9.63}
