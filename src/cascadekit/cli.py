@@ -90,7 +90,7 @@ def _cmd_simulate(args) -> int:
     g = load_graph(args.graph)
     s_news, s_batch = np.random.SeedSequence(args.seed).spawn(2)
     news = sample_news(args.items, args.first_sharers, seed=s_news, max_count=g.node_count)
-    batch, forest = diffuse(g, news, args.delta, seed=s_batch, build_trees=True)
+    [(batch, forest)] = diffuse(g, news, (args.delta,), seed=s_batch, build_trees=True)
     trees.save_trees(forest, args.out)
     print(f"wrote {len(forest)} trees: mean size {np.mean(batch.sizes):.3f}")
     return 0

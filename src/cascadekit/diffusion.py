@@ -7,12 +7,14 @@ threshold of the fitness. Every user shares at most once, so the sharer
 set is the threshold-restricted reachability closure of the seeds.
 
 One numpy frontier kernel expands a whole batch at once, round by round.
-diffuse is its entry point: it returns per-item seed counts, sizes, heights
-and round counts, plus the sharing trees as one trees.Forest with
-build_trees. run_batch wraps it as one CascadeOutcome per item. One
+diffuse is its entry point: it takes one or more sharing thresholds and
+returns, per threshold, the per-item seed counts, sizes, heights and round
+counts, plus the sharing trees as one trees.Forest with build_trees.
+run_batch wraps one threshold as one CascadeOutcome per item. One
 Generator serves a whole batch: it draws every item's seed nodes in one
-vectorized step, then the tree parents round by round
-(tests/test_equivalence.py holds digests of the output for fixed seeds).
+vectorized step, shared by every threshold, then the tree parents round by
+round (tests/test_equivalence.py holds digests of the output for fixed
+seeds).
 """
 
 from __future__ import annotations
@@ -89,60 +91,80 @@ def sample_news(count: int, dist: FittedDistribution, seed, max_count: int | Non
 
 def run_batch(g: SignedGraph, news_list, delta: float, seed) -> list[CascadeOutcome]:
     """diffuse with build_trees, as one CascadeOutcome per item in news-list order."""
-    stats, forest = diffuse(g, news_list, delta, seed, build_trees=True)
+    [(stats, forest)] = diffuse(g, news_list, (delta,), seed, build_trees=True)
     return [CascadeOutcome(item.id, tree, k) for item, tree, k in zip(news_list, forest, stats.rounds.tolist())]
 
 
-def diffuse(g: SignedGraph, news_list, delta: float, seed,
-            build_trees: bool = False) -> tuple[BatchStats, Forest | None]:
-    """Diffuse a batch from a master seed: (BatchStats, the trees.Forest of its sharing trees or None).
+def diffuse(g: SignedGraph, news_list, deltas, seed,
+            build_trees: bool = False) -> list[tuple[BatchStats, Forest | None]]:
+    """Diffuse a batch from a master seed at each sharing threshold in deltas.
 
-    An item's first_sharer_count distinct seeds share at round 0 without a
+    Returns one (BatchStats, the trees.Forest of its sharing trees or None)
+    per delta, in the order of deltas, which may be unsorted or repeat. An
+    item's first_sharer_count distinct seeds share at round 0 without a
     threshold check. Then every not-yet-sharing neighbor of a round-k sharer
     across a homogeneous edge shares at round k+1 iff |opinion - fitness| <=
     delta; a sharer reached by several round-k sharers takes one of them
     uniformly as its tree parent. Seeds hang off the virtual page root.
 
     One Generator serves the whole batch: seed is an int, a SeedSequence or
-    the Generator itself. It first draws every item's seeds (see
-    _seed_nodes), which keep their draw order. Then, with build_trees, it
-    draws for each sharer with k > 1 candidate parents (in frontier order:
-    seed order in round 1, node order later) the index rng.integers(k),
-    round by round in (item, node) order. The stats do not depend on
-    build_trees, since all seeds are drawn before any parent, and without
-    it no parent is drawn and no tree is built.
+    the Generator itself. It first draws every item's seeds once for all
+    deltas (see _seed_nodes), which keep their draw order. Then, with
+    build_trees, each delta starts from the Generator's state after the seed
+    draw and draws for each sharer with k > 1 candidate parents (in frontier
+    order: seed order in round 1, node order later) the index
+    rng.integers(k), round by round in (item, node) order. So each delta's
+    result equals that of a call with deltas=(delta,), and a Generator passed
+    as seed ends where the last delta's draws leave it. The stats do not
+    depend on build_trees, since all seeds are drawn before any parent, and
+    without it no parent is drawn and no tree is built.
     All items expand at once, one round at a time, as int64 keys item*n + node.
 
     Raises:
-        ParameterError: delta outside [0, 1], a fitness not a number in [0, 1],
-            or a first-sharer count not an integer from 0 to the node count.
+        ParameterError: deltas a bare number or empty, a delta outside
+            [0, 1], a fitness not a number in [0, 1], or a first-sharer
+            count not an integer from 0 to the node count.
     """
-    if not 0.0 <= delta <= 1.0:
-        raise ParameterError(f"sharing threshold must be in [0, 1], got {delta}")
+    if isinstance(deltas, numbers.Real) or len(deltas) == 0:
+        raise ParameterError(f"deltas must be a non-empty sequence of sharing thresholds, got {deltas!r}")
+    for delta in deltas:
+        if not 0.0 <= delta <= 1.0:
+            raise ParameterError(f"sharing threshold must be in [0, 1], got {delta}")
     n = g.node_count
     counts = _item_values(news_list, [item.first_sharer_count for item in news_list], numbers.Integral, 0, n,
                           np.int64, f"first sharers must be an integer >= 0 and <= the node count {n}")
     fitness = _item_values(news_list, [item.fitness for item in news_list], numbers.Real, 0.0, 1.0, float,
                            "fitness must be a number in [0, 1]")
     rng = np.random.default_rng(seed)
-    frontier = _seed_nodes(rng, counts, n)
+    seeds = _seed_nodes(rng, counts, n)
+    after_seeds = rng.bit_generator.state if build_trees else None
+    results = []
+    for delta in deltas:
+        if build_trees:
+            rng.bit_generator.state = after_seeds
+        results.append(_cascade(g, news_list, counts, fitness, delta, rng if build_trees else None, seeds))
+    return results
 
+
+def _cascade(g: SignedGraph, news_list, counts, fitness, delta, rng, seeds) -> tuple[BatchStats, Forest | None]:
+    """diffuse's rounds at one delta from the seed keys: its stats, and its Forest with rng (tree mode)."""
+    n = g.node_count
     indptr, indices = g.adjacency()
-    parent_rng = rng if build_trees else None
-    shared = [] if build_trees else None  # per round: sharer keys, their parent nodes, the round
+    shared = None if rng is None else []  # per round: sharer keys, their parent nodes, the round
     sizes = counts.copy()
     rounds = np.zeros(len(counts), dtype=np.int64)
     # A neighbor of a round-k sharer has either not shared yet or shared in
     # round k-1 or k: had it shared in round j < k-1, the round-k sharer (a
     # seed, or a node passing the threshold) would have shared by round j+1.
     # So the visited set holds only the last two rounds' pairs.
+    frontier = seeds
     layer = np.sort(frontier)
     visited = layer
     round_k = 0
     if shared is not None:
         shared.append((frontier, np.full(frontier.size, -1), round_k))
     while frontier.size:
-        frontier, parents = _expand(indptr, indices, g.opinions, fitness, delta, n, parent_rng, frontier, visited)
+        frontier, parents = _expand(indptr, indices, g.opinions, fitness, delta, n, rng, frontier, visited)
         if not frontier.size:
             break
         round_k += 1
@@ -186,13 +208,28 @@ def _seed_nodes(rng: np.random.Generator, counts: np.ndarray, n: int) -> np.ndar
     short = sparse_counts
     while short.any():
         drawn = np.repeat(items, short) * n + rng.integers(n, size=int(short.sum()))
-        keys = np.concatenate([keys, drawn])
-        _, first = np.unique(keys, return_index=True)
-        keys = keys[np.sort(first)]
+        keys = _first_occurrences(np.concatenate([keys, drawn]))
         short = sparse_counts - np.bincount(keys // n, minlength=counts.size)
     dense_keys = [i * n + rng.permutation(n)[:m] for i, m in zip(np.flatnonzero(dense), counts[dense].tolist())]
     keys = np.concatenate([keys, *dense_keys])
     return keys[np.argsort(keys // n, kind="stable")]
+
+
+def _first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """keys without every occurrence of a value after its first, in their order.
+
+    Few keys repeat, so only the positions that hold a repeated value are
+    sorted again, stably, to find which occurrence comes first.
+    """
+    ordered = np.sort(keys)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if not repeated.size:
+        return keys
+    at = np.flatnonzero(repeated[np.minimum(np.searchsorted(repeated, keys), repeated.size - 1)] == keys)
+    at = at[np.argsort(keys[at], kind="stable")]  # grouped by value, each in position order
+    later = np.ones(at.size, dtype=bool)
+    later[_run_starts(keys[at])] = False
+    return np.delete(keys, at[later])
 
 
 # Neighbor pairs gathered at once. A round's frontier is expanded in slices
@@ -225,7 +262,8 @@ def _slice(indptr, indices, opinions, fitness, delta, n, rng, items, nodes, pair
     fresh = visited[np.minimum(np.searchsorted(visited, keys), visited.size - 1)] != keys
     keys = keys[fresh]
     if rng is None:
-        return np.unique(keys), None
+        keys = np.sort(keys)
+        return (keys[_run_starts(keys)] if keys.size else keys), None
     parents = np.repeat(nodes, pairs)[ok][fresh]
     if not keys.size:
         return keys, parents

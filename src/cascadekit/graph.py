@@ -105,8 +105,7 @@ def generate_small_world(n: int, z: int, r: float, seed) -> SignedGraph:
     Raises:
         ParameterError: z odd, z < 2, z >= n, n >= 2**63, or r outside [0, 1].
     """
-    if z < 2 or z % 2 != 0:
-        raise ParameterError(f"ring degree must be even and >= 2, got {z}")
+    check_ring_degree(z)
     if not z < n < 2**63:
         raise ParameterError(f"need z < n < 2**63 (an int64), got n={n}, z={z}")
     if not 0.0 <= r <= 1.0:
@@ -130,6 +129,12 @@ def generate_small_world(n: int, z: int, r: float, seed) -> SignedGraph:
         edges=edges,
         homogeneous=np.ones(len(edges), dtype=bool),
     )
+
+
+def check_ring_degree(z: int) -> None:
+    """Raise ParameterError unless z is an even ring degree of at least 2."""
+    if z < 2 or z % 2 != 0:
+        raise ParameterError(f"ring degree must be even and >= 2, got {z}")
 
 
 _MIN_WINDOW = 16  # shorter windows cost more than the loop's own steps
@@ -288,8 +293,8 @@ def graph_from_dict(doc: dict) -> SignedGraph:
         raise ParameterError("edge endpoint out of range")
     if np.any(u == v):
         raise ParameterError("self loop in edge list")
-    keys = np.minimum(u, v) * n + np.maximum(u, v)
-    if np.unique(keys).size != keys.size:
+    keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+    if np.any(keys[1:] == keys[:-1]):
         raise ParameterError("duplicate edge in edge list")
     return SignedGraph(
         node_count=n,

@@ -3,7 +3,8 @@
 A sweep walks a (phi_hl, r, delta) grid with common random numbers: one
 graph per (r, iteration), labeled for every phi_hl under one seed so the
 homogeneous edge sets nest, and one news batch with its seed nodes per
-(phi_hl, r, iteration), diffused at every delta. It pools cascade sizes and
+(phi_hl, r, iteration), diffused at every delta by one diffusion.diffuse
+call. It pools cascade sizes and
 heights across iterations into per-point means and standard deviations,
 alongside the closed-form branching predictions. All randomness derives
 from one master seed through the SeedSequence spawn keys that run_sweep
@@ -30,14 +31,14 @@ import math
 import numbers
 import os
 import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from . import branching, files, stats, trees
 from .diffusion import BatchStats, diffuse, sample_news
 from .errors import DegenerateSampleError, ParameterError, SupercriticalError
-from .graph import generate_small_world, label_edges
+from .graph import check_ring_degree, generate_small_world, label_edges
 from .stats import FittedDistribution
 from .trees import Forest
 
@@ -63,6 +64,7 @@ class SweepConfig:
     iterations: int = 100
 
     def validate(self) -> None:
+        check_ring_degree(self.z)
         if self.n <= self.z:
             raise ParameterError(f"need n > z, got n={self.n}, z={self.z}")
         for name, count in (("n", self.n), ("m", self.m)):
@@ -107,7 +109,7 @@ def config_to_dict(config: SweepConfig) -> dict:
     return doc | {"first_sharers": config.first_sharers.to_dict()}
 
 
-def _int_field(doc: dict, key: str, default=None) -> int:
+def _int_field(doc: dict, key: str, default) -> int:
     value = doc.get(key, default)
     if isinstance(value, float) and value.is_integer():
         value = int(value)
@@ -116,36 +118,36 @@ def _int_field(doc: dict, key: str, default=None) -> int:
     return int(value)
 
 
-def _grid_field(doc: dict, key: str, default: tuple) -> tuple:
+def _grid_field(doc: dict, key: str, default) -> tuple:
     values = doc.get(key, default)
     if not isinstance(values, (list, tuple)):
         raise ParameterError(f"config field {key!r} must be a list of numbers, got {values!r}")
     return tuple(values)
 
 
+# The parser of each SweepConfig field by its annotation; first_sharers has its own.
+_FIELD_PARSERS = {"int": _int_field, "tuple": _grid_field}
+
+
 def config_from_dict(doc: dict, master_seed: int | None = None) -> SweepConfig:
     """Build and validate a sweep config from a config_to_dict document.
 
-    A given master_seed replaces the document's. Raises ParameterError, naming
-    the field, for a missing or malformed field or a non-object document.
+    A given master_seed replaces the document's. A field the document leaves
+    out takes its SweepConfig default. Raises ParameterError, naming the
+    field, for a missing or malformed field or a non-object document.
     """
     if not isinstance(doc, dict):
         raise ParameterError(f"a sweep config must be a JSON object, got {type(doc).__name__}")
     try:
-        first_sharers = FittedDistribution.from_dict(doc.get("first_sharers"))
+        values = {"first_sharers": FittedDistribution.from_dict(doc.get("first_sharers"))}
     except ParameterError as exc:
         raise ParameterError(f"config field 'first_sharers': {exc}") from exc
-    config = SweepConfig(
-        n=_int_field(doc, "n"),
-        m=_int_field(doc, "m"),
-        z=_int_field(doc, "z"),
-        master_seed=_int_field(doc, "master_seed") if master_seed is None else master_seed,
-        first_sharers=first_sharers,
-        deltas=_grid_field(doc, "deltas", DEFAULT_DELTA_GRID),
-        phis=_grid_field(doc, "phis", DEFAULT_PHI_GRID),
-        rs=_grid_field(doc, "rs", DEFAULT_R_GRID),
-        iterations=_int_field(doc, "iterations", SweepConfig.iterations),
-    )
+    if master_seed is not None:
+        values["master_seed"] = master_seed
+    for f in fields(SweepConfig):
+        if f.name not in values:
+            values[f.name] = _FIELD_PARSERS[f.type](doc, f.name, None if f.default is MISSING else f.default)
+    config = SweepConfig(**values)
     config.validate()
     return config
 
@@ -194,7 +196,8 @@ def run_sweep(config: SweepConfig, collect_trees: bool = False):
         delta only, so the deltas of one (phi_hl, r, iteration) diffuse the
         same items from the same seed nodes.
     So each (r, iteration) is one task: it builds its graph, labels it for
-    every phi_hl, samples the news and diffuses every delta, and returns
+    every phi_hl, samples the news and diffuses every delta in one diffuse
+    call per phi_hl, which draws the seed nodes once, and returns
     the integer moments of each of its points (and their Forests with
     collect_trees=True). The tasks run on min(CPUs this process may use,
     task count) worker processes, started with fork and joined before
@@ -241,9 +244,8 @@ def _sweep_task(config: SweepConfig, collect_trees: bool, task: tuple[int, int])
         labeled = label_edges(g, phi_hl, seed=s_label)
         s_news, s_batch = np.random.SeedSequence(config.master_seed, spawn_key=(1, i, j, k)).spawn(2)
         news = sample_news(config.m, config.first_sharers, seed=s_news, max_count=config.n)
-        for d, delta in enumerate(config.deltas):
-            batch, forest = diffuse(labeled, news, delta, seed=s_batch, build_trees=collect_trees)
-            outputs.append(((i, j, d), _moments(batch), forest))
+        batches = diffuse(labeled, news, config.deltas, seed=s_batch, build_trees=collect_trees)
+        outputs += [((i, j, d), _moments(batch), forest) for d, (batch, forest) in enumerate(batches)]
     return outputs
 
 

@@ -224,6 +224,24 @@ def threshold_rounds(adj, opinions, theta: float, delta: float, seeds) -> tuple[
         layer, rounds = sorted(fresh), rounds + 1
 
 
+def unique_seed_nodes(rng, counts: np.ndarray, n: int) -> np.ndarray:
+    """diffusion._seed_nodes as it deduplicated before: np.unique's first indices, sorted back into draw order."""
+    items = np.arange(counts.size, dtype=np.int64)
+    dense = 2 * counts > n
+    sparse_counts = np.where(dense, 0, counts)
+    keys = np.empty(0, dtype=np.int64)
+    short = sparse_counts
+    while short.any():
+        drawn = np.repeat(items, short) * n + rng.integers(n, size=int(short.sum()))
+        keys = np.concatenate([keys, drawn])
+        _, first = np.unique(keys, return_index=True)
+        keys = keys[np.sort(first)]
+        short = sparse_counts - np.bincount(keys // n, minlength=counts.size)
+    dense_keys = [i * n + rng.permutation(n)[:m] for i, m in zip(np.flatnonzero(dense), counts[dense].tolist())]
+    keys = np.concatenate([keys, *dense_keys])
+    return keys[np.argsort(keys // n, kind="stable")]
+
+
 def earlier_scheme_sweep(config):
     """run_sweep under the seeding scheme that common random numbers replaced.
 

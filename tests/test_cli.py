@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cascadekit import harness
 from cascadekit.cli import _parse_distribution, _read_numbers, main
 from cascadekit.errors import ParameterError
 from cascadekit.graph import generate_small_world, load_graph, save_graph
@@ -237,6 +238,20 @@ def test_sweep_with_malformed_config_is_a_one_line_error(tmp_path, capsys, chang
     config_path.write_text("{")
     assert main(["sweep", "--config", str(config_path), "--seed", "7", "--out", str(tmp_path / "a.csv")]) == 3
     assert "malformed config JSON" in one_line_error(capsys, "sweep")
+
+
+@pytest.mark.parametrize("z", [3, 0, -2])
+def test_sweep_config_with_a_bad_ring_degree_fails_before_the_sweep(tmp_path, capsys, monkeypatch, z):
+    monkeypatch.setattr(harness, "run_sweep", lambda *args, **kwargs: pytest.fail("the sweep ran"))
+    config = {
+        "n": 100, "m": 20, "z": z, "master_seed": 0,
+        "first_sharers": {"family": "poisson", "rate": 2.0},
+        "deltas": [0.02], "phis": [0.6], "rs": [0.1], "iterations": 2,
+    }
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(config_path), "--seed", "7", "--out", str(tmp_path / "a.csv")]) == 3
+    assert one_line_error(capsys, "sweep").endswith(f"ring degree must be even and >= 2, got {z}\n")
 
 
 @pytest.mark.parametrize("spec", [

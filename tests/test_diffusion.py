@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from cascadekit import diffusion
@@ -15,7 +17,7 @@ from cascadekit.graph import generate_small_world, label_edges
 from cascadekit.stats import FittedDistribution
 from cascadekit.trees import tree_height, tree_size, tree_to_dict
 
-from oracles import brute_force_sharers, nodes_of
+from oracles import adjacency_sets, brute_force_sharers, nodes_of, threshold_rounds, unique_seed_nodes
 
 
 def small_graph(seed=0, n=200, z=4, r=0.2, phi=0.7):
@@ -263,8 +265,8 @@ def test_diffuse_stats_match_trees_with_and_without_build_trees():
                                                    (9, 8, 0.5, 1.0, 1.0)]):
         g = label_edges(generate_small_world(n, z, r, seed=seed), phi, seed=seed + 10)
         news = mixed_batch(g, 50, seed=seed + 20)
-        stats, forest = diffuse(g, news, delta, seed=seed + 30, build_trees=True)
-        bare, no_trees = diffuse(g, news, delta, seed=seed + 30)
+        [(stats, forest)] = diffuse(g, news, (delta,), seed=seed + 30, build_trees=True)
+        [(bare, no_trees)] = diffuse(g, news, (delta,), seed=seed + 30)
         assert no_trees is None
         for field in ("seeds", "sizes", "heights", "rounds"):
             assert getattr(bare, field).tolist() == getattr(stats, field).tolist()
@@ -278,11 +280,11 @@ def test_expansion_slices_do_not_change_results(monkeypatch):
     g = label_edges(generate_small_world(400, 6, 0.5, seed=26), 0.9, seed=27)
     news = mixed_batch(g, 30, seed=28, max_seeds=20)
     expected = [tree_to_dict(o.tree) for o in run_batch(g, news, 0.3, seed=29)]
-    expected_sizes = diffuse(g, news, 0.3, seed=29)[0].sizes.tolist()
+    expected_sizes = diffuse(g, news, (0.3,), seed=29)[0][0].sizes.tolist()
     for bound in (1, 50):  # one item per slice, and a few items per slice
         monkeypatch.setattr(diffusion, "_SLICE_PAIRS", bound)
         assert [tree_to_dict(o.tree) for o in run_batch(g, news, 0.3, seed=29)] == expected
-        assert diffuse(g, news, 0.3, seed=29)[0].sizes.tolist() == expected_sizes
+        assert diffuse(g, news, (0.3,), seed=29)[0][0].sizes.tolist() == expected_sizes
 
 
 def test_batch_seed_draw_is_distinct_and_uniform():
@@ -296,7 +298,7 @@ def test_batch_seed_draw_is_distinct_and_uniform():
     counts = np.tile(classes, 400)
     np.random.default_rng(31).shuffle(counts)
     news = [NewsItem(id=i, fitness=0.5, first_sharer_count=int(c)) for i, c in enumerate(counts)]
-    stats, forest = diffuse(g, news, 0.0, seed=32, build_trees=True)
+    [(stats, forest)] = diffuse(g, news, (0.0,), seed=32, build_trees=True)
     assert stats.sizes.tolist() == counts.tolist()
     for m in classes:
         seeds = [tree.user for tree, c in zip(forest, counts) if c == m]
@@ -312,6 +314,67 @@ def test_batch_seed_draw_is_distinct_and_uniform():
         assert scipy_stats.chisquare(first).pvalue > 1e-4, (m, first)
 
 
+@st.composite
+def delta_batches(draw):
+    """A small labeled graph, a batch with zero, dense (2m > n) and all-node (m == n) items, and a deltas
+    tuple holding 0 and 1, unsorted and maybe repeated."""
+    n = draw(st.integers(3, 40))
+    z = 2 * draw(st.integers(1, min(4, (n - 1) // 2)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    g = generate_small_world(n, z, draw(st.sampled_from((0.0, 0.05, 0.5, 1.0))), seed=seed)
+    g = label_edges(g, draw(st.floats(0.0, 1.0)), seed=seed + 1)
+    counts = draw(st.lists(st.integers(0, n) | st.sampled_from((0, 1, n // 2 + 1, n)), max_size=12))
+    news = [NewsItem(id=i, fitness=draw(st.floats(0.0, 1.0)), first_sharer_count=c) for i, c in enumerate(counts)]
+    extra = draw(st.lists(st.sampled_from((0.0, 0.05, 0.2, 1.0)) | st.floats(0.0, 1.0), max_size=4))
+    return g, news, tuple(draw(st.permutations([0.0, 1.0, *extra]))), seed
+
+
+NODE_ARRAYS = ("id", "user", "sigma", "t", "parent", "start")
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(delta_batches(), st.booleans())
+def test_diffuse_over_deltas_equals_one_call_per_delta_and_the_layered_oracle(case, build_trees):
+    g, news, deltas, seed = case
+    together = diffuse(g, news, deltas, seed=seed, build_trees=build_trees)
+    assert len(together) == len(deltas)
+    # Every delta starts from the same seed nodes: the roots of any tree-mode call.
+    [(_, roots)] = diffuse(g, news, (0.0,), seed=seed, build_trees=True)
+    seeds = [tree.user[tree.parent < 0].tolist() for tree in roots]
+    adj, opinions = adjacency_sets(g.edges, g.homogeneous.tolist()), g.opinions.tolist()
+    for delta, (stats, forest) in zip(deltas, together):
+        [(alone, alone_forest)] = diffuse(g, news, (delta,), seed=seed, build_trees=build_trees)
+        for field in ("seeds", "sizes", "heights", "rounds"):
+            assert getattr(stats, field).tolist() == getattr(alone, field).tolist()
+        if build_trees:
+            for field in NODE_ARRAYS:
+                assert getattr(forest, field).tolist() == getattr(alone_forest, field).tolist()
+            assert forest.news_id == alone_forest.news_id
+        else:
+            assert forest is None and alone_forest is None
+        layered = [threshold_rounds(adj, opinions, item.fitness, delta, start) for item, start in zip(news, seeds)]
+        assert stats.sizes.tolist() == [size for size, _ in layered]
+        assert stats.rounds.tolist() == [rounds for _, rounds in layered]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 60), st.data(), st.integers(0, 2**32 - 1))
+def test_seed_nodes_match_the_unique_dedup_and_leave_the_same_generator_state(n, data, seed):
+    counts = np.array(data.draw(st.lists(st.integers(0, n) | st.sampled_from((n // 2, n // 2 + 1, n)), max_size=30)),
+                      dtype=np.int64)
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert diffusion._seed_nodes(rng, counts, n).tolist() == unique_seed_nodes(oracle_rng, counts, n).tolist()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.integers(0, 8) | st.integers(-2**62, 2**62), max_size=60))
+def test_first_occurrences_keep_each_value_once_in_first_occurrence_order(values):
+    keys = np.array(values, dtype=np.int64)
+    first = np.unique(keys, return_index=True)[1]
+    assert diffusion._first_occurrences(keys).tolist() == keys[np.sort(first)].tolist()
+
+
 def test_batch_input_errors():
     g = small_graph()
     news = [NewsItem(id=0, fitness=0.5, first_sharer_count=1),
@@ -319,9 +382,12 @@ def test_batch_input_errors():
     with pytest.raises(ParameterError, match="first sharers"):
         run_batch(g, news, 0.1, seed=0)
     with pytest.raises(ParameterError, match="first sharers"):
-        diffuse(g, news, 0.1, seed=0)
+        diffuse(g, news, (0.1,), seed=0)
     with pytest.raises(ParameterError, match="threshold"):
-        diffuse(g, news[:1], -0.1, seed=0)
+        diffuse(g, news[:1], (0.1, -0.1), seed=0)
+    for deltas in ((), 0.1):
+        with pytest.raises(ParameterError, match="non-empty sequence of sharing thresholds"):
+            diffuse(g, news[:1], deltas, seed=0)
     with pytest.raises(ParameterError, match=">= 0"):
         run_batch(g, [NewsItem(id=2, fitness=0.5, first_sharer_count=-1)], 0.1, seed=0)
 
@@ -336,6 +402,6 @@ def test_news_items_need_a_fitness_in_the_unit_interval_and_an_integer_count(fit
     news = [NewsItem(id=0, fitness=0.5, first_sharer_count=1),
             NewsItem(id=1, fitness=fitness, first_sharer_count=count)]
     with pytest.raises(ParameterError, match="news item 1"):
-        diffuse(g, news, 0.1, seed=0)
+        diffuse(g, news, (0.1,), seed=0)
     numpy_scalars = [NewsItem(id=0, fitness=np.float64(0.5), first_sharer_count=np.int64(2))]
-    assert diffuse(g, numpy_scalars, 0.1, seed=0)[0].seeds.tolist() == [2]
+    assert diffuse(g, numpy_scalars, (0.1,), seed=0)[0][0].seeds.tolist() == [2]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadekit import harness
+from cascadekit import diffusion, harness
 from cascadekit.diffusion import diffuse, sample_news
 from cascadekit.errors import (
     OrphanParentError,
@@ -89,7 +89,8 @@ def documented_batches(config, i, j, d, build_trees=False):
         g = label_edges(g, config.phis[i], seed=s_label)
         s_news, s_batch = np.random.SeedSequence(config.master_seed, spawn_key=(1, i, j, k)).spawn(2)
         news = sample_news(config.m, config.first_sharers, seed=s_news, max_count=config.n)
-        yield diffuse(g, news, config.deltas[d], seed=s_batch, build_trees=build_trees)
+        [batch] = diffuse(g, news, (config.deltas[d],), seed=s_batch, build_trees=build_trees)
+        yield batch
 
 
 def test_sweep_aggregation_matches_naive_recomputation():
@@ -114,6 +115,21 @@ def test_sweep_sd_is_the_correctly_rounded_sample_sd(values):
     mean, sd = _mean_sd(len(values), sum(values), sum(v * v for v in values))
     assert sd == statistics.stdev(values)
     assert mean == sum(values) / len(values)
+
+
+@pytest.mark.parametrize("collect_trees", [False, True])
+def test_a_sweep_draws_the_seed_nodes_once_per_phi_r_and_iteration(monkeypatch, collect_trees):
+    monkeypatch.setattr(harness, "_worker_count", lambda tasks: 1)  # in-process, so the calls can be counted here
+    calls, seed_nodes = [], diffusion._seed_nodes
+
+    def counted(*args):
+        calls.append(args)
+        return seed_nodes(*args)
+
+    monkeypatch.setattr(diffusion, "_seed_nodes", counted)
+    config = tiny_config(phis=(0.5, 0.6), rs=(0.1, 0.2), deltas=(0.1, 0.02, 0.1), iterations=3)
+    run_sweep(config, collect_trees=collect_trees)
+    assert len(calls) == len(config.phis) * len(config.rs) * config.iterations
 
 
 def test_sweep_mean_size_at_least_mean_seeds():
@@ -377,6 +393,23 @@ def test_a_point_of_one_item_has_zero_standard_deviations():
     [result] = run_sweep(tiny_config(m=1, iterations=1, deltas=(0.1,), first_sharers=FittedDistribution.uniform(3, 3)))
     assert (result.iterations, result.mean_seeds) == (1, 3.0) and result.mean_size >= 3
     assert (result.sd_size, result.sd_height) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("z", [3, 0, -2, 1])
+def test_config_rejects_a_ring_degree_the_graph_builder_rejects(z):
+    with pytest.raises(ParameterError) as builder:
+        generate_small_world(120, z, 0.2, seed=0)
+    for make in (lambda: tiny_config(z=z).validate(), lambda: config_from_dict(config_doc({"z": z}))):
+        with pytest.raises(ParameterError) as excinfo:
+            make()
+        assert str(excinfo.value) == str(builder.value) == f"ring degree must be even and >= 2, got {z}"
+
+
+def test_config_from_dict_takes_each_left_out_field_from_the_dataclass_default():
+    doc = config_doc({"deltas": ..., "phis": ..., "rs": ..., "iterations": ...})
+    defaults = SweepConfig(n=120, m=40, z=4, master_seed=5, first_sharers=FittedDistribution.poisson(2.0))
+    assert config_from_dict(doc) == defaults
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(defaults)))) == defaults
 
 
 def test_config_json_round_trip():

@@ -110,7 +110,7 @@ def test_kernel_trees_are_arrays_in_share_order():
         for values in (tree.id, tree.user, tree.sigma, tree.t, tree.parent):
             assert not values.flags.writeable
         assert [nd.parent for nd in nodes_of(tree)] == [None if p < 0 else p for p in tree.parent.tolist()]
-    forest = diffuse(g, news, 0.2, seed=5, build_trees=True)[1]
+    [(_, forest)] = diffuse(g, news, (0.2,), seed=5, build_trees=True)
     with pytest.MonkeyPatch.context() as patch:  # every kernel tree passes the exact per-tree check
         patch.setattr(trees, "_screen", flag_every_tree)
         assert trees_to_json(trees_from_json(trees_to_json(forest))) == trees_to_json(forest)
@@ -205,8 +205,8 @@ def test_a_tree_whose_times_span_a_finite_lifetime_loads(first, last):
 
 @pytest.mark.parametrize("forest", [
     diffuse(label_edges(generate_small_world(200, 6, 0.3, seed=3), 0.8, seed=4),
-            [NewsItem(id=i, fitness=0.1 * i, first_sharer_count=i) for i in range(6)], 0.2, seed=5,
-            build_trees=True)[1],
+            [NewsItem(id=i, fitness=0.1 * i, first_sharer_count=i) for i in range(6)], (0.2,), seed=5,
+            build_trees=True)[0][1],
     trees_from_json(json.dumps([a_doc(), a_doc(user="x", t=2.5), a_doc(user=2**70)])),
 ], ids=["kernel", "loaded"])
 def test_a_pickled_forest_keeps_read_only_arrays_and_its_trees(forest):
