@@ -147,10 +147,15 @@ def diffuse(g: SignedGraph, news_list, deltas, seed,
 
 
 def _cascade(g: SignedGraph, news_list, counts, fitness, delta, rng, seeds) -> tuple[BatchStats, Forest | None]:
-    """diffuse's rounds at one delta from the seed keys: its stats, and its Forest with rng (tree mode)."""
+    """diffuse's rounds at one delta from the seed keys: its stats, and its Forest with rng (tree mode).
+
+    A round's frontier is the previous round's sharers in the order they are
+    kept: the seeds in draw order, then each round's keys sorted. In tree
+    mode each new sharer's parent is stored as its position in that frontier.
+    """
     n = g.node_count
     indptr, indices = g.adjacency()
-    shared = None if rng is None else []  # per round: sharer keys, their parent nodes, the round
+    shared = None if rng is None else [(seeds, np.full(seeds.size, -1))]  # per round: sharer keys, parent positions
     sizes = counts.copy()
     rounds = np.zeros(len(counts), dtype=np.int64)
     # A neighbor of a round-k sharer has either not shared yet or shared in
@@ -161,8 +166,6 @@ def _cascade(g: SignedGraph, news_list, counts, fitness, delta, rng, seeds) -> t
     layer = np.sort(frontier)
     visited = layer
     round_k = 0
-    if shared is not None:
-        shared.append((frontier, np.full(frontier.size, -1), round_k))
     while frontier.size:
         frontier, parents = _expand(indptr, indices, g.opinions, fitness, delta, n, rng, frontier, visited)
         if not frontier.size:
@@ -172,7 +175,7 @@ def _cascade(g: SignedGraph, news_list, counts, fitness, delta, rng, seeds) -> t
         rounds[item_of] = round_k
         sizes += np.bincount(item_of, minlength=len(counts))
         if shared is not None:
-            shared.append((frontier, parents, round_k))
+            shared.append((frontier, parents))
         visited = np.sort(np.concatenate([layer, frontier]))
         layer = frontier
 
@@ -240,44 +243,66 @@ _SLICE_PAIRS = 1 << 16
 
 def _expand(indptr, indices, opinions, fitness, delta, n, rng, frontier, visited):
     """One kernel round over the homogeneous CSR: the new sharer keys, sorted, and
-    their parent nodes with rng (the batch Generator, tree mode), None without."""
+    their parents' positions in frontier with rng (the batch Generator, tree mode), None without."""
     items, nodes = np.divmod(frontier, n)
     pairs = indptr[nodes + 1] - indptr[nodes]
-    parts = [_slice(indptr, indices, opinions, fitness, delta, n, rng,
-                    items[lo:hi], nodes[lo:hi], pairs[lo:hi], visited) for lo, hi in _item_slices(items, pairs)]
+    parts = [_slice(indptr, indices, opinions, fitness, delta, n, rng, lo, items[lo:hi], nodes[lo:hi], pairs[lo:hi],
+                    visited) for lo, hi in _item_slices(items, pairs)]
     if len(parts) == 1:
         return parts[0]
     keys, parents = zip(*parts)
     return np.concatenate(keys), (np.concatenate(parents) if rng is not None else None)
 
 
-def _slice(indptr, indices, opinions, fitness, delta, n, rng, items, nodes, pairs, visited):
-    """_expand on a slice of whole items of the frontier and their neighbor pair counts."""
+def _slice(indptr, indices, opinions, fitness, delta, n, rng, lo, items, nodes, pairs, visited):
+    """_expand on the slice of whole items of the frontier that starts at position lo, and their neighbor pair counts.
+
+    The candidate keys that pass the threshold are sorted first, so the
+    visited test searches sorted needles and each run of equal keys is one
+    candidate sharer. In tree mode the sort carries each key's frontier
+    position in its low bits, which keeps a key's candidate parents in
+    frontier order, as a stable sort of the pairs would; the run of a
+    sharer with k > 1 candidates takes its parent at rng.integers(k).
+    """
     ends = np.cumsum(pairs)
     gather = np.repeat(indptr[nodes] - (ends - pairs), pairs) + np.arange(ends[-1])
     children = indices[gather]
     pair_items = np.repeat(items, pairs)
-    ok = np.abs(opinions[children] - fitness[pair_items]) <= delta
-    keys = pair_items[ok] * n + children[ok]
-    fresh = visited[np.minimum(np.searchsorted(visited, keys), visited.size - 1)] != keys
-    keys = keys[fresh]
+    at = np.flatnonzero(np.abs(opinions[children] - fitness[pair_items]) <= delta)
+    keys = pair_items[at] * n + children[at]
+    if not keys.size:
+        return keys, (None if rng is None else keys)
     if rng is None:
         keys = np.sort(keys)
-        return (keys[_run_starts(keys)] if keys.size else keys), None
-    parents = np.repeat(nodes, pairs)[ok][fresh]
-    if not keys.size:
-        return keys, parents
+        keys = keys[_run_starts(keys)]
+        return keys[_unvisited(visited, keys)], None
 
-    order = np.argsort(keys, kind="stable")
-    keys, parents = keys[order], parents[order]
+    source = np.repeat(np.arange(nodes.size), pairs)[at]  # each candidate's position in the slice
+    base, bits = int(items[0]) * n, (nodes.size - 1).bit_length()
+    # Keys of the slice's items lie in [base, (items[-1] + 1) * n), so
+    # (key - base) << bits | source fits an int64 when the slice's key
+    # span times 2**bits is at most 2**63; else the keys sort stably.
+    if (int(items[-1]) + 1) * n - base << bits <= 2**63:
+        packed = np.sort((keys - base) << bits | source)
+        keys, source = (packed >> bits) + base, packed & ((1 << bits) - 1)
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys, source = keys[order], source[order]
     first = _run_starts(keys)
     counts = np.diff(np.append(first, keys.size))
+    fresh = _unvisited(visited, keys[first])
+    first, counts = first[fresh], counts[fresh]
     chosen = first.copy()
     multi = counts > 1
     # An array of bounds draws what one scalar call per bound would, so
     # the parents do not depend on how a round is sliced.
     chosen[multi] += rng.integers(counts[multi])
-    return keys[first], parents[chosen]
+    return keys[first], lo + source[chosen]
+
+
+def _unvisited(visited: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Mask of the sorted keys that are not in the sorted, non-empty visited array."""
+    return visited[np.minimum(np.searchsorted(visited, keys), visited.size - 1)] != keys
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
@@ -302,20 +327,26 @@ def _item_slices(items: np.ndarray, pairs: np.ndarray):
 
 
 def _trees(news_list, n: int, shared: list) -> Forest:
-    """The Forest of the items' trees, from each round's (keys, parent nodes, round).
+    """The Forest of the items' trees, from each round's (keys, parents' positions in the round before).
 
     A stable sort by item keeps each item's sharers in share order: seeds
     in draw order, then each round's sharers in node order. A node's id is
-    its index in its tree, so every parent comes before its children.
+    its index in its tree, so every parent comes before its children. The
+    inverse of that sort takes a parent from its place in the rounds to its id.
     """
-    keys, parents, t = (np.concatenate(part) for part in zip(*[(k, p, np.full(k.size, r)) for k, p, r in shared]))
+    keys = np.concatenate([k for k, _ in shared])
+    size = [k.size for k, _ in shared]
+    begin = np.cumsum([0, *size])
+    # Each parent's index in keys: its position in the round before plus where that round begins; -1 for none.
+    above = np.concatenate([p + begin[r - 1] if r else p for r, (_, p) in enumerate(shared)])
     order = np.argsort(keys // n, kind="stable")
-    keys, parents, t = keys[order], parents[order], t[order]
-    items, user = np.divmod(keys, n)
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size)
+    items, user = np.divmod(keys[order], n)
     offset = np.searchsorted(items, np.arange(len(news_list) + 1))
-    by_key = np.argsort(keys)
-    found = by_key[np.searchsorted(keys, items * n + parents, sorter=by_key)]
-    parent = np.where(parents < 0, -1, found - offset[items])
+    above = above[order]
+    parent = np.where(above < 0, -1, place[above] - offset[items])
+    t = np.repeat(np.arange(len(shared)), size)[order]
     m = len(news_list)
     return Forest([item.id for item in news_list], ["synthetic"] * m, [True] * m, [1] * m, offset,
                   np.arange(keys.size) - offset[items], user, np.ones(keys.size), t, parent)

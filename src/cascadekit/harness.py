@@ -15,10 +15,11 @@ their integer moments are summed in task order, so results are the same on
 any number of workers.
 
 A sweep reads per-item sizes and heights from the stats of
-diffusion.diffuse, which builds sharing trees only with collect_trees=True,
-one trees.Forest per grid point. The SweepResult does not depend on
-collect_trees. analyze takes a Forest or any sequence of trees and computes
-their metric rows in one trees.metrics_rows pass.
+diffusion.diffuse, which builds sharing trees only with build_trees=True;
+run_sweep passes its collect_trees there and then returns one trees.Forest
+per grid point. The SweepResult does not depend on collect_trees. analyze
+takes a Forest or any sequence of trees and computes their metric rows in
+one trees.metrics_rows pass.
 """
 
 from __future__ import annotations
@@ -438,7 +439,10 @@ def _group_curves(rows: list[dict]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         "homogeneous_paths_ccdf": stats.empirical_ccdf(homo_paths),
     }
     if lifetimes.size:
-        curves["lifetime_pdf"] = stats.empirical_pdf(lifetimes, bins=bins)
+        try:
+            curves["lifetime_pdf"] = stats.empirical_pdf(lifetimes, bins=bins)
+        except DegenerateSampleError as exc:
+            log.warning("skipping lifetime_pdf: %s", exc)
     if homos.size:
         curves["mean_homogeneity_pdf"] = stats.empirical_pdf(homos, bins=np.linspace(-1, 1, bins + 1))
     if lifetimes.size:

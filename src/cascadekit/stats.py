@@ -68,10 +68,27 @@ def empirical_ccdf(samples) -> tuple[np.ndarray, np.ndarray]:
 
 
 def empirical_pdf(samples, bins=30) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram density estimate; returns bin centers and densities."""
+    """Histogram density estimate; returns bin centers and densities.
+
+    bins is an array of edges, or a count of equal bins over the sample
+    range, which np.histogram widens by 0.5 each way for a constant sample.
+
+    Raises:
+        DegenerateSampleError: a count of bins that cannot all have a
+            positive width at the sample's magnitude, or a bin center or
+            density that is not a finite float.
+    """
     x = _sample(samples, "empirical curves")
-    density, edges = np.histogram(x, bins=bins, density=True)
-    centers = 0.5 * (edges[:-1] + edges[1:])
+    with np.errstate(all="ignore"):
+        if np.ndim(bins) == 0:
+            lo, hi = x.min(), x.max()
+            edges = np.linspace(lo - 0.5, hi + 0.5, bins + 1) if lo == hi else np.linspace(lo, hi, bins + 1)
+            if not np.all(edges[1:] > edges[:-1]):
+                raise DegenerateSampleError(f"{bins} bins of positive finite width do not fit in [{lo}, {hi}]")
+        density, edges = np.histogram(x, bins=bins, density=True)
+        centers = 0.5 * (edges[:-1] + edges[1:])
+    if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(density))):
+        raise DegenerateSampleError("the histogram's bin centers or densities are not finite")
     return centers, density
 
 
@@ -223,10 +240,15 @@ SAMPLE = "sample"  # the empirical family's one parameter, kept in sample_ref
 
 
 def sample_inverse_gaussian(rng: np.random.Generator, mean: float, shape: float, size: int) -> np.ndarray:
-    """Draw IG(mean, shape) variates via the Michael-Schucany-Haas transform."""
+    """Draw IG(mean, shape) variates via the Michael-Schucany-Haas transform.
+
+    The smaller root x1 = mean * (1 + w - sqrt(w^2 + 2w)) is computed as
+    mean / (1 + w + sqrt(w^2 + 2w)), its equal form without cancellation
+    at large w = mean * y / (2 * shape).
+    """
     y = rng.standard_normal(size) ** 2
     w = mean * y / (2.0 * shape)
-    x1 = mean * (1.0 + w - np.sqrt(w * w + 2.0 * w))
+    x1 = mean / (1.0 + w + np.sqrt(w * w + 2.0 * w))
     u = rng.uniform(size=size)
     return np.where(u * (mean + x1) <= mean, x1, mean * mean / x1)
 

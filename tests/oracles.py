@@ -224,6 +224,50 @@ def threshold_rounds(adj, opinions, theta: float, delta: float, seeds) -> tuple[
         layer, rounds = sorted(fresh), rounds + 1
 
 
+def layered_trees(g, news, delta: float, seed) -> list[tuple[list[int], list[int], list[int]]]:
+    """diffuse(g, news, (delta,), seed, build_trees=True) in plain Python: per item (users, rounds, parents).
+
+    Each item's nodes come in share order: its seeds in draw order, then
+    each round's sharers in node order; a parent is an index into them (-1
+    for a seed). The seeds come from unique_seed_nodes. Then, round by round
+    and within a round item by item and node by node, each sharer with k > 1
+    candidate parents takes candidates[rng.integers(k)], one scalar draw
+    each, where its candidates are the previous round's sharers across a
+    homogeneous edge in that round's order (the seeds' draw order in round 1).
+    """
+    n = g.node_count
+    rng = np.random.default_rng(seed)
+    keys = unique_seed_nodes(rng, np.array([item.first_sharer_count for item in news], dtype=np.int64), n)
+    adj = adjacency_sets(g.edges, g.homogeneous.tolist())
+    opinions = g.opinions.tolist()
+    trees = [([], [], []) for _ in news]
+    layers = [[] for _ in news]
+    for key in keys.tolist():
+        i, user = divmod(key, n)
+        trees[i][0].append(user)
+        trees[i][1].append(0)
+        trees[i][2].append(-1)
+        layers[i].append(user)
+    k = 0
+    while any(layers):
+        k += 1
+        for i, item in enumerate(news):
+            users, rounds, parents = trees[i]
+            index = {user: j for j, user in enumerate(users)}
+            candidates: dict[int, list[int]] = {}
+            for parent in layers[i]:
+                for v in adj.get(parent, ()):
+                    if v not in index and abs(opinions[v] - item.fitness) <= delta:
+                        candidates.setdefault(v, []).append(parent)
+            layers[i] = sorted(candidates)
+            for v in layers[i]:
+                choice = candidates[v]
+                users.append(v)
+                rounds.append(k)
+                parents.append(index[choice[int(rng.integers(len(choice)))] if len(choice) > 1 else choice[0]])
+    return trees
+
+
 def unique_seed_nodes(rng, counts: np.ndarray, n: int) -> np.ndarray:
     """diffusion._seed_nodes as it deduplicated before: np.unique's first indices, sorted back into draw order."""
     items = np.arange(counts.size, dtype=np.int64)

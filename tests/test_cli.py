@@ -2,6 +2,9 @@ import argparse
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -357,6 +360,26 @@ def test_analyze_of_a_tree_whose_times_span_no_finite_lifetime_is_a_one_line_err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("cascadekit analyze: TreeSchemaError: tree 4: share times from -1e+308 to 1e+308 ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
+
+
+def test_analyze_of_a_tree_with_a_lifetime_too_large_to_bin_skips_that_curve(tmp_path):
+    # One lifetime of 10**17: np.histogram widens a constant sample by 0.5
+    # each way, which no float at that magnitude can hold. The command runs
+    # in its own process, so that stderr holds what the logging module
+    # prints there without a handler.
+    nodes = [{"id": 0, "user": 5, "sigma": 0.5, "t": 0, "parent": None},
+             {"id": 1, "user": 6, "sigma": 0.25, "t": 10**17, "parent": 0}]
+    (tmp_path / "in.json").write_text(json.dumps(
+        [{"news_id": 4, "category": "science", "root": {"virtual": True, "page_sign": 1}, "nodes": nodes}]))
+    src = str(Path(harness.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-m", "cascadekit.cli", "analyze", "--in", "in.json", "--out", "out"],
+                            cwd=tmp_path, capture_output=True, text=True, env=env)
+    assert result.returncode in (0, 3)
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+    assert "lifetime_pdf" in result.stderr
+    written = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert "metrics.csv" in written and "science__lifetime_pdf.csv" not in written
 
 
 HUGE = str(10**20)  # beyond int64

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from cascadekit.graph import generate_small_world, label_edges
 from cascadekit.stats import FittedDistribution
 from cascadekit.trees import tree_height, tree_size, tree_to_dict
 
-from oracles import adjacency_sets, brute_force_sharers, nodes_of, threshold_rounds, unique_seed_nodes
+from oracles import adjacency_sets, brute_force_sharers, layered_trees, nodes_of, threshold_rounds, unique_seed_nodes
 
 
 def small_graph(seed=0, n=200, z=4, r=0.2, phi=0.7):
@@ -355,6 +357,65 @@ def test_diffuse_over_deltas_equals_one_call_per_delta_and_the_layered_oracle(ca
         layered = [threshold_rounds(adj, opinions, item.fitness, delta, start) for item, start in zip(news, seeds)]
         assert stats.sizes.tolist() == [size for size, _ in layered]
         assert stats.rounds.tolist() == [rounds for _, rounds in layered]
+
+
+@st.composite
+def tied_batches(draw):
+    """A small dense labeled graph (n < 4z, r 0 or 1), so that sharers have many candidate parents, a batch, and
+    deltas holding 1."""
+    z = 2 * draw(st.integers(1, 4))
+    n = draw(st.integers(z + 1, 4 * z - 1))
+    seed = draw(st.integers(0, 2**32 - 1))
+    g = generate_small_world(n, z, draw(st.sampled_from((0.0, 1.0))), seed=seed)
+    g = label_edges(g, draw(st.sampled_from((1.0, 0.8))), seed=seed + 1)
+    counts = draw(st.lists(st.integers(0, 3) | st.sampled_from((0, 1, n // 2 + 1, n)), max_size=10))
+    news = [NewsItem(id=i, fitness=draw(st.floats(0.0, 1.0)), first_sharer_count=c) for i, c in enumerate(counts)]
+    extra = draw(st.lists(st.sampled_from((0.0, 0.3, 0.6)) | st.floats(0.0, 1.0), max_size=2))
+    return g, news, tuple(draw(st.permutations([1.0, *extra]))), seed
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(tied_batches(), st.sampled_from((1, 7, diffusion._SLICE_PAIRS)))
+def test_tree_parents_follow_the_documented_draw_order(case, slice_pairs):
+    g, news, deltas, seed = case
+    with mock.patch.object(diffusion, "_SLICE_PAIRS", slice_pairs):
+        together = diffuse(g, news, deltas, seed=seed, build_trees=True)
+    for delta, (stats, forest) in zip(deltas, together):
+        expected = layered_trees(g, news, delta, seed)
+        assert forest.user.tolist() == [u for users, _, _ in expected for u in users]
+        assert forest.t.tolist() == [k for _, rounds, _ in expected for k in rounds]
+        assert forest.parent.tolist() == [p for _, _, parents in expected for p in parents]
+        assert forest.id.tolist() == [j for users, _, _ in expected for j in range(len(users))]
+        assert forest.start.tolist() == np.cumsum([0] + [len(users) for users, _, _ in expected]).tolist()
+        assert stats.sizes.tolist() == [len(users) for users, _, _ in expected]
+        assert stats.rounds.tolist() == [max(rounds, default=0) for _, rounds, _ in expected]
+        assert stats.heights.tolist() == [max(rounds) + 1 if rounds else 0 for _, rounds, _ in expected]
+
+
+def test_a_slice_whose_packed_keys_overflow_sorts_stably_to_the_same_sharers_and_parents():
+    # On the complete graph K9 two items' frontiers reach every other node
+    # through four candidate parents each. With n = 2**62 nodes per item the
+    # slice's keys span 2**63, so key << 3 | position cannot fit an int64 and
+    # the slice falls back to a stable sort of its keys.
+    g = generate_small_world(9, 8, 0.0, seed=0)
+    indptr, indices = g.adjacency()
+    items, nodes = np.array([0, 0, 0, 0, 1, 1, 1, 1]), np.array([0, 1, 2, 3, 3, 4, 5, 6])
+    pairs = indptr[nodes + 1] - indptr[nodes]
+    fitness = np.array([0.5, 0.25])
+    results = []
+    for n in (9, 2**62):
+        visited = np.sort(items * n + nodes)
+        rng = np.random.default_rng(3)
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            keys, parents = diffusion._slice(indptr, indices, g.opinions, fitness, 1.0, n, rng, 5, items, nodes,
+                                             pairs, visited)
+        assert [call.kwargs for call in argsort.call_args_list] == ([] if n == 9 else [{"kind": "stable"}])
+        results.append((np.divmod(keys, n)[0].tolist(), np.divmod(keys, n)[1].tolist(), parents.tolist(),
+                        rng.bit_generator.state))
+    assert results[0] == results[1]
+    assert results[0][:2] == ([0] * 5 + [1] * 5, [4, 5, 6, 7, 8, 0, 1, 2, 7, 8])
+    item_of_parent = [(p - 5) // 4 for p in results[0][2]]  # the frontier starts at position 5
+    assert item_of_parent == results[0][0]
 
 
 @settings(max_examples=300, deadline=None, database=None)

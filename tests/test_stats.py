@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,25 @@ def test_empirical_pdf_integrates_to_one():
     centers, density = empirical_pdf(sample, bins=40)
     width = centers[1] - centers[0]
     assert float(np.sum(density) * width) == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("sample", [[1e17], [1e17, 1e17 + 64], [0.0, 5e-324], [0.0, 1e-308], [-1e308, 1e308],
+                                    [1e308, 1.7e308]],
+                         ids=["constant", "narrow", "subnormal", "tiny", "overflowing range", "overflowing centers"])
+def test_empirical_pdf_of_bins_it_cannot_represent_is_a_degenerate_sample(sample):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateSampleError):
+            empirical_pdf(sample, bins=20)
+
+
+def test_empirical_pdf_matches_numpy_where_numpy_can_bin():
+    rng = np.random.default_rng(8)
+    for sample in ([3.0], [0.0, 1.0], rng.normal(size=50) * 1e10, rng.exponential(size=500)):
+        density, edges = np.histogram(sample, bins=20, density=True)
+        centers, ours = empirical_pdf(sample, bins=20)
+        assert ours.tolist() == density.tolist()
+        assert centers.tolist() == (0.5 * (edges[:-1] + edges[1:])).tolist()
 
 
 # --- power-law fitting ------------------------------------------------------------
@@ -359,6 +379,16 @@ def test_inverse_gaussian_sampler_matches_analytic_moments():
     assert np.all(draws > 0)
     assert draws.mean() == pytest.approx(2.0, rel=0.01)
     assert draws.var() == pytest.approx(2.0 ** 3 / 6.0, rel=0.05)
+
+
+@pytest.mark.parametrize("mean,shape", [(1e8, 1.0), (1e10, 9.63), (1e5, 1e-3)])
+def test_inverse_gaussian_sampler_draws_no_negative_value_when_mean_dwarfs_shape(mean, shape):
+    # There w = mean * y / (2 * shape) is large, and 1 + w - sqrt(w^2 + 2w)
+    # would cancel to a negative smaller root.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = sample_inverse_gaussian(np.random.default_rng(0), mean, shape, 200_000)
+    assert np.all(np.isfinite(draws)) and not np.any(draws < 0)
 
 
 # --- first-sharer fitting ------------------------------------------------------------

@@ -4,15 +4,18 @@ The property tests draw random trees from oracles.random_tree (virtual and
 real roots, signed sigma) with shuffled node order and hold the forest
 metrics to the naive oracles; they check that a Forest built from a tree
 list holds the same trees and metric rows, with int and float times and
-empty trees mixed; they check that tree files round-trip exactly and
-that no document escapes the loader as an untyped error; and they check
-that the loader's vectorized screen raises what the exact per-tree check
-(trees._validate) run on every tree raises.
+empty trees mixed; they check that tree files round-trip exactly, that
+no document escapes the loader as an untyped error and that what loads
+goes through analyze, write_analysis and trees_to_json without a numpy
+warning; and they check that the loader's vectorized screen raises what
+the exact per-tree check (trees._validate) run on every tree raises.
 """
 
 import json
 import math
 import pickle
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from cascadekit import trees
 from cascadekit.diffusion import NewsItem, diffuse, run_batch
 from cascadekit.errors import CascadekitError, TreeSchemaError, TreeValidationError
 from cascadekit.graph import generate_small_world, label_edges
-from cascadekit.harness import analyze
+from cascadekit.harness import analyze, write_analysis
 from cascadekit.trees import (
     Forest,
     SharingTree,
@@ -328,6 +331,11 @@ def test_mutated_documents_parse_or_raise_a_validation_error(doc, data):
     except TreeValidationError:
         return
     assert len(batch) == 1
+    # What loads can be used: analyzed, written and saved again, with no numpy warning.
+    with warnings.catch_warnings(), tempfile.TemporaryDirectory() as out:
+        warnings.simplefilter("error", RuntimeWarning)
+        write_analysis(analyze(batch), out)
+        trees_to_json(batch)
 
 
 @PROPERTY
