@@ -11,7 +11,6 @@ from .branching import (
     expected_cascade_size,
     heterogeneous_branching,
     mean_share_probability,
-    share_probability,
 )
 from .diffusion import (
     BatchStats,
@@ -77,22 +76,16 @@ from .stats import (
 )
 from .trees import (
     Forest,
-    SharingPath,
     SharingTree,
-    UserProfile,
-    edge_homogeneity,
     lifetime,
     load_trees,
     mean_edge_homogeneity,
     metrics_rows,
-    path_length_profile,
     save_trees,
     tree_from_dict,
     tree_height,
     tree_size,
     tree_to_dict,
-    user_polarization,
-    write_metrics_csv,
 )
 
 __version__ = "0.1.0"

@@ -2,10 +2,10 @@
 
 These formulas give the expected behavior of threshold sharing on a
 locally tree-like graph with uniform opinions, as the model draws them:
-the per-neighbor sharing probability, the branching ratio (optionally
-damped by the chance q that a neighbor has a different polarization), the
-subcritical mean cascade size, and the size-biased variant for
-heterogeneous degree distributions.
+the per-neighbor sharing probability averaged over fitness, the branching
+ratio (optionally damped by the chance q that a neighbor has a different
+polarization), the subcritical mean cascade size, and the size-biased
+variant for heterogeneous degree distributions.
 """
 
 from __future__ import annotations
@@ -13,15 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError, SupercriticalError
-
-
-def share_probability(theta: float, delta: float) -> float:
-    """Share of uniform opinions within delta of the fitness theta: min(1, theta + delta) - max(0, theta - delta)."""
-    if not 0.0 <= theta <= 1.0:
-        raise ParameterError(f"fitness must be in [0, 1], got {theta}")
-    if not 0.0 <= delta <= 1.0:
-        raise ParameterError(f"threshold must be in [0, 1], got {delta}")
-    return min(1.0, theta + delta) - max(0.0, theta - delta)
 
 
 def mean_share_probability(delta: float) -> float:

@@ -238,19 +238,29 @@ FAMILY_EMPIRICAL = "empirical"
 
 SAMPLE = "sample"  # the empirical family's one parameter, kept in sample_ref
 
+# Generator.poisson's largest rate (numpy's POISSON_LAM_MAX); a larger one is a ValueError there.
+POISSON_RATE_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
 
 def sample_inverse_gaussian(rng: np.random.Generator, mean: float, shape: float, size: int) -> np.ndarray:
     """Draw IG(mean, shape) variates via the Michael-Schucany-Haas transform.
 
     The smaller root x1 = mean * (1 + w - sqrt(w^2 + 2w)) is computed as
     mean / (1 + w + sqrt(w^2 + 2w)), its equal form without cancellation
-    at large w = mean * y / (2 * shape).
+    at large w = mean * y / (2 * shape), and where w * w overflows (w above
+    about 1e154), with w * sqrt(1 + 2/w) for the square root. Parameters
+    beyond float range still give draws of inf, 0 or NaN, without a
+    RuntimeWarning; sample_news clips and sample_first_sharers rejects them.
     """
     y = rng.standard_normal(size) ** 2
-    w = mean * y / (2.0 * shape)
-    x1 = mean / (1.0 + w + np.sqrt(w * w + 2.0 * w))
-    u = rng.uniform(size=size)
-    return np.where(u * (mean + x1) <= mean, x1, mean * mean / x1)
+    with np.errstate(all="ignore"):
+        w = mean * y / (2.0 * shape)
+        root = np.sqrt(w * w + 2.0 * w)
+        big = np.isinf(root)
+        root[big] = w[big] * np.sqrt(1.0 + 2.0 / w[big])
+        x1 = mean / (1.0 + w + root)
+        u = rng.uniform(size=size)
+        return np.where(u * (mean + x1) <= mean, x1, mean * mean / x1)
 
 
 def _fit_inverse_gaussian(x: np.ndarray) -> tuple | None:
@@ -293,12 +303,13 @@ FAMILIES = {f.name: f for f in (
            check=lambda log_mean, log_sd: log_sd > 0,
            draw=lambda rng, size, log_mean, log_sd: rng.lognormal(log_mean, log_sd, size),
            mean=lambda log_mean, log_sd: math.exp(log_mean + log_sd ** 2 / 2.0), fit=_fit_log_normal, label="LN"),
-    Family(FAMILY_POISSON, ("poi",), ("rate",), "Poisson rate must be >= 0, got {rate}",
-           check=lambda rate: rate >= 0,
-           draw=lambda rng, size, rate: rng.poisson(rate, size).astype(float),
-           mean=lambda rate: rate, fit=lambda x: (float(x.mean()),), label="Poi"),
-    Family(FAMILY_UNIFORM, ("unif",), ("low", "high"), "uniform needs low <= high, got ({low}, {high})",
-           check=lambda low, high: low <= high,
+    Family(FAMILY_POISSON, ("poi",), ("rate",), f"Poisson rate must be in [0, {POISSON_RATE_MAX!r}], got {{rate}}",
+           check=lambda rate: 0 <= rate <= POISSON_RATE_MAX,
+           draw=lambda rng, size, rate: rng.poisson(rate, size).astype(float), mean=lambda rate: rate,
+           fit=lambda x: (float(x.mean()),) if x.mean() <= POISSON_RATE_MAX else None, label="Poi"),
+    Family(FAMILY_UNIFORM, ("unif",), ("low", "high"),
+           "uniform needs low <= high and a finite high - low, got ({low}, {high})",
+           check=lambda low, high: low <= high and math.isfinite(high - low),
            draw=lambda rng, size, low, high: rng.uniform(low, high, size),
            mean=lambda low, high: 0.5 * (low + high), fit=lambda x: (float(x.min()), float(x.max()))),
     Family(FAMILY_EMPIRICAL, ("emp",), (SAMPLE,), "empirical distribution needs a non-empty sample",

@@ -3,7 +3,7 @@
 A sharing tree records who reshared a news item from whom. Trees either
 hang off a virtual page root (the publishing page, excluded from all node
 counts) or are rooted at a real user. Metrics cover size, height, lifetime,
-edge homogeneity, and root-to-leaf path classification.
+edge homogeneity, and the counts of root-to-leaf paths and of homogeneous ones.
 
 A Forest is the one tree-list type: the node arrays of all its trees end
 to end, plus per-tree fields. Trees enter it one way from each side: the
@@ -23,7 +23,6 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,10 +37,6 @@ from .errors import (
 )
 
 CATEGORIES = ("science", "conspiracy", "troll", "synthetic")
-
-PATH_HOMOGENEOUS = "homogeneous"
-PATH_K_MINUS_1 = "k_minus_1_homogeneous"
-PATH_NON_HOMOGENEOUS = "non_homogeneous"
 
 _NODE_FIELDS = ("id", "user", "sigma", "t", "parent")
 _ORPHAN = -2  # parent index of a node whose parent id names no node of its tree
@@ -179,62 +174,30 @@ class Forest:
 
 
 def _walk(forest: Forest) -> tuple[np.ndarray, ...]:
-    """One vectorized pass over a forest's nodes: (tree, parent, depth, leaf, kind) per node.
+    """One vectorized pass over a forest's nodes: (tree, parent, depth, leaf, homogeneous) per node.
 
     tree is the node's tree index, parent its parent's batch-wide index (-1
     for none), depth its edges from the root (the page edge included under
-    a virtual root), leaf whether it has no children, and kind that of the
-    path ending at it (0 homogeneous, 1 k-1 homogeneous, 2 neither). An
-    edge is discordant when its sign, the product of its endpoint
-    polarizations (the page sign standing in for the page), is not
-    positive; a path is homogeneous with no discordant edge, k-1
-    homogeneous when its first edge is the only one.
+    a virtual root), leaf whether it has no children, and homogeneous
+    whether the path ending at it has no discordant edge. An edge is
+    discordant when its sign, the product of its endpoint polarizations
+    (the page sign standing in for the page), is not positive.
     """
     tree_of = np.repeat(np.arange(len(forest)), np.diff(forest.start))
     root = forest.parent < 0
     parent = np.where(root, -1, forest.parent + forest.start[tree_of])
     virtual = np.array(forest.virtual_root, dtype=bool)[tree_of]
-    up = np.where(root, 0, parent)
-    first = np.where(root, virtual, ~virtual & root[up])
-    above = forest.sigma[up]  # each edge's upper endpoint polarization, the page sign for a root
-    del up  # node-sized temporaries go as soon as they are used: big batches peak here
+    above = forest.sigma[np.where(root, 0, parent)]  # each edge's upper polarization, the page sign for a root
     above[root] = np.array(forest.page_sign, dtype=float)[tree_of[root]]
     edge = ~root | virtual
     bad = edge & ~(above * forest.sigma > 0)
-    del above
+    del above  # node-sized temporaries go as soon as they are used: big batches peak here
     width = np.int32 if root.size < 2**31 else np.int64  # path sums never exceed the node count
-    depth, discordant, later = weights = [w.astype(width) for w in (edge, bad, bad & ~first)]
+    depth, discordant = weights = [w.astype(width) for w in (edge, bad)]
     _climb(parent, weights)
     leaf = np.ones(root.size, dtype=bool)
     leaf[parent[~root]] = False
-    kind = np.where(discordant == 0, 0, np.where((discordant == 1) & (later == 0), 1, 2))
-    return tree_of, parent, depth, leaf, kind
-
-
-@dataclass(frozen=True)
-class UserProfile:
-    """Like counts per content class, from which polarization derives."""
-
-    user_id: int | str
-    likes_conspiracy: int
-    likes_science: int
-
-    @property
-    def rho(self) -> float:
-        total = self.likes_conspiracy + self.likes_science
-        if total <= 0:
-            raise UndefinedMetricError(f"user {self.user_id}: polarization undefined with zero likes")
-        return self.likes_conspiracy / total
-
-
-def user_polarization(profile: UserProfile) -> float:
-    """Map the conspiracy-like fraction rho in [0, 1] onto sigma = 2*rho - 1."""
-    return 2.0 * profile.rho - 1.0
-
-
-def edge_homogeneity(sigma_i: float, sigma_j: float) -> float:
-    """Product of the two endpoint polarizations; the edge is homogeneous iff > 0."""
-    return sigma_i * sigma_j
+    return tree_of, parent, depth, leaf, discordant == 0
 
 
 def tree_size(tree: SharingTree) -> int:
@@ -262,31 +225,6 @@ def _defined(tree: SharingTree, column: str, problem: str):
     if value is None:
         raise UndefinedMetricError(f"tree {tree.news_id}: {problem}")
     return value
-
-
-@dataclass(frozen=True)
-class SharingPath:
-    """Root-to-leaf path summary: length in edges plus homogeneity class."""
-
-    leaf_id: int
-    length: int
-    kind: str
-
-
-_PATH_KINDS = (PATH_HOMOGENEOUS, PATH_K_MINUS_1, PATH_NON_HOMOGENEOUS)
-
-
-def path_length_profile(tree: SharingTree) -> list[SharingPath]:
-    """Classify every root-to-leaf path, leaves in node order.
-
-    Edge signs are endpoint sigma products; under a virtual root the first
-    edge uses the page sign in place of a user polarization. A path is
-    homogeneous when all its edge signs are positive and (k-1)-homogeneous
-    when only the first edge is discordant.
-    """
-    _, _, depth, leaf, kind = _walk(Forest.of([tree]))
-    return [SharingPath(i, d, _PATH_KINDS[k]) for i, d, k in zip(tree.id[leaf].tolist(), depth[leaf].tolist(),
-                                                                   kind[leaf].tolist())]
 
 
 # --- serialization -----------------------------------------------------------
@@ -478,7 +416,7 @@ def metrics_rows(trees) -> list[dict]:
     so the value does not depend on node order.
     """
     forest = Forest.of(trees)
-    tree_of, parent, depth, leaf, kind = _walk(forest)
+    tree_of, parent, depth, leaf, homogeneous = _walk(forest)
     count, t = len(forest), forest.t
     filled = np.flatnonzero(np.diff(forest.start))
     at = forest.start[filled]
@@ -499,11 +437,8 @@ def metrics_rows(trees) -> list[dict]:
     products = forest.sigma[parent[child]] * forest.sigma[child]
     ends = np.cumsum(np.bincount(tree_of[child], minlength=count)).tolist()
     homogeneity = [math.fsum(products[a:b].tolist()) / (b - a) if b > a else None for a, b in zip([0] + ends, ends)]
-    paths, homo_paths = (np.bincount(tree_of[nodes], minlength=count).tolist() for nodes in (leaf, leaf & (kind == 0)))
+    paths, homo_paths = (np.bincount(tree_of[nodes], minlength=count).tolist() for nodes in (leaf, leaf & homogeneous))
     columns = zip(forest.news_id, forest.category, np.diff(forest.start).tolist(), height.tolist(), lifetime,
                   homogeneity, paths, homo_paths)
     return [dict(zip(METRIC_COLUMNS, values)) for values in columns]
 
-
-def write_metrics_csv(trees, path) -> None:
-    files.write_csv(path, METRIC_COLUMNS, metrics_rows(trees))

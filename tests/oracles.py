@@ -193,6 +193,11 @@ def scalar_small_world(n: int, z: int, r: float, seed) -> SignedGraph:
     )
 
 
+def share_probability(theta: float, delta: float) -> float:
+    """Share of uniform opinions within delta of the fitness theta: min(1, theta + delta) - max(0, theta - delta)."""
+    return min(1.0, theta + delta) - max(0.0, theta - delta)
+
+
 def brute_force_sharers(g, theta: float, delta: float, seeds) -> set[int]:
     """Fixpoint closure: scan every homogeneous edge until no sharer is added."""
     passes = [abs(float(w) - theta) <= delta for w in g.opinions]

@@ -11,11 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cascadekit import harness
 from cascadekit.cli import _parse_distribution, _read_numbers, main
+from cascadekit.diffusion import sample_news
 from cascadekit.errors import ParameterError
 from cascadekit.graph import generate_small_world, load_graph, save_graph
 from cascadekit.stats import FAMILIES, FittedDistribution
@@ -227,6 +228,7 @@ def test_stats_test_wald_fits_integral_sizes_beyond_int64(tmp_path, capsys):
     {"n": 16889.7},
     {"deltas": [0.02, "x"]},
     {"m": 0},
+    {"first_sharers": {"family": "poisson", "rate": 1e19}},  # above the largest rate numpy draws from
 ], ids=repr)
 def test_sweep_with_malformed_config_is_a_one_line_error(tmp_path, capsys, changes):
     config = {
@@ -259,7 +261,7 @@ def test_sweep_config_with_a_bad_ring_degree_fails_before_the_sweep(tmp_path, ca
 
 @pytest.mark.parametrize("spec", [
     "ig:nan,1", "ig:1,inf", "ig:1", "ig:1,2,3", "ln:0,-1", "poisson:", "poi:-inf", "uniform:2,1",
-    "unif:1,NaN", "gamma:1,2", "emp:no-such-file.csv",
+    "unif:1,NaN", "gamma:1,2", "emp:no-such-file.csv", "poisson:1e19", "unif:-1e308,1e308",
 ])
 def test_bad_first_sharer_specs_are_argument_errors(tmp_path, capsys, spec):
     with pytest.raises(SystemExit) as excinfo:
@@ -291,7 +293,11 @@ SPEC_VALUES = st.sampled_from(["1", "0", "-2.5", "nan", "inf", "1e999", "", "x",
 
 @PROPERTY
 @given(st.sampled_from(SPEC_NAMES) | st.text(max_size=8), st.lists(SPEC_VALUES, max_size=3), st.booleans())
+@example("poisson", ["1e19"], False)
+@example("unif", ["-1e308", "1e308"], False)
+@example("ln", ["800", "1"], False)
 def test_any_first_sharer_spec_parses_or_is_an_argument_error(name, values, upper):
+    # A spec that parses also draws: counts in [0, max_count], or a ParameterError, and no RuntimeWarning.
     spec = f"{name.upper() if upper else name}:{','.join(values)}"
     try:
         dist = _parse_distribution(spec)
@@ -299,6 +305,13 @@ def test_any_first_sharer_spec_parses_or_is_an_argument_error(name, values, uppe
         return
     assert isinstance(dist, FittedDistribution)
     assert all(math.isfinite(v) for v in dist.params.values())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            news = sample_news(8, dist, seed=0, max_count=50)
+        except ParameterError:
+            return
+    assert all(0 <= item.first_sharer_count <= 50 for item in news)
 
 
 @pytest.mark.parametrize("command", [

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -78,6 +79,10 @@ def test_a_count_beyond_int64_is_a_parameter_error_before_any_draw():
 def test_negative_draws_are_a_parameter_error():
     with pytest.raises(ParameterError, match="negative draws"):
         sample_first_sharers(FittedDistribution.uniform(-3, -1), 5, seed=0)
+    with warnings.catch_warnings():  # draws below -2**63 too, with no cast warning
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ParameterError, match="negative draws"):
+            sample_news(5, FittedDistribution.uniform(-1e300, -1e299), seed=0, max_count=50)
 
 
 def test_sample_news_rejects_a_negative_count_before_it_draws():
@@ -93,6 +98,27 @@ def test_sample_news_clips_at_max_count():
     news = sample_news(20, dist, seed=3, max_count=10)
     assert all(item.first_sharer_count == 10 for item in news)
     assert all(0.0 <= item.fitness <= 1.0 for item in news)
+
+
+@pytest.mark.parametrize("dist", [FittedDistribution.log_normal(800, 1), FittedDistribution.uniform(0, 1e300),
+                                  FittedDistribution.empirical([1e19])], ids=["ln inf", "unif 1e300", "emp 1e19"])
+def test_draws_beyond_int64_seed_max_count_or_are_a_parameter_error(dist):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        news = sample_news(6, dist, seed=5, max_count=50)
+        assert [item.first_sharer_count for item in news] == [50] * 6
+        with pytest.raises(ParameterError, match=r"NaN or not below 2\*\*63"):
+            sample_first_sharers(dist, 6, seed=5)
+
+
+def test_nan_draws_are_a_parameter_error_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # w = mean * y / (2 * shape) is inf / inf wherever y > 1.8
+        nan = FittedDistribution.inverse_gaussian(1e308, 1e308)
+        assert np.isnan(nan.sample(100, seed=0)).any()
+        with pytest.raises(ParameterError, match="NaN"):
+            sample_news(100, nan, seed=0, max_count=50)
 
 
 # --- single cascades ---------------------------------------------------------------

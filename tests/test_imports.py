@@ -27,3 +27,24 @@ def test_import_does_not_load_scipy():
 def test_import_does_not_load_the_pool_modules():
     # They take about 20 ms to import; harness._task_map imports them when a sweep starts.
     assert loaded_by_import("multiprocessing", "concurrent") == []
+
+
+PUBLIC = {  # every name `from cascadekit import *` gives, submodules included
+    "AnalysisResult", "BatchStats", "CascadeOutcome", "CascadekitError", "DegenerateSampleError", "FirstSharerFit",
+    "FittedDistribution", "Forest", "KSTestResult", "NewsItem", "OrphanParentError", "ParameterError", "PowerLawFit",
+    "SharingTree", "SigmaRangeError", "SignedGraph", "SummaryStats", "SupercriticalError", "SweepConfig",
+    "SweepResult", "TimestampOrderError", "TreeCycleError", "TreeSchemaError", "TreeValidationError",
+    "UndefinedMetricError", "WaldTestResult", "analyze", "branching", "branching_ratio", "diffuse", "diffusion",
+    "empirical_ccdf", "empirical_cdf", "empirical_pdf", "errors", "expected_cascade_size", "files",
+    "first_sharer_table", "fit_first_sharers", "fit_power_law", "generate_small_world", "graph", "graph_from_dict",
+    "graph_to_dict", "harness", "heterogeneous_branching", "kolmogorov_critical", "ks_two_sample", "label_edges",
+    "lifetime", "load_config", "load_graph", "load_trees", "mean_edge_homogeneity", "mean_share_probability",
+    "metrics_rows", "run_batch", "run_sweep", "sample_first_sharers", "sample_inverse_gaussian", "sample_news",
+    "save_config", "save_graph", "save_trees", "stats", "summary_stats", "tree_from_dict", "tree_height", "tree_size",
+    "tree_to_dict", "trees", "troll_fit_config", "wald_test", "write_analysis", "write_sweep_csv",
+}
+
+
+def test_the_public_surface_is_exactly_the_listed_names():
+    # An export is added or removed only by editing this set as well.
+    assert set(cascadekit.__all__) == PUBLIC and len(cascadekit.__all__) == len(PUBLIC)

@@ -14,6 +14,7 @@ from cascadekit.stats import (
     FAMILY_LN,
     FAMILY_POISSON,
     FAMILY_UNIFORM,
+    POISSON_RATE_MAX,
     FittedDistribution,
     empirical_ccdf,
     empirical_cdf,
@@ -305,6 +306,13 @@ def test_distribution_parameter_validation():
         FittedDistribution.uniform(3.0, 1.0)
     with pytest.raises(ParameterError):
         FittedDistribution.empirical([])
+    for rate in (1e19, np.nextafter(POISSON_RATE_MAX, math.inf)):  # numpy draws from no larger rate
+        with pytest.raises(ParameterError, match="Poisson rate must be in"):
+            FittedDistribution.poisson(rate)
+    with pytest.raises(ParameterError, match="finite high - low"):
+        FittedDistribution.uniform(-1e308, 1e308)
+    assert FittedDistribution.poisson(POISSON_RATE_MAX).sample(3, seed=0).min() > 9e18
+    assert np.all(np.abs(FittedDistribution.uniform(-8e307, 8e307).sample(100, seed=0)) <= 8e307)
 
 
 NOT_FINITE = (math.nan, math.inf, -math.inf, 10**400, True, "3", None)
@@ -381,14 +389,22 @@ def test_inverse_gaussian_sampler_matches_analytic_moments():
     assert draws.var() == pytest.approx(2.0 ** 3 / 6.0, rel=0.05)
 
 
-@pytest.mark.parametrize("mean,shape", [(1e8, 1.0), (1e10, 9.63), (1e5, 1e-3)])
+@pytest.mark.parametrize("mean,shape", [(1e8, 1.0), (1e10, 9.63), (1e5, 1e-3), (18.73, 6e-258)])
 def test_inverse_gaussian_sampler_draws_no_negative_value_when_mean_dwarfs_shape(mean, shape):
     # There w = mean * y / (2 * shape) is large, and 1 + w - sqrt(w^2 + 2w)
-    # would cancel to a negative smaller root.
+    # would cancel to a negative smaller root; at shape 6e-258, w * w overflows.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         draws = sample_inverse_gaussian(np.random.default_rng(0), mean, shape, 200_000)
-    assert np.all(np.isfinite(draws)) and not np.any(draws < 0)
+    assert np.all(np.isfinite(draws)) and np.all(draws > 0)
+
+
+@pytest.mark.parametrize("mean,shape", [(1e308, 1e308), (1e300, 1e-300), (1e200, 1.0)])
+def test_inverse_gaussian_sampler_warns_for_no_finite_positive_parameters(mean, shape):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = sample_inverse_gaussian(np.random.default_rng(1), mean, shape, 1000)
+    assert not np.any(draws < 0)
 
 
 # --- first-sharer fitting ------------------------------------------------------------
@@ -422,6 +438,13 @@ def test_all_equal_counts_fit_uniform_and_mark_ig_degenerate():
     assert FAMILY_IG in fit.degenerate
     assert FAMILY_LN in fit.degenerate
     assert FAMILY_IG not in fit.fits
+
+
+def test_counts_above_the_poisson_rate_cap_mark_poisson_degenerate():
+    fit = fit_first_sharers([1e19, 2e19, 3e19], seed=2)
+    assert FAMILY_POISSON in fit.degenerate and FAMILY_POISSON not in fit.fits
+    assert all(row["Poi"] is None for row in first_sharer_table(fit))
+    assert FAMILY_IG in fit.fits
 
 
 def test_zeros_excluded_from_positive_support_fits():

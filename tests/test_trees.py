@@ -11,22 +11,16 @@ from cascadekit.errors import (
     TreeSchemaError,
     UndefinedMetricError,
 )
+from cascadekit.harness import analyze, write_analysis
 from cascadekit.trees import (
-    PATH_HOMOGENEOUS,
-    PATH_K_MINUS_1,
-    UserProfile,
-    edge_homogeneity,
     lifetime,
     mean_edge_homogeneity,
     metrics_rows,
-    path_length_profile,
     tree_from_dict,
     tree_height,
     tree_size,
     tree_to_dict,
     trees_from_json,
-    user_polarization,
-    write_metrics_csv,
 )
 
 from oracles import (
@@ -49,26 +43,6 @@ def path_counts(tree):
 def chain_tree(sigmas, virtual=True, page_sign=1, category="synthetic"):
     nodes = [(i, i, s, i, None if i == 0 else i - 1) for i, s in enumerate(sigmas)]
     return tree_from_nodes(0, category, nodes, virtual, page_sign)
-
-
-# --- polarization -------------------------------------------------------------
-
-def test_user_polarization_endpoints_and_midpoint():
-    assert user_polarization(UserProfile("a", 10, 0)) == 1.0
-    assert user_polarization(UserProfile("b", 5, 5)) == 0.0
-    assert user_polarization(UserProfile("c", 3, 1)) == 0.5
-
-
-def test_user_polarization_undefined_without_likes():
-    with pytest.raises(UndefinedMetricError):
-        user_polarization(UserProfile("d", 0, 0))
-
-
-def test_edge_homogeneity_products():
-    assert edge_homogeneity(1.0, 1.0) == 1.0
-    assert edge_homogeneity(0.5, -0.5) == -0.25
-    assert edge_homogeneity(0.0, 0.9) == 0.0  # zero counts as non-homogeneous
-    assert edge_homogeneity(-0.3, 0.7) == edge_homogeneity(0.7, -0.3)
 
 
 # --- size / height / lifetime ---------------------------------------------------
@@ -157,22 +131,21 @@ def test_star_paths_all_homogeneous():
     nodes = [(0, 0, 1.0, 0, None)] + [(i, i, 1.0, 1, 0) for i in range(1, 6)]
     t = tree_from_nodes(9, "conspiracy", nodes, virtual_root=True, page_sign=1)
     assert path_counts(t) == (5, 5)
+    nodes[3] = (3, 3, 0.0, 1, 0)  # a zero sigma product is not positive: that edge is discordant
+    assert path_counts(tree_from_nodes(9, "conspiracy", nodes, virtual_root=True, page_sign=1)) == (5, 4)
 
 
-def test_discordant_first_step_is_k_minus_1_homogeneous():
+def test_discordant_first_step_is_a_non_homogeneous_path():
     # page sign +1 against a chain of sigma=-1 sharers: only the first edge is discordant
     t = chain_tree([-1.0, -1.0, -1.0], virtual=True, page_sign=1)
-    profile = path_length_profile(t)
-    assert [p.kind for p in profile] == [PATH_K_MINUS_1]
-    assert profile[0].length == 3
     assert path_counts(t) == (1, 0)
+    assert metrics_rows([t])[0]["height"] == 3
 
 
 def test_single_real_root_counts_one_trivial_path():
     t = tree_from_nodes(10, "science", [(0, "r", -0.4, 0.0, None)], virtual_root=False, page_sign=-1)
-    assert path_counts(t)[0] == 1
-    profile = path_length_profile(t)
-    assert profile[0].length == 0 and profile[0].kind == PATH_HOMOGENEOUS
+    assert path_counts(t) == (1, 1)
+    assert metrics_rows([t])[0]["height"] == 0
 
 
 def test_path_counts_match_exhaustive_enumeration():
@@ -337,8 +310,7 @@ def test_json_nested_too_deep_to_parse_is_a_schema_error():
 def test_metrics_csv_round_trips_at_full_precision(tmp_path):
     rng = np.random.default_rng(41)
     batch = [random_tree(rng, max_nodes=8) for _ in range(40)]
-    path = tmp_path / "metrics.csv"
-    write_metrics_csv(batch, path)
+    path = write_analysis(analyze(batch, by_category=False), tmp_path)[0]
     import csv as csv_mod
 
     with open(path, newline="") as fh:
