@@ -18,7 +18,6 @@ from .diffusion import (
     NewsItem,
     diffuse,
     run_batch,
-    sample_first_sharers,
     sample_news,
 )
 from .errors import (

@@ -59,40 +59,25 @@ class CascadeOutcome:
     rounds: int
 
 
-def sample_first_sharers(dist: FittedDistribution, m: int, seed) -> np.ndarray:
-    """Draw m first-sharer counts, truncated to their integer part.
-
-    Truncation can produce zeros, which model never-shared items. A draw
-    that is negative, NaN or not below 2**63 is a ParameterError.
-    """
-    if not 0 <= m < 2**63:
-        raise ParameterError(f"news count must be in [0, 2**63), got {m}")
-    return _counts(dist.sample(m, seed))
-
-
-def _counts(draws: np.ndarray, max_count: int | None = None) -> np.ndarray:
-    """The integer parts of first-sharer draws, clipped at max_count first when given, checked as documented."""
-    if max_count is not None:
-        draws = np.minimum(draws, max_count)
-    if not np.all(draws < 2.0**63):
-        raise ParameterError("first-sharer distribution produced a draw that is NaN or not below 2**63")
-    if np.any(draws < 0):
-        raise ParameterError("first-sharer distribution produced negative draws")
-    return np.floor(draws).astype(np.int64)
-
-
-def sample_news(count: int, dist: FittedDistribution, seed, max_count: int | None = None) -> list[NewsItem]:
+def sample_news(count: int, dist: FittedDistribution, seed, max_count: int) -> list[NewsItem]:
     """Build a news batch: uniform fitness values plus sampled sharer counts.
 
-    max_count clips each draw before its truncation (at the node count of
-    the target graph, typically), keeping heavy-tailed draws seedable: a
-    draw above it, infinity included, seeds max_count nodes.
+    Each draw is clipped at max_count (the node count of the target graph,
+    typically), then truncated to its integer part. So a draw above
+    max_count, infinity included, seeds max_count nodes, and truncation can
+    produce zeros, which model never-shared items. A draw that is NaN or
+    negative, or not below 2**63 after clipping, is a ParameterError.
     """
     if not 0 <= count < 2**63:
         raise ParameterError(f"news count must be in [0, 2**63), got {count}")
     rng = np.random.default_rng(seed)
     fitness = rng.uniform(0.0, 1.0, size=count)
-    counts = _counts(dist.sample(count, rng), max_count)
+    draws = np.minimum(dist.sample(count, rng), max_count)
+    if not np.all(draws < 2.0**63):
+        raise ParameterError("first-sharer distribution produced a draw that is NaN or not below 2**63")
+    if np.any(draws < 0):
+        raise ParameterError("first-sharer distribution produced negative draws")
+    counts = np.floor(draws).astype(np.int64)
     return list(map(NewsItem, range(count), fitness.tolist(), counts.tolist()))
 
 

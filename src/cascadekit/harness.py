@@ -278,9 +278,8 @@ def _task_map(task_count: int):
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
         yield map
         return
-    # numpy imports numpy.random and numpy.ma (which np.unique reads) on first use. The tasks need
-    # both; imported before the fork, they are imported once, not in each worker of each sweep.
-    import numpy.ma
+    # numpy imports numpy.random on first use. The tasks need it; imported before the fork, it
+    # is imported once, not in each worker of each sweep.
     import numpy.random
 
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
@@ -357,41 +356,6 @@ SWEEP_COLUMNS = tuple(f.name for f in fields(SweepResult))
 
 def write_sweep_csv(results: list[SweepResult], path) -> None:
     files.write_csv(path, SWEEP_COLUMNS, map(vars, results))
-
-
-def read_sweep_csv(path) -> list[dict]:
-    """Parse a write_sweep_csv file: blank cells are None, flags bool, counts int.
-
-    Raises:
-        ParameterError: text that is not CSV in UTF-8, a row with more or
-            fewer cells than the header, or a cell that does not parse as
-            its column's type.
-    """
-    header, *rows = files.read_csv(path, ParameterError) or [[]]
-    out = []
-    for line, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise ParameterError(f"{path}, line {line}: {len(row)} cells under a header of {len(header)}")
-        parsed = {}
-        for key, value in zip(header, row):
-            try:
-                parsed[key] = _sweep_cell(key, value)
-            except ValueError as exc:
-                raise ParameterError(f"{path}, line {line}, column {key}: {exc}") from exc
-        out.append(parsed)
-    return out
-
-
-def _sweep_cell(key: str, value: str):
-    if value == "":
-        return None
-    if key == "iterations":
-        return int(value)
-    if key == "supercritical":
-        if value not in ("True", "False"):
-            raise ValueError(f"expected True or False, got {value!r}")
-        return value == "True"
-    return float(value)
 
 
 # --- analysis --------------------------------------------------------------------

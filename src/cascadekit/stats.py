@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -32,9 +32,6 @@ class SummaryStats:
     mean: float
     q3: float
     max: float
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return (self.min, self.q1, self.median, self.mean, self.q3, self.max)
 
 
 def _sample(samples, what: str) -> np.ndarray:
@@ -248,13 +245,18 @@ def sample_inverse_gaussian(rng: np.random.Generator, mean: float, shape: float,
     The smaller root x1 = mean * (1 + w - sqrt(w^2 + 2w)) is computed as
     mean / (1 + w + sqrt(w^2 + 2w)), its equal form without cancellation
     at large w = mean * y / (2 * shape), and where w * w overflows (w above
-    about 1e154), with w * sqrt(1 + 2/w) for the square root. Parameters
-    beyond float range still give draws of inf, 0 or NaN, without a
-    RuntimeWarning; sample_news clips and sample_first_sharers rejects them.
+    about 1e154), with w * sqrt(1 + 2/w) for the square root. Where mean * y
+    or 2 * shape overflows, w is (mean / shape) * y / 2. Where w itself
+    overflows a draw is 0 or inf, and where mean * mean overflows the larger
+    root is inf; no draw is NaN, no RuntimeWarning is raised, and
+    sample_news clips an inf at its max_count.
     """
     y = rng.standard_normal(size) ** 2
     with np.errstate(all="ignore"):
-        w = mean * y / (2.0 * shape)
+        scaled, twice = mean * y, 2.0 * shape
+        w = scaled / twice
+        over = np.isinf(scaled) | np.isinf(twice)
+        w[over] = (mean / shape) * y[over] / 2.0
         root = np.sqrt(w * w + 2.0 * w)
         big = np.isinf(root)
         root[big] = w[big] * np.sqrt(1.0 + 2.0 / w[big])
@@ -277,10 +279,10 @@ def _fit_log_normal(x: np.ndarray) -> tuple | None:
 
 
 class Family(NamedTuple):
-    """A first-sharer count family. `check`, `draw` (after rng and size) and
-    `mean` take the parameters in `params` order; `rule` says what `check`
-    requires; `fit` gives maximum likelihood parameters for counts, or None
-    when the counts cannot identify them; `label` is a first-sharer table column."""
+    """A first-sharer count family. `check` and `draw` (after rng and size)
+    take the parameters in `params` order; `rule` says what `check` requires;
+    `fit` gives maximum likelihood parameters for counts, or None when the
+    counts cannot identify them; `label` is a first-sharer table column."""
 
     name: str
     aliases: tuple[str, ...]
@@ -288,7 +290,6 @@ class Family(NamedTuple):
     rule: str
     check: Callable[..., bool]
     draw: Callable[..., np.ndarray]
-    mean: Callable[..., float]
     fit: Callable[[np.ndarray], tuple | None]
     label: str | None = None
 
@@ -298,24 +299,23 @@ FAMILIES = {f.name: f for f in (
     Family(FAMILY_IG, ("ig",), ("mean", "shape"), "IG needs positive mean and shape, got ({mean}, {shape})",
            check=lambda mean, shape: mean > 0 and shape > 0,
            draw=lambda rng, size, mean, shape: sample_inverse_gaussian(rng, mean, shape, size),
-           mean=lambda mean, shape: mean, fit=_fit_inverse_gaussian, label="IG"),
+           fit=_fit_inverse_gaussian, label="IG"),
     Family(FAMILY_LN, ("ln", "lognormal"), ("log_mean", "log_sd"), "log-normal needs positive log-sd, got {log_sd}",
            check=lambda log_mean, log_sd: log_sd > 0,
            draw=lambda rng, size, log_mean, log_sd: rng.lognormal(log_mean, log_sd, size),
-           mean=lambda log_mean, log_sd: math.exp(log_mean + log_sd ** 2 / 2.0), fit=_fit_log_normal, label="LN"),
+           fit=_fit_log_normal, label="LN"),
     Family(FAMILY_POISSON, ("poi",), ("rate",), f"Poisson rate must be in [0, {POISSON_RATE_MAX!r}], got {{rate}}",
            check=lambda rate: 0 <= rate <= POISSON_RATE_MAX,
-           draw=lambda rng, size, rate: rng.poisson(rate, size).astype(float), mean=lambda rate: rate,
+           draw=lambda rng, size, rate: rng.poisson(rate, size).astype(float),
            fit=lambda x: (float(x.mean()),) if x.mean() <= POISSON_RATE_MAX else None, label="Poi"),
     Family(FAMILY_UNIFORM, ("unif",), ("low", "high"),
            "uniform needs low <= high and a finite high - low, got ({low}, {high})",
            check=lambda low, high: low <= high and math.isfinite(high - low),
            draw=lambda rng, size, low, high: rng.uniform(low, high, size),
-           mean=lambda low, high: 0.5 * (low + high), fit=lambda x: (float(x.min()), float(x.max()))),
+           fit=lambda x: (float(x.min()), float(x.max()))),
     Family(FAMILY_EMPIRICAL, ("emp",), (SAMPLE,), "empirical distribution needs a non-empty sample",
            check=lambda sample: sample.size > 0,
-           draw=lambda rng, size, sample: rng.choice(sample, size=size, replace=True),
-           mean=lambda sample: float(sample.mean()), fit=lambda x: (x,)),
+           draw=lambda rng, size, sample: rng.choice(sample, size=size, replace=True), fit=lambda x: (x,)),
 )}
 
 
@@ -400,9 +400,6 @@ class FittedDistribution:
         """Draw `size` real-valued variates (integer-valued for Poisson/empirical counts)."""
         return FAMILIES[self.family].draw(np.random.default_rng(seed), size, *self._values())
 
-    def mean(self) -> float:
-        return FAMILIES[self.family].mean(*self._values())
-
     def to_dict(self) -> dict:
         """The config-JSON document: the family, then its parameters in table order."""
         doc = {"family": self.family, **self.params}
@@ -471,18 +468,18 @@ def fit_first_sharers(samples, seed) -> FirstSharerFit:
     )
 
 
-TABLE_ROWS = ("min", "q1", "median", "mean", "q3", "max")
+TABLE_ROWS = tuple(f.name for f in fields(SummaryStats))
 TABLE_FAMILIES = tuple((f.name, f.label) for f in FAMILIES.values() if f.label)
 
 
 def first_sharer_table(fit: FirstSharerFit) -> list[dict]:
     """Rows (statistic, data, IG, LN, Poi) comparing data stats to fitted-sample stats."""
     rows = []
-    for i, stat in enumerate(TABLE_ROWS):
-        row = {"statistic": stat, "data": fit.data_stats.as_tuple()[i]}
+    for stat in TABLE_ROWS:
+        row = {"statistic": stat, "data": getattr(fit.data_stats, stat)}
         for family, label in TABLE_FAMILIES:
             stats = fit.family_stats.get(family)
-            row[label] = None if stats is None else stats.as_tuple()[i]
+            row[label] = None if stats is None else getattr(stats, stat)
         rows.append(row)
     return rows
 

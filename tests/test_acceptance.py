@@ -253,7 +253,7 @@ def test_criterion_7_inverse_gaussian_sampling():
     table_ok = (
         [row["statistic"] for row in rows] == ["min", "q1", "median", "mean", "q3", "max"]
         and set(rows[0]) == {"statistic", "data", "IG", "LN", "Poi"}
-        and tuple(row["data"] for row in rows) == summary_stats(counts).as_tuple()
+        and tuple(row["data"] for row in rows) == dataclasses.astuple(summary_stats(counts))
         and all(row["IG"] is not None and row["LN"] is not None and row["Poi"] is not None for row in rows)
     )
     ok = mean_ok and quart_ok and table_ok

@@ -345,13 +345,14 @@ def test_negative_seeds_and_item_counts_are_argument_errors(tmp_path, monkeypatc
     (["analyze", "--in", "in.json", "--out", "out"], b'[{"news_id": "\xff"}]', "TreeSchemaError: in.json: malformed JSON"),
     (["sweep", "--config", "in.json", "--seed", "1", "--out", "grid.csv"], b'{"n": "\xe9"}',
      "ParameterError: in.json: malformed config JSON"),
+    (["stats-test", "ks", "--a", "in.json", "--b", "in.json"], b"count\n\xe9\n", "ParameterError: in.json"),
     (["simulate", "--graph", "in.json", "--items", "5", "--first-sharers", "poisson:2", "--delta", "0.1",
       "--seed", "1", "--out", "t.json"], b"[" * 200_000, "ParameterError: in.json: malformed graph JSON"),
     (["analyze", "--in", "in.json", "--out", "out"], b"[" * 200_000, "TreeSchemaError: in.json: malformed JSON"),
     (["sweep", "--config", "in.json", "--seed", "1", "--out", "grid.csv"], b"[" * 200_000,
      "ParameterError: in.json: malformed config JSON"),
-], ids=["graph not JSON", "graph not UTF-8", "trees not UTF-8", "config not UTF-8", "graph nested too deep",
-        "trees nested too deep", "config nested too deep"])
+], ids=["graph not JSON", "graph not UTF-8", "trees not UTF-8", "config not UTF-8", "numbers not UTF-8",
+        "graph nested too deep", "trees nested too deep", "config nested too deep"])
 def test_undecodable_input_files_are_one_line_errors(tmp_path, monkeypatch, capsys, command, content, error):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "in.json").write_bytes(content)

@@ -9,11 +9,12 @@ from pathlib import Path
 import cascadekit
 
 
-def loaded_by_import(*packages: str) -> list[str]:
-    """The modules of the given top-level packages that `import cascadekit, cascadekit.cli` loads, in a fresh process."""
+def loaded_by_import(*packages: str, then: str = "pass") -> list[str]:
+    """The modules of the given top-level packages that `import cascadekit, cascadekit.cli` loads, in a fresh
+    process, with the statement `then` run after the import."""
     src = str(Path(cascadekit.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import json, sys, cascadekit, cascadekit.cli; "
+    code = (f"import json, sys, cascadekit, cascadekit.cli; {then}; "
             f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r})))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     return json.loads(result.stdout)
@@ -29,6 +30,13 @@ def test_import_does_not_load_the_pool_modules():
     assert loaded_by_import("multiprocessing", "concurrent") == []
 
 
+def test_a_sweep_does_not_load_numpy_ma():
+    # numpy.ma takes about 16 ms and 1.2 MB to import; no sweep task reads it, so nothing imports it before the fork.
+    sweep = ("cascadekit.run_sweep(cascadekit.SweepConfig(n=30, m=4, z=4, master_seed=1, deltas=(0.1,), phis=(0.6,), "
+             "rs=(0.1, 0.5), iterations=1, first_sharers=cascadekit.FittedDistribution.poisson(2.0)))")
+    assert "numpy.ma" not in loaded_by_import("numpy", then=sweep)
+
+
 PUBLIC = {  # every name `from cascadekit import *` gives, submodules included
     "AnalysisResult", "BatchStats", "CascadeOutcome", "CascadekitError", "DegenerateSampleError", "FirstSharerFit",
     "FittedDistribution", "Forest", "KSTestResult", "NewsItem", "OrphanParentError", "ParameterError", "PowerLawFit",
@@ -39,9 +47,9 @@ PUBLIC = {  # every name `from cascadekit import *` gives, submodules included
     "first_sharer_table", "fit_first_sharers", "fit_power_law", "generate_small_world", "graph", "graph_from_dict",
     "graph_to_dict", "harness", "heterogeneous_branching", "kolmogorov_critical", "ks_two_sample", "label_edges",
     "lifetime", "load_config", "load_graph", "load_trees", "mean_edge_homogeneity", "mean_share_probability",
-    "metrics_rows", "run_batch", "run_sweep", "sample_first_sharers", "sample_inverse_gaussian", "sample_news",
-    "save_config", "save_graph", "save_trees", "stats", "summary_stats", "tree_from_dict", "tree_height", "tree_size",
-    "tree_to_dict", "trees", "troll_fit_config", "wald_test", "write_analysis", "write_sweep_csv",
+    "metrics_rows", "run_batch", "run_sweep", "sample_inverse_gaussian", "sample_news", "save_config", "save_graph",
+    "save_trees", "stats", "summary_stats", "tree_from_dict", "tree_height", "tree_size", "tree_to_dict", "trees",
+    "troll_fit_config", "wald_test", "write_analysis", "write_sweep_csv",
 }
 
 

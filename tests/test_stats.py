@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from oracles import chi2_1_sf_quadrature, naive_summary, sample_power_law
 
 def test_summary_stats_basic():
     s = summary_stats([1, 2, 3, 4, 5])
-    assert s.as_tuple() == (1.0, 2.0, 3.0, 3.0, 4.0, 5.0)
+    assert astuple(s) == (1.0, 2.0, 3.0, 3.0, 4.0, 5.0)
 
 
 def test_summary_stats_rejects_empty():
@@ -49,7 +50,7 @@ def test_summary_stats_matches_naive_oracle_exactly():
     for _ in range(60):
         n = int(rng.integers(1, 1000))
         sample = rng.integers(0, 10_000, size=n)
-        assert summary_stats(sample).as_tuple() == naive_summary(sample)
+        assert astuple(summary_stats(sample)) == naive_summary(sample)
 
 
 def test_summary_stats_reproduces_engineered_data_column():
@@ -57,7 +58,7 @@ def test_summary_stats_reproduces_engineered_data_column():
     # (1, 5, 10, 39.34, 27, 3033)
     sample = [1] * 262 + [5] * 262 + [10] * 262 + [27] * 251 + [2276] * 11 + [2269] + [3033]
     assert len(sample) == 1050
-    assert summary_stats(sample).as_tuple() == (1.0, 5.0, 10.0, 39.34, 27.0, 3033.0)
+    assert astuple(summary_stats(sample)) == (1.0, 5.0, 10.0, 39.34, 27.0, 3033.0)
 
 
 def test_empirical_curve_boundary_identities():
@@ -372,15 +373,6 @@ def test_empirical_point_mass_draws_constant():
     assert np.all(dist.sample(50, seed=0) == 5.0)
 
 
-def test_distribution_means():
-    assert FittedDistribution.inverse_gaussian(18.73, 9.63).mean() == 18.73
-    assert FittedDistribution.poisson(39.24).mean() == 39.24
-    assert FittedDistribution.uniform(2, 10).mean() == 6.0
-    assert FittedDistribution.empirical([1, 2, 3]).mean() == 2.0
-    ln = FittedDistribution.log_normal(1.0, 0.5)
-    assert ln.mean() == pytest.approx(math.exp(1.125))
-
-
 def test_inverse_gaussian_sampler_matches_analytic_moments():
     rng = np.random.default_rng(77)
     draws = sample_inverse_gaussian(rng, 2.0, 6.0, 200_000)
@@ -405,6 +397,20 @@ def test_inverse_gaussian_sampler_warns_for_no_finite_positive_parameters(mean, 
         warnings.simplefilter("error")
         draws = sample_inverse_gaussian(np.random.default_rng(1), mean, shape, 1000)
     assert not np.any(draws < 0)
+
+
+def test_inverse_gaussian_sampler_at_the_top_of_the_float_range_draws_no_nan():
+    # mean * y and 2 * shape overflow there, so w = mean * y / (2 * shape)
+    # would be inf / inf; IG(1e308, 1e308) is IG(1, 1) scaled by 1e308, and
+    # its larger root mean**2 / x1 is always inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = sample_inverse_gaussian(np.random.default_rng(0), 1e308, 1e308, 10_000)
+    unit = sample_inverse_gaussian(np.random.default_rng(0), 1.0, 1.0, 10_000)
+    assert not np.any(np.isnan(draws))
+    smaller = np.isfinite(draws)
+    assert np.all(draws[~smaller] == np.inf)
+    np.testing.assert_allclose(draws[smaller] / 1e308, unit[smaller], rtol=1e-12)
 
 
 # --- first-sharer fitting ------------------------------------------------------------
@@ -489,5 +495,5 @@ def test_table_rows_compare_data_against_families():
     rows = first_sharer_table(fit)
     assert [row["statistic"] for row in rows] == ["min", "q1", "median", "mean", "q3", "max"]
     data_column = [row["data"] for row in rows]
-    assert tuple(data_column) == fit.data_stats.as_tuple()
+    assert tuple(data_column) == astuple(fit.data_stats)
     assert all(row["IG"] is not None for row in rows)
