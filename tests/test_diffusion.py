@@ -96,6 +96,16 @@ def test_sample_news_clips_at_max_count():
     assert all(0.0 <= item.fitness <= 1.0 for item in news)
 
 
+def test_sample_news_has_no_default_max_count():
+    with pytest.raises(TypeError, match="max_count"):
+        sample_news(5, FittedDistribution.poisson(1.0), seed=0)
+
+
+def test_sample_news_at_max_count_zero_seeds_no_node():
+    news = sample_news(20, FittedDistribution.uniform(50, 60), seed=3, max_count=0)
+    assert [item.first_sharer_count for item in news] == [0] * 20
+
+
 @pytest.mark.parametrize("dist", [FittedDistribution.log_normal(800, 1), FittedDistribution.uniform(0, 1e300),
                                   FittedDistribution.empirical([1e19])], ids=["ln inf", "unif 1e300", "emp 1e19"])
 def test_draws_beyond_int64_seed_max_count_or_are_a_parameter_error(dist):

@@ -399,18 +399,21 @@ def test_inverse_gaussian_sampler_warns_for_no_finite_positive_parameters(mean, 
     assert not np.any(draws < 0)
 
 
-def test_inverse_gaussian_sampler_at_the_top_of_the_float_range_draws_no_nan():
-    # mean * y and 2 * shape overflow there, so w = mean * y / (2 * shape)
-    # would be inf / inf; IG(1e308, 1e308) is IG(1, 1) scaled by 1e308, and
-    # its larger root mean**2 / x1 is always inf.
+@pytest.mark.parametrize("scale,mean,shape", [(1e308, 1.0, 1.0), (5e307, 3.0, 1.0), (1.5e308, 1e300 / 1.5e308, 1.0)],
+                         ids=["both overflow", "mean * y overflows", "2 * shape overflows"])
+def test_inverse_gaussian_sampler_at_the_top_of_the_float_range_draws_no_nan(scale, mean, shape):
+    # Where mean * y or 2 * shape overflows, w = mean * y / (2 * shape) would
+    # be inf / inf (NaN), inf (a draw of 0) or 0 (a draw of mean).
+    # IG(scale * mean, scale * shape) is IG(mean, shape) scaled by scale, and
+    # there its larger root mean**2 / x1 is always inf.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        draws = sample_inverse_gaussian(np.random.default_rng(0), 1e308, 1e308, 10_000)
-    unit = sample_inverse_gaussian(np.random.default_rng(0), 1.0, 1.0, 10_000)
+        draws = sample_inverse_gaussian(np.random.default_rng(0), scale * mean, scale * shape, 10_000)
+    unit = sample_inverse_gaussian(np.random.default_rng(0), mean, shape, 10_000)
     assert not np.any(np.isnan(draws))
     smaller = np.isfinite(draws)
     assert np.all(draws[~smaller] == np.inf)
-    np.testing.assert_allclose(draws[smaller] / 1e308, unit[smaller], rtol=1e-12)
+    np.testing.assert_allclose(draws[smaller] / scale, unit[smaller], rtol=1e-12)
 
 
 # --- first-sharer fitting ------------------------------------------------------------
