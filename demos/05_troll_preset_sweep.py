@@ -2,16 +2,17 @@
 
 The preset fixes 16889 users, 1072 items, inverse-Gaussian(18.73, 9.63)
 first sharers, and the grid point (phi_hl, r, delta) = (0.56, 0.01, 0.015).
-Five iterations keep this demo quick; raise `config.iterations` for
-smoother statistics (the acceptance suite uses 20, the preset's default 100).
+Five iterations keep this demo quick; raise them for smoother statistics
+(the acceptance suite uses 20, the preset's default 100).
 """
+
+import dataclasses
 
 import numpy as np
 
 from cascadekit import analyze, run_sweep, troll_fit_config, write_analysis, write_sweep_csv
 
-config = troll_fit_config(master_seed=70)
-config.iterations = 5
+config = dataclasses.replace(troll_fit_config(master_seed=70), iterations=5)
 results, trees_by_point = run_sweep(config, collect_trees=True)
 
 [result] = results

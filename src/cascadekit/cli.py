@@ -12,6 +12,7 @@ and exit code 3, without a traceback.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -102,7 +103,7 @@ def _cmd_sweep(args) -> int:
     else:
         config = harness.PRESETS[args.preset](master_seed=args.seed)
     if args.iterations is not None:
-        config.iterations = args.iterations
+        config = dataclasses.replace(config, iterations=args.iterations)
     results = harness.run_sweep(config)
     harness.write_sweep_csv(results, args.out)
     print(f"wrote {len(results)} grid points to {args.out}")

@@ -105,9 +105,7 @@ def generate_small_world(n: int, z: int, r: float, seed) -> SignedGraph:
     Raises:
         ParameterError: z odd, z < 2, z >= n, n >= 2**63, or r outside [0, 1].
     """
-    check_ring_degree(z)
-    if not z < n < 2**63:
-        raise ParameterError(f"need z < n < 2**63 (an int64), got n={n}, z={z}")
+    check_size(n, z)
     if not 0.0 <= r <= 1.0:
         raise ParameterError(f"rewiring probability must be in [0, 1], got {r}")
 
@@ -131,10 +129,12 @@ def generate_small_world(n: int, z: int, r: float, seed) -> SignedGraph:
     )
 
 
-def check_ring_degree(z: int) -> None:
-    """Raise ParameterError unless z is an even ring degree of at least 2."""
+def check_size(n: int, z: int) -> None:
+    """Raise ParameterError unless z is an even ring degree of at least 2 and z < n < 2**63 (an int64)."""
     if z < 2 or z % 2 != 0:
         raise ParameterError(f"ring degree must be even and >= 2, got {z}")
+    if not z < n < 2**63:
+        raise ParameterError(f"need z < n < 2**63 (an int64), got n={n}, z={z}")
 
 
 _MIN_WINDOW = 16  # shorter windows cost more than the loop's own steps
@@ -262,7 +262,7 @@ def graph_from_dict(doc: dict) -> SignedGraph:
     Raises:
         ParameterError: a missing or malformed field (integers must be
             integers and numbers numbers, neither a boolean nor a string;
-            flags booleans), z not an even integer in [2, n), an opinion
+            flags booleans), n and z that check_size rejects, an opinion
             that is not a finite number in [0, 1], r outside [0, 1], or an
             edge list with an out-of-range endpoint, a self loop or a
             duplicate.
@@ -279,8 +279,7 @@ def graph_from_dict(doc: dict) -> SignedGraph:
         homogeneous = _column([d["homogeneous"] for d in edge_docs], "flag")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"malformed graph document: {type(exc).__name__}: {exc}") from exc
-    if not 2 <= z < n or z % 2:
-        raise ParameterError(f"ring degree must be an even integer in [2, n), got z={z}, n={n}")
+    check_size(n, z)
     order = np.argsort(ids, kind="stable")
     if ids.size != n or not np.array_equal(ids[order], np.arange(n)):
         raise ParameterError("node list must cover ids 0..n-1 exactly")

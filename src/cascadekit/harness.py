@@ -1,18 +1,19 @@
 """Parameter sweeps and cascade analysis.
 
-A sweep walks a (phi_hl, r, delta) grid with common random numbers: one
-graph per (r, iteration), labeled for every phi_hl under one seed so the
-homogeneous edge sets nest, and one news batch with its seed nodes per
+A SweepConfig is frozen and checks every field when it is made, from a
+document or in Python, so run_sweep takes it as it is. A sweep walks a
+(phi_hl, r, delta) grid with common random numbers: one graph per
+(r, iteration), labeled for every phi_hl under one seed so the homogeneous
+edge sets nest, and one news batch with its seed nodes per
 (phi_hl, r, iteration), diffused at every delta by one diffusion.diffuse
-call. It pools cascade sizes and
-heights across iterations into per-point means and standard deviations,
-alongside the closed-form branching predictions. All randomness derives
-from one master seed through the SeedSequence spawn keys that run_sweep
-documents, so results are reproducible and independent of execution order.
-Each (r, iteration) is one task; the tasks run on one forked worker process
-per CPU (in-process when there is one CPU, no fork or another thread), and
-their integer moments are summed in task order, so results are the same on
-any number of workers.
+call. It pools cascade sizes and heights across iterations into per-point
+means and standard deviations, alongside the closed-form branching
+predictions. All randomness derives from one master seed through the
+SeedSequence spawn keys that run_sweep documents, so results are
+reproducible and independent of execution order. Each (r, iteration) is one
+task; the tasks run on one forked worker process per CPU (in-process when
+there is one CPU, no fork or another thread), and their integer moments are
+summed in task order, so results are the same on any number of workers.
 
 A sweep reads per-item sizes and heights from the stats of
 diffusion.diffuse, which builds sharing trees only with build_trees=True;
@@ -39,7 +40,7 @@ import numpy as np
 from . import branching, files, stats, trees
 from .diffusion import BatchStats, diffuse, sample_news
 from .errors import DegenerateSampleError, ParameterError, SupercriticalError
-from .graph import check_ring_degree, generate_small_world, label_edges
+from .graph import check_size, generate_small_world, label_edges
 from .stats import FittedDistribution
 from .trees import Forest
 
@@ -50,9 +51,15 @@ DEFAULT_PHI_GRID = tuple(np.round(np.arange(0.5, 1.0001, 0.02), 4).tolist())
 DEFAULT_R_GRID = (0.01, 0.1, 0.5, 1.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepConfig:
-    """Full description of a Monte Carlo sweep."""
+    """Full description of a Monte Carlo sweep, checked when it is made.
+
+    An integer field takes an int or an integral float, not a bool, and holds
+    an int; a grid takes a non-empty list or tuple of numbers in [0, 1] and
+    holds a tuple of them as given. A bad field is a ParameterError. The
+    config is frozen: dataclasses.replace makes a changed copy, checked again.
+    """
 
     n: int
     m: int
@@ -64,22 +71,33 @@ class SweepConfig:
     rs: tuple = DEFAULT_R_GRID
     iterations: int = 100
 
-    def validate(self) -> None:
-        check_ring_degree(self.z)
-        if self.n <= self.z:
-            raise ParameterError(f"need n > z, got n={self.n}, z={self.z}")
+    def __post_init__(self) -> None:
+        for name in ("n", "m", "z", "master_seed", "iterations"):
+            value = getattr(self, name)
+            if isinstance(value, float) and value.is_integer():
+                value = int(value)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ParameterError(f"config field {name!r} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name, label in (("deltas", "delta"), ("phis", "phi_hl"), ("rs", "r")):
+            grid = getattr(self, name)
+            if not isinstance(grid, (list, tuple)):
+                raise ParameterError(f"config field {name!r} must be a list of numbers, got {grid!r}")
+            if not grid:
+                raise ParameterError(f"sweep grid of {label} is empty")
+            for v in grid:
+                if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0.0 <= v <= 1.0:
+                    raise ParameterError(f"{label} {v!r} is not a number in [0, 1]")
+            object.__setattr__(self, name, tuple(grid))
+        if not isinstance(self.first_sharers, FittedDistribution):
+            raise ParameterError(f"config field 'first_sharers' must be a FittedDistribution, got {self.first_sharers!r}")
         for name, count in (("n", self.n), ("m", self.m)):
             if count >= 2**63:
                 raise ParameterError(f"config field {name!r} must fit an int64, got {count}")
+        check_size(self.n, self.z)
         if self.m < 1 or self.iterations < 1 or self.master_seed < 0:
             raise ParameterError(f"need m >= 1, iterations >= 1 and master_seed >= 0, got m={self.m}, "
                                  f"iterations={self.iterations}, master_seed={self.master_seed}")
-        for name, grid in (("delta", self.deltas), ("phi_hl", self.phis), ("r", self.rs)):
-            if not grid:
-                raise ParameterError(f"sweep grid of {name} is empty")
-            for v in grid:
-                if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0.0 <= v <= 1.0:
-                    raise ParameterError(f"{name} {v!r} is not a number in [0, 1]")
 
     def grid(self) -> list[tuple[float, float, float]]:
         """Grid points in canonical (phi_hl, r, delta) order."""
@@ -110,47 +128,24 @@ def config_to_dict(config: SweepConfig) -> dict:
     return doc | {"first_sharers": config.first_sharers.to_dict()}
 
 
-def _int_field(doc: dict, key: str, default) -> int:
-    value = doc.get(key, default)
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ParameterError(f"config field {key!r} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _grid_field(doc: dict, key: str, default) -> tuple:
-    values = doc.get(key, default)
-    if not isinstance(values, (list, tuple)):
-        raise ParameterError(f"config field {key!r} must be a list of numbers, got {values!r}")
-    return tuple(values)
-
-
-# The parser of each SweepConfig field by its annotation; first_sharers has its own.
-_FIELD_PARSERS = {"int": _int_field, "tuple": _grid_field}
-
-
 def config_from_dict(doc: dict, master_seed: int | None = None) -> SweepConfig:
-    """Build and validate a sweep config from a config_to_dict document.
+    """The SweepConfig of a config_to_dict document; SweepConfig checks it.
 
     A given master_seed replaces the document's. A field the document leaves
-    out takes its SweepConfig default. Raises ParameterError, naming the
-    field, for a missing or malformed field or a non-object document.
+    out takes its SweepConfig default (None for a required one). Raises
+    ParameterError, naming the field, for a bad field or a non-object document.
     """
     if not isinstance(doc, dict):
         raise ParameterError(f"a sweep config must be a JSON object, got {type(doc).__name__}")
     try:
-        values = {"first_sharers": FittedDistribution.from_dict(doc.get("first_sharers"))}
+        first_sharers = FittedDistribution.from_dict(doc.get("first_sharers"))
     except ParameterError as exc:
         raise ParameterError(f"config field 'first_sharers': {exc}") from exc
+    values = {f.name: doc.get(f.name, None if f.default is MISSING else f.default) for f in fields(SweepConfig)}
+    values["first_sharers"] = first_sharers
     if master_seed is not None:
         values["master_seed"] = master_seed
-    for f in fields(SweepConfig):
-        if f.name not in values:
-            values[f.name] = _FIELD_PARSERS[f.type](doc, f.name, None if f.default is MISSING else f.default)
-    config = SweepConfig(**values)
-    config.validate()
-    return config
+    return SweepConfig(**values)
 
 
 def load_config(path, master_seed: int | None = None) -> SweepConfig:
@@ -214,7 +209,6 @@ def run_sweep(config: SweepConfig, collect_trees: bool = False):
     its sharing trees, iteration by iteration. The results do not depend on
     collect_trees.
     """
-    config.validate()
     # Grid points by (phi, r, delta) index, in grid() order. Each point pools
     # its batches' _moments, so memory does not grow with the iterations.
     points = list(zip(np.ndindex(len(config.phis), len(config.rs), len(config.deltas)), config.grid()))

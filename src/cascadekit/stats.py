@@ -99,7 +99,10 @@ def write_curve_csv(xs, ys, path) -> None:
 def _log_zeta(alpha: float, x_min: int) -> float:
     from scipy.special import zeta  # scipy is imported on first use: it takes most of a second
 
-    return math.log(zeta(alpha, x_min))
+    value = zeta(alpha, x_min)
+    if not value > 0.0:  # about x_min**-alpha, which underflows at a large x_min
+        raise DegenerateSampleError(f"zeta({alpha}, {x_min}) underflows; no finite exponent fits this sample")
+    return math.log(value)
 
 
 def _log_zeta_deriv(alpha: float, x_min: int, h: float = 1e-5) -> float:
@@ -133,7 +136,8 @@ def fit_power_law(samples, x_min: int = 1) -> PowerLawFit:
     variance is the inverse observed Fisher information n * (log zeta)''.
 
     Raises:
-        DegenerateSampleError: fewer than two tail samples, or all equal.
+        DegenerateSampleError: fewer than two tail samples, all equal, or
+            an exponent search at which zeta(alpha, x_min) underflows.
         ParameterError: samples that are not finite positive integers (an
             integral float is taken), or x_min < 1.
     """

@@ -222,6 +222,15 @@ def test_stats_test_wald_fits_integral_sizes_beyond_int64(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("alpha1=")
 
 
+def test_stats_test_wald_at_an_x_min_where_zeta_underflows_is_a_one_line_error(tmp_path, capsys):
+    a_path = tmp_path / "a.csv"
+    write_column(a_path, [10000] * 9 + [10001])
+    assert main(["stats-test", "wald", "--a", str(a_path), "--b", str(a_path), "--x-min", "10000"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("cascadekit stats-test: DegenerateSampleError: ") and "underflows" in err
+
+
 @pytest.mark.parametrize("changes", [
     {"first_sharers": {"family": "poisson"}},
     {"first_sharers": {"family": "ig", "mean": float("nan"), "shape": 1.0}},

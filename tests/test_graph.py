@@ -1,11 +1,13 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cascadekit.diffusion import diffuse, sample_news
 from cascadekit.errors import ParameterError
 from cascadekit.graph import (
     generate_small_world,
@@ -15,6 +17,8 @@ from cascadekit.graph import (
     load_graph,
     save_graph,
 )
+from cascadekit.stats import FittedDistribution
+from cascadekit.trees import metrics_rows
 
 from oracles import adjacency_sets, graph_diameter, scalar_small_world
 
@@ -233,6 +237,8 @@ def test_graph_from_dict_rejects_bad_documents():
         (("z",), 3), (("z",), -2), (("z",), 0), (("z",), 10), (("z",), True), (("n",), True),
         (("r",), True), (("r",), "0.5"), (("nodes", 4, "opinion"), "0.5"), (("nodes", 4, "opinion"), True),
         (("nodes", 4, "id"), 4.0), (("edges", 0, "u"), False), (("nodes", 4, "opinion"), 10**400),
+        # edge endpoints lie in [0, n)
+        (("edges", 0, "u"), 10), (("edges", 0, "u"), -1),
         # opinions and r lie in [0, 1]
         (("nodes", 4, "opinion"), 1.5), (("nodes", 4, "opinion"), -0.25), (("r",), 1.5), (("r",), -0.1),
     ]
@@ -303,6 +309,14 @@ def test_mutated_graph_document_loads_and_round_trips_or_is_a_parameter_error(da
     for name in ("opinions", "edges", "homogeneous"):
         assert np.array_equal(getattr(again, name), getattr(loaded, name))
         assert getattr(again, name).dtype == getattr(loaded, name).dtype
+    # What loads also diffuses, and its trees have metric rows, without a numpy warning.
+    n = loaded.node_count
+    news = sample_news(4, FittedDistribution.uniform(0, n), seed=42, max_count=n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for batch, forest in diffuse(loaded, news, (0.3, 1.0), seed=43, build_trees=True):
+            rows = metrics_rows(forest)
+            assert [row["size"] for row in rows] == batch.sizes.tolist()
 
 
 def test_graph_arrays_are_read_only_and_the_csr_is_built_once():

@@ -1,5 +1,7 @@
 import concurrent.futures
+import dataclasses
 import json
+import logging
 import multiprocessing
 import os
 import statistics
@@ -328,21 +330,52 @@ def test_sweep_csv_of_a_numpy_float_grid_is_that_of_the_python_float_grid(tmp_pa
 
 def test_config_validation_errors():
     with pytest.raises(ParameterError):
-        tiny_config(deltas=()).validate()
+        tiny_config(deltas=())
     with pytest.raises(ParameterError):
-        tiny_config(iterations=0).validate()
+        tiny_config(iterations=0)
     with pytest.raises(ParameterError, match="m >= 1"):
-        tiny_config(m=0).validate()
+        tiny_config(m=0)
     with pytest.raises(ParameterError):
-        tiny_config(deltas=(1.5,)).validate()
+        tiny_config(deltas=(1.5,))
     with pytest.raises(ParameterError):
-        tiny_config(n=4).validate()
+        tiny_config(n=4)
+
+
+@pytest.mark.parametrize("changes,field", [
+    ({"z": "4"}, "'z'"),
+    ({"m": 2.5}, "'m'"),
+    ({"m": True}, "'m'"),
+    ({"iterations": 2.5}, "'iterations'"),
+    ({"deltas": 0.1}, "'deltas'"),
+    ({"phis": np.array([0.6])}, "'phis'"),
+    ({"first_sharers": {"family": "poisson", "rate": 2.0}}, "'first_sharers'"),
+], ids=repr)
+def test_config_made_in_python_names_the_bad_field(changes, field):
+    with pytest.raises(ParameterError) as excinfo:
+        tiny_config(**changes)
+    assert f"config field {field}" in str(excinfo.value)
+
+
+def test_config_holds_python_ints_and_tuples_and_is_frozen(tmp_path):
+    config = tiny_config(n=np.int64(120), m=40.0, z=np.int32(4), master_seed=np.uint8(5), iterations=np.int64(2),
+                         deltas=[np.float64(0.02), 0.1], phis=[0.6], rs=[0.2])
+    assert config == tiny_config()
+    assert all(type(getattr(config, name)) is int for name in ("n", "m", "z", "master_seed", "iterations"))
+    assert type(config.deltas) is tuple and type(config.deltas[0]) is np.float64
+    harness.save_config(config, tmp_path / "numpy.json")
+    harness.save_config(tiny_config(), tmp_path / "python.json")
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "python.json").read_bytes()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.iterations = 5
+    assert dataclasses.replace(config, iterations=5).iterations == 5
+    with pytest.raises(ParameterError, match="iterations >= 1"):
+        dataclasses.replace(config, iterations=0)
 
 
 @pytest.mark.parametrize("field", ["n", "m"])
 def test_config_counts_beyond_int64_name_the_field(field):
     with pytest.raises(ParameterError, match=f"config field '{field}' must fit an int64"):
-        tiny_config(**{field: 10**30}).validate()
+        tiny_config(**{field: 10**30})
     with pytest.raises(ParameterError, match=f"'{field}'"):
         config_from_dict(config_doc({field: 2**63}))
 
@@ -358,7 +391,7 @@ def test_a_point_of_one_item_has_zero_standard_deviations():
 def test_config_rejects_a_ring_degree_the_graph_builder_rejects(z):
     with pytest.raises(ParameterError) as builder:
         generate_small_world(120, z, 0.2, seed=0)
-    for make in (lambda: tiny_config(z=z).validate(), lambda: config_from_dict(config_doc({"z": z}))):
+    for make in (lambda: tiny_config(z=z), lambda: config_from_dict(config_doc({"z": z}))):
         with pytest.raises(ParameterError) as excinfo:
             make()
         assert str(excinfo.value) == str(builder.value) == f"ring degree must be even and >= 2, got {z}"
@@ -466,7 +499,6 @@ def test_default_grids_cover_reference_protocol():
     assert DEFAULT_R_GRID == (0.01, 0.1, 0.5, 1.0)
     config = SweepConfig(n=5000, m=1000, z=8, master_seed=0,
                          first_sharers=FittedDistribution.inverse_gaussian(18.73, 9.63))
-    config.validate()
     assert len(config.grid()) == 9 * 26 * 4
     assert config.iterations == 100
 
@@ -564,6 +596,16 @@ def test_analyze_identical_groups_accept_ks_null():
     assert len(ks_rows) == 1
     assert ks_rows[0]["statistic"] == 0.0
     assert not ks_rows[0]["reject"]
+
+
+def test_analyze_skips_ks_on_a_category_of_only_empty_trees(caplog):
+    # an empty tree has size 0 but no lifetime, so the troll lifetimes are an empty sample
+    batch = [make_tree(i, "science", [0.5] * (1 + i % 5)) for i in range(10)]
+    batch += [make_tree(100 + i, "troll", []) for i in range(5)]
+    with caplog.at_level(logging.WARNING, logger="cascadekit.harness"):
+        result = analyze(batch)
+    assert "skipping KS on lifetime for (science, troll): empty sample" in caplog.messages
+    assert [row["test"] for row in result.comparisons] == ["ks_size"]
 
 
 def test_analyze_rejects_empty_input():

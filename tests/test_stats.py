@@ -132,6 +132,15 @@ def test_fit_power_law_degenerate_cases():
         fit_power_law([0, 1, 2])
 
 
+def test_fit_power_law_at_an_x_min_where_zeta_underflows():
+    # zeta(alpha, 100) is about 100**-alpha, which underflows to 0 before the search brackets the root
+    with pytest.raises(DegenerateSampleError, match="underflows"):
+        fit_power_law([100] * 50 + [101], x_min=100)
+    fit = fit_power_law([10] * 10**5 + [11], x_min=10)  # x_min = 10 stays in range
+    assert fit.alpha == pytest.approx(120.7895627731735, rel=1e-12)
+    assert fit.var_alpha == pytest.approx(1.7592010124314756, rel=1e-9)
+
+
 def test_fit_power_law_takes_only_finite_integers():
     for samples in ([1.5, 2.5, 3.5, 1.2], [math.nan, 2, 3, 5], [math.inf, 2, 3, 5]):
         with pytest.raises(ParameterError, match="positive integers"):
