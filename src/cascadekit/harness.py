@@ -1,24 +1,11 @@
 """Parameter sweeps and cascade analysis.
 
 A SweepConfig is frozen and checks every field when it is made, from a
-document or in Python, so run_sweep takes it as it is. A sweep walks a
-(phi_hl, r, delta) grid with common random numbers: one graph per
-(r, iteration), labeled for every phi_hl under one seed so the homogeneous
-edge sets nest, and one news batch with its seed nodes per
-(phi_hl, r, iteration), diffused at every delta by one diffusion.diffuse
-call. It pools cascade sizes and heights across iterations into per-point
-means and standard deviations, alongside the closed-form branching
-predictions. All randomness derives from one master seed through the
-SeedSequence spawn keys that run_sweep documents, so results are
-reproducible and independent of execution order. Each (r, iteration) is one
-task; the tasks run on one forked worker process per CPU (in-process when
-there is one CPU, no fork or another thread), and their integer moments are
-summed in task order, so results are the same on any number of workers.
-
-A sweep reads per-item sizes and heights from the stats of
-diffusion.diffuse, which builds sharing trees only with build_trees=True;
-run_sweep passes its collect_trees there and then returns one trees.Forest
-per grid point. The SweepResult does not depend on collect_trees. analyze
+document or in Python. run_sweep walks its (phi_hl, r, delta) grid with
+common random numbers from one master seed, runs its tasks on one forked
+worker per CPU, and pools cascade sizes and heights into per-point means
+and standard deviations, bit-identical on any number of workers, alongside
+the closed-form branching predictions; it builds no sharing trees. analyze
 takes a Forest or any sequence of trees and computes their metric rows in
 one trees.metrics_rows pass.
 """
@@ -57,8 +44,9 @@ class SweepConfig:
 
     An integer field takes an int or an integral float, not a bool, and holds
     an int; a grid takes a non-empty list or tuple of numbers in [0, 1] and
-    holds a tuple of them as given. A bad field is a ParameterError. The
-    config is frozen: dataclasses.replace makes a changed copy, checked again.
+    holds a tuple of them as given, a numpy scalar as its .item(). A bad field
+    is a ParameterError. The config is frozen: dataclasses.replace makes a
+    changed copy, checked again.
     """
 
     n: int
@@ -88,7 +76,7 @@ class SweepConfig:
             for v in grid:
                 if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0.0 <= v <= 1.0:
                     raise ParameterError(f"{label} {v!r} is not a number in [0, 1]")
-            object.__setattr__(self, name, tuple(grid))
+            object.__setattr__(self, name, tuple(v.item() if isinstance(v, np.generic) else v for v in grid))
         if not isinstance(self.first_sharers, FittedDistribution):
             raise ParameterError(f"config field 'first_sharers' must be a FittedDistribution, got {self.first_sharers!r}")
         for name, count in (("n", self.n), ("m", self.m)):
@@ -175,7 +163,7 @@ def troll_fit_config(master_seed: int) -> SweepConfig:
 PRESETS = {"troll": troll_fit_config}
 
 
-def run_sweep(config: SweepConfig, collect_trees: bool = False):
+def run_sweep(config: SweepConfig) -> list[SweepResult]:
     """Execute every grid point of the sweep.
 
     Statistics pool all cascades of all iterations of a point. The sweep
@@ -193,44 +181,31 @@ def run_sweep(config: SweepConfig, collect_trees: bool = False):
         same items from the same seed nodes.
     So each (r, iteration) is one task: it builds its graph, labels it for
     every phi_hl, samples the news and diffuses every delta in one diffuse
-    call per phi_hl, which draws the seed nodes once, and returns
-    the integer moments of each of its points (and their Forests with
-    collect_trees=True). The tasks run on min(CPUs this process may use,
-    task count) worker processes, started with fork and joined before
-    run_sweep returns or raises; with one worker, where fork is not
-    available or while another thread runs, they run in this process. The
-    moments are summed in task order, r and then the iteration, so the
-    results, returned in grid() order, and the order of the trees do not
-    depend on the worker count. An error in a task cancels the tasks not
-    yet started and reaches the caller as the same exception.
-
-    Returns the list of SweepResult; with collect_trees=True returns
-    (results, trees) where trees maps each grid point to the Forest of all
-    its sharing trees, iteration by iteration. The results do not depend on
-    collect_trees.
+    call per phi_hl, which draws the seed nodes once, and returns the
+    integer moments of each of its points; diffuse(..., build_trees=True)
+    under the same seeds rebuilds the sharing trees. The tasks run on
+    min(CPUs this process may use, task count) worker processes, started
+    with fork and joined before run_sweep returns or raises; with one
+    worker, where fork is not available or while another thread runs, they
+    run in this process. The moments are summed in task order, r and then
+    the iteration, so the results, one per grid point in grid() order, do
+    not depend on the worker count. An error in a task cancels the tasks
+    not yet started and reaches the caller as the same exception.
     """
     # Grid points by (phi, r, delta) index, in grid() order. Each point pools
     # its batches' _moments, so memory does not grow with the iterations.
     points = list(zip(np.ndindex(len(config.phis), len(config.rs), len(config.deltas)), config.grid()))
     sums = {index: [0] * 6 for index, _ in points}
-    forests: dict[tuple, list[Forest]] = {index: [] for index, _ in points}
     tasks = list(itertools.product(range(len(config.rs)), range(config.iterations)))
     with _task_map(len(tasks)) as task_map:
-        for outputs in task_map(functools.partial(_sweep_task, config, collect_trees), tasks):
-            for index, moments, forest in outputs:
+        for outputs in task_map(functools.partial(_sweep_task, config), tasks):
+            for index, moments in outputs:
                 sums[index] = [a + b for a, b in zip(sums[index], moments)]
-                if collect_trees:
-                    forests[index].append(forest)
-
-    results = [_pooled_result(config, point, sums[index]) for index, point in points]
-    if collect_trees:
-        return results, {point: Forest.of(tree for forest in forests[index] for tree in forest)
-                         for index, point in points}
-    return results
+    return [_pooled_result(config, point, sums[index]) for index, point in points]
 
 
-def _sweep_task(config: SweepConfig, collect_trees: bool, task: tuple[int, int]) -> list[tuple]:
-    """Task (j, k), iteration k at r = config.rs[j]: (point index, _moments, Forest or None) per (phi_hl, delta)."""
+def _sweep_task(config: SweepConfig, task: tuple[int, int]) -> list[tuple]:
+    """Task (j, k), iteration k at r = config.rs[j]: (point index, _moments) per (phi_hl, delta)."""
     j, k = task
     s_graph, s_label = np.random.SeedSequence(config.master_seed, spawn_key=(0, j, k)).spawn(2)
     g = generate_small_world(config.n, config.z, config.rs[j], seed=s_graph)
@@ -239,8 +214,8 @@ def _sweep_task(config: SweepConfig, collect_trees: bool, task: tuple[int, int])
         labeled = label_edges(g, phi_hl, seed=s_label)
         s_news, s_batch = np.random.SeedSequence(config.master_seed, spawn_key=(1, i, j, k)).spawn(2)
         news = sample_news(config.m, config.first_sharers, seed=s_news, max_count=config.n)
-        batches = diffuse(labeled, news, config.deltas, seed=s_batch, build_trees=collect_trees)
-        outputs += [((i, j, d), _moments(batch), forest) for d, (batch, forest) in enumerate(batches)]
+        batches = diffuse(labeled, news, config.deltas, seed=s_batch)
+        outputs += [((i, j, d), _moments(batch)) for d, (batch, _) in enumerate(batches)]
     return outputs
 
 

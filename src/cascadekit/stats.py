@@ -44,11 +44,21 @@ def _sample(samples, what: str) -> np.ndarray:
     return x
 
 
+def _mean(x: np.ndarray) -> float:
+    """x.mean() of a finite sample; where its sum overflows (to inf, or NaN), max|x| * (x / max|x|).mean()."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean()
+    if not np.isfinite(mean):
+        scale = np.abs(x).max()
+        mean = scale * (x / scale).mean()
+    return float(mean)
+
+
 def summary_stats(samples) -> SummaryStats:
     """Quartiles by linear interpolation between order statistics, plus mean."""
     x = _sample(samples, "summary statistics")
     lo, q1, med, q3, hi = np.quantile(x, [0.0, 0.25, 0.5, 0.75, 1.0])
-    return SummaryStats(float(lo), float(q1), float(med), float(x.mean()), float(q3), float(hi))
+    return SummaryStats(float(lo), float(q1), float(med), _mean(x), float(q3), float(hi))
 
 
 def empirical_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
@@ -269,23 +279,22 @@ def sample_inverse_gaussian(rng: np.random.Generator, mean: float, shape: float,
         return np.where(u * (mean + x1) <= mean, x1, mean * mean / x1)
 
 
-def _fit_inverse_gaussian(x: np.ndarray) -> tuple | None:
+def _fit_inverse_gaussian(x: np.ndarray) -> tuple:
     x = x[x > 0]
-    mean = float(x.mean())
-    recip_gap = float(np.sum(1.0 / x - 1.0 / mean))
-    return (mean, x.size / recip_gap) if recip_gap > 0 else None  # all equal: shape -> infinity
+    mean = _mean(x)
+    with np.errstate(all="ignore"):  # equal counts, or one whose reciprocal overflows, give a shape check rejects
+        return mean, float(x.size / np.sum(1.0 / x - 1.0 / mean))
 
 
-def _fit_log_normal(x: np.ndarray) -> tuple | None:
+def _fit_log_normal(x: np.ndarray) -> tuple:
     logs = np.log(x[x > 0])
-    log_sd = float(logs.std())
-    return (float(logs.mean()), log_sd) if log_sd > 0 else None
+    return float(logs.mean()), float(logs.std())
 
 
 class Family(NamedTuple):
     """A first-sharer count family. `check` and `draw` (after rng and size)
     take the parameters in `params` order; `rule` says what `check` requires;
-    `fit` gives maximum likelihood parameters for counts, or None when the
+    `fit` gives maximum likelihood parameters, which `check` rejects where the
     counts cannot identify them; `label` is a first-sharer table column."""
 
     name: str
@@ -294,7 +303,7 @@ class Family(NamedTuple):
     rule: str
     check: Callable[..., bool]
     draw: Callable[..., np.ndarray]
-    fit: Callable[[np.ndarray], tuple | None]
+    fit: Callable[[np.ndarray], tuple]
     label: str | None = None
 
 
@@ -311,7 +320,7 @@ FAMILIES = {f.name: f for f in (
     Family(FAMILY_POISSON, ("poi",), ("rate",), f"Poisson rate must be in [0, {POISSON_RATE_MAX!r}], got {{rate}}",
            check=lambda rate: 0 <= rate <= POISSON_RATE_MAX,
            draw=lambda rng, size, rate: rng.poisson(rate, size).astype(float),
-           fit=lambda x: (float(x.mean()),) if x.mean() <= POISSON_RATE_MAX else None, label="Poi"),
+           fit=lambda x: (_mean(x),), label="Poi"),
     Family(FAMILY_UNIFORM, ("unif",), ("low", "high"),
            "uniform needs low <= high and a finite high - low, got ({low}, {high})",
            check=lambda low, high: low <= high and math.isfinite(high - low),
@@ -437,7 +446,9 @@ def fit_first_sharers(samples, seed) -> FirstSharerFit:
 
     Zeros are excluded from the inverse-Gaussian and log-normal fits (their
     supports are positive); the exclusion count is reported. The comparison
-    table draws one synthetic sample of equal size per parametric family.
+    table draws one synthetic sample of equal size per parametric family. A
+    family is degenerate, with no fit or stats, where its fitted parameters
+    make no valid FittedDistribution or its comparison sample is not finite.
 
     Raises:
         DegenerateSampleError: fewer than two positive samples.
@@ -455,13 +466,18 @@ def fit_first_sharers(samples, seed) -> FirstSharerFit:
     family_stats = {}
     degenerate: list[str] = []
     for fam in FAMILIES.values():
-        values = fam.fit(counts)
-        if values is None:
+        try:
+            fitted = FittedDistribution(fam.name, dict(zip(fam.params, fam.fit(counts))))
+        except ParameterError:
             degenerate.append(fam.name)
             continue
-        fits[fam.name] = FittedDistribution(fam.name, dict(zip(fam.params, values)))
         if SAMPLE not in fam.params:
-            family_stats[fam.name] = summary_stats(fits[fam.name].sample(counts.size, rng))
+            draws = fitted.sample(counts.size, rng)
+            if not np.all(np.isfinite(draws)):
+                degenerate.append(fam.name)
+                continue
+            family_stats[fam.name] = summary_stats(draws)
+        fits[fam.name] = fitted
 
     return FirstSharerFit(
         data_stats=summary_stats(counts),

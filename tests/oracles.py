@@ -291,6 +291,27 @@ def unique_seed_nodes(rng, counts: np.ndarray, n: int) -> np.ndarray:
     return keys[np.argsort(keys // n, kind="stable")]
 
 
+def sweep_batches(config, i, j, d, build_trees=False):
+    """diffuse's (BatchStats, Forest or None) per iteration at grid point (phis[i], rs[j], deltas[d]).
+
+    Each iteration's graph, labeling, news and batch seed come from the
+    SeedSequence spawn keys that run_sweep documents, and the one delta
+    diffuses on its own, so this is the sweep's draws without its task
+    split, its multi-delta diffuse calls or its pooling.
+    """
+    from cascadekit.diffusion import diffuse, sample_news
+    from cascadekit.graph import generate_small_world, label_edges
+
+    for k in range(config.iterations):
+        s_graph, s_label = np.random.SeedSequence(config.master_seed, spawn_key=(0, j, k)).spawn(2)
+        g = generate_small_world(config.n, config.z, config.rs[j], seed=s_graph)
+        g = label_edges(g, config.phis[i], seed=s_label)
+        s_news, s_batch = np.random.SeedSequence(config.master_seed, spawn_key=(1, i, j, k)).spawn(2)
+        news = sample_news(config.m, config.first_sharers, seed=s_news, max_count=config.n)
+        [batch] = diffuse(g, news, (config.deltas[d],), seed=s_batch, build_trees=build_trees)
+        yield batch
+
+
 def earlier_scheme_sweep(config):
     """run_sweep under the seeding scheme that common random numbers replaced.
 

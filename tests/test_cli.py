@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -8,6 +10,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,11 +19,11 @@ from hypothesis import strategies as st
 
 from cascadekit import harness
 from cascadekit.cli import _parse_distribution, _read_numbers, main
-from cascadekit.diffusion import sample_news
+from cascadekit.diffusion import diffuse, sample_news
 from cascadekit.errors import ParameterError
-from cascadekit.graph import generate_small_world, load_graph, save_graph
+from cascadekit.graph import generate_small_world, graph_to_dict, label_edges, load_graph, save_graph
 from cascadekit.stats import FAMILIES, FittedDistribution
-from cascadekit.trees import load_trees
+from cascadekit.trees import load_trees, trees_to_json
 
 from oracles import sample_power_law
 
@@ -127,6 +130,19 @@ def test_fit_first_sharers_reports_excluded_zero_counts(tmp_path, capsys):
     assert main(["fit-first-sharers", "--in", str(counts_path), "--seed", "9",
                  "--out", str(tmp_path / "table.csv")]) == 0
     assert "excluded 3 zero counts from IG/LN fits" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("counts", [[1e308, 1.5e308, 1.7e308], [5e-324, 5e-324, 1]], ids=["huge", "subnormal"])
+def test_fit_first_sharers_on_extreme_counts_warns_nothing_and_writes_finite_or_blank_cells(tmp_path, capsys, counts):
+    counts_path, table_path = tmp_path / "counts.csv", tmp_path / "table.csv"
+    write_column(counts_path, counts, header="count")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit-first-sharers", "--in", str(counts_path), "--seed", "9", "--out", str(table_path)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(table_path, newline="") as fh:
+        cells = [cell for row in list(csv.reader(fh))[1:] for cell in row[1:]]
+    assert cells and all(cell == "" or math.isfinite(float(cell)) for cell in cells)
 
 
 def test_sweep_preset_writes_the_troll_point(tmp_path):
@@ -321,6 +337,102 @@ def test_any_first_sharer_spec_parses_or_is_an_argument_error(name, values, uppe
         except ParameterError:
             return
     assert all(0 <= item.first_sharer_count <= 50 for item in news)
+
+
+def valid_inputs() -> dict:
+    """A valid input file's contents per kind: a graph, a tree batch and a sweep config as JSON, and a number file."""
+    g = label_edges(generate_small_world(20, 4, 0.2, seed=1), 0.6, seed=2)
+    news = sample_news(6, FittedDistribution.uniform(1, 4), seed=3, max_count=20)
+    [(_, forest)] = diffuse(g, news, (0.3,), seed=4, build_trees=True)
+    config = {"n": 60, "m": 8, "z": 4, "master_seed": 0, "first_sharers": {"family": "poisson", "rate": 2.0},
+              "deltas": [0.05, 0.2], "phis": [0.6], "rs": [0.1], "iterations": 1}
+    return {"graph": graph_to_dict(g), "trees": json.loads(trees_to_json(forest)), "config": config,
+            "numbers": ["count", "1", "2", "2", "3", "5", "8", "13", "21"]}
+
+
+VALID_INPUTS = valid_inputs()
+INPUT_COMMANDS = {
+    "simulate": ("graph", ["simulate", "--graph", "IN", "--items", "5", "--first-sharers", "poisson:2",
+                           "--delta", "0.1", "--seed", "1", "--out", "OUT/trees.json"]),
+    "analyze": ("trees", ["analyze", "--in", "IN", "--out", "OUT"]),
+    "sweep": ("config", ["sweep", "--config", "IN", "--seed", "1", "--iterations", "1", "--out", "OUT/grid.csv"]),
+    "fit-first-sharers": ("numbers", ["fit-first-sharers", "--in", "IN", "--seed", "1", "--out", "OUT/table.csv"]),
+    "ks": ("numbers", ["stats-test", "ks", "--a", "IN", "--b", "VALID"]),
+    "wald": ("numbers", ["stats-test", "wald", "--a", "IN", "--b", "VALID"]),
+}
+# Numbers stay small or lie beyond int64, so no graph, item batch or sweep that loads is large.
+MUTANT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 80) | st.sampled_from([2**63, -2**70, 10**30])
+    | st.floats(-2.0, 80.0) | st.sampled_from([math.nan, math.inf, -math.inf, 1e308, 5e-324]) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+MUTANT_CELLS = (st.sampled_from(["", "x", "nan", "-inf", "1e999", "-1", "0", "0.5", "1e308", "1.7e308", "5e-324"])
+                | st.integers(-2**70, 2**70).map(str) | st.floats().map(repr) | st.text(max_size=4))
+
+
+def mutate_document(doc, data) -> None:
+    """Set or delete one to three entries anywhere in a JSON document, in place."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        places, stack = [], [doc]
+        while stack:
+            node = stack.pop()
+            keys = list(node) if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+            places += [(node, key) for key in keys]
+            stack += [node[key] for key in keys]
+        if not places:
+            return
+        target, key = data.draw(st.sampled_from(places))
+        if data.draw(st.booleans()):
+            target[key] = data.draw(MUTANT_VALUES)
+        else:
+            target.pop(key)
+
+
+def mutate_rows(rows: list, data) -> None:
+    """Replace, delete or insert one to three rows of a number file, in place."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        k = data.draw(st.integers(0, len(rows)))
+        action = data.draw(st.sampled_from(["replace", "delete", "insert"]) if k < len(rows) else st.just("insert"))
+        if action == "delete":
+            del rows[k]
+        else:
+            rows[k:k + (action == "replace")] = [data.draw(MUTANT_CELLS)]
+
+
+@pytest.mark.parametrize("name", INPUT_COMMANDS)
+@PROPERTY
+@given(data=st.data())
+def test_a_command_on_a_mutated_input_file_exits_0_2_or_3_with_one_line_on_failure(name, data):
+    kind, argv = INPUT_COMMANDS[name]
+    content = json.loads(json.dumps(VALID_INPUTS[kind]))
+    if kind == "numbers":
+        mutate_rows(content, data)
+        text = "\n".join(content) + "\n"
+    else:
+        mutate_document(content, data)
+        text = json.dumps(content)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as out:
+        paths = {"IN": os.path.join(out, "in"), "VALID": os.path.join(out, "valid.csv"), "OUT": os.path.join(out, "out")}
+        Path(paths["IN"]).write_text(text, encoding="utf-8")
+        Path(paths["VALID"]).write_text("\n".join(VALID_INPUTS["numbers"]), encoding="utf-8")
+        os.mkdir(paths["OUT"])
+        argv = [paths.get(arg, arg.replace("OUT", paths["OUT"])) for arg in argv]
+        # The sweep runs in this process: a fork pool per example would cost more than the example.
+        with mock.patch.object(harness, "_worker_count", lambda tasks: 1), warnings.catch_warnings(), \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 2, 3)
+    err = stderr.getvalue()
+    assert "Traceback" not in err
+    if code:
+        assert err.count("\n") == 1
+        assert code == 2 or err.startswith(f"cascadekit {argv[0]}: ")
 
 
 @pytest.mark.parametrize("command", [

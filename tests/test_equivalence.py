@@ -11,10 +11,12 @@ computes the sampler's smaller root without cancellation replaced them. The tree
 tree-JSON and sweep digests were captured by the commit after 310e2be, which
 gave diffuse one Generator per batch and run_sweep common random numbers;
 EARLIER_SCHEME keeps the sweep digests of the scheme before it, which
-oracles.earlier_scheme_sweep still reproduces. The file digests (a
-save_graph file, save_config files, a write_sweep_csv file, every file of
-write_analysis, and a cli simulate tree file) were captured at commit
-36d2d8d, before one module took over reading and writing every file.
+oracles.earlier_scheme_sweep still reproduces. The toy sweep's tree
+digest, captured from the trees run_sweep then returned, hashes the trees
+that oracles.sweep_batches rebuilds from the sweep's documented seeds. The
+file digests (a save_graph file, save_config files, a write_sweep_csv file,
+every file of write_analysis, and a cli simulate tree file) were captured at
+commit 36d2d8d, before one module took over reading and writing every file.
 Capture method: run this file as a script against that checkout,
 
     PYTHONPATH=<checkout>/src python tests/test_equivalence.py
@@ -65,7 +67,7 @@ from cascadekit.stats import (
 )
 from cascadekit.trees import trees_to_json
 
-from oracles import earlier_scheme_sweep, nodes_of, random_tree, scalar_small_world
+from oracles import earlier_scheme_sweep, nodes_of, random_tree, scalar_small_world, sweep_batches
 
 # (n, z) lattices, each built at every rate in GRAPH_RATES; n = z + 1 is the
 # complete graph, where every rewiring is skipped.
@@ -209,14 +211,17 @@ def results_digest(results) -> str:
 
 
 def sweep_toy_digests() -> tuple[str, str]:
-    results, point_trees = run_sweep(SweepConfig(**TOY_SWEEP), collect_trees=True)
+    """The toy sweep's results, and its trees from sweep_batches point by point and iteration by iteration."""
+    config = SweepConfig(**TOY_SWEEP)
+    shape = (len(config.phis), len(config.rs), len(config.deltas))
     h = hashlib.sha256()
-    for point in sorted(point_trees):
+    for point, index in sorted(zip(config.grid(), np.ndindex(shape))):
         h.update(repr(point).encode())
-        for tree in point_trees[point]:
-            h.update(repr(tree.news_id).encode())
-            hash_tree(h, tree)
-    return results_digest(results), h.hexdigest()
+        for _, forest in sweep_batches(config, *index, build_trees=True):
+            for tree in forest:
+                h.update(repr(tree.news_id).encode())
+                hash_tree(h, tree)
+    return results_digest(run_sweep(config)), h.hexdigest()
 
 
 def tree_json_digest() -> str:

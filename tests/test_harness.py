@@ -7,6 +7,8 @@ import os
 import statistics
 import threading
 import time
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,14 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascadekit import diffusion, files, harness
-from cascadekit.diffusion import diffuse, sample_news
+from cascadekit.diffusion import diffuse
 from cascadekit.errors import (
     OrphanParentError,
     ParameterError,
     TreeCycleError,
     TreeSchemaError,
 )
-from cascadekit.graph import generate_small_world, label_edges
+from cascadekit.graph import generate_small_world
 from cascadekit.harness import (
     SWEEP_COLUMNS,
     SweepConfig,
@@ -43,7 +45,7 @@ from cascadekit.trees import (
     tree_size,
 )
 
-from oracles import earlier_scheme_sweep, tree_from_nodes
+from oracles import earlier_scheme_sweep, sweep_batches, tree_from_nodes
 
 
 def tiny_config(**overrides) -> SweepConfig:
@@ -83,24 +85,12 @@ def test_sweep_deterministic_output(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def documented_batches(config, i, j, d, build_trees=False):
-    """diffuse's output per iteration at grid point (phis[i], rs[j], deltas[d]), from run_sweep's spawn keys."""
-    for k in range(config.iterations):
-        s_graph, s_label = np.random.SeedSequence(config.master_seed, spawn_key=(0, j, k)).spawn(2)
-        g = generate_small_world(config.n, config.z, config.rs[j], seed=s_graph)
-        g = label_edges(g, config.phis[i], seed=s_label)
-        s_news, s_batch = np.random.SeedSequence(config.master_seed, spawn_key=(1, i, j, k)).spawn(2)
-        news = sample_news(config.m, config.first_sharers, seed=s_news, max_count=config.n)
-        [batch] = diffuse(g, news, (config.deltas[d],), seed=s_batch, build_trees=build_trees)
-        yield batch
-
-
 def test_sweep_aggregation_matches_naive_recomputation():
     config = tiny_config(phis=(0.5, 0.6), rs=(0.1, 0.2), deltas=(0.02, 0.05), iterations=3)
     results = run_sweep(config)
     for res, index in zip(results, np.ndindex(2, 2, 2)):
         sizes, heights = [], []
-        for _, forest in documented_batches(config, *index, build_trees=True):
+        for _, forest in sweep_batches(config, *index, build_trees=True):
             sizes += [tree_size(tree) for tree in forest]
             heights += [tree_height(tree) for tree in forest]
         assert res.mean_size == statistics.fmean(sizes)
@@ -119,8 +109,7 @@ def test_sweep_sd_is_the_correctly_rounded_sample_sd(values):
     assert mean == sum(values) / len(values)
 
 
-@pytest.mark.parametrize("collect_trees", [False, True])
-def test_a_sweep_draws_the_seed_nodes_once_per_phi_r_and_iteration(monkeypatch, collect_trees):
+def test_a_sweep_draws_the_seed_nodes_once_per_phi_r_and_iteration(monkeypatch):
     monkeypatch.setattr(harness, "_worker_count", lambda tasks: 1)  # in-process, so the calls can be counted here
     calls, seed_nodes = [], diffusion._seed_nodes
 
@@ -130,7 +119,7 @@ def test_a_sweep_draws_the_seed_nodes_once_per_phi_r_and_iteration(monkeypatch, 
 
     monkeypatch.setattr(diffusion, "_seed_nodes", counted)
     config = tiny_config(phis=(0.5, 0.6), rs=(0.1, 0.2), deltas=(0.1, 0.02, 0.1), iterations=3)
-    run_sweep(config, collect_trees=collect_trees)
+    run_sweep(config)
     assert len(calls) == len(config.phis) * len(config.rs) * config.iterations
 
 
@@ -138,7 +127,7 @@ def test_sweep_mean_size_at_least_mean_seeds():
     config = tiny_config(first_sharers=FittedDistribution.poisson(4.0), iterations=2)
     results = run_sweep(config)
     for res, index in zip(results, np.ndindex(1, 1, 2)):
-        seed_counts = [count for stats, _ in documented_batches(config, *index) for count in stats.seeds.tolist()]
+        seed_counts = [count for stats, _ in sweep_batches(config, *index) for count in stats.seeds.tolist()]
         assert res.mean_seeds == np.mean(seed_counts)
         assert res.mean_size >= res.mean_seeds
 
@@ -148,14 +137,13 @@ def test_sweep_sharer_sets_nest_in_delta():
     # diffuses the same items from the same seed nodes on the same graph, so
     # each item's sharer set can only grow with delta.
     config = tiny_config(phis=(0.6, 1.0), rs=(0.0, 1.0), deltas=(0.0, 0.02, 0.05, 0.1), iterations=2)
-    _, forests = run_sweep(config, collect_trees=True)
-    for phi_hl in config.phis:
-        for r in config.rs:
-            previous = [set()] * (config.m * config.iterations)
-            for delta in config.deltas:
-                sharers = [set(tree.user.tolist()) for tree in forests[(phi_hl, r, delta)]]
-                assert all(a <= b for a, b in zip(previous, sharers))
-                previous = sharers
+    for i, j in np.ndindex(len(config.phis), len(config.rs)):
+        previous = [set()] * (config.m * config.iterations)
+        for d in range(len(config.deltas)):
+            sharers = [set(tree.user.tolist()) for _, forest in sweep_batches(config, i, j, d, build_trees=True)
+                       for tree in forest]
+            assert all(a <= b for a, b in zip(previous, sharers))
+            previous = sharers
 
 
 def test_sweep_shares_news_across_delta_only():
@@ -249,14 +237,6 @@ def test_without_a_safe_fork_the_tasks_run_in_process(monkeypatch, unsafe):
     assert not thread.is_alive()
 
 
-def test_pooled_forests_keep_read_only_arrays(workers):
-    # One iteration: each point's Forest is the one its task returned.
-    _, forests = run_sweep(tiny_config(rs=(0.1, 0.5), iterations=1), collect_trees=True)
-    for forest in forests.values():
-        for field in ("id", "user", "sigma", "t", "parent"):
-            assert not getattr(forest, field).flags.writeable
-
-
 def test_an_error_in_a_task_reaches_the_caller_unchanged(monkeypatch, workers):
     def failing(graph, *args, **kwargs):
         if graph.rewiring_probability == 0.5:
@@ -279,7 +259,7 @@ def test_the_tasks_run_in_the_workers_and_no_worker_outlives_the_sweep(monkeypat
         return diffuse(graph, *args, **kwargs)
 
     monkeypatch.setattr(harness, "diffuse", logged)
-    run_sweep(tiny_config(rs=(0.1, 0.5)), collect_trees=True)
+    run_sweep(tiny_config(rs=(0.1, 0.5)))
     assert multiprocessing.active_children() == [] and threading.active_count() == 1  # so the next sweep forks
     pids = set(log.read_text().split())
     assert (str(os.getpid()) in pids) == (workers == 1) and len(pids) <= workers
@@ -318,9 +298,11 @@ def test_sweep_csv_cells_are_the_reprs_of_the_results(tmp_path):
 
 
 def test_sweep_csv_of_a_numpy_float_grid_is_that_of_the_python_float_grid(tmp_path):
-    # numpy floats are written as their numbers, not as np.float64(...)
+    # numpy floats, in the grid or in a result, are written as their numbers, not as np.float64(...)
     grid = dict(phis=np.array([0.6, 1.0]), rs=np.array([0.1]), deltas=np.array([0.02, 0.2]))
     results = run_sweep(tiny_config(**{key: tuple(values) for key, values in grid.items()}))
+    results = [dataclasses.replace(res, **{key: np.float64(value) for key, value in vars(res).items()
+                                           if type(value) is float}) for res in results]
     assert type(results[0].phi_hl) is np.float64 and type(results[0].mu_pred) is np.float64
     write_sweep_csv(results, tmp_path / "numpy.csv")
     write_sweep_csv(run_sweep(tiny_config(**{key: tuple(values.tolist()) for key, values in grid.items()})),
@@ -361,7 +343,7 @@ def test_config_holds_python_ints_and_tuples_and_is_frozen(tmp_path):
                          deltas=[np.float64(0.02), 0.1], phis=[0.6], rs=[0.2])
     assert config == tiny_config()
     assert all(type(getattr(config, name)) is int for name in ("n", "m", "z", "master_seed", "iterations"))
-    assert type(config.deltas) is tuple and type(config.deltas[0]) is np.float64
+    assert type(config.deltas) is tuple and type(config.deltas[0]) is float
     harness.save_config(config, tmp_path / "numpy.json")
     harness.save_config(tiny_config(), tmp_path / "python.json")
     assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "python.json").read_bytes()
@@ -370,6 +352,16 @@ def test_config_holds_python_ints_and_tuples_and_is_frozen(tmp_path):
     assert dataclasses.replace(config, iterations=5).iterations == 5
     with pytest.raises(ParameterError, match="iterations >= 1"):
         dataclasses.replace(config, iterations=0)
+
+
+@pytest.mark.parametrize("scalar", [np.int64, np.float32, np.float64])
+def test_a_config_of_numpy_grid_values_saves_loads_and_sweeps_as_it_was(scalar, tmp_path):
+    config = tiny_config(deltas=(scalar(1), scalar(0.05)), phis=(scalar(0.6),), rs=(scalar(0.2), 0.5), iterations=1)
+    assert all(type(v) in (int, float) for v in config.deltas + config.phis + config.rs)
+    harness.save_config(config, tmp_path / "config.json")
+    loaded = harness.load_config(tmp_path / "config.json")
+    assert loaded == config
+    assert run_sweep(loaded) == run_sweep(config)
 
 
 @pytest.mark.parametrize("field", ["n", "m"])
@@ -486,6 +478,21 @@ def test_mutated_config_document_loads_and_round_trips_or_is_a_parameter_error(d
     except ParameterError:
         return
     assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
+    # What loads can be used: a sweep cut to at most 60 nodes, 8 items, one
+    # iteration and two values per grid runs in this process, with no numpy warning.
+    try:
+        small = dataclasses.replace(config, n=min(config.n, 60), m=min(config.m, 8), iterations=1,
+                                    deltas=config.deltas[:2], phis=config.phis[:2], rs=config.rs[:2])
+    except ParameterError:
+        return
+    with mock.patch.object(harness, "_worker_count", lambda tasks: 1), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            results = run_sweep(small)
+        except ParameterError as exc:  # a first-sharer model that can draw below 0 loads, and sample_news rejects it
+            assert "negative draws" in str(exc)
+            return
+    assert [(res.phi_hl, res.r, res.delta) for res in results] == small.grid()
 
 
 def test_default_grids_cover_reference_protocol():

@@ -61,6 +61,15 @@ def test_summary_stats_reproduces_engineered_data_column():
     assert astuple(summary_stats(sample)) == (1.0, 5.0, 10.0, 39.34, 27.0, 3033.0)
 
 
+@pytest.mark.parametrize("sample", [[1e308, 1.5e308, 1.7e308], [-1.7e308, -1.7e308, 1.0], [1.7e308] * 1000])
+def test_summary_stats_of_a_sample_whose_sum_overflows_has_its_finite_mean(sample):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = summary_stats(sample)
+    assert math.isfinite(s.mean) and s.min <= s.mean <= s.max
+    assert s.mean == pytest.approx(math.fsum(v / len(sample) for v in sample), rel=1e-15)
+
+
 def test_empirical_curve_boundary_identities():
     sample = [3, 1, 4, 1, 5, 9, 2, 6]
     xs, cdf = empirical_cdf(sample)
@@ -463,6 +472,29 @@ def test_counts_above_the_poisson_rate_cap_mark_poisson_degenerate():
     assert FAMILY_POISSON in fit.degenerate and FAMILY_POISSON not in fit.fits
     assert all(row["Poi"] is None for row in first_sharer_table(fit))
     assert FAMILY_IG in fit.fits
+
+
+@pytest.mark.parametrize("counts, degenerate", [
+    ([1e308, 1.5e308, 1.7e308], (FAMILY_IG, FAMILY_POISSON)),  # the sum overflows; IG's shape leaves the float range
+    ([5e-324, 5e-324, 1.0], (FAMILY_IG,)),  # 1 / 5e-324 overflows, so IG's shape is 0
+], ids=["huge", "subnormal"])
+def test_fits_past_the_float_range_are_degenerate_without_a_warning(counts, degenerate):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_first_sharers(counts, seed=5)
+    assert fit.degenerate == degenerate and not set(degenerate) & (set(fit.fits) | set(fit.family_stats))
+    assert all(math.isfinite(v) for stats in (fit.data_stats, *fit.family_stats.values()) for v in astuple(stats))
+
+
+def test_a_family_whose_comparison_draws_overflow_is_degenerate():
+    # The log-normal fit, about (700, 5.5), is valid, but about 4% of its draws pass the float range.
+    counts = np.geomspace(1e300, 1.7e308, 200)
+    ln = FittedDistribution.log_normal(np.log(counts).mean(), np.log(counts).std())
+    assert not np.all(np.isfinite(ln.sample(counts.size, seed=5)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_first_sharers(counts, seed=5)
+    assert FAMILY_LN in fit.degenerate and FAMILY_LN not in fit.fits | fit.family_stats
 
 
 def test_zeros_excluded_from_positive_support_fits():
