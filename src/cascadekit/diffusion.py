@@ -65,8 +65,8 @@ def sample_news(count: int, dist: FittedDistribution, seed, max_count: int) -> l
     Each draw is clipped at max_count (the node count of the target graph,
     typically), then truncated to its integer part. So a draw above
     max_count, infinity included, seeds max_count nodes, and truncation can
-    produce zeros, which model never-shared items. A draw that is NaN or
-    negative, or not below 2**63 after clipping, is a ParameterError.
+    produce zeros, which model never-shared items. A draw that is NaN, or
+    not below 2**63 after clipping, is a ParameterError.
     """
     if not 0 <= count < 2**63:
         raise ParameterError(f"news count must be in [0, 2**63), got {count}")
@@ -75,8 +75,6 @@ def sample_news(count: int, dist: FittedDistribution, seed, max_count: int) -> l
     draws = np.minimum(dist.sample(count, rng), max_count)
     if not np.all(draws < 2.0**63):
         raise ParameterError("first-sharer distribution produced a draw that is NaN or not below 2**63")
-    if np.any(draws < 0):
-        raise ParameterError("first-sharer distribution produced negative draws")
     counts = np.floor(draws).astype(np.int64)
     return list(map(NewsItem, range(count), fitness.tolist(), counts.tolist()))
 

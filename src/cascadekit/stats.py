@@ -322,12 +322,13 @@ FAMILIES = {f.name: f for f in (
            draw=lambda rng, size, rate: rng.poisson(rate, size).astype(float),
            fit=lambda x: (_mean(x),), label="Poi"),
     Family(FAMILY_UNIFORM, ("unif",), ("low", "high"),
-           "uniform needs low <= high and a finite high - low, got ({low}, {high})",
-           check=lambda low, high: low <= high and math.isfinite(high - low),
+           "uniform needs 0 <= low <= high and a finite high - low, got ({low}, {high})",
+           check=lambda low, high: 0 <= low <= high and math.isfinite(high - low),
            draw=lambda rng, size, low, high: rng.uniform(low, high, size),
            fit=lambda x: (float(x.min()), float(x.max()))),
-    Family(FAMILY_EMPIRICAL, ("emp",), (SAMPLE,), "empirical distribution needs a non-empty sample",
-           check=lambda sample: sample.size > 0,
+    Family(FAMILY_EMPIRICAL, ("emp",), (SAMPLE,),
+           "empirical distribution needs a non-empty sample with no value below 0",
+           check=lambda sample: sample.size > 0 and sample.min() >= 0,
            draw=lambda rng, size, sample: rng.choice(sample, size=size, replace=True), fit=lambda x: (x,)),
 )}
 

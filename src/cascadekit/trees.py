@@ -9,12 +9,12 @@ A Forest is the one tree-list type: the node arrays of all its trees end
 to end, plus per-tree fields. Trees enter it one way from each side: the
 cascade kernel builds forests, and external trees are tree documents,
 which the loader (tree_from_dict, trees_from_json, load_trees) parses
-under one node-field rule and validates into a forest. metrics_rows,
-harness.analyze, the JSON writer and the CSV export read forests;
-Forest.of joins any other sequence of trees into one. forest[k] is a
-SharingTree, a view of one tree built on each access. metrics_rows
-computes every metric of a forest in one vectorized pass over its arrays,
-which the per-tree metric functions wrap.
+under one node-field rule and checks, each tree rule once over the whole
+forest. metrics_rows, harness.analyze, the JSON writer and the CSV export
+read forests; Forest.of joins any other sequence of trees into one.
+forest[k] is a SharingTree, a view of one tree built on each access.
+metrics_rows computes every metric of a forest in one vectorized pass
+over its arrays, which the per-tree metric functions wrap.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .errors import (
 CATEGORIES = ("science", "conspiracy", "troll", "synthetic")
 
 _NODE_FIELDS = ("id", "user", "sigma", "t", "parent")
-_ORPHAN = -2  # parent index of a node whose parent id names no node of its tree
 
 
 class SharingTree:
@@ -115,9 +114,7 @@ class Forest:
 
     id, user, sigma, t and parent hold the nodes of all trees end to end,
     tree k's at start[k]:start[k + 1], with the dtypes of a SharingTree's
-    arrays; parent indexes the tree's own nodes (-1 for none). While the
-    loader validates a forest, -2 marks an orphan; no forest it returns
-    has one.
+    arrays; parent indexes the tree's own nodes (-1 for none).
     news_id, category, virtual_root and page_sign are per-tree lists. len,
     iteration and forest[k] give the trees: forest[k] is a SharingTree over
     views of the arrays, built on each access.
@@ -261,16 +258,12 @@ _NODE_CHECKS = (  # per node field: the test each value must pass, and what it a
 
 
 def _trees_from_docs(docs: list) -> Forest:
-    """Parse tree documents into a Forest, emptying the list, and validate the trees; the first fault in document order raises.
+    """Parse tree documents into a Forest, emptying the list; the first fault in document order raises.
 
     Node ids and parents must be integers (a float only when integral),
     users ints or strings, sigma and t finite numbers, nodes a list and
-    root.virtual a boolean; a boolean is not a number. A tree's latest
-    share time less its earliest, its lifetime, must be finite as a float.
-    The nodes of all documents are checked and stored together. A
-    vectorized screen (_screen) passes the trees that are valid with ids
-    0..n-1 and every parent before its children; the others run _validate,
-    which raises the exact error.
+    root.virtual a boolean; a boolean is not a number. _check then tests
+    the structure of all the trees at once.
     """
     if not isinstance(docs, list):
         raise TreeSchemaError("tree batch must be a JSON array")
@@ -281,7 +274,10 @@ def _trees_from_docs(docs: list) -> Forest:
             root, nodes = doc["root"], doc["nodes"]
             head = (doc["news_id"], str(doc["category"]), root["virtual"], root["page_sign"])
             values = [[nd[f] for nd in nodes] for f in _NODE_FIELDS]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
+            fault = _missing(doc, j, exc.args[0])
+            break
+        except TypeError as exc:
             fault = f"malformed tree document: {exc}"
             break
         if type(nodes) is not list or type(head[2]) is not bool or not _is_id(head[3]):
@@ -298,88 +294,91 @@ def _trees_from_docs(docs: list) -> Forest:
             j = int(np.searchsorted(start, k, side="right")) - 1
             if j < len(heads):  # no fault in an earlier document
                 fault = f"tree {heads[j][0]}: node {field} must be {kind}, got {column[k]!r}"
-                del heads[j:], sizes[j:]
-    end = sum(sizes)
+                del heads[j:]
+    start = start[:len(heads) + 1]
     for column in columns:
-        del column[end:]
-    ids, user, sigma, t = (np.array(columns[0], dtype=np.int64), _column(columns[1]),
-                           np.array(columns[2], dtype=float), _column(columns[3]))
-    size = np.array(sizes, dtype=np.int64)
-    tree_of = np.repeat(np.arange(size.size), size)
-    local = np.arange(end) - start[tree_of]
-    parent_ids = columns[4]
-    root = np.fromiter((p is None for p in parent_ids), dtype=bool, count=end)
-    parent = np.array([-1 if p is None else p for p in parent_ids], dtype=np.int64)
-    parent[~root & ((parent < 0) | (parent >= size[tree_of]))] = _ORPHAN
-    for k in np.unique(tree_of[ids != local]).tolist():  # ids other than 0..n-1: parents found by id
-        a, b = start[k], start[k + 1]
-        at = dict(zip(ids[a:b].tolist(), range(b - a)))
-        parent[a:b] = [-1 if p is None else at.get(p, _ORPHAN) for p in parent_ids[a:b]]
-    news_id, category, virtual, page_sign = [list(column) for column in zip(*heads)] or [[], [], [], []]
-    forest = Forest(news_id, category, virtual, page_sign, start[:len(heads) + 1], ids, user, sigma, t, parent)
-    for k in np.flatnonzero(_screen(forest, tree_of, local)).tolist():
-        _validate(forest[k], parent_ids[start[k]:start[k + 1]])
+        del column[start[-1]:]
+    forest = _check(heads, start, columns)
     if fault:
         raise TreeSchemaError(fault)
     return forest
 
 
-def _validate(tree: SharingTree, parent_ids: list) -> None:
-    """Raise a typed error on a loaded tree's first structural fault; parent_ids are its nodes' parents as given."""
-    name = f"tree {tree.news_id}"
-    if tree.category not in CATEGORIES:
-        raise TreeSchemaError(f"{name}: unknown category {tree.category!r}")
-    if tree.page_sign not in (-1, 1):
-        raise TreeSchemaError(f"{name}: virtual_root must be a boolean and page_sign -1 or 1")
-    n = tree.id.size
-    _, first = np.unique(tree.id, return_index=True)
-    if first.size != n:
-        raise TreeSchemaError(f"{name}: duplicate node id {tree.id[np.setdiff1d(np.arange(n), first)[0]]}")
-    roots = int(np.count_nonzero(tree.parent == -1))
-    if not tree.virtual_root and roots != 1:
-        raise TreeSchemaError(f"{name}: real-rooted tree needs exactly one parentless node, found {roots}")
-    bad = np.flatnonzero(~((tree.sigma >= -1.0) & (tree.sigma <= 1.0)) | (tree.parent == _ORPHAN))
-    if bad.size:
-        k = int(bad[0])
-        if tree.parent[k] != _ORPHAN or not -1.0 <= tree.sigma[k] <= 1.0:
-            raise SigmaRangeError(f"{name}: node {tree.id[k]} has sigma {tree.sigma[k]} outside [-1, 1]")
-        raise OrphanParentError(f"{name}: node {tree.id[k]} references missing parent {parent_ids[k]}")
-    if not np.all(tree.parent < np.arange(n)):  # parents before children rule out a cycle
-        stuck = _climb(tree.parent, [])
-        if stuck.size:
-            k = int(stuck[0])
-            for _ in range(n):  # n steps up from a node that never reaches a root end on its cycle
-                k = int(tree.parent[k])
-            raise TreeCycleError(f"{name}: cycle through node {tree.id[k]}")
-    child = np.flatnonzero(tree.parent >= 0)
-    late = np.flatnonzero(tree.t[child] < tree.t[tree.parent[child]])
-    if late.size:
-        k = child[late[0]]
-        raise TimestampOrderError(f"{name}: node {tree.id[k]} shares at t={tree.t[k]} before its parent")
-    if n:  # the lifetime, an int or a float, must be finite as a float
-        times = tree.t.tolist()
-        first, last = min(times), max(times)
-        if last - first > sys.float_info.max:
-            raise TreeSchemaError(f"{name}: share times from {first} to {last} span no finite lifetime")
+def _missing(doc: dict, j: int, key: str) -> str:
+    """Say where tree document j lacks the field key: at its top, in its root or in a node."""
+    name = f"tree {doc['news_id']}" if "news_id" in doc else f"tree at batch index {j}"
+    if key in _NODE_FIELDS:  # the first node without it: every earlier node has all the fields before it
+        key = f"nodes[{next(i for i, nd in enumerate(doc['nodes']) if key not in nd)}].{key}"
+    return f"{name}: {'root.' if key in ('virtual', 'page_sign') else ''}{key} is missing"
 
 
-def _screen(forest: Forest, tree_of: np.ndarray, local: np.ndarray) -> np.ndarray:
-    """Per tree, False when it keeps every rule of _validate with ids 0..n-1 and parents before children, else True.
+def _check(heads: list, start: np.ndarray, columns: tuple) -> Forest:
+    """The Forest of parsed trees; raises the first fault of the first tree that breaks a rule.
 
-    tree_of is each node's tree index and local its index within its tree.
+    heads holds each tree's (news_id, category, virtual, page_sign) and
+    columns its node fields. Each rule is tested once over all nodes. One
+    sort of a key per node, its tree index times the number of distinct ids
+    plus its id's rank, finds each parent by id and each repeated id.
     """
-    count, parent, sigma = len(forest), forest.parent, forest.sigma
-    # Exact below 2**53; trees with larger times, which alone can overflow a lifetime, are flagged.
-    times = forest.t.astype(float)
-    bad = (forest.id != local) | (parent >= local) | (parent == _ORPHAN) | ~((sigma >= -1.0) & (sigma <= 1.0))
-    bad |= ~(np.abs(times) < 2.0**53)
-    child = np.flatnonzero(parent >= 0)
-    bad[child] |= times[child] < times[child - local[child] + parent[child]]
-    flagged = np.bincount(tree_of[bad], minlength=count) > 0
-    flagged |= ~np.array(forest.virtual_root, dtype=bool) & (np.bincount(tree_of[parent == -1], minlength=count) != 1)
-    flagged[[k for k, (c, p) in enumerate(zip(forest.category, forest.page_sign))
-             if c not in CATEGORIES or p not in (-1, 1)]] = True
-    return flagged
+    count, n, parent_ids = len(heads), int(start[-1]), columns[4]
+    tree_of = np.repeat(np.arange(count), np.diff(start))
+    ids = np.array(columns[0], dtype=np.int64)
+    wanted = np.array([0 if p is None else p for p in parent_ids], dtype=np.int64)
+    distinct, rank = np.unique(np.concatenate((ids, wanted)), return_inverse=True)
+    keys = np.tile(tree_of, 2) * distinct.size + rank  # each node's key, then its parent's
+    order = np.argsort(keys[:n], kind="stable")
+    slot = np.minimum(np.searchsorted(keys[order], keys), n - 1)
+    first = np.where(keys[order[slot]] == keys, order[slot], -1)  # the first node with each key, or -1
+    repeat = first[:n] != np.arange(n)
+    root = np.fromiter((p is None for p in parent_ids), dtype=bool, count=n)
+    orphan = ~root & (first[n:] < 0)  # a parent id that no node of the tree has
+    parent = np.where(root | orphan, -1, first[n:] - start[tree_of])
+    del wanted, distinct, rank, keys, order, slot, first  # node-sized temporaries go before the checks
+    news_id, category, virtual, page_sign = [list(column) for column in zip(*heads)] or [[], [], [], []]
+    sigma, t = np.array(columns[2], dtype=float), _column(columns[3])
+    forest = Forest(news_id, category, virtual, page_sign, start, ids, _column(columns[1]), sigma, t, parent)
+    up = np.where(parent < 0, -1, parent + start[tree_of])  # batch-wide parent index, -1 for none
+    unknown = ~np.fromiter(map(CATEGORIES.__contains__, category), dtype=bool, count=count)
+    unsigned = ~np.isin(page_sign, (-1, 1))
+    roots = np.bincount(tree_of[root], minlength=count)
+    rootless = ~np.array(virtual, dtype=bool) & (roots != 1)
+    out_of_range = ~((sigma >= -1.0) & (sigma <= 1.0))
+    misplaced = out_of_range | orphan
+    cyclic = np.zeros(n, dtype=bool)  # only a parent after its child can close a cycle
+    cyclic[_climb(up, []) if np.any(up >= np.arange(n)) else []] = True
+    late = (up >= 0) & (t < t[np.maximum(up, 0)])
+    long_lived = np.zeros(count, dtype=bool)
+    for k in np.unique(tree_of[~(np.abs(t.astype(float)) < 2.0**1022)]).tolist():  # only such times span past max
+        times = t[start[k]:start[k + 1]].tolist()
+        long_lived[k] = max(times) - min(times) > sys.float_info.max
+    faulty = np.bincount(tree_of[repeat | misplaced | cyclic | late], minlength=count) > 0
+    broken = np.flatnonzero(unknown | unsigned | rootless | long_lived | faulty)
+    if not broken.size:
+        return forest
+    k = int(broken[0])
+    a, b, name = int(start[k]), int(start[k + 1]), f"tree {news_id[k]}"
+    dup, bad, cycle, early = (a + int(np.argmax(nodes[a:b])) if nodes[a:b].any() else None
+                              for nodes in (repeat, misplaced, cyclic, late))  # tree k's first node of each
+    if unknown[k]:
+        raise TreeSchemaError(f"{name}: unknown category {category[k]!r}")
+    if unsigned[k]:
+        raise TreeSchemaError(f"{name}: virtual_root must be a boolean and page_sign -1 or 1")
+    if dup is not None:
+        raise TreeSchemaError(f"{name}: duplicate node id {ids[dup]}")
+    if rootless[k]:
+        raise TreeSchemaError(f"{name}: real-rooted tree needs exactly one parentless node, found {roots[k]}")
+    if bad is not None and out_of_range[bad]:
+        raise SigmaRangeError(f"{name}: node {ids[bad]} has sigma {sigma[bad]} outside [-1, 1]")
+    if bad is not None:
+        raise OrphanParentError(f"{name}: node {ids[bad]} references missing parent {parent_ids[bad]}")
+    if cycle is not None:
+        for _ in range(b - a):  # b - a steps up from a node that never reaches a root end on its cycle
+            cycle = int(up[cycle])
+        raise TreeCycleError(f"{name}: cycle through node {ids[cycle]}")
+    if early is not None:
+        raise TimestampOrderError(f"{name}: node {ids[early]} shares at t={t[early]} before its parent")
+    times = t[a:b].tolist()
+    raise TreeSchemaError(f"{name}: share times from {min(times)} to {max(times)} span no finite lifetime")
 
 
 def trees_to_json(trees) -> str:

@@ -7,12 +7,20 @@ inverse-CDF sampling) and shares no code with the package paths it checks.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque, namedtuple
 
 import numpy as np
 from scipy import integrate, special
 
-from cascadekit.errors import ParameterError
+from cascadekit.errors import (
+    OrphanParentError,
+    ParameterError,
+    SigmaRangeError,
+    TimestampOrderError,
+    TreeCycleError,
+    TreeSchemaError,
+)
 from cascadekit.graph import SignedGraph
 from cascadekit.trees import SharingTree, tree_from_dict, tree_to_dict
 
@@ -440,6 +448,109 @@ def naive_path_counts(tree: SharingTree) -> tuple[int, int]:
     paths = enumerate_paths(tree)
     homogeneous = sum(1 for signs in paths if all(s > 0 for s in signs))
     return len(paths), homogeneous
+
+
+# --- the tree loader's rules, one document at a time ---------------------------------
+
+NODE_FIELDS = ("id", "user", "sigma", "t", "parent")
+
+
+def is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def is_id(v) -> bool:
+    return is_number(v) and v == math.floor(v) and -2**63 <= v < 2**63
+
+
+NODE_RULES = {  # per node field: the test each value must pass, and what the loader says it must be
+    "id": (is_id, "an integer"),
+    "user": (lambda v: isinstance(v, (int, str)) and not isinstance(v, bool), "an integer or a string"),
+    "sigma": (is_number, "a finite number"),
+    "t": (is_number, "a finite number"),
+    "parent": (lambda v: v is None or is_id(v), "an integer or null"),
+}
+
+
+def missing_field(doc: dict, index: int) -> str:
+    """The loader's message for document `index` of a batch, which lacks a field.
+
+    It names the first lookup that fails, in the loader's order: root,
+    nodes, news_id, category, root.virtual, root.page_sign, then each node
+    field in turn over all the nodes.
+    """
+    name = f"tree {doc['news_id']}" if "news_id" in doc else f"tree at batch index {index}"
+    for key in ("root", "nodes", "news_id", "category"):
+        if key not in doc:
+            return f"{name}: {key} is missing"
+    for key in ("virtual", "page_sign"):
+        if key not in doc["root"]:
+            return f"{name}: root.{key} is missing"
+    for key in NODE_FIELDS:
+        for i, node in enumerate(doc["nodes"]):
+            if key not in node:
+                return f"{name}: nodes[{i}].{key} is missing"
+    raise AssertionError("no field is missing")
+
+
+def tree_fault(doc, index: int = 0) -> tuple[type, str] | None:
+    """(error class, message) of the first fault of document `index` of a tree batch, or None when it loads.
+
+    Plain Python over the document's values, in the loader's order: its
+    fields (a missing one, one of the wrong kind), then its category,
+    page_sign, a repeated node id, the parentless count under a real root,
+    each node's sigma and then parent, a cycle, a share before its parent,
+    and a lifetime that is not finite as a float.
+    """
+    try:  # the lookups in the loader's order, so a document that is no dict fails with its text
+        root, nodes = doc["root"], doc["nodes"]
+        news_id, category, virtual, page_sign = doc["news_id"], str(doc["category"]), root["virtual"], root["page_sign"]
+        columns = {key: [node[key] for node in nodes] for key in NODE_FIELDS}
+    except KeyError:
+        return TreeSchemaError, missing_field(doc, index)
+    except TypeError as exc:
+        return TreeSchemaError, f"malformed tree document: {exc}"
+    name = f"tree {news_id}"
+    if type(nodes) is not list or type(virtual) is not bool or not is_id(page_sign):
+        return TreeSchemaError, f"{name}: nodes must be a list, root.virtual a boolean and root.page_sign an integer"
+    for key, (ok, kind) in NODE_RULES.items():
+        for value in columns[key]:
+            if not ok(value):
+                return TreeSchemaError, f"{name}: node {key} must be {kind}, got {value!r}"
+    if category not in ("science", "conspiracy", "troll", "synthetic"):
+        return TreeSchemaError, f"{name}: unknown category {category!r}"
+    if page_sign not in (-1, 1):
+        return TreeSchemaError, f"{name}: virtual_root must be a boolean and page_sign -1 or 1"
+    ids, parents, times = [int(v) for v in columns["id"]], columns["parent"], columns["t"]
+    position = {}
+    for k, node_id in enumerate(ids):
+        if node_id in position:
+            return TreeSchemaError, f"{name}: duplicate node id {node_id}"
+        position[node_id] = k
+    roots = sum(p is None for p in parents)
+    if not virtual and roots != 1:
+        return TreeSchemaError, f"{name}: real-rooted tree needs exactly one parentless node, found {roots}"
+    for k, (sigma, p) in enumerate(zip(columns["sigma"], parents)):
+        if not -1.0 <= float(sigma) <= 1.0:
+            return SigmaRangeError, f"{name}: node {ids[k]} has sigma {float(sigma)} outside [-1, 1]"
+        if p is not None and int(p) not in position:
+            return OrphanParentError, f"{name}: node {ids[k]} references missing parent {p}"
+    up = [None if p is None else position[int(p)] for p in parents]
+    for k in range(len(ids)):
+        seen, i = set(), k
+        while i is not None and i not in seen:
+            seen.add(i)
+            i = up[i]
+        if i is not None:  # node k's ancestors run into a cycle: the loader names the node len(ids) steps up
+            for _ in range(len(ids)):
+                k = up[k]
+            return TreeCycleError, f"{name}: cycle through node {ids[k]}"
+    for k, i in enumerate(up):
+        if i is not None and times[k] < times[i]:
+            return TimestampOrderError, f"{name}: node {ids[k]} shares at t={times[k]} before its parent"
+    if times and max(times) - min(times) > sys.float_info.max:
+        return TreeSchemaError, f"{name}: share times from {min(times)} to {max(times)} span no finite lifetime"
+    return None
 
 
 # --- random valid trees for property tests -----------------------------------------

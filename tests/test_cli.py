@@ -287,6 +287,7 @@ def test_sweep_config_with_a_bad_ring_degree_fails_before_the_sweep(tmp_path, ca
 @pytest.mark.parametrize("spec", [
     "ig:nan,1", "ig:1,inf", "ig:1", "ig:1,2,3", "ln:0,-1", "poisson:", "poi:-inf", "uniform:2,1",
     "unif:1,NaN", "gamma:1,2", "emp:no-such-file.csv", "poisson:1e19", "unif:-1e308,1e308",
+    "unif:-1,3",
 ])
 def test_bad_first_sharer_specs_are_argument_errors(tmp_path, capsys, spec):
     with pytest.raises(SystemExit) as excinfo:

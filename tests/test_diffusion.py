@@ -73,12 +73,15 @@ def test_a_count_beyond_int64_is_a_parameter_error_before_any_draw():
 
 
 def test_negative_draws_are_a_parameter_error():
-    with pytest.raises(ParameterError, match="negative draws"):
-        sample_news(5, FittedDistribution.uniform(-3, -1), seed=0, max_count=50)
-    with warnings.catch_warnings():  # draws below -2**63 too, with no cast warning
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ParameterError, match="negative draws"):
-            sample_news(5, FittedDistribution.uniform(-1e300, -1e299), seed=0, max_count=50)
+    # A model that could draw a negative count is rejected when it is made, before sample_news can draw.
+    for low, high in ((-3, -1), (-1e300, -1e299), (-1e-9, 3)):
+        with pytest.raises(ParameterError, match="uniform needs 0 <= low <= high"):
+            FittedDistribution.uniform(low, high)
+    for sample in ([-1], [4, 0, -1e-300]):
+        with pytest.raises(ParameterError, match="no value below 0"):
+            FittedDistribution.empirical(sample)
+    assert FittedDistribution.uniform(0, 0).sample(3, seed=0).tolist() == [0.0] * 3
+    assert FittedDistribution.empirical([-0.0, 2]).sample(20, seed=0).min() >= 0
 
 
 def test_sample_news_rejects_a_negative_count_before_it_draws():

@@ -17,6 +17,9 @@ that oracles.sweep_batches rebuilds from the sweep's documented seeds. The
 file digests (a save_graph file, save_config files, a write_sweep_csv file,
 every file of write_analysis, and a cli simulate tree file) were captured at
 commit 36d2d8d, before one module took over reading and writing every file.
+The tree fault-message digest was captured at commit 4327564, before one
+check over the whole loaded forest replaced the loader's vectorized screen
+and its per-tree check.
 Capture method: run this file as a script against that checkout,
 
     PYTHONPATH=<checkout>/src python tests/test_equivalence.py
@@ -27,7 +30,8 @@ tree node's (id, user, sigma, t, parent) plus each outcome's news id and
 round count, or over the float.hex() of every field a SweepResult had then,
 or over the bytes of a trees_to_json document, a metrics.csv file, a
 sampled array (with its dtype), a config JSON document, a file the package
-writes, or a first-sharer table file plus the repr of its fits' parameters.
+writes, a first-sharer table file plus the repr of its fits' parameters, or
+the (error class, message) that each faulty tree batch raises.
 The CLI alias test holds every --first-sharers name to its constructor's
 result.
 """
@@ -48,6 +52,7 @@ import pytest
 from cascadekit import harness
 from cascadekit.cli import _parse_distribution, main
 from cascadekit.diffusion import NewsItem, run_batch
+from cascadekit.errors import CascadekitError
 from cascadekit.graph import generate_small_world, label_edges, save_graph
 from cascadekit.harness import (
     SweepConfig,
@@ -65,7 +70,7 @@ from cascadekit.stats import (
     sample_inverse_gaussian,
     write_first_sharer_table,
 )
-from cascadekit.trees import trees_to_json
+from cascadekit.trees import trees_from_json, trees_to_json
 
 from oracles import earlier_scheme_sweep, nodes_of, random_tree, scalar_small_world, sweep_batches
 
@@ -126,6 +131,7 @@ GOLDEN = {
     "trees_rewired_2000": "69f2c88de2b3cfcf15d7ba19b9b2b23f1ec1d8345d411cac99c967151d8a5060",
     "trees_lattice_5000": "40c4180ac382041a392590441619ab6932e13713eb84a61ad6a358084b21208d",
     "tree_json_rewired_2000": "b5596f4f9f0190c31a0cf23017fd8f35b69095d76206c053308dfd1d1226b53d",
+    "tree_fault_messages": "d9c46e9a5b5b9ed74f662e68257bb0e25d3fd294996f3d351eb003822d92f7b8",
     "metrics_csv_random_200": "6abec05cc6d50a478ce8d1faff4386785a977a4af2d8b6263c7eb1e406d0d8e5",
     "sweep_toy": "0d37c44a3db68780a1d2dd7ace503438eb8b676aacf82d7a63dd90b51ea57bec",
     "sweep_toy_trees": "6c71f7a5d92dab69e45aace1a755bf877709b34779f74cb22059e6ada16d4be5",
@@ -231,6 +237,71 @@ def tree_json_digest() -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def fault_doc(nodes, news_id=7, category="science", virtual=False, page_sign=1) -> dict:
+    """A tree document of (id, sigma, t, parent) nodes, user 100 + id."""
+    return {"news_id": news_id, "category": category, "root": {"virtual": virtual, "page_sign": page_sign},
+            "nodes": [{"id": i, "user": 100 + i, "sigma": s, "t": t, "parent": p} for i, s, t, p in nodes]}
+
+
+VALID_NODES = [(0, 0.5, 0.0, None), (1, -0.25, 1.5, 0), (2, 1.0, 2.0, 0)]
+
+# One faulty batch per loader rule, and batches where several faults meet:
+# the first faulty tree in document order raises its first fault.
+FAULTY_BATCHES = {
+    "category": [fault_doc(VALID_NODES, category="politics")],
+    "page_sign_0": [fault_doc(VALID_NODES, page_sign=0)],
+    "page_sign_2": [fault_doc(VALID_NODES, page_sign=2, virtual=True)],
+    "duplicate_id": [fault_doc([(0, 0.5, 0, None), (1, 0.5, 1, 0), (0, 0.5, 2, 1), (1, 0.5, 3, 0)])],
+    "no_real_root": [fault_doc([(0, 0.5, 0, 1), (1, 0.5, 1, 0)])],
+    "two_real_roots": [fault_doc([(0, 0.5, 0, None), (1, 0.5, 1, None), (2, 2.0, 2, 0)])],
+    "sigma_range": [fault_doc([(0, 0.5, 0, None), (1, 1.5, 1, 0), (2, 0.5, 2, 77)])],
+    "orphan_parent": [fault_doc([(0, 0.5, 0, None), (1, 0.5, 1, 77), (2, -3, 2, 0)])],
+    "orphan_float_parent": [fault_doc([(0, 0.5, 0, None), (1, 0.5, 1, 77.0)])],
+    "sigma_and_orphan_at_one_node": [fault_doc([(0, 0.5, 0, None), (1, -1.5, 1, 77)])],
+    "cycle": [fault_doc([(0, 0.5, 0, None), (1, 0.5, 1, 3), (2, 0.5, 2, 1), (3, 0.5, 3, 2), (4, 0.5, 4, 3)],
+                        virtual=True)],
+    "late_float": [fault_doc([(0, 0.5, 0.0, None), (1, 0.5, 2.5, 0), (2, 0.5, 2.25, 1)])],
+    "late_int": [fault_doc([(0, 0.5, 3, None), (1, 0.5, 2, 0)])],
+    "late_object": [fault_doc([(0, 0.5, 2**70, None), (1, 0.5, 1.0, 0)])],
+    "late_big_int_by_one": [fault_doc([(0, 0.5, 2**70 + 1, None), (1, 0.5, 2**70, 0)]), fault_doc(VALID_NODES)],
+    "lifetime_float": [fault_doc([(0, 0.5, -1e308, None), (1, 0.5, 1e308, 0)])],
+    "lifetime_big_int": [fault_doc([(0, 0.5, -10**308, None), (1, 0.5, 10**308, 0)])],
+    "node_field_type": [fault_doc([(0, 0.5, 0, None), (1, "high", 1, 0)])],
+    "virtual_flag_type": [dict(fault_doc(VALID_NODES), root={"virtual": 1, "page_sign": 1})],
+    "first_faulty_tree_raises": [fault_doc(VALID_NODES, news_id=1), fault_doc([(0, 0.5, 3, None), (1, 0.5, 2, 0)],
+                                                                               news_id=2),
+                                 fault_doc(VALID_NODES, news_id=3, category="politics")],
+    "structure_before_a_later_parse_fault": [fault_doc([(0, 0.5, 0, 0)], news_id=1, virtual=True),
+                                             fault_doc([(0, 0.5, "0", None)], news_id=2)],
+    "parse_fault_before_a_later_structure": [fault_doc([(0, 0.5, 0, None), (1, 0.5, 1, 0.5)], news_id=1),
+                                             fault_doc([(0, 0.5, 0, 0)], news_id=2, virtual=True)],
+}
+
+
+def shifted(docs: list, by: int) -> list:
+    """The documents with every integer node id and parent id raised by `by`."""
+    docs = json.loads(json.dumps(docs))
+    for node in (node for doc in docs for node in doc["nodes"]):
+        for key in ("id", "parent"):
+            if type(node[key]) is int:
+                node[key] += by
+    return docs
+
+
+def fault_messages_digest() -> str:
+    """The (error class, message) each faulty batch raises, with ids 0..n-1 and with ids shifted by 1000."""
+    h = hashlib.sha256()
+    for name, batch in sorted(FAULTY_BATCHES.items()):
+        for by in (0, 1000):
+            try:
+                trees_from_json(json.dumps(shifted(batch, by)))
+            except CascadekitError as exc:
+                h.update(repr((name, by, type(exc).__name__, str(exc))).encode())
+            else:
+                raise AssertionError(f"faulty batch {name} loaded")
+    return h.hexdigest()
+
+
 def analysis_batch() -> list:
     """200 random signed trees in three categories, virtual and real roots."""
     rng = np.random.default_rng(83)
@@ -317,6 +388,7 @@ def all_digests() -> dict[str, str]:
     out = {f"graph_{n}_{z}": graph_digest(n, z) for n, z in GRAPH_SHAPES}
     out.update({f"trees_{name}": trees_digest(name) for name in TREE_CASES})
     out["tree_json_rewired_2000"] = tree_json_digest()
+    out["tree_fault_messages"] = fault_messages_digest()
     out["metrics_csv_random_200"] = metrics_csv_digest()
     out["sweep_toy"], out["sweep_toy_trees"] = sweep_toy_digests()
     out["sweep_troll"] = results_digest(run_sweep(troll_sweep_config()))
@@ -370,6 +442,10 @@ def test_batch_tree_digest_unchanged(name):
 
 def test_tree_json_digest_unchanged():
     assert tree_json_digest() == GOLDEN["tree_json_rewired_2000"]
+
+
+def test_tree_fault_messages_digest_unchanged():
+    assert fault_messages_digest() == GOLDEN["tree_fault_messages"]
 
 
 def test_metrics_csv_digest_unchanged():

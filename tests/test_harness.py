@@ -437,6 +437,8 @@ def test_config_from_dict_rejects_a_document_that_is_not_an_object():
     ({"first_sharers": {"family": "poisson", "rate": float("inf")}}, "'first_sharers'"),
     ({"first_sharers": {"family": "ig", "mean": 1, "shape": 1}}, "'first_sharers'"),
     ({"first_sharers": {"family": "empirical", "sample": [1, None]}}, "'first_sharers'"),
+    ({"first_sharers": {"family": "uniform", "low": -1, "high": 3}}, "'first_sharers'"),
+    ({"first_sharers": {"family": "empirical", "sample": [1, -2]}}, "'first_sharers'"),
     ({"first_sharers": [2.0]}, "'first_sharers'"),
 ], ids=repr)
 def test_config_from_dict_names_the_bad_field(changes, field):
@@ -487,11 +489,7 @@ def test_mutated_config_document_loads_and_round_trips_or_is_a_parameter_error(d
         return
     with mock.patch.object(harness, "_worker_count", lambda tasks: 1), warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        try:
-            results = run_sweep(small)
-        except ParameterError as exc:  # a first-sharer model that can draw below 0 loads, and sample_news rejects it
-            assert "negative draws" in str(exc)
-            return
+        results = run_sweep(small)
     assert [(res.phi_hl, res.r, res.delta) for res in results] == small.grid()
 
 

@@ -7,13 +7,15 @@ list holds the same trees and metric rows, with int and float times and
 empty trees mixed; they check that tree files round-trip exactly, that
 no document escapes the loader as an untyped error and that what loads
 goes through analyze, write_analysis and trees_to_json without a numpy
-warning; and they check that the loader's vectorized screen raises what
-the exact per-tree check (trees._validate) run on every tree raises.
+warning; and they check that the loader raises, on batches of documents
+with shifted ids and broken structure or fields, the first fault in
+document order that the plain-Python reference oracles.tree_fault finds.
 """
 
 import json
 import math
 import pickle
+import re
 import tempfile
 import warnings
 
@@ -22,9 +24,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cascadekit import trees
 from cascadekit.diffusion import NewsItem, diffuse, run_batch
-from cascadekit.errors import CascadekitError, TreeSchemaError, TreeValidationError
+from cascadekit.errors import TreeSchemaError, TreeValidationError
 from cascadekit.graph import generate_small_world, label_edges
 from cascadekit.harness import analyze, write_analysis
 from cascadekit.trees import (
@@ -44,6 +45,7 @@ from oracles import (
     naive_path_counts,
     nodes_of,
     random_tree,
+    tree_fault,
     tree_from_nodes,
 )
 
@@ -84,11 +86,6 @@ def forest_fields(forest):
                  columns))
 
 
-def flag_every_tree(forest, tree_of, local):
-    """A stand-in for trees._screen that sends every tree to the exact per-tree check."""
-    return np.ones(len(forest), dtype=bool)
-
-
 def a_doc(**node_changes):
     doc = {"news_id": 1, "category": "science", "root": {"virtual": True, "page_sign": -1},
            "nodes": [{"id": 0, "user": 5, "sigma": 0.5, "t": 0.0, "parent": None},
@@ -114,9 +111,7 @@ def test_kernel_trees_are_arrays_in_share_order():
             assert not values.flags.writeable
         assert [nd.parent for nd in nodes_of(tree)] == [None if p < 0 else p for p in tree.parent.tolist()]
     [(_, forest)] = diffuse(g, news, (0.2,), seed=5, build_trees=True)
-    with pytest.MonkeyPatch.context() as patch:  # every kernel tree passes the exact per-tree check
-        patch.setattr(trees, "_screen", flag_every_tree)
-        assert trees_to_json(trees_from_json(trees_to_json(forest))) == trees_to_json(forest)
+    assert trees_to_json(trees_from_json(trees_to_json(forest))) == trees_to_json(forest)
     assert isinstance(forest, Forest) and len(forest) == len(news)
     assert [tree_to_dict(tree) for tree in forest] == [tree_to_dict(o.tree) for o in run_batch(g, news, 0.2, seed=5)]
     with pytest.raises(IndexError):
@@ -338,29 +333,113 @@ def test_mutated_documents_parse_or_raise_a_validation_error(doc, data):
         trees_to_json(batch)
 
 
+HUGE_TIMES = st.sampled_from([1e308, -1e308, 10**308, -10**308, 2**63, 2**70, 2**70 + 1])
+SPANS = st.sampled_from([(-1e308, 1e308), (-10**308, 10**308), (-10**308, 1e308), (0, 1e308), (-2**63, 2**63 - 1)])
+
+
+@st.composite
+def restructured_batches(draw):
+    """One to three tree_docs documents, ids shifted, then broken.
+
+    Node ids, parents, sigma and t take other values (a repeated id, an
+    integral float id, a missing parent id, a cycle, sigma out of range, a
+    late share); roots take the low and other nodes the high end of a span
+    of times that may have no finite lifetime; category, page_sign and the
+    virtual flag take bad values; and now and then any JSON value replaces
+    a field, or the field goes.
+    """
+    docs = draw(st.lists(tree_docs(), min_size=1, max_size=3))
+    for doc in docs:
+        shift, nodes = draw(st.sampled_from([0, 1000, -7, 2**40])), doc["nodes"]
+        for node in nodes:
+            node["id"] += shift
+            node["parent"] = None if node["parent"] is None else node["parent"] + shift
+        ids = [node["id"] for node in nodes] + [99, float(nodes[0]["id"]) if nodes else 0.0]
+        values = {"id": st.sampled_from(ids), "parent": st.one_of(st.none(), st.sampled_from(ids)),
+                  "sigma": st.one_of(st.floats(-1.5, 1.5), st.integers(-2, 2)),
+                  "t": st.one_of(st.integers(-5, 5), st.floats(-5, 5), HUGE_TIMES)}
+        for _ in range(draw(st.integers(0, 3)) if nodes else 0):
+            node = draw(st.sampled_from(nodes))
+            field = draw(st.sampled_from(sorted(values)))
+            node[field] = draw(values[field])
+        if nodes and draw(st.integers(0, 5)) == 0:
+            low, high = draw(SPANS)
+            for node in nodes:
+                if node["parent"] is None or draw(st.booleans()):
+                    node["t"] = low if node["parent"] is None else high
+        if draw(st.integers(0, 9)) == 0:
+            doc["category"] = draw(st.sampled_from(["politics", "Science"]))
+        if draw(st.integers(0, 9)) == 0:
+            doc["root"]["page_sign"] = draw(st.sampled_from([0, 2, -1.0, 1.5, True]))
+        if draw(st.integers(0, 9)) == 0:
+            doc["root"]["virtual"] = draw(st.sampled_from([False, 1, None]))
+        if draw(st.integers(0, 9)) == 0:
+            places = [(doc, key) for key in doc] + [(doc["root"], key) for key in doc["root"]]
+            target, key = draw(st.sampled_from(places + [(node, key) for node in nodes for key in node]))
+            if draw(st.booleans()):
+                target[key] = draw(JSON_VALUES)
+            else:
+                del target[key]
+    return docs
+
+
+def as_loaded(doc):
+    """A valid tree document as the loader keeps it: ids, parents and page_sign as ints, sigma as a float."""
+    nodes = [dict(node, id=int(node["id"]), sigma=float(node["sigma"]),
+                  parent=None if node["parent"] is None else int(node["parent"])) for node in doc["nodes"]]
+    return dict(doc, root=dict(doc["root"], page_sign=int(doc["root"]["page_sign"])), nodes=nodes)
+
+
 @PROPERTY
-@given(doc=tree_docs(), data=st.data())
-def test_loader_matches_validate_on_restructured_documents(doc, data):
-    """Valid field types, possibly broken structure: the batch loader agrees with _validate run on every tree."""
-    nodes = doc["nodes"]
-    ids = [nd["id"] for nd in nodes] + [99]
-    values = {"id": st.sampled_from(ids), "parent": st.one_of(st.none(), st.sampled_from(ids)),
-              "sigma": st.floats(-1.5, 1.5), "t": st.integers(-5, 5)}
-    for _ in range(data.draw(st.integers(0, 3)) if nodes else 0):
-        node = data.draw(st.sampled_from(nodes))
-        field = data.draw(st.sampled_from(sorted(values)))
-        node[field] = data.draw(values[field])
+@given(batch=restructured_batches())
+def test_loader_raises_the_first_fault_of_the_plain_python_oracle(batch):
+    """A batch raises the first fault in document order that oracles.tree_fault finds, or loads as given."""
+    text = json.dumps(batch)
+    expected = next(filter(None, (tree_fault(doc, j) for j, doc in enumerate(json.loads(text)))), None)
+    try:
+        forest = trees_from_json(text)
+    except TreeValidationError as exc:
+        assert (type(exc), str(exc)) == expected
+    else:
+        assert expected is None
+        assert json.loads(trees_to_json(forest)) == [as_loaded(doc) for doc in json.loads(text)]
 
-    def load(batch):
-        try:
-            return trees_from_json(json.dumps(batch))[0], None
-        except CascadekitError as exc:
-            return None, (type(exc), str(exc))
 
-    tree, got = load([doc, a_doc()])
-    with pytest.MonkeyPatch.context() as patch:  # the screen flags every tree, so _validate runs on each
-        patch.setattr(trees, "_screen", flag_every_tree)
-        reference, expected = load([doc, a_doc()])
-    assert got == expected
-    if expected is None:
-        assert tree_to_dict(tree) == tree_to_dict(reference)
+def test_a_valid_load_makes_no_per_tree_pass(monkeypatch):
+    """Ids other than 0..n-1 and parents after their children still load with no view of one tree built."""
+    expected = trees_from_json(trees_to_json(random_batch(7, 30)))
+    docs = json.loads(trees_to_json(expected))
+    for node in (node for doc in docs for node in doc["nodes"]):
+        node["id"] += 1000
+        node["parent"] = None if node["parent"] is None else node["parent"] + 1000
+
+    def forbidden(self, forest, k):
+        raise AssertionError("the loader built a view of one tree")
+
+    monkeypatch.setattr(SharingTree, "__init__", forbidden)
+    forest = trees_from_json(json.dumps(docs))
+    assert forest.id.tolist() == (expected.id + 1000).tolist()
+    assert forest.parent.tolist() == expected.parent.tolist()
+    local = np.arange(forest.parent.size) - np.repeat(forest.start[:-1], np.diff(forest.start))
+    assert np.any(forest.parent >= local)  # a shuffled tree has a parent after its child, so the cycle test ran
+
+
+@pytest.mark.parametrize("path,where", [
+    pytest.param(("news_id",), "tree at batch index 1: news_id", id="news_id"),
+    pytest.param(("category",), "tree 1: category", id="category"),
+    pytest.param(("root",), "tree 1: root", id="root"),
+    pytest.param(("nodes",), "tree 1: nodes", id="nodes"),
+    pytest.param(("root", "virtual"), "tree 1: root.virtual", id="root.virtual"),
+    pytest.param(("root", "page_sign"), "tree 1: root.page_sign", id="root.page_sign"),
+    *[pytest.param(("nodes", 1, field), f"tree 1: nodes[1].{field}", id=f"node.{field}")
+      for field in ("id", "user", "sigma", "t", "parent")],
+])
+def test_a_missing_field_is_named_with_its_tree(path, where):
+    """The second document of a batch lacks a field: the message names its tree, or its batch index, and the field."""
+    doc = a_doc()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    del target[path[-1]]
+    with pytest.raises(TreeSchemaError, match=f"^{re.escape(where)} is missing$"):
+        trees_from_json(json.dumps([a_doc(), doc]))
