@@ -6,10 +6,17 @@ that is not UTF-8 or does not parse, JSON nested too deep to parse
 included, raises the caller's typed error, naming the file. CSV cells
 follow csv's own rule: None is a blank cell, a float (a numpy float too)
 its shortest repr, any other value its str().
+
+Both sides work by column. A JSON list of objects is read one field at a
+time over all its objects, and the loaders type-test each such column
+once; a scan of single values or objects (record_fault here) runs only
+where a column fails, to name the first fault. A CSV table is written
+row by row through one itemgetter of its columns.
 """
 
 import csv
 import json
+import operator
 
 
 def write_json(path, doc, indent: int | None = None) -> None:
@@ -30,10 +37,27 @@ def read_json(path, error: type[Exception], problem: str):
 
 def write_csv(path, columns, rows) -> None:
     """Write a header of columns, then one line per row: a mapping from column name to cell."""
+    cells = map(operator.itemgetter(*columns), rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        writer.writerows([row[c] for c in columns] for row in rows)
+        writer.writerows(cells if len(columns) > 1 else zip(cells))  # one column's getter gives a bare cell
+
+
+def record_fault(records: list, fields) -> str | None:
+    """Where the first record of a JSON list that is not an object or lacks a field sits, else None.
+
+    Records are looked at field by field, as a column reader takes them, so
+    the answer is the first lookup that fails: "[i] must be an object" or
+    "[i].<field> is missing".
+    """
+    for field in fields:
+        for i, record in enumerate(records):
+            if type(record) is not dict:
+                return f"[{i}] must be an object"
+            if field not in record:
+                return f"[{i}].{field} is missing"
+    return None
 
 
 def read_csv(path, error: type[Exception]) -> list[list[str]]:

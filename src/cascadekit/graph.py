@@ -226,59 +226,77 @@ def graph_to_dict(g: SignedGraph) -> dict:
         "z": g.ring_degree,
         "r": g.rewiring_probability,
         "nodes": [{"id": i, "opinion": w} for i, w in enumerate(g.opinions.tolist())],
-        "edges": [{"u": u, "v": v, "homogeneous": h} for (u, v), h in zip(g.edges.tolist(), g.homogeneous.tolist())],
+        "edges": [{"u": u, "v": v, "homogeneous": h}
+                  for u, v, h in zip(*g.edges.T.tolist(), g.homogeneous.tolist())],
     }
 
 
-# Per column kind: the JSON types its values may have and the array dtype.
-# A boolean is not a number, nor is a string.
+# Per column kind: the JSON types its values may have, the array dtype and
+# what a value must be. A boolean is not a number, nor is a string.
 _COLUMNS = {
-    "integer": ({int}, np.int64),
-    "number": ({int, float}, float),
-    "flag": ({bool}, bool),
+    "integer": ({int}, np.int64, "an integer"),
+    "number": ({int, float}, float, "a finite number"),
+    "flag": ({bool}, bool, "a boolean"),
 }
 
 
-def _column(values: list, kind: str) -> np.ndarray:
-    """Document values as an array of one _COLUMNS kind; raises TypeError, ValueError or OverflowError."""
-    types, dtype = _COLUMNS[kind]
+def _typed(values: list, kind: str) -> np.ndarray | None:
+    """Document values as an array of one _COLUMNS kind, or None when they fail its one type test."""
+    types, dtype, _ = _COLUMNS[kind]
     if not set(map(type, values)) <= types:
-        bad = next(v for v in values if type(v) not in types)
-        raise TypeError(f"expected {kind} values, got {bad!r}")
-    array = np.array(values, dtype=dtype)
-    if not np.all(np.isfinite(array)):
-        raise ValueError(f"expected finite {kind} values")
+        return None
+    try:
+        array = np.array(values, dtype=dtype)
+    except OverflowError:  # an integer past int64, or a number past the largest float
+        return None
+    return array if np.all(np.isfinite(array)) else None
+
+
+def _column(values: list, kind: str, path: str) -> np.ndarray:
+    """_typed values; else the first value that fails alone raises ParameterError, named by path.format(index)."""
+    array = _typed(values, kind)
+    if array is None:
+        k = next(k for k, v in enumerate(values) if _typed([v], kind) is None)
+        raise ParameterError(f"graph document: {path.format(k)} must be {_COLUMNS[kind][2]}, got {values[k]!r}")
     return array
 
 
-def _scalar(value, kind: str):
-    """One document value of a _COLUMNS kind, as a Python int, float or bool."""
-    return _column([value], kind)[0].item()
+def _records(doc: dict, key: str, fields: dict) -> list[np.ndarray]:
+    """The columns of doc[key], a list of objects, as _column arrays: fields maps each field to its kind."""
+    records = doc[key]
+    if type(records) is not list:
+        raise ParameterError(f"graph document: {key} must be a list")
+    try:
+        columns = [[record[f] for record in records] for f in fields]
+    except (KeyError, TypeError) as exc:  # a record that is not an object or lacks a field
+        raise ParameterError(f"graph document: {key}{files.record_fault(records, fields)}") from exc
+    return [_column(values, kind, f"{key}[{{}}].{f}") for values, (f, kind) in zip(columns, fields.items())]
 
 
 def graph_from_dict(doc: dict) -> SignedGraph:
     """Rebuild a SignedGraph from a graph_to_dict document.
 
+    Each field list is read as columns, and each column passes one type
+    test; only a column that fails it is scanned, to name its first bad
+    value.
+
     Raises:
-        ParameterError: a missing or malformed field (integers must be
-            integers and numbers numbers, neither a boolean nor a string;
-            flags booleans), n and z that check_size rejects, an opinion
-            that is not a finite number in [0, 1], r outside [0, 1], or an
-            edge list with an out-of-range endpoint, a self loop or a
-            duplicate.
+        ParameterError: a missing or malformed field, named by its path
+            (integers must be integers and numbers finite numbers, neither
+            a boolean nor a string; flags booleans), n and z that
+            check_size rejects, an opinion outside [0, 1], r outside
+            [0, 1], or an edge list with an out-of-range endpoint, a self
+            loop or a duplicate.
     """
-    try:
-        n = _scalar(doc["n"], "integer")
-        z = _scalar(doc["z"], "integer")
-        r = _scalar(doc["r"], "number")
-        nodes, edge_docs = doc["nodes"], doc["edges"]
-        ids = _column([d["id"] for d in nodes], "integer")
-        opinions = _column([d["opinion"] for d in nodes], "number")
-        u = _column([d["u"] for d in edge_docs], "integer")
-        v = _column([d["v"] for d in edge_docs], "integer")
-        homogeneous = _column([d["homogeneous"] for d in edge_docs], "flag")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParameterError(f"malformed graph document: {type(exc).__name__}: {exc}") from exc
+    if type(doc) is not dict:
+        raise ParameterError("graph document must be an object")
+    missing = next((key for key in ("n", "z", "r", "nodes", "edges") if key not in doc), None)
+    if missing:
+        raise ParameterError(f"graph document: {missing} is missing")
+    n, z, r = (_column([doc[key]], kind, key)[0].item() for key, kind in (("n", "integer"), ("z", "integer"),
+                                                                          ("r", "number")))
+    ids, opinions = _records(doc, "nodes", {"id": "integer", "opinion": "number"})
+    u, v, homogeneous = _records(doc, "edges", {"u": "integer", "v": "integer", "homogeneous": "flag"})
     check_size(n, z)
     order = np.argsort(ids, kind="stable")
     if ids.size != n or not np.array_equal(ids[order], np.arange(n)):

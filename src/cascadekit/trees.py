@@ -8,10 +8,12 @@ edge homogeneity, and the counts of root-to-leaf paths and of homogeneous ones.
 A Forest is the one tree-list type: the node arrays of all its trees end
 to end, plus per-tree fields. Trees enter it one way from each side: the
 cascade kernel builds forests, and external trees are tree documents,
-which the loader (tree_from_dict, trees_from_json, load_trees) parses
-under one node-field rule and checks, each tree rule once over the whole
-forest. metrics_rows, harness.analyze, the JSON writer and the CSV export
-read forests; Forest.of joins any other sequence of trees into one.
+which the loader (tree_from_dict, trees_from_json, load_trees) reads by
+column: each node field of the whole batch is one column, type-tested
+once, and a scan of single values runs only to name a fault. It then
+checks each tree rule once over the whole forest. metrics_rows,
+harness.analyze, the JSON writer and the CSV export read forests;
+Forest.of joins any other sequence of trees into one.
 forest[k] is a SharingTree, a view of one tree built on each access.
 metrics_rows computes every metric of a forest in one vectorized pass
 over its arrays, which the per-tree metric functions wrap.
@@ -248,95 +250,155 @@ def _is_number(v) -> bool:
     return (type(v) is int or type(v) is float) and abs(v) <= sys.float_info.max
 
 
-_NODE_CHECKS = (  # per node field: the test each value must pass, and what it asks for
-    (_is_id, "an integer"),
-    (lambda v: type(v) is int or type(v) is str, "an integer or a string"),
-    (_is_number, "a finite number"),
-    (_is_number, "a finite number"),
-    (lambda v: v is None or _is_id(v), "an integer or null"),
+_NODE_CHECKS = (  # per node field: the JSON types its column test takes, the test of one value and what it asks for
+    ({int}, _is_id, "an integer"),
+    ({int, str}, lambda v: type(v) is int or type(v) is str, "an integer or a string"),
+    ({int, float}, _is_number, "a finite number"),
+    ({int, float}, _is_number, "a finite number"),
+    ({int, type(None)}, lambda v: v is None or _is_id(v), "an integer or null"),
 )
+
+
+def _arrays(columns: list) -> tuple[np.ndarray, ...]:
+    """The arrays of valid node columns: ids, users, sigma, t, whether each node is a root, and parent ids.
+
+    ids and parent ids are int64 (a root's reads 0), sigma float64, and
+    users and times keep their type (_column). A number that an array
+    cannot hold raises OverflowError.
+    """
+    ids, sigma = np.array(columns[0], dtype=np.int64), np.array(columns[2], dtype=float)
+    user, t = _column(columns[1]), _column(columns[3])
+    parents = np.fromiter(columns[4], dtype=object, count=len(columns[4]))
+    root = np.equal(parents, None)
+    return ids, user, sigma, t, root, np.where(root, 0, parents).astype(np.int64)
+
+
+def _typed(columns: list) -> tuple[np.ndarray, ...] | None:
+    """_arrays of node columns that pass the one type test of each column, else None.
+
+    The test: every value's type is one its field takes (an integral float
+    id fails it), the arrays hold every number, and sigma and t are below
+    the largest float in size. A number of exactly that size fails the test; the per-value
+    scan that follows a failure then finds it valid.
+    """
+    if not all(set(map(type, column)) <= types for column, (types, _, _) in zip(columns, _NODE_CHECKS)):
+        return None
+    try:
+        arrays = _arrays(columns)
+        finite = all(np.all(np.abs(values.astype(float)) < sys.float_info.max) for values in arrays[2:4])
+    except OverflowError:  # an id past int64, or a number past the largest float
+        return None
+    return arrays if finite else None
 
 
 def _trees_from_docs(docs: list) -> Forest:
     """Parse tree documents into a Forest, emptying the list; the first fault in document order raises.
 
     Node ids and parents must be integers (a float only when integral),
-    users ints or strings, sigma and t finite numbers, nodes a list and
-    root.virtual a boolean; a boolean is not a number. _check then tests
-    the structure of all the trees at once.
+    users ints or strings, sigma and t finite numbers, nodes a list of
+    objects and root.virtual a boolean; a boolean is not a number. One pass
+    over the documents reads their heads and joins their nodes; each node
+    field then becomes one column, and each column passes one type test in
+    C. Only where a lookup or a test fails does a scan of single values or
+    documents run, to name the first fault. _check then tests the
+    structure of all the trees at once.
     """
     if not isinstance(docs, list):
         raise TreeSchemaError("tree batch must be a JSON array")
-    heads, sizes, columns, fault = [], [], tuple([] for _ in _NODE_FIELDS), None
+    heads = news_id, category, virtual, page_sign = [], [], [], []
+    sizes, nodes, fault = [], [], None
     for j in range(len(docs)):
-        doc, docs[j] = docs[j], None  # the node dicts go as soon as their columns are taken
+        doc, docs[j] = docs[j], None
         try:
-            root, nodes = doc["root"], doc["nodes"]
-            head = (doc["news_id"], str(doc["category"]), root["virtual"], root["page_sign"])
-            values = [[nd[f] for nd in nodes] for f in _NODE_FIELDS]
-        except KeyError as exc:
-            fault = _missing(doc, j, exc.args[0])
+            root, part, name, kind = doc["root"], doc["nodes"], doc["news_id"], str(doc["category"])
+            flag, sign = root["virtual"], root["page_sign"]
+        except (KeyError, TypeError):
+            fault = _doc_fault(doc, j)
             break
-        except TypeError as exc:
-            fault = f"malformed tree document: {exc}"
+        if type(part) is not list or type(flag) is not bool or not _is_id(sign):
+            fault = _doc_fault(doc, j) or (f"tree {name}: nodes must be a list, root.virtual a boolean and "
+                                           "root.page_sign an integer")
             break
-        if type(nodes) is not list or type(head[2]) is not bool or not _is_id(head[3]):
-            fault = f"tree {head[0]}: nodes must be a list, root.virtual a boolean and root.page_sign an integer"
-            break
-        heads.append(head[:3] + (int(head[3]),))
-        sizes.append(len(nodes))
-        for column, part in zip(columns, values):
-            column.extend(part)
+        news_id.append(name), category.append(kind), virtual.append(flag), page_sign.append(int(sign))
+        sizes.append(len(part))
+        nodes += part
     start = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
-    for field, column, (ok, kind) in zip(_NODE_FIELDS, columns, _NODE_CHECKS):
-        if not all(map(ok, column)):
-            k = next(k for k, v in enumerate(column) if not ok(v))
+    try:
+        columns = [[nd[f] for nd in nodes] for f in _NODE_FIELDS]
+    except (KeyError, TypeError):  # a node that is not an object or lacks a field
+        bounds = start.tolist()
+        j, where = next((j, where) for j, where in enumerate(
+            files.record_fault(nodes[a:b], _NODE_FIELDS) for a, b in zip(bounds, bounds[1:])) if where)
+        fault = f"tree {news_id[j]}: nodes{where}"
+        for values in heads:
+            del values[j:]
+        del nodes[bounds[j]:]
+        start = start[:j + 1]
+        columns = [[nd[f] for nd in nodes] for f in _NODE_FIELDS]
+    del nodes
+    arrays = _typed(columns)
+    if arrays is None:
+        for field, column, (_, ok, kind) in zip(_NODE_FIELDS, columns, _NODE_CHECKS):
+            k = next((k for k, v in enumerate(column) if not ok(v)), len(column))
             j = int(np.searchsorted(start, k, side="right")) - 1
-            if j < len(heads):  # no fault in an earlier document
-                fault = f"tree {heads[j][0]}: node {field} must be {kind}, got {column[k]!r}"
-                del heads[j:]
-    start = start[:len(heads) + 1]
-    for column in columns:
-        del column[start[-1]:]
-    forest = _check(heads, start, columns)
+            if j < len(news_id):  # no fault in an earlier document
+                fault = f"tree {news_id[j]}: node {field} must be {kind}, got {column[k]!r}"
+                for values in heads:
+                    del values[j:]
+        start = start[:len(news_id) + 1]
+        for column in columns:
+            del column[start[-1]:]
+        arrays = _arrays(columns)
+    forest = _check(heads, start, arrays, columns[4])
     if fault:
         raise TreeSchemaError(fault)
     return forest
 
 
-def _missing(doc: dict, j: int, key: str) -> str:
-    """Say where tree document j lacks the field key: at its top, in its root or in a node."""
+def _doc_fault(doc, j: int) -> str | None:
+    """The first missing field or value of the wrong shape in tree document j, in the loader's order, or None.
+
+    The order: the document, its root, nodes, news_id and category, the
+    root object and its virtual and page_sign, then the nodes, field by
+    field; nodes that is not a list is left to the loader's own test.
+    """
+    if type(doc) is not dict:
+        return f"tree at batch index {j}: document must be an object"
     name = f"tree {doc['news_id']}" if "news_id" in doc else f"tree at batch index {j}"
-    if key in _NODE_FIELDS:  # the first node without it: every earlier node has all the fields before it
-        key = f"nodes[{next(i for i, nd in enumerate(doc['nodes']) if key not in nd)}].{key}"
-    return f"{name}: {'root.' if key in ('virtual', 'page_sign') else ''}{key} is missing"
+    for key in ("root", "nodes", "news_id", "category"):
+        if key not in doc:
+            return f"{name}: {key} is missing"
+    if type(doc["root"]) is not dict:
+        return f"{name}: root must be an object"
+    for key in ("virtual", "page_sign"):
+        if key not in doc["root"]:
+            return f"{name}: root.{key} is missing"
+    where = files.record_fault(doc["nodes"], _NODE_FIELDS) if type(doc["nodes"]) is list else None
+    return where and f"{name}: nodes{where}"
 
 
-def _check(heads: list, start: np.ndarray, columns: tuple) -> Forest:
+def _check(heads: tuple, start: np.ndarray, arrays: tuple, parent_ids: list) -> Forest:
     """The Forest of parsed trees; raises the first fault of the first tree that breaks a rule.
 
-    heads holds each tree's (news_id, category, virtual, page_sign) and
-    columns its node fields. Each rule is tested once over all nodes. One
-    sort of a key per node, its tree index times the number of distinct ids
-    plus its id's rank, finds each parent by id and each repeated id.
+    heads holds the per-tree lists news_id, category, virtual and page_sign,
+    arrays the node arrays (_arrays) and parent_ids the nodes' parent
+    values. Each rule is tested once over all nodes. One sort of a key per
+    node, its tree index times the number of distinct ids plus its id's
+    rank, finds each parent by id and each repeated id.
     """
-    count, n, parent_ids = len(heads), int(start[-1]), columns[4]
+    (news_id, category, virtual, page_sign), (ids, user, sigma, t, root, wanted) = heads, arrays
+    count, n = len(news_id), int(start[-1])
     tree_of = np.repeat(np.arange(count), np.diff(start))
-    ids = np.array(columns[0], dtype=np.int64)
-    wanted = np.array([0 if p is None else p for p in parent_ids], dtype=np.int64)
     distinct, rank = np.unique(np.concatenate((ids, wanted)), return_inverse=True)
     keys = np.tile(tree_of, 2) * distinct.size + rank  # each node's key, then its parent's
     order = np.argsort(keys[:n], kind="stable")
     slot = np.minimum(np.searchsorted(keys[order], keys), n - 1)
     first = np.where(keys[order[slot]] == keys, order[slot], -1)  # the first node with each key, or -1
     repeat = first[:n] != np.arange(n)
-    root = np.fromiter((p is None for p in parent_ids), dtype=bool, count=n)
     orphan = ~root & (first[n:] < 0)  # a parent id that no node of the tree has
     parent = np.where(root | orphan, -1, first[n:] - start[tree_of])
-    del wanted, distinct, rank, keys, order, slot, first  # node-sized temporaries go before the checks
-    news_id, category, virtual, page_sign = [list(column) for column in zip(*heads)] or [[], [], [], []]
-    sigma, t = np.array(columns[2], dtype=float), _column(columns[3])
-    forest = Forest(news_id, category, virtual, page_sign, start, ids, _column(columns[1]), sigma, t, parent)
+    del distinct, rank, keys, order, slot, first  # node-sized temporaries go before the checks
+    forest = Forest(news_id, category, virtual, page_sign, start, ids, user, sigma, t, parent)
     up = np.where(parent < 0, -1, parent + start[tree_of])  # batch-wide parent index, -1 for none
     unknown = ~np.fromiter(map(CATEGORIES.__contains__, category), dtype=bool, count=count)
     unsigned = ~np.isin(page_sign, (-1, 1))

@@ -493,6 +493,28 @@ def missing_field(doc: dict, index: int) -> str:
     raise AssertionError("no field is missing")
 
 
+STRUCTURE = "nodes must be a list, root.virtual a boolean and root.page_sign an integer"
+
+
+def shape_fault(doc, index: int) -> str:
+    """The loader's message for document `index` of a batch, where a lookup meets a value of the wrong shape.
+
+    That is, in the loader's order: a document that is not an object, then
+    (news_id being there, as its lookup comes first) a root that is not an
+    object, nodes that is not a list, and the first node that is not an
+    object (every node before it has an id, or the id lookup fails first).
+    """
+    if not isinstance(doc, dict):
+        return f"tree at batch index {index}: document must be an object"
+    name = f"tree {doc['news_id']}"
+    if not isinstance(doc["root"], dict):
+        return f"{name}: root must be an object"
+    if not isinstance(doc["nodes"], list):
+        return f"{name}: {STRUCTURE}"
+    i = next(i for i, node in enumerate(doc["nodes"]) if not isinstance(node, dict))
+    return f"{name}: nodes[{i}] must be an object"
+
+
 def tree_fault(doc, index: int = 0) -> tuple[type, str] | None:
     """(error class, message) of the first fault of document `index` of a tree batch, or None when it loads.
 
@@ -502,17 +524,17 @@ def tree_fault(doc, index: int = 0) -> tuple[type, str] | None:
     each node's sigma and then parent, a cycle, a share before its parent,
     and a lifetime that is not finite as a float.
     """
-    try:  # the lookups in the loader's order, so a document that is no dict fails with its text
+    try:  # the lookups in the loader's order: a value of the wrong shape fails one with a TypeError
         root, nodes = doc["root"], doc["nodes"]
         news_id, category, virtual, page_sign = doc["news_id"], str(doc["category"]), root["virtual"], root["page_sign"]
         columns = {key: [node[key] for node in nodes] for key in NODE_FIELDS}
     except KeyError:
         return TreeSchemaError, missing_field(doc, index)
-    except TypeError as exc:
-        return TreeSchemaError, f"malformed tree document: {exc}"
+    except TypeError:
+        return TreeSchemaError, shape_fault(doc, index)
     name = f"tree {news_id}"
     if type(nodes) is not list or type(virtual) is not bool or not is_id(page_sign):
-        return TreeSchemaError, f"{name}: nodes must be a list, root.virtual a boolean and root.page_sign an integer"
+        return TreeSchemaError, f"{name}: {STRUCTURE}"
     for key, (ok, kind) in NODE_RULES.items():
         for value in columns[key]:
             if not ok(value):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -433,6 +434,7 @@ def test_a_command_on_a_mutated_input_file_exits_0_2_or_3_with_one_line_on_failu
     assert "Traceback" not in err
     if code:
         assert err.count("\n") == 1
+        assert not re.search(r"\b(KeyError|TypeError|ValueError|OverflowError|IndexError)\b", err), err
         assert code == 2 or err.startswith(f"cascadekit {argv[0]}: ")
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -225,25 +226,31 @@ def test_graph_from_dict_rejects_bad_documents():
 
     # Missing fields, wrong kinds and non-finite numbers raise ParameterError,
     # never a raw KeyError, TypeError or ValueError, and never pass silently.
+    # A missing or mistyped field is named by its path in the document.
     missing = [("n",), ("z",), ("r",), ("nodes",), ("edges",), ("nodes", 2, "id"),
                ("nodes", 2, "opinion"), ("edges", 3, "u"), ("edges", 3, "homogeneous")]
-    malformed = [
+    mistyped = [
         (("nodes", 4, "opinion"), float("nan")), (("nodes", 4, "opinion"), float("inf")),
         (("nodes", 4, "opinion"), "high"), (("nodes", 4, "opinion"), None),
         (("edges", 0, "u"), "a"), (("edges", 0, "v"), 2.5), (("edges", 1, "homogeneous"), "false"),
         (("nodes", 0, "id"), "zero"), (("nodes", 3), 7), (("edges",), None),
         (("n",), "ten"), (("z",), 2.0), (("r",), "often"), (("r",), float("nan")),
-        # z must be an even integer in [2, n); booleans and strings are not numbers
-        (("z",), 3), (("z",), -2), (("z",), 0), (("z",), 10), (("z",), True), (("n",), True),
+        # booleans and strings are not numbers
+        (("z",), True), (("n",), True),
         (("r",), True), (("r",), "0.5"), (("nodes", 4, "opinion"), "0.5"), (("nodes", 4, "opinion"), True),
         (("nodes", 4, "id"), 4.0), (("edges", 0, "u"), False), (("nodes", 4, "opinion"), 10**400),
+        (("edges", 2, "v"), 2**63),
+    ]
+    out_of_range = [
+        # z must be an even integer in [2, n)
+        (("z",), 3), (("z",), -2), (("z",), 0), (("z",), 10),
         # edge endpoints lie in [0, n)
         (("edges", 0, "u"), 10), (("edges", 0, "u"), -1),
         # opinions and r lie in [0, 1]
         (("nodes", 4, "opinion"), 1.5), (("nodes", 4, "opinion"), -0.25), (("r",), 1.5), (("r",), -0.1),
     ]
     delete = object()
-    for path, value in [(p, delete) for p in missing] + malformed:
+    for path, value in [(p, delete) for p in missing] + mistyped + out_of_range:
         bad = json.loads(json.dumps(doc))
         target = bad
         for key in path[:-1]:
@@ -252,8 +259,21 @@ def test_graph_from_dict_rejects_bad_documents():
             del target[path[-1]]
         else:
             target[path[-1]] = value
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError) as raised:
             graph_from_dict(bad)
+        assert not re.search(BUILTIN_ERRORS, str(raised.value))
+        if (path, value) not in out_of_range:
+            name = "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path).lstrip(".")
+            assert str(raised.value).startswith(f"graph document: {name} "), (path, str(raised.value))
+
+
+BUILTIN_ERRORS = r"\b(KeyError|TypeError|ValueError|OverflowError|IndexError)\b"
+
+
+def test_a_graph_document_that_is_not_an_object_is_a_parameter_error():
+    for doc in (None, [1, 2], "graph", 5):
+        with pytest.raises(ParameterError, match="^graph document must be an object$"):
+            graph_from_dict(doc)
 
 
 JSON_VALUES = st.recursive(
@@ -286,7 +306,8 @@ def test_mutated_graph_document_loads_and_round_trips_or_is_a_parameter_error(da
                 target[key] = data.draw(JSON_VALUES)
     try:
         loaded = graph_from_dict(doc)
-    except ParameterError:
+    except ParameterError as exc:
+        assert not re.search(BUILTIN_ERRORS, str(exc))
         return
     # What loads is the document: integers as integers, numbers as numbers
     # (neither a boolean nor a string), flags as booleans; z even in [2, n).

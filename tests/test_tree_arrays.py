@@ -8,8 +8,10 @@ empty trees mixed; they check that tree files round-trip exactly, that
 no document escapes the loader as an untyped error and that what loads
 goes through analyze, write_analysis and trees_to_json without a numpy
 warning; and they check that the loader raises, on batches of documents
-with shifted ids and broken structure or fields, the first fault in
-document order that the plain-Python reference oracles.tree_fault finds.
+with shifted ids and broken structure, shapes or fields, the first fault
+in document order that the plain-Python reference oracles.tree_fault
+finds. A valid load of the benchmark's dataset documents runs no
+per-value predicate: each node column passes its one type test.
 """
 
 import json
@@ -24,6 +26,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cascadekit import trees
 from cascadekit.diffusion import NewsItem, diffuse, run_batch
 from cascadekit.errors import TreeSchemaError, TreeValidationError
 from cascadekit.graph import generate_small_world, label_edges
@@ -39,6 +42,7 @@ from cascadekit.trees import (
 )
 
 from oracles import (
+    STRUCTURE,
     naive_height,
     naive_lifetime,
     naive_mean_homogeneity,
@@ -48,6 +52,7 @@ from oracles import (
     tree_fault,
     tree_from_nodes,
 )
+from test_benchmark_workloads import load_workloads
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -333,6 +338,17 @@ def test_mutated_documents_parse_or_raise_a_validation_error(doc, data):
         trees_to_json(batch)
 
 
+NOT_OBJECTS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=2),
+                        st.lists(st.integers(0, 3), max_size=2))
+NOT_LISTS = st.one_of(st.none(), st.integers(-3, 3), st.text(max_size=2),
+                      st.dictionaries(st.sampled_from(["id", "t"]), st.integers(0, 3), max_size=1))
+COLUMN_FAULTS = {  # per node field: values of a type or size the field does not take
+    "id": st.sampled_from([1.5, "7", True, None, 2**63]),
+    "user": st.sampled_from([True, 1.5, None, [1]]),
+    "sigma": st.sampled_from(["high", None, True, math.nan, math.inf, 10**400]),
+    "t": st.sampled_from(["5", None, False, -math.inf, -10**400]),
+    "parent": st.sampled_from([0.5, "0", False, -2**63 - 1]),
+}
 HUGE_TIMES = st.sampled_from([1e308, -1e308, 10**308, -10**308, 2**63, 2**70, 2**70 + 1])
 SPANS = st.sampled_from([(-1e308, 1e308), (-10**308, 10**308), (-10**308, 1e308), (0, 1e308), (-2**63, 2**63 - 1)])
 
@@ -346,7 +362,10 @@ def restructured_batches(draw):
     late share); roots take the low and other nodes the high end of a span
     of times that may have no finite lifetime; category, page_sign and the
     virtual flag take bad values; and now and then any JSON value replaces
-    a field, or the field goes.
+    a field, or the field goes. Half the batches of two or more documents
+    then hold a fault of the document's shape or structure, or a missing
+    field, in one document and a node value of the wrong type or size in a
+    later one, which the loader must not report.
     """
     docs = draw(st.lists(tree_docs(), min_size=1, max_size=3))
     for doc in docs:
@@ -380,6 +399,30 @@ def restructured_batches(draw):
                 target[key] = draw(JSON_VALUES)
             else:
                 del target[key]
+    if len(docs) > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, len(docs) - 2))
+        later = [node for doc in docs[i + 1:] if isinstance(doc.get("nodes"), list)
+                 for node in doc["nodes"] if isinstance(node, dict)]
+        if later:
+            field = draw(st.sampled_from(sorted(COLUMN_FAULTS)))
+            draw(st.sampled_from(later))[field] = draw(COLUMN_FAULTS[field])
+        doc = docs[i]
+        root = doc["root"] if isinstance(doc.get("root"), dict) else {}
+        nodes = doc["nodes"] if isinstance(doc.get("nodes"), list) else []
+        fault = draw(st.sampled_from(["document", "root", "nodes", "node", "missing", "virtual"]))
+        if fault == "document":
+            docs[i] = draw(NOT_OBJECTS)
+        elif fault in ("root", "nodes"):
+            doc[fault] = draw(NOT_OBJECTS if fault == "root" else NOT_LISTS)
+        elif fault == "node" and nodes:
+            nodes[draw(st.integers(0, len(nodes) - 1))] = draw(NOT_OBJECTS)
+        elif fault == "missing":
+            places = [(doc, key) for key in doc] + [(root, key) for key in root]
+            target, key = draw(st.sampled_from(places + [(node, key) for node in nodes if isinstance(node, dict)
+                                                         for key in node]))
+            del target[key]
+        else:
+            root["virtual"] = draw(st.sampled_from([1, None, "true"]))
     return docs
 
 
@@ -443,3 +486,43 @@ def test_a_missing_field_is_named_with_its_tree(path, where):
     del target[path[-1]]
     with pytest.raises(TreeSchemaError, match=f"^{re.escape(where)} is missing$"):
         trees_from_json(json.dumps([a_doc(), doc]))
+
+
+@pytest.mark.parametrize("change,where", [
+    pytest.param(lambda batch: batch.__setitem__(1, None), "tree at batch index 1: document must be an object",
+                 id="document"),
+    pytest.param(lambda batch: batch[1].__setitem__("root", [True, 1]), "tree 1: root must be an object", id="root"),
+    pytest.param(lambda batch: batch[1].__setitem__("nodes", None), f"tree 1: {STRUCTURE}", id="null-nodes"),
+    pytest.param(lambda batch: batch[1].__setitem__("nodes", {"id": 0}), f"tree 1: {STRUCTURE}", id="object-nodes"),
+    pytest.param(lambda batch: batch[1]["nodes"].__setitem__(1, 7), "tree 1: nodes[1] must be an object", id="node"),
+    pytest.param(lambda batch: batch[1]["nodes"].insert(0, "x"), "tree 1: nodes[0] must be an object",
+                 id="node-before-a-type-fault"),
+])
+def test_a_tree_document_of_the_wrong_shape_names_its_tree_and_place(change, where):
+    """The second document of a batch is not an object or holds a value of the wrong shape; a later one a bad type."""
+    batch = [a_doc(), a_doc(sigma="high"), a_doc(t="late")]
+    change(batch)
+    with pytest.raises(TreeSchemaError, match=f"^{re.escape(where)}$"):
+        trees_from_json(json.dumps(batch))
+    assert tree_fault(json.loads(json.dumps(batch))[1], 1) == (TreeSchemaError, where)
+
+
+def test_a_valid_load_tests_each_node_column_once_with_no_per_value_predicate(monkeypatch):
+    """The benchmark's dataset documents load through the column tests alone: no node value meets a Python predicate.
+
+    root.page_sign is tested once per document, so _is_id may run once per tree, never once per node.
+    """
+    docs, _ = load_workloads().make_dataset(np.random.default_rng(5), 1 / 30)
+    text = json.dumps(docs)
+    expected = forest_fields(trees_from_json(text))
+
+    def forbidden(v):
+        raise AssertionError("the loader tested a node value on its own")
+
+    is_id, tested = trees._is_id, []
+    monkeypatch.setattr(trees, "_is_id", lambda v: tested.append(v) or is_id(v))
+    monkeypatch.setattr(trees, "_is_number", forbidden)
+    monkeypatch.setattr(trees, "_NODE_CHECKS", tuple((types, forbidden, kind) for types, _, kind in trees._NODE_CHECKS))
+    assert forest_fields(trees_from_json(text)) == expected
+    assert tested == [doc["root"]["page_sign"] for doc in docs]
+    assert sum(len(doc["nodes"]) for doc in docs) > 1000
