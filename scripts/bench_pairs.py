@@ -23,18 +23,12 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from spread import parse_seeds  # noqa: E402  "11-20" or "3,5,8" as a list of seeds
 
 
-def parse_seeds(text: str) -> list[int]:
-    """"11-20" or "3,5,8" (or a mix) as a list of seeds."""
-    seeds = []
-    for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
-    return seeds
-
-
-def run(checkout: str, workload: str, seed: int, seconds: float, scale: str) -> dict:
+def run(checkout: str, workload: str, seed: int, seconds: float, scale: str) -> dict | None:
     """The result line of one untraced benchmark run in checkout, or None when the run gives none."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0", "--scale", scale]
