@@ -7,16 +7,21 @@ included, raises the caller's typed error, naming the file. CSV cells
 follow csv's own rule: None is a blank cell, a float (a numpy float too)
 its shortest repr, any other value its str().
 
-Both sides work by column. A JSON list of objects is read one field at a
-time over all its objects, and the loaders type-test each such column
-once; a scan of single values or objects (record_fault here) runs only
-where a column fails, to name the first fault. A CSV table is written
-row by row through one itemgetter of its columns.
+Both sides work by column. read_columns reads a JSON list of objects one
+field at a time, and tests each column once against its kind in KINDS,
+the one table of what a document field may hold; only a failed lookup or
+column test starts a scan, to name the first fault by its path. A CSV
+table is written row by row through one itemgetter of its columns.
 """
 
+import contextlib
 import csv
 import json
 import operator
+import sys
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 
 def write_json(path, doc, indent: int | None = None) -> None:
@@ -44,10 +49,98 @@ def write_csv(path, columns, rows) -> None:
         writer.writerows(cells if len(columns) > 1 else zip(cells))  # one column's getter gives a bare cell
 
 
+class Kind(NamedTuple):
+    """What a field of one kind may hold, stated once for its column and once for one value."""
+
+    types: set  # the value types its one column test takes
+    array: Callable  # a list of such values as an array; OverflowError when one does not fit
+    ok: Callable  # the test of one value, which the scan after a failed column test runs
+    must: str  # what a value must be, for the fault message
+
+
+def _is_id(v) -> bool:
+    return (type(v) is int or type(v) is float and v.is_integer()) and -2**63 <= v < 2**63
+
+
+def _is_number(v) -> bool:
+    return (type(v) is int or type(v) is float) and abs(v) <= sys.float_info.max
+
+
+def _kept(values: list) -> np.ndarray:
+    """int64 or float64 when the values are all ints or all floats, else an object array: each value keeps its type."""
+    kinds = set(map(type, values))
+    if kinds <= {int} or kinds == {float}:
+        with contextlib.suppress(OverflowError):  # ints beyond int64 stay Python ints
+            return np.array(values, dtype=float if float in kinds else np.int64)
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
+def _ids_or_null(values: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The values as an object array, where they are null, and as int64 ids with a null read as 0."""
+    array = np.fromiter(values, dtype=object, count=len(values))
+    null = np.equal(array, None)
+    return array, null, np.where(null, 0, array).astype(np.int64)
+
+
+# A boolean is not a number, nor is a string; an id may be an integral float.
+KINDS = {
+    "integer": Kind({int}, lambda values: np.array(values, dtype=np.int64), lambda v: type(v) is int and _is_id(v),
+                    "an integer"),
+    "id": Kind({int}, lambda values: np.array(values, dtype=np.int64), _is_id, "an integer"),
+    "number": Kind({int, float}, lambda values: np.array(values, dtype=float), _is_number, "a finite number"),
+    "time": Kind({int, float}, _kept, _is_number, "a finite number"),
+    "flag": Kind({bool}, lambda values: np.array(values, dtype=bool), lambda v: type(v) is bool, "a boolean"),
+    "user": Kind({int, str}, _kept, lambda v: type(v) is int or type(v) is str, "an integer or a string"),
+    "parent": Kind({int, type(None)}, _ids_or_null, lambda v: v is None or _is_id(v), "an integer or null"),
+}
+
+
+def _column(values: list, kind: str, error: type[Exception], where: str, field: str | None = None):
+    """The values as their kind's array; else error names the first value the kind does not take.
+
+    The one column test: every value's type is in the kind's types, its
+    array holds every value and, where floats may come, each is below the
+    largest float in size; only a column that fails it is scanned. The
+    value is named where, or where[k].field in a column of records.
+    """
+    types, array, ok, must = KINDS[kind]
+    if set(map(type, values)) <= types:
+        with contextlib.suppress(OverflowError):  # an integer past int64, or a number past the largest float
+            column = array(values)
+            if float not in types or np.all(np.abs(column.astype(float)) < sys.float_info.max):
+                return column
+    k = next((k for k, v in enumerate(values) if not ok(v)), None)
+    if k is not None:
+        path = where if field is None else f"{where}[{k}].{field}"
+        raise error(f"{path} must be {must}, got {values[k]!r}")
+    return array(values)  # a number of exactly the largest float's size fails the column test alone
+
+
+def read_value(value, kind: str, error: type[Exception], path: str):
+    """value as the Python value of its KINDS kind; one the kind does not take raises error("<path> must be ...")."""
+    return _column([value], kind, error, path)[0].item()
+
+
+def read_columns(records, fields: dict, error: type[Exception], where: str) -> list:
+    """The columns of records, a JSON list of objects, as arrays: fields maps each field to its kind in KINDS.
+
+    The first fault, field by field, raises error named by its path after
+    where: "<where> must be a list", "<where>[i] must be an object",
+    "<where>[i].<field> is missing" or "<where>[i].<field> must be ...".
+    """
+    if type(records) is not list:
+        raise error(f"{where} must be a list")
+    try:
+        columns = [[record[field] for record in records] for field in fields]
+    except (KeyError, TypeError) as exc:  # a record that is not an object or lacks a field
+        raise error(f"{where}{record_fault(records, fields)}") from exc
+    return [_column(values, kind, error, where, field) for (field, kind), values in zip(fields.items(), columns)]
+
+
 def record_fault(records: list, fields) -> str | None:
     """Where the first record of a JSON list that is not an object or lacks a field sits, else None.
 
-    Records are looked at field by field, as a column reader takes them, so
+    Records are looked at field by field, as read_columns takes them, so
     the answer is the first lookup that fails: "[i] must be an object" or
     "[i].<field> is missing".
     """

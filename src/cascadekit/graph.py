@@ -2,7 +2,8 @@
 
 Builds Watts-Strogatz networks (ring lattice plus one-endpoint rewiring),
 assigns per-node opinions, and labels edges homogeneous or non-homogeneous
-to hit a target homogeneous-link fraction exactly.
+to hit a target homogeneous-link fraction exactly. graph_from_dict reads a
+document by column (files.read_columns) and names each fault by its path.
 """
 
 from __future__ import annotations
@@ -231,96 +232,69 @@ def graph_to_dict(g: SignedGraph) -> dict:
     }
 
 
-# Per column kind: the JSON types its values may have, the array dtype and
-# what a value must be. A boolean is not a number, nor is a string.
-_COLUMNS = {
-    "integer": ({int}, np.int64, "an integer"),
-    "number": ({int, float}, float, "a finite number"),
-    "flag": ({bool}, bool, "a boolean"),
-}
-
-
-def _typed(values: list, kind: str) -> np.ndarray | None:
-    """Document values as an array of one _COLUMNS kind, or None when they fail its one type test."""
-    types, dtype, _ = _COLUMNS[kind]
-    if not set(map(type, values)) <= types:
-        return None
-    try:
-        array = np.array(values, dtype=dtype)
-    except OverflowError:  # an integer past int64, or a number past the largest float
-        return None
-    return array if np.all(np.isfinite(array)) else None
-
-
-def _column(values: list, kind: str, path: str) -> np.ndarray:
-    """_typed values; else the first value that fails alone raises ParameterError, named by path.format(index)."""
-    array = _typed(values, kind)
-    if array is None:
-        k = next(k for k, v in enumerate(values) if _typed([v], kind) is None)
-        raise ParameterError(f"graph document: {path.format(k)} must be {_COLUMNS[kind][2]}, got {values[k]!r}")
-    return array
-
-
-def _records(doc: dict, key: str, fields: dict) -> list[np.ndarray]:
-    """The columns of doc[key], a list of objects, as _column arrays: fields maps each field to its kind."""
-    records = doc[key]
-    if type(records) is not list:
-        raise ParameterError(f"graph document: {key} must be a list")
-    try:
-        columns = [[record[f] for record in records] for f in fields]
-    except (KeyError, TypeError) as exc:  # a record that is not an object or lacks a field
-        raise ParameterError(f"graph document: {key}{files.record_fault(records, fields)}") from exc
-    return [_column(values, kind, f"{key}[{{}}].{f}") for values, (f, kind) in zip(columns, fields.items())]
-
-
 def graph_from_dict(doc: dict) -> SignedGraph:
-    """Rebuild a SignedGraph from a graph_to_dict document.
-
-    Each field list is read as columns, and each column passes one type
-    test; only a column that fails it is scanned, to name its first bad
-    value.
+    """Rebuild a SignedGraph from a graph_to_dict document, testing each rule once over a column.
 
     Raises:
-        ParameterError: a missing or malformed field, named by its path
-            (integers must be integers and numbers finite numbers, neither
-            a boolean nor a string; flags booleans), n and z that
-            check_size rejects, an opinion outside [0, 1], r outside
-            [0, 1], or an edge list with an out-of-range endpoint, a self
-            loop or a duplicate.
+        ParameterError: the first fault, named by its path in the document
+            (graph document: edges[3].u ...): a missing field or one of the
+            wrong kind (integers must be integers and numbers finite
+            numbers, neither a boolean nor a string; flags booleans), z odd,
+            below 2 or not below n, node ids other than 0..n-1 once each,
+            an opinion or r outside [0, 1], an edge endpoint outside [0, n),
+            a self loop, a repeated edge, or other than n*z/2 edges.
     """
     if type(doc) is not dict:
         raise ParameterError("graph document must be an object")
     missing = next((key for key in ("n", "z", "r", "nodes", "edges") if key not in doc), None)
     if missing:
         raise ParameterError(f"graph document: {missing} is missing")
-    n, z, r = (_column([doc[key]], kind, key)[0].item() for key, kind in (("n", "integer"), ("z", "integer"),
-                                                                          ("r", "number")))
-    ids, opinions = _records(doc, "nodes", {"id": "integer", "opinion": "number"})
-    u, v, homogeneous = _records(doc, "edges", {"u": "integer", "v": "integer", "homogeneous": "flag"})
-    check_size(n, z)
-    order = np.argsort(ids, kind="stable")
-    if ids.size != n or not np.array_equal(ids[order], np.arange(n)):
-        raise ParameterError("node list must cover ids 0..n-1 exactly")
-    opinions = opinions[order]
-    if not np.all((opinions >= 0) & (opinions <= 1)):
-        raise ParameterError("opinions must be finite numbers in [0, 1]")
+    n, z, r = (files.read_value(doc[key], kind, ParameterError, f"graph document: {key}")
+               for key, kind in (("n", "integer"), ("z", "integer"), ("r", "number")))
+    ids, opinions = files.read_columns(doc["nodes"], {"id": "integer", "opinion": "number"}, ParameterError,
+                                       "graph document: nodes")
+    u, v, homogeneous = files.read_columns(doc["edges"], {"u": "integer", "v": "integer", "homogeneous": "flag"},
+                                           ParameterError, "graph document: edges")
+    if z < 2 or z % 2 != 0 or z >= n:
+        raise ParameterError(f"graph document: z must be even, >= 2 and below n = {n}, got {z}")
+    _first_fault((ids < 0) | (ids >= n), "nodes[{}].id", f"be in [0, {n})", ids)
+    _first_fault(_repeats(ids), "nodes[{}].id", "be unique", ids)
+    if ids.size != n:
+        raise ParameterError(f"graph document: nodes must hold n = {n} nodes, got {ids.size}")
+    _first_fault(~((opinions >= 0) & (opinions <= 1)), "nodes[{}].opinion", "be in [0, 1]", opinions)
     if not 0.0 <= r <= 1.0:
-        raise ParameterError(f"rewiring probability must be in [0, 1], got {r}")
-    if np.any((u < 0) | (u >= n) | (v < 0) | (v >= n)):
-        raise ParameterError("edge endpoint out of range")
-    if np.any(u == v):
-        raise ParameterError("self loop in edge list")
-    keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
-    if np.any(keys[1:] == keys[:-1]):
-        raise ParameterError("duplicate edge in edge list")
+        raise ParameterError(f"graph document: r must be in [0, 1], got {r}")
+    _first_fault((u < 0) | (u >= n), "edges[{}].u", f"be in [0, {n})", u)
+    _first_fault((v < 0) | (v >= n), "edges[{}].v", f"be in [0, {n})", v)
+    _first_fault(u == v, "edges[{}].v", "differ from u", v)
+    edges = np.column_stack([u, v])
+    _first_fault(_repeats(np.minimum(u, v) * n + np.maximum(u, v)), "edges[{}]", "not repeat an earlier edge", edges)
+    if u.size != n * z // 2:
+        raise ParameterError(f"graph document: edges must hold n*z/2 = {n * z // 2} edges, got {u.size}")
+    ordered = np.empty_like(opinions)
+    ordered[ids] = opinions
     return SignedGraph(
         node_count=n,
         ring_degree=z,
         rewiring_probability=r,
-        opinions=opinions,
-        edges=np.column_stack([u, v]),
+        opinions=ordered,
+        edges=edges,
         homogeneous=homogeneous,
     )
+
+
+def _repeats(keys: np.ndarray) -> np.ndarray:
+    """Where a key repeats an earlier one."""
+    repeat = np.ones(keys.size, dtype=bool)
+    repeat[np.unique(keys, return_index=True)[1]] = False
+    return repeat
+
+
+def _first_fault(bad: np.ndarray, path: str, rule: str, values: np.ndarray) -> None:
+    """Raise ParameterError at the first k where bad holds: "graph document: <path k> must <rule>, got <values[k]>"."""
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ParameterError(f"graph document: {path.format(k)} must {rule}, got {values[k].tolist()!r}")
 
 
 def save_graph(g: SignedGraph, path) -> None:

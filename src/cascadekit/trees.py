@@ -9,9 +9,9 @@ A Forest is the one tree-list type: the node arrays of all its trees end
 to end, plus per-tree fields. Trees enter it one way from each side: the
 cascade kernel builds forests, and external trees are tree documents,
 which the loader (tree_from_dict, trees_from_json, load_trees) reads by
-column: each node field of the whole batch is one column, type-tested
-once, and a scan of single values runs only to name a fault. It then
-checks each tree rule once over the whole forest. metrics_rows,
+column: files.read_columns type-tests each node field of the whole batch
+once, and only a failed test starts a scan, document by document, to name
+the fault by its path. It then checks each tree rule once over the forest. metrics_rows,
 harness.analyze, the JSON writer and the CSV export read forests;
 Forest.of joins any other sequence of trees into one.
 forest[k] is a SharingTree, a view of one tree built on each access.
@@ -40,7 +40,7 @@ from .errors import (
 
 CATEGORIES = ("science", "conspiracy", "troll", "synthetic")
 
-_NODE_FIELDS = ("id", "user", "sigma", "t", "parent")
+_NODE_FIELDS = {"id": "id", "user": "user", "sigma": "number", "t": "time", "parent": "parent"}  # kinds in files.KINDS
 
 
 class SharingTree:
@@ -79,17 +79,6 @@ class SharingTree:
         ids = self.id.tolist()
         return ids, self.user.tolist(), self.sigma.tolist(), self.t.tolist(), [
             ids[p] if p >= 0 else None for p in self.parent.tolist()]
-
-
-def _column(values: list) -> np.ndarray:
-    """int64 or float64 when the values are all ints or all floats, else an object array."""
-    kinds = set(map(type, values))
-    if kinds <= {int} or kinds == {float}:
-        try:
-            return np.array(values, dtype=float if float in kinds else np.int64)
-        except OverflowError:  # ints beyond int64 stay Python ints
-            pass
-    return np.fromiter(values, dtype=object, count=len(values))
 
 
 def _climb(parent: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
@@ -242,66 +231,18 @@ def tree_from_dict(doc: dict) -> SharingTree:
     return _trees_from_docs([doc])[0]
 
 
-def _is_id(v) -> bool:
-    return (type(v) is int or type(v) is float and v.is_integer()) and -2**63 <= v < 2**63
-
-
-def _is_number(v) -> bool:
-    return (type(v) is int or type(v) is float) and abs(v) <= sys.float_info.max
-
-
-_NODE_CHECKS = (  # per node field: the JSON types its column test takes, the test of one value and what it asks for
-    ({int}, _is_id, "an integer"),
-    ({int, str}, lambda v: type(v) is int or type(v) is str, "an integer or a string"),
-    ({int, float}, _is_number, "a finite number"),
-    ({int, float}, _is_number, "a finite number"),
-    ({int, type(None)}, lambda v: v is None or _is_id(v), "an integer or null"),
-)
-
-
-def _arrays(columns: list) -> tuple[np.ndarray, ...]:
-    """The arrays of valid node columns: ids, users, sigma, t, whether each node is a root, and parent ids.
-
-    ids and parent ids are int64 (a root's reads 0), sigma float64, and
-    users and times keep their type (_column). A number that an array
-    cannot hold raises OverflowError.
-    """
-    ids, sigma = np.array(columns[0], dtype=np.int64), np.array(columns[2], dtype=float)
-    user, t = _column(columns[1]), _column(columns[3])
-    parents = np.fromiter(columns[4], dtype=object, count=len(columns[4]))
-    root = np.equal(parents, None)
-    return ids, user, sigma, t, root, np.where(root, 0, parents).astype(np.int64)
-
-
-def _typed(columns: list) -> tuple[np.ndarray, ...] | None:
-    """_arrays of node columns that pass the one type test of each column, else None.
-
-    The test: every value's type is one its field takes (an integral float
-    id fails it), the arrays hold every number, and sigma and t are below
-    the largest float in size. A number of exactly that size fails the test; the per-value
-    scan that follows a failure then finds it valid.
-    """
-    if not all(set(map(type, column)) <= types for column, (types, _, _) in zip(columns, _NODE_CHECKS)):
-        return None
-    try:
-        arrays = _arrays(columns)
-        finite = all(np.all(np.abs(values.astype(float)) < sys.float_info.max) for values in arrays[2:4])
-    except OverflowError:  # an id past int64, or a number past the largest float
-        return None
-    return arrays if finite else None
-
-
 def _trees_from_docs(docs: list) -> Forest:
     """Parse tree documents into a Forest, emptying the list; the first fault in document order raises.
 
     Node ids and parents must be integers (a float only when integral),
     users ints or strings, sigma and t finite numbers, nodes a list of
     objects and root.virtual a boolean; a boolean is not a number. One pass
-    over the documents reads their heads and joins their nodes; each node
-    field then becomes one column, and each column passes one type test in
-    C. Only where a lookup or a test fails does a scan of single values or
-    documents run, to name the first fault. _check then tests the
-    structure of all the trees at once.
+    over the documents reads their heads and joins their nodes, which
+    files.read_columns then reads as one column per node field, each
+    passing one type test in C. Only where a lookup or a test fails does a
+    scan of single documents run: each document's nodes are read in turn,
+    and the first that raises names the fault. _check then tests the
+    structure of all the trees before it at once.
     """
     if not isinstance(docs, list):
         raise TreeSchemaError("tree batch must be a JSON array")
@@ -315,7 +256,7 @@ def _trees_from_docs(docs: list) -> Forest:
         except (KeyError, TypeError):
             fault = _doc_fault(doc, j)
             break
-        if type(part) is not list or type(flag) is not bool or not _is_id(sign):
+        if type(part) is not list or type(flag) is not bool or not files.KINDS["id"].ok(sign):
             fault = _doc_fault(doc, j) or (f"tree {name}: nodes must be a list, root.virtual a boolean and "
                                            "root.page_sign an integer")
             break
@@ -324,32 +265,21 @@ def _trees_from_docs(docs: list) -> Forest:
         nodes += part
     start = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
     try:
-        columns = [[nd[f] for nd in nodes] for f in _NODE_FIELDS]
-    except (KeyError, TypeError):  # a node that is not an object or lacks a field
+        columns = files.read_columns(nodes, _NODE_FIELDS, TreeSchemaError, "nodes")
+    except TreeSchemaError:
         bounds = start.tolist()
-        j, where = next((j, where) for j, where in enumerate(
-            files.record_fault(nodes[a:b], _NODE_FIELDS) for a, b in zip(bounds, bounds[1:])) if where)
-        fault = f"tree {news_id[j]}: nodes{where}"
+        for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            try:
+                files.read_columns(nodes[a:b], _NODE_FIELDS, TreeSchemaError, f"tree {news_id[j]}: nodes")
+            except TreeSchemaError as exc:
+                fault = str(exc)
+                break
         for values in heads:
             del values[j:]
-        del nodes[bounds[j]:]
         start = start[:j + 1]
-        columns = [[nd[f] for nd in nodes] for f in _NODE_FIELDS]
+        columns = files.read_columns(nodes[:bounds[j]], _NODE_FIELDS, TreeSchemaError, "nodes")
     del nodes
-    arrays = _typed(columns)
-    if arrays is None:
-        for field, column, (_, ok, kind) in zip(_NODE_FIELDS, columns, _NODE_CHECKS):
-            k = next((k for k, v in enumerate(column) if not ok(v)), len(column))
-            j = int(np.searchsorted(start, k, side="right")) - 1
-            if j < len(news_id):  # no fault in an earlier document
-                fault = f"tree {news_id[j]}: node {field} must be {kind}, got {column[k]!r}"
-                for values in heads:
-                    del values[j:]
-        start = start[:len(news_id) + 1]
-        for column in columns:
-            del column[start[-1]:]
-        arrays = _arrays(columns)
-    forest = _check(heads, start, arrays, columns[4])
+    forest = _check(heads, start, columns)
     if fault:
         raise TreeSchemaError(fault)
     return forest
@@ -377,16 +307,16 @@ def _doc_fault(doc, j: int) -> str | None:
     return where and f"{name}: nodes{where}"
 
 
-def _check(heads: tuple, start: np.ndarray, arrays: tuple, parent_ids: list) -> Forest:
+def _check(heads: tuple, start: np.ndarray, columns: list) -> Forest:
     """The Forest of parsed trees; raises the first fault of the first tree that breaks a rule.
 
     heads holds the per-tree lists news_id, category, virtual and page_sign,
-    arrays the node arrays (_arrays) and parent_ids the nodes' parent
-    values. Each rule is tested once over all nodes. One sort of a key per
-    node, its tree index times the number of distinct ids plus its id's
-    rank, finds each parent by id and each repeated id.
+    columns the node columns as files.read_columns reads them. Each rule
+    is tested once over all nodes. One sort of a key per node, its tree
+    index times the number of distinct ids plus its id's rank, finds each
+    parent by id and each repeated id.
     """
-    (news_id, category, virtual, page_sign), (ids, user, sigma, t, root, wanted) = heads, arrays
+    (news_id, category, virtual, page_sign), (ids, user, sigma, t, (parent_ids, root, wanted)) = heads, columns
     count, n = len(news_id), int(start[-1])
     tree_of = np.repeat(np.arange(count), np.diff(start))
     distinct, rank = np.unique(np.concatenate((ids, wanted)), return_inverse=True)

@@ -536,9 +536,9 @@ def tree_fault(doc, index: int = 0) -> tuple[type, str] | None:
     if type(nodes) is not list or type(virtual) is not bool or not is_id(page_sign):
         return TreeSchemaError, f"{name}: {STRUCTURE}"
     for key, (ok, kind) in NODE_RULES.items():
-        for value in columns[key]:
+        for i, value in enumerate(columns[key]):
             if not ok(value):
-                return TreeSchemaError, f"{name}: node {key} must be {kind}, got {value!r}"
+                return TreeSchemaError, f"{name}: nodes[{i}].{key} must be {kind}, got {value!r}"
     if category not in ("science", "conspiracy", "troll", "synthetic"):
         return TreeSchemaError, f"{name}: unknown category {category!r}"
     if page_sign not in (-1, 1):

@@ -109,7 +109,7 @@ def test_analyze_malformed_tree_file_is_a_one_line_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert err.startswith("cascadekit analyze: TreeSchemaError: tree 3: node t must be a finite number")
+    assert err == "cascadekit analyze: TreeSchemaError: tree 3: nodes[0].t must be a finite number, got 'noon'\n"
 
 
 def test_fit_first_sharers_command(tmp_path):

@@ -131,7 +131,7 @@ GOLDEN = {
     "trees_rewired_2000": "69f2c88de2b3cfcf15d7ba19b9b2b23f1ec1d8345d411cac99c967151d8a5060",
     "trees_lattice_5000": "40c4180ac382041a392590441619ab6932e13713eb84a61ad6a358084b21208d",
     "tree_json_rewired_2000": "b5596f4f9f0190c31a0cf23017fd8f35b69095d76206c053308dfd1d1226b53d",
-    "tree_fault_messages": "d9c46e9a5b5b9ed74f662e68257bb0e25d3fd294996f3d351eb003822d92f7b8",
+    "tree_fault_messages": "74234467677d3748b0ae058e909ff4be0047088aec5987baa0bfbbc2337f2a41",
     "metrics_csv_random_200": "6abec05cc6d50a478ce8d1faff4386785a977a4af2d8b6263c7eb1e406d0d8e5",
     "sweep_toy": "0d37c44a3db68780a1d2dd7ace503438eb8b676aacf82d7a63dd90b51ea57bec",
     "sweep_toy_trees": "6c71f7a5d92dab69e45aace1a755bf877709b34779f74cb22059e6ada16d4be5",

@@ -1,7 +1,10 @@
-"""The file layer's column helpers: the CSV writer's row getter and the JSON record-fault finder."""
+"""The file layer's column helpers: the CSV writer's row getter, the JSON record-fault finder and column reader."""
 
 import csv
+import re
+import sys
 
+import numpy as np
 import pytest
 
 from cascadekit import files
@@ -27,3 +30,83 @@ def test_write_csv_writes_one_cell_per_column_even_for_one_column(tmp_path, colu
 ])
 def test_record_fault_names_the_first_lookup_that_fails_field_by_field(records, where):
     assert files.record_fault(records, ("u", "v")) == where
+    if where:
+        with pytest.raises(ValueError, match=f"^edges{re.escape(where)}$"):
+            files.read_columns(records, {"u": "integer", "v": "integer"}, ValueError, "edges")
+
+
+def read(values, kind):
+    """values as the column of one field of the given kind, read by read_columns; a fault raises ValueError."""
+    return files.read_columns([{"f": v} for v in values], {"f": kind}, ValueError, "")[0]
+
+
+def fault(index, kind, value):
+    """The match pattern of read's fault at index: what the kind takes, and the value."""
+    return f"^{re.escape(f'[{index}].f must be {files.KINDS[kind].must}, got {value!r}')}$"
+
+
+NOT_FLAGS = ("integer", "id", "number", "time", "user", "parent")
+INTEGERS = ("integer", "id", "parent")
+
+
+def test_read_columns_names_a_list_that_is_not_one_and_the_first_fault_field_by_field():
+    with pytest.raises(ValueError, match=r"^edges must be a list$"):
+        files.read_columns({"u": 1}, {"u": "integer"}, ValueError, "edges")
+    records = [{"u": 1, "v": "y"}, {"u": "x", "v": 2}]
+    with pytest.raises(ValueError, match=re.escape("edges[1].u must be an integer, got 'x'")):
+        files.read_columns(records, {"u": "integer", "v": "integer"}, ValueError, "edges")
+
+
+@pytest.mark.parametrize("kind", NOT_FLAGS)
+def test_a_boolean_is_never_a_number_or_an_integer(kind):
+    with pytest.raises(ValueError, match=fault(1, kind, True)):
+        read([1, True], kind)
+    assert read([True, False], "flag").tolist() == [True, False]
+    with pytest.raises(ValueError, match=fault(0, "flag", 1)):
+        read([1], "flag")
+
+
+def test_an_integral_float_is_a_tree_id_but_not_a_graph_integer():
+    assert read([1, 2.0, -0.0], "id").tolist() == [1, 2, 0]
+    assert read([None, 3.0], "parent")[2].tolist() == [0, 3]
+    with pytest.raises(ValueError, match=fault(1, "integer", 2.0)):
+        read([1, 2.0], "integer")
+    with pytest.raises(ValueError, match=fault(1, "id", 2.5)):
+        read([1, 2.5], "id")
+
+
+@pytest.mark.parametrize("kind", ["number", "time"])
+def test_a_number_of_exactly_the_largest_float_size_is_read_and_an_int_above_it_is_not(kind):
+    largest = sys.float_info.max
+    for values in ([largest, 1], [-largest], [int(largest), 0.5]):
+        assert read(values, kind).tolist() == values
+    for value in (int(largest) + 1, -int(largest) - 1, float("inf"), float("nan"), 10**400):
+        with pytest.raises(ValueError, match=fault(1, kind, value)):
+            read([0.5, value], kind)
+
+
+@pytest.mark.parametrize("kind", INTEGERS)
+def test_2_to_the_63_fails_every_integer_kind(kind):
+    for value in (2**63, -2**63 - 1):
+        with pytest.raises(ValueError, match=fault(1, kind, value)):
+            read([0, value], kind)
+    ends = read([2**63 - 1, -2**63], kind)
+    assert (ends if kind != "parent" else ends[2]).tolist() == [2**63 - 1, -2**63]
+
+
+@pytest.mark.parametrize("kind", [*NOT_FLAGS, "flag"])
+def test_null_passes_only_the_parent_kind(kind):
+    if kind == "parent":
+        values, null, ids = read([None, 4, None], kind)
+        assert values.tolist() == [None, 4, None] and null.tolist() == [True, False, True] and ids.tolist() == [0, 4, 0]
+    else:
+        with pytest.raises(ValueError, match=fault(0, kind, None)):
+            read([None], kind)
+
+
+@pytest.mark.parametrize("values,dtype", [([1, 2], np.int64), ([1.0, 2.5], np.float64), ([1, 2.5, 3], object),
+                                          ([2**70, 1], object), ([], np.int64)])
+def test_a_time_column_keeps_each_value_type(values, dtype):
+    times = read(values, "time")
+    assert times.dtype == dtype
+    assert [(type(v), v) for v in times.tolist()] == [(type(v), v) for v in values]

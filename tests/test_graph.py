@@ -262,9 +262,32 @@ def test_graph_from_dict_rejects_bad_documents():
         with pytest.raises(ParameterError) as raised:
             graph_from_dict(bad)
         assert not re.search(BUILTIN_ERRORS, str(raised.value))
-        if (path, value) not in out_of_range:
-            name = "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path).lstrip(".")
-            assert str(raised.value).startswith(f"graph document: {name} "), (path, str(raised.value))
+        name = "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path).lstrip(".")
+        assert str(raised.value).startswith(f"graph document: {name} "), (path, str(raised.value))
+
+
+@pytest.mark.parametrize("change,message", [
+    pytest.param(lambda doc: doc["edges"][0].update(u=10), "edges[0].u must be in [0, 10), got 10", id="endpoint"),
+    pytest.param(lambda doc: doc["edges"][2].update(v=-1), "edges[2].v must be in [0, 10), got -1", id="negative-v"),
+    pytest.param(lambda doc: doc["edges"][2].update(v=2), "edges[2].v must differ from u, got 2", id="self-loop"),
+    pytest.param(lambda doc: doc["edges"].append({"u": 1, "v": 0, "homogeneous": True}),
+                 "edges[10] must not repeat an earlier edge, got [1, 0]", id="repeated-edge"),
+    pytest.param(lambda doc: doc["nodes"][4].update(opinion=1.5), "nodes[4].opinion must be in [0, 1], got 1.5",
+                 id="opinion"),
+    pytest.param(lambda doc: doc["nodes"][3].update(id=10), "nodes[3].id must be in [0, 10), got 10", id="id"),
+    pytest.param(lambda doc: doc["nodes"][3].update(id=2), "nodes[3].id must be unique, got 2", id="repeated-id"),
+    pytest.param(lambda doc: doc["nodes"].pop(), "nodes must hold n = 10 nodes, got 9", id="node-count"),
+    pytest.param(lambda doc: doc.update(z=3), "z must be even, >= 2 and below n = 10, got 3", id="odd-z"),
+    pytest.param(lambda doc: doc.update(z=10), "z must be even, >= 2 and below n = 10, got 10", id="z-not-below-n"),
+    pytest.param(lambda doc: doc.update(r=1.5), "r must be in [0, 1], got 1.5", id="r"),
+    pytest.param(lambda doc: doc["edges"].pop(), "edges must hold n*z/2 = 10 edges, got 9", id="edge-dropped"),
+    pytest.param(lambda doc: doc.update(z=4), "edges must hold n*z/2 = 20 edges, got 10", id="z-raised"),
+])
+def test_a_graph_value_out_of_range_is_named_by_its_path(change, message):
+    doc = graph_to_dict(generate_small_world(10, 2, 0.0, seed=1))
+    change(doc)
+    with pytest.raises(ParameterError, match=f"^{re.escape('graph document: ' + message)}$"):
+        graph_from_dict(doc)
 
 
 BUILTIN_ERRORS = r"\b(KeyError|TypeError|ValueError|OverflowError|IndexError)\b"
@@ -313,6 +336,7 @@ def test_mutated_graph_document_loads_and_round_trips_or_is_a_parameter_error(da
     # (neither a boolean nor a string), flags as booleans; z even in [2, n).
     out = graph_to_dict(loaded)
     assert 2 <= out["z"] < out["n"] and out["z"] % 2 == 0
+    assert loaded.edge_count == loaded.node_count * loaded.ring_degree // 2
     pairs = [(doc[key], out[key], kind) for key, kind in (("n", int), ("z", int), ("r", float))]
     by_id = {d["id"]: d for d in doc["nodes"]}
     pairs += [(by_id[d["id"]][key], d[key], kind)

@@ -10,8 +10,9 @@ goes through analyze, write_analysis and trees_to_json without a numpy
 warning; and they check that the loader raises, on batches of documents
 with shifted ids and broken structure, shapes or fields, the first fault
 in document order that the plain-Python reference oracles.tree_fault
-finds. A valid load of the benchmark's dataset documents runs no
-per-value predicate: each node column passes its one type test.
+finds. A valid load of the benchmark's dataset documents, or of a
+troll-scale graph document, runs no per-value test: each column passes
+its one type test.
 """
 
 import json
@@ -26,10 +27,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cascadekit import trees
+from cascadekit import files
 from cascadekit.diffusion import NewsItem, diffuse, run_batch
 from cascadekit.errors import TreeSchemaError, TreeValidationError
-from cascadekit.graph import generate_small_world, label_edges
+from cascadekit.graph import generate_small_world, graph_from_dict, graph_to_dict, label_edges
 from cascadekit.harness import analyze, write_analysis
 from cascadekit.trees import (
     Forest,
@@ -138,21 +139,21 @@ def test_analyze_never_builds_node_records(monkeypatch):
 
 # --- the tree-JSON boundary -----------------------------------------------------------
 
-@pytest.mark.parametrize("change", [
-    pytest.param({"t": "5"}, id="string-t"),
-    pytest.param({"t": math.inf}, id="infinite-t"),
-    pytest.param({"t": math.nan}, id="nan-t"),
-    pytest.param({"t": True}, id="boolean-t"),
-    pytest.param({"id": 1.7}, id="fractional-id"),
-    pytest.param({"id": True}, id="boolean-id"),
-    pytest.param({"parent": 0.5}, id="fractional-parent"),
-    pytest.param({"parent": False}, id="boolean-parent"),
-    pytest.param({"sigma": math.nan}, id="nan-sigma"),
-    pytest.param({"sigma": -math.inf}, id="infinite-sigma"),
-    pytest.param({"user": [1]}, id="list-user"),
+@pytest.mark.parametrize("change,message", [
+    pytest.param({"t": "5"}, "t must be a finite number, got '5'", id="string-t"),
+    pytest.param({"t": math.inf}, "t must be a finite number, got inf", id="infinite-t"),
+    pytest.param({"t": math.nan}, "t must be a finite number, got nan", id="nan-t"),
+    pytest.param({"t": True}, "t must be a finite number, got True", id="boolean-t"),
+    pytest.param({"id": 1.7}, "id must be an integer, got 1.7", id="fractional-id"),
+    pytest.param({"id": True}, "id must be an integer, got True", id="boolean-id"),
+    pytest.param({"parent": 0.5}, "parent must be an integer or null, got 0.5", id="fractional-parent"),
+    pytest.param({"parent": False}, "parent must be an integer or null, got False", id="boolean-parent"),
+    pytest.param({"sigma": math.nan}, "sigma must be a finite number, got nan", id="nan-sigma"),
+    pytest.param({"sigma": -math.inf}, "sigma must be a finite number, got -inf", id="infinite-sigma"),
+    pytest.param({"user": [1]}, "user must be an integer or a string, got [1]", id="list-user"),
 ])
-def test_tree_json_rejects_ill_typed_node_fields(change):
-    with pytest.raises(TreeSchemaError, match=f"node {next(iter(change))} must be"):
+def test_tree_json_rejects_ill_typed_node_fields(change, message):
+    with pytest.raises(TreeSchemaError, match=f"^{re.escape(f'tree 1: nodes[1].{message}')}$"):
         trees_from_json(json.dumps([a_doc(**change)]))
 
 
@@ -174,7 +175,8 @@ def test_first_fault_in_document_order_raises():
     malformed = a_doc(sigma="high")
     with pytest.raises(TreeValidationError, match="before its parent"):
         trees_from_json(json.dumps([a_doc(), late, malformed]))
-    with pytest.raises(TreeSchemaError, match="sigma must be"):
+    message = "tree 1: nodes[1].sigma must be a finite number, got 'high'"
+    with pytest.raises(TreeSchemaError, match=f"^{re.escape(message)}$"):
         trees_from_json(json.dumps([a_doc(), malformed, late]))
 
 
@@ -508,21 +510,28 @@ def test_a_tree_document_of_the_wrong_shape_names_its_tree_and_place(change, whe
 
 
 def test_a_valid_load_tests_each_node_column_once_with_no_per_value_predicate(monkeypatch):
-    """The benchmark's dataset documents load through the column tests alone: no node value meets a Python predicate.
+    """Valid files of either kind load through the column tests alone: no value meets a kind's test of one value.
 
-    root.page_sign is tested once per document, so _is_id may run once per tree, never once per node.
+    The benchmark's dataset documents and a troll-scale graph document
+    load with every kind's one-value test patched to fail. root.page_sign
+    is tested once per document, so the id kind's test may run once per
+    tree, never once per node.
     """
     docs, _ = load_workloads().make_dataset(np.random.default_rng(5), 1 / 30)
     text = json.dumps(docs)
     expected = forest_fields(trees_from_json(text))
+    g = label_edges(generate_small_world(16889, 8, 0.01, seed=6), 0.56, seed=7)
+    graph_text = json.dumps(graph_to_dict(g))
 
     def forbidden(v):
-        raise AssertionError("the loader tested a node value on its own")
+        raise AssertionError("the loader tested a value on its own")
 
-    is_id, tested = trees._is_id, []
-    monkeypatch.setattr(trees, "_is_id", lambda v: tested.append(v) or is_id(v))
-    monkeypatch.setattr(trees, "_is_number", forbidden)
-    monkeypatch.setattr(trees, "_NODE_CHECKS", tuple((types, forbidden, kind) for types, _, kind in trees._NODE_CHECKS))
+    is_id, tested = files.KINDS["id"].ok, []
+    for name, kind in files.KINDS.items():
+        monkeypatch.setitem(files.KINDS, name, kind._replace(ok=forbidden))
+    monkeypatch.setitem(files.KINDS, "id", files.KINDS["id"]._replace(ok=lambda v: tested.append(v) or is_id(v)))
     assert forest_fields(trees_from_json(text)) == expected
     assert tested == [doc["root"]["page_sign"] for doc in docs]
     assert sum(len(doc["nodes"]) for doc in docs) > 1000
+    loaded = graph_from_dict(json.loads(graph_text))
+    assert json.dumps(graph_to_dict(loaded)) == graph_text

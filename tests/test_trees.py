@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -277,19 +278,22 @@ def test_validation_root_fields(root, message):
 @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), True, 2**1100],
                          ids=["nan", "inf", "-inf", "bool", "2**1100"])
 def test_validation_names_a_node_whose_time_is_not_a_finite_number(t):
-    with pytest.raises(TreeSchemaError, match="tree 1: node t must be a finite number"):
+    message = f"tree 1: nodes[1].t must be a finite number, got {t!r}"
+    with pytest.raises(TreeSchemaError, match=f"^{re.escape(message)}$"):
         tree_from_nodes(1, "science", [(0, 0, 0.5, 0.0, None), (7, 1, 0.5, t, 0)])
 
 
 @pytest.mark.parametrize("user", [1.5, 2.0, True, None])
 def test_validation_names_a_node_whose_user_is_neither_an_integer_nor_a_string(user):
-    with pytest.raises(TreeSchemaError, match="tree 1: node user must be an integer or a string"):
+    message = f"tree 1: nodes[1].user must be an integer or a string, got {user!r}"
+    with pytest.raises(TreeSchemaError, match=f"^{re.escape(message)}$"):
         tree_from_nodes(1, "science", [(0, 0, 0.5, 0.0, None), (7, user, 0.5, 1.0, 0)])
 
 
 @pytest.mark.parametrize("node_id", [1.5, -0.5, float("nan"), float("inf"), 2**63, "1"])
 def test_a_record_id_that_is_not_an_integer_is_a_schema_error(node_id):
-    with pytest.raises(TreeSchemaError, match="tree 1: node id must be an integer"):
+    message = f"tree 1: nodes[0].id must be an integer, got {node_id!r}"
+    with pytest.raises(TreeSchemaError, match=f"^{re.escape(message)}$"):
         tree_from_nodes(1, "science", [(node_id, 0, 0.5, 0.0, None)])
 
 
