@@ -9,8 +9,19 @@ seed, change first for the second, and so on. Both sides use the same
 The script prints one line per run, then for each end-to-end metric the
 median and range of each side, the parent's quartiles, and in how many
 pairs the change read better (by the metric's direction in
-BENCHMARK.json; ties count for neither side). It exits 1 when a run fails
-or reports a result that is not correct.
+BENCHMARK.json; ties count for neither side). Last comes one verdict per
+metric, against the metric's bound in BENCHMARK.json, a share of the
+parent's median:
+  gain          the change read better in at least 9 of 10 pairs, and its
+                median is better than the parent's by more than the
+                distance between the parent's quartiles
+  worse         the change's median is worse than the parent's by more
+                than the bound
+  unresolved    neither, and the parent's quartiles lie further apart than
+                the bound, unless every change run read better than every
+                parent run
+  within bound  otherwise
+It exits 1 when a run fails or reports a result that is not correct.
 """
 
 from __future__ import annotations
@@ -53,7 +64,7 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     seconds = bench["run_seconds"] if args.seconds is None else args.seconds
-    lower_is_better = {m["name"]: m["better"] == "lower" for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
 
     sides = {"parent": args.parent, "change": args.change}
     values = {side: {} for side in sides}
@@ -73,16 +84,42 @@ def main(argv=None) -> int:
 
     print(f"{'metric':18} {'parent median [range]':>38} {'parent quartiles':>24} "
           f"{'change median [range]':>38} {'change better':>14}")
-    for name, lower in lower_is_better.items():
+    verdicts = {}
+    for name, metric in metrics.items():
         parent, change = values["parent"].get(name, {}), values["change"].get(name, {})
         if not parent or not change:
             continue
+        sign = 1 if metric["better"] == "lower" else -1  # sign * (change - parent) > 0: the change reads worse
         pairs = [(parent[s], change[s]) for s in parent if s in change]
-        better = sum((c < p) if lower else (c > p) for p, c in pairs)
-        q1, _, q3 = statistics.quantiles(parent.values(), n=4) if len(parent) > 1 else [min(parent.values())] * 3
+        better = sum(sign * (c - p) < 0 for p, c in pairs)
+        q1, q3 = quartiles(parent.values())
         print(f"{name:18} {summary(parent.values()):>38} {f'{q1:.6g}-{q3:.6g}':>24} "
               f"{summary(change.values()):>38} {f'{better} of {len(pairs)}':>14}")
+        verdicts[name] = verdict(list(parent.values()), list(change.values()), better, len(pairs), sign,
+                                 metric["bound"])
+    for name, text in verdicts.items():
+        print(f"verdict {name}: {text}")
     return 0 if ok else 1
+
+
+def quartiles(vals) -> tuple[float, float]:
+    """The first and third quartile (statistics.quantiles, n=4); one value is both."""
+    vals = list(vals)
+    q1, _, q3 = statistics.quantiles(vals, n=4) if len(vals) > 1 else [vals[0]] * 3
+    return q1, q3
+
+
+def verdict(parent: list, change: list, better: int, pairs: int, sign: int, bound: float) -> str:
+    """gain, worse, unresolved or within bound, as the module docstring says; sign is 1 when lower is better."""
+    p, c = statistics.median(parent), statistics.median(change)
+    q1, q3 = quartiles(parent)
+    if pairs and 10 * better >= 9 * pairs and sign * (p - c) > q3 - q1:
+        return "gain"
+    if sign * (c - p) > bound * abs(p):
+        return "worse"
+    if q3 - q1 > bound * abs(p) and max(sign * v for v in change) >= min(sign * v for v in parent):
+        return "unresolved"
+    return "within bound"
 
 
 def summary(vals) -> str:

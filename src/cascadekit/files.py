@@ -12,16 +12,44 @@ field at a time, and tests each column once against its kind in KINDS,
 the one table of what a document field may hold; only a failed lookup or
 column test starts a scan, to name the first fault by its path. A CSV
 table is written row by row through one itemgetter of its columns.
+
+The functions that build one dict or list per node, edge, tree or row and
+free them before they return (graph.load_graph and save_graph,
+trees.load_trees, save_trees, trees_from_json and trees_to_json,
+trees.metrics_rows and read_csv) run under nogc, with the cyclic garbage
+collector paused: those containers hold no cycles, so reference counting
+frees every one of them, and a collector pass over them would find
+nothing to free.
 """
 
 import contextlib
 import csv
+import functools
+import gc
 import json
 import operator
 import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+
+def nogc(func: Callable) -> Callable:
+    """func with the cyclic garbage collector paused while it runs; the collector's state is restored on any exit.
+
+    A collector that is already off stays off, so paused functions nest.
+    """
+    @functools.wraps(func)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return func(*args, **kwargs)
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def write_json(path, doc, indent: int | None = None) -> None:
@@ -53,7 +81,7 @@ class Kind(NamedTuple):
     """What a field of one kind may hold, stated once for its column and once for one value."""
 
     types: set  # the value types its one column test takes
-    array: Callable  # a list of such values as an array; OverflowError when one does not fit
+    array: Callable  # a list of such values and the set of their types as an array; OverflowError when one does not fit
     ok: Callable  # the test of one value, which the scan after a failed column test runs
     must: str  # what a value must be, for the fault message
 
@@ -66,16 +94,15 @@ def _is_number(v) -> bool:
     return (type(v) is int or type(v) is float) and abs(v) <= sys.float_info.max
 
 
-def _kept(values: list) -> np.ndarray:
-    """int64 or float64 when the values are all ints or all floats, else an object array: each value keeps its type."""
-    kinds = set(map(type, values))
+def _kept(values: list, kinds: set) -> np.ndarray:
+    """int64 or float64 when kinds, the values' types, is int or float alone, else an object array of the values."""
     if kinds <= {int} or kinds == {float}:
         with contextlib.suppress(OverflowError):  # ints beyond int64 stay Python ints
             return np.array(values, dtype=float if float in kinds else np.int64)
     return np.fromiter(values, dtype=object, count=len(values))
 
 
-def _ids_or_null(values: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ids_or_null(values: list, _kinds: set) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The values as an object array, where they are null, and as int64 ids with a null read as 0."""
     array = np.fromiter(values, dtype=object, count=len(values))
     null = np.equal(array, None)
@@ -84,12 +111,12 @@ def _ids_or_null(values: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # A boolean is not a number, nor is a string; an id may be an integral float.
 KINDS = {
-    "integer": Kind({int}, lambda values: np.array(values, dtype=np.int64), lambda v: type(v) is int and _is_id(v),
+    "integer": Kind({int}, lambda values, _: np.array(values, dtype=np.int64), lambda v: type(v) is int and _is_id(v),
                     "an integer"),
-    "id": Kind({int}, lambda values: np.array(values, dtype=np.int64), _is_id, "an integer"),
-    "number": Kind({int, float}, lambda values: np.array(values, dtype=float), _is_number, "a finite number"),
+    "id": Kind({int}, lambda values, _: np.array(values, dtype=np.int64), _is_id, "an integer"),
+    "number": Kind({int, float}, lambda values, _: np.array(values, dtype=float), _is_number, "a finite number"),
     "time": Kind({int, float}, _kept, _is_number, "a finite number"),
-    "flag": Kind({bool}, lambda values: np.array(values, dtype=bool), lambda v: type(v) is bool, "a boolean"),
+    "flag": Kind({bool}, lambda values, _: np.array(values, dtype=bool), lambda v: type(v) is bool, "a boolean"),
     "user": Kind({int, str}, _kept, lambda v: type(v) is int or type(v) is str, "an integer or a string"),
     "parent": Kind({int, type(None)}, _ids_or_null, lambda v: v is None or _is_id(v), "an integer or null"),
 }
@@ -104,16 +131,17 @@ def _column(values: list, kind: str, error: type[Exception], where: str, field: 
     value is named where, or where[k].field in a column of records.
     """
     types, array, ok, must = KINDS[kind]
-    if set(map(type, values)) <= types:
+    seen = set(map(type, values))
+    if seen <= types:
         with contextlib.suppress(OverflowError):  # an integer past int64, or a number past the largest float
-            column = array(values)
+            column = array(values, seen)
             if float not in types or np.all(np.abs(column.astype(float)) < sys.float_info.max):
                 return column
     k = next((k for k, v in enumerate(values) if not ok(v)), None)
     if k is not None:
         path = where if field is None else f"{where}[{k}].{field}"
         raise error(f"{path} must be {must}, got {values[k]!r}")
-    return array(values)  # a number of exactly the largest float's size fails the column test alone
+    return array(values, seen)  # a number of exactly the largest float's size fails the column test alone
 
 
 def read_value(value, kind: str, error: type[Exception], path: str):
@@ -153,6 +181,7 @@ def record_fault(records: list, fields) -> str | None:
     return None
 
 
+@nogc
 def read_csv(path, error: type[Exception]) -> list[list[str]]:
     """The non-blank rows of a CSV file as lists of cells; text that is not UTF-8 or not CSV raises error."""
     with open(path, newline="", encoding="utf-8") as fh:

@@ -297,9 +297,11 @@ def _first_fault(bad: np.ndarray, path: str, rule: str, values: np.ndarray) -> N
         raise ParameterError(f"graph document: {path.format(k)} must {rule}, got {values[k].tolist()!r}")
 
 
+@files.nogc
 def save_graph(g: SignedGraph, path) -> None:
     files.write_json(path, graph_to_dict(g))
 
 
+@files.nogc
 def load_graph(path) -> SignedGraph:
     return graph_from_dict(files.read_json(path, ParameterError, "malformed graph JSON"))

@@ -373,10 +373,12 @@ def _check(heads: tuple, start: np.ndarray, columns: list) -> Forest:
     raise TreeSchemaError(f"{name}: share times from {min(times)} to {max(times)} span no finite lifetime")
 
 
+@files.nogc
 def trees_to_json(trees) -> str:
     return json.dumps([tree_to_dict(tree) for tree in Forest.of(trees)])
 
 
+@files.nogc
 def trees_from_json(text: str) -> Forest:
     try:
         docs = json.loads(text)
@@ -385,10 +387,12 @@ def trees_from_json(text: str) -> Forest:
     return _trees_from_docs(docs)
 
 
+@files.nogc
 def save_trees(trees, path) -> None:
     files.write_json(path, [tree_to_dict(tree) for tree in Forest.of(trees)])
 
 
+@files.nogc
 def load_trees(path) -> Forest:
     return _trees_from_docs(files.read_json(path, TreeSchemaError, "malformed JSON"))
 
@@ -398,6 +402,7 @@ def load_trees(path) -> Forest:
 METRIC_COLUMNS = ("news_id", "category", "size", "height", "lifetime", "mean_homogeneity", "paths", "homo_paths")
 
 
+@files.nogc
 def metrics_rows(trees) -> list[dict]:
     """Every metric of every tree, one dict per tree keyed by METRIC_COLUMNS; undefined metrics are None.
 

@@ -45,6 +45,40 @@ def test_pairs_alternate_the_side_that_runs_first_and_count_the_pairs_the_change
     assert summary["peak_rss_mb"].endswith("0 of 3")  # ties count for neither side
 
 
+def test_each_metric_gets_a_verdict_from_its_pairs_and_its_bound(monkeypatch, capsys):
+    module = load_script()
+    sides = {  # each metric's value at a seed, on each side; bounds from BENCHMARK.json
+        "parent": {
+            "wall_s": lambda s: 1 + s / 100,
+            "setup_s": lambda s: 1 + s / 100,
+            "peak_rss_mb": lambda s: 100.0,
+            "cascades_per_s": lambda s: 400 + s,
+            "sharers_per_s": lambda s: 100 * s,
+            "tree_nodes_per_s": lambda s: 100 if s <= 5 else 500,
+        },
+        "change": {
+            "wall_s": lambda s: 1 + s / 100 + (0.1 if s == 10 else -0.2),  # 9 of 10 pairs and the medians far apart
+            "setup_s": lambda s: 1 + s / 100 + (0.01 if s >= 9 else -0.2),  # 8 of 10 pairs: no gain
+            "peak_rss_mb": lambda s: 115.0,  # 15% worse, bound 10%
+            "cascades_per_s": lambda s: 400 + s,
+            "sharers_per_s": lambda s: 100 * (11 - s),  # the parent's quartiles lie a whole median apart
+            "tree_nodes_per_s": lambda s: 501,  # the same spread, but every run reads better than the parent's
+        },
+    }
+
+    def run(checkout, workload, seed, seconds, scale):
+        metrics = {name: {"value": value(seed)} for name, value in sides[checkout].items()}
+        return {"correct": True, "attempted": 6, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(module, "run", run)
+    assert module.main(["parent", "change", "--workload", "cli_files", "--seeds", "1-10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    verdicts = dict(line.removeprefix("verdict ").split(": ") for line in lines if line.startswith("verdict "))
+    assert verdicts == {"wall_s": "gain", "setup_s": "within bound", "peak_rss_mb": "worse",
+                        "cascades_per_s": "within bound", "sharers_per_s": "unresolved",
+                        "tree_nodes_per_s": "within bound"}
+
+
 def test_a_run_without_a_correct_result_fails_the_script(monkeypatch):
     module = load_script()
     monkeypatch.setattr(module, "run", lambda checkout, *args: None)

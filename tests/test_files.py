@@ -1,13 +1,17 @@
-"""The file layer's column helpers: the CSV writer's row getter, the JSON record-fault finder and column reader."""
+"""The file layer: the CSV writer's row getter, the JSON record-fault finder and column reader, and nogc."""
 
+import contextlib
 import csv
+import gc
+import inspect
 import re
 import sys
 
 import numpy as np
 import pytest
 
-from cascadekit import files
+from cascadekit import files, graph, trees
+from cascadekit.errors import ParameterError, TreeSchemaError
 
 
 @pytest.mark.parametrize("columns", [("name",), ("name", "size")])
@@ -110,3 +114,96 @@ def test_a_time_column_keeps_each_value_type(values, dtype):
     times = read(values, "time")
     assert times.dtype == dtype
     assert [(type(v), v) for v in times.tolist()] == [(type(v), v) for v in values]
+
+
+
+def chains(count: int, length: int) -> list[dict]:
+    """count tree documents, each a chain of length nodes under a page."""
+    nodes = [{"id": i, "user": i, "sigma": 0.5, "t": float(i), "parent": i - 1 if i else None} for i in range(length)]
+    return [{"news_id": k, "category": "science", "root": {"virtual": True, "page_sign": 1}, "nodes": nodes}
+            for k in range(count)]
+
+
+def written(path, text: str):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+GRAPH = graph.generate_small_world(10, 2, 0.0, seed=1)
+FAULTY_TREES = '[{"news_id": 1, "category": "science", "root": {"virtual": true, "page_sign": 1}, "nodes": [1]}]'
+
+# Each paused function, called in a directory that holds g.json and trees.json:
+# (the function, its arguments, the error it raises or None).
+PAUSED = {
+    "load_graph": lambda tmp: (graph.load_graph, [tmp / "g.json"], None),
+    "load_graph-bad-graph-file": lambda tmp: (graph.load_graph, [written(tmp / "bad.json", '{"n": 10}')],
+                                              ParameterError),
+    "load_graph-missing-path": lambda tmp: (graph.load_graph, [tmp / "none.json"], OSError),
+    "save_graph": lambda tmp: (graph.save_graph, [GRAPH, tmp / "out.json"], None),
+    "save_graph-missing-directory": lambda tmp: (graph.save_graph, [GRAPH, tmp / "none" / "g.json"], OSError),
+    "load_trees": lambda tmp: (trees.load_trees, [tmp / "trees.json"], None),
+    "load_trees-faulty-tree-file": lambda tmp: (trees.load_trees, [written(tmp / "bad.json", FAULTY_TREES)],
+                                                TreeSchemaError),
+    "load_trees-missing-path": lambda tmp: (trees.load_trees, [tmp / "none.json"], OSError),
+    "save_trees": lambda tmp: (trees.save_trees, [trees.load_trees(tmp / "trees.json"), tmp / "out.json"], None),
+    "trees_from_json": lambda tmp: (trees.trees_from_json, [(tmp / "trees.json").read_text()], None),
+    "trees_from_json-faulty": lambda tmp: (trees.trees_from_json, [FAULTY_TREES], TreeSchemaError),
+    "trees_to_json": lambda tmp: (trees.trees_to_json, [trees.load_trees(tmp / "trees.json")], None),
+    "read_csv": lambda tmp: (files.read_csv, [written(tmp / "x.csv", "1\n2\n"), ValueError], None),
+    "read_csv-missing-path": lambda tmp: (files.read_csv, [tmp / "none.csv", ValueError], OSError),
+    "metrics_rows": lambda tmp: (trees.metrics_rows, [trees.load_trees(tmp / "trees.json")], None),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("case", PAUSED.values(), ids=PAUSED.keys())
+def test_a_paused_function_runs_with_the_collector_off_and_leaves_it_as_it_found_it(tmp_path, case, enabled):
+    graph.save_graph(GRAPH, tmp_path / "g.json")
+    files.write_json(tmp_path / "trees.json", chains(3, 4))
+    func, args, error = case(tmp_path)
+    code = inspect.unwrap(func).__code__
+    inside = []
+
+    def probe(frame, event, arg):  # the collector's state as the function's own body starts
+        if event == "call" and frame.f_code is code:
+            inside.append(gc.isenabled())
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        sys.setprofile(probe)
+        try:
+            with pytest.raises(error) if error else contextlib.nullcontext():
+                func(*args)
+        finally:
+            sys.setprofile(None)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert inside == [False]
+
+
+def test_no_collection_starts_while_a_large_tree_file_loads_or_a_troll_scale_graph_is_saved(tmp_path):
+    files.write_json(tmp_path / "trees.json", chains(2000, 10))
+    g = graph.generate_small_world(16889, 8, 0.01, seed=1)
+    starts = {"load_trees": [], "save_graph": []}
+    call = None
+
+    def hook(phase, info):
+        if phase == "start" and call:
+            starts[call].append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(hook)
+    try:
+        call = "load_trees"
+        forest = trees.load_trees(tmp_path / "trees.json")
+        call = "save_graph"
+        graph.save_graph(g, tmp_path / "g.json")
+        call = None
+    finally:
+        gc.callbacks.remove(hook)
+        (gc.enable if was else gc.disable)()
+    assert forest.start[-1] == 20000 and graph.load_graph(tmp_path / "g.json").edge_count == 16889 * 4
+    assert starts == {"load_trees": [], "save_graph": []}

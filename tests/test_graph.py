@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -311,8 +312,26 @@ JSON_VALUES = st.recursive(
 @given(st.data())
 def test_mutated_graph_document_loads_and_round_trips_or_is_a_parameter_error(data):
     g = label_edges(generate_small_world(8, 4, 0.5, seed=40), 0.5, seed=41)
-    doc = json.loads(json.dumps(graph_to_dict(g)))
+    doc, n = json.loads(json.dumps(graph_to_dict(g))), g.node_count
     for _ in range(data.draw(st.integers(1, 3))):
+        # Three kinds of mutation: any one change to the document's structure, or one that keeps
+        # the edge count n*z/2 (an edge's endpoint moved, or z and the edge list changed together).
+        how = data.draw(st.sampled_from(("structure", "endpoint", "degree")))
+        edges = doc.get("edges")
+        if how == "endpoint" and isinstance(edges, list) and edges:
+            edge = data.draw(st.sampled_from(edges))
+            if isinstance(edge, dict):
+                edge[data.draw(st.sampled_from(("u", "v")))] = data.draw(st.integers(-1, n))
+            continue
+        if how == "degree" and isinstance(edges, list):
+            z = data.draw(st.sampled_from((2, 6)))
+            kept = data.draw(st.permutations(edges))[:n * z // 2]
+            taken = [(d.get("u"), d.get("v")) for d in kept if isinstance(d, dict)]
+            fresh = [e for e in itertools.combinations(range(n), 2) if e not in taken and e[::-1] not in taken]
+            doc["z"] = z
+            doc["edges"] = kept + [{"u": u, "v": v, "homogeneous": data.draw(st.booleans())}
+                                   for u, v in fresh[:n * z // 2 - len(kept)]]
+            continue
         lists = [doc[key] for key in ("nodes", "edges") if isinstance(doc.get(key), list)]
         target = data.draw(st.sampled_from([doc, *lists, *[d for part in lists for d in part]]))
         if isinstance(target, list):
