@@ -12,9 +12,11 @@ pairs the change read better (by the metric's direction in
 BENCHMARK.json; ties count for neither side). Last comes one verdict per
 metric, against the metric's bound in BENCHMARK.json, a share of the
 parent's median:
-  gain          the change read better in at least 9 of 10 pairs, and its
-                median is better than the parent's by more than the
-                distance between the parent's quartiles
+  gain          over at least 10 pairs, the change read better in at least
+                9 of 10 pairs, and its median is better than the parent's
+                by more than the distance between the parent's quartiles
+  too few pairs for a gain (k of 10)
+                the same, over k < 10 pairs
   worse         the change's median is worse than the parent's by more
                 than the bound
   unresolved    neither, and the parent's quartiles lie further apart than
@@ -37,6 +39,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from spread import parse_seeds  # noqa: E402  "11-20" or "3,5,8" as a list of seeds
+
+MIN_GAIN_PAIRS = 10  # a gain read from fewer pairs is too easily the host's noise
 
 
 def run(checkout: str, workload: str, seed: int, seconds: float, scale: str) -> dict | None:
@@ -114,7 +118,7 @@ def verdict(parent: list, change: list, better: int, pairs: int, sign: int, boun
     p, c = statistics.median(parent), statistics.median(change)
     q1, q3 = quartiles(parent)
     if pairs and 10 * better >= 9 * pairs and sign * (p - c) > q3 - q1:
-        return "gain"
+        return "gain" if pairs >= MIN_GAIN_PAIRS else f"too few pairs for a gain ({pairs} of {MIN_GAIN_PAIRS})"
     if sign * (c - p) > bound * abs(p):
         return "worse"
     if q3 - q1 > bound * abs(p) and max(sign * v for v in change) >= min(sign * v for v in parent):

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError, SupercriticalError
+from .errors import ParameterError, SupercriticalError, check_unit
 
 
 def mean_share_probability(delta: float) -> float:
     """Sharing probability averaged over uniform fitness: 2*delta - delta^2."""
-    if not 0.0 <= delta <= 1.0:
-        raise ParameterError(f"threshold must be in [0, 1], got {delta}")
+    check_unit(delta, "threshold")
     return 2.0 * delta - delta * delta
 
 
@@ -29,10 +28,8 @@ def branching_ratio(z: int, delta: float, q: float = 0.0) -> float:
     """
     if not z > 0:
         raise ParameterError(f"neighborhood dimension must be positive, got {z}")
-    if not 0.0 <= q <= 1.0:
-        raise ParameterError(f"mixing probability q must be in [0, 1], got {q}")
-    if not 0.0 <= delta <= 1.0:
-        raise ParameterError(f"threshold must be in [0, 1], got {delta}")
+    check_unit(q, "mixing probability q")
+    check_unit(delta, "threshold")
     return z * (1.0 - q) * (2.0 * delta)
 
 
@@ -68,10 +65,8 @@ def heterogeneous_branching(degree_distribution, p: float, q: float = 0.0) -> fl
         ks, probs = (np.asarray(a, dtype=float) for a in degree_distribution)
     if ks.size == 0 or not (abs(probs.sum() - 1.0) <= 1e-9 and np.all(probs >= 0) and np.all(np.isfinite(ks))):
         raise ParameterError("degree distribution must have finite degrees, non-negative probabilities summing to 1")
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError(f"sharing probability p must be in [0, 1], got {p}")
-    if not 0.0 <= q <= 1.0:
-        raise ParameterError(f"mixing probability q must be in [0, 1], got {q}")
+    check_unit(p, "sharing probability p")
+    check_unit(q, "mixing probability q")
     zs = ks - 1.0
     mean_z = float(np.sum(zs * probs))
     if mean_z <= 0:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
-from .graph import SignedGraph
+from .errors import ParameterError, check_unit, is_integer
+from .graph import SignedGraph, repeats
 from .stats import FittedDistribution
 from .trees import Forest, SharingTree
 
@@ -65,9 +65,12 @@ def sample_news(count: int, dist: FittedDistribution, seed, max_count: int) -> l
     Each draw is clipped at max_count (the node count of the target graph,
     typically), then truncated to its integer part. So a draw above
     max_count, infinity included, seeds max_count nodes, and truncation can
-    produce zeros, which model never-shared items. A draw that is NaN, or
-    not below 2**63 after clipping, is a ParameterError.
+    produce zeros, which model never-shared items. A count that is not an
+    integer in [0, 2**63), or a draw that is NaN or not below 2**63 after
+    clipping, is a ParameterError.
     """
+    if not is_integer(count):
+        raise ParameterError(f"news count must be an integer, got {count!r}")
     if not 0 <= count < 2**63:
         raise ParameterError(f"news count must be in [0, 2**63), got {count}")
     rng = np.random.default_rng(seed)
@@ -111,15 +114,14 @@ def diffuse(g: SignedGraph, news_list, deltas, seed,
     All items expand at once, one round at a time, as int64 keys item*n + node.
 
     Raises:
-        ParameterError: deltas a bare number or empty, a delta outside
-            [0, 1], a fitness not a number in [0, 1], or a first-sharer
-            count not an integer from 0 to the node count.
+        ParameterError: deltas a bare number or empty, a delta or a
+            fitness not a number in [0, 1], or a first-sharer count not an
+            integer from 0 to the node count.
     """
     if isinstance(deltas, numbers.Real) or len(deltas) == 0:
         raise ParameterError(f"deltas must be a non-empty sequence of sharing thresholds, got {deltas!r}")
     for delta in deltas:
-        if not 0.0 <= delta <= 1.0:
-            raise ParameterError(f"sharing threshold must be in [0, 1], got {delta}")
+        check_unit(delta, "sharing threshold")
     n = g.node_count
     counts = _item_values(news_list, [item.first_sharer_count for item in news_list], numbers.Integral, 0, n,
                           np.int64, f"first sharers must be an integer >= 0 and <= the node count {n}")
@@ -201,28 +203,12 @@ def _seed_nodes(rng: np.random.Generator, counts: np.ndarray, n: int) -> np.ndar
     short = sparse_counts
     while short.any():
         drawn = np.repeat(items, short) * n + rng.integers(n, size=int(short.sum()))
-        keys = _first_occurrences(np.concatenate([keys, drawn]))
+        keys = np.concatenate([keys, drawn])
+        keys = keys[~repeats(keys)]
         short = sparse_counts - np.bincount(keys // n, minlength=counts.size)
     dense_keys = [i * n + rng.permutation(n)[:m] for i, m in zip(np.flatnonzero(dense), counts[dense].tolist())]
     keys = np.concatenate([keys, *dense_keys])
     return keys[np.argsort(keys // n, kind="stable")]
-
-
-def _first_occurrences(keys: np.ndarray) -> np.ndarray:
-    """keys without every occurrence of a value after its first, in their order.
-
-    Few keys repeat, so only the positions that hold a repeated value are
-    sorted again, stably, to find which occurrence comes first.
-    """
-    ordered = np.sort(keys)
-    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-    if not repeated.size:
-        return keys
-    at = np.flatnonzero(repeated[np.minimum(np.searchsorted(repeated, keys), repeated.size - 1)] == keys)
-    at = at[np.argsort(keys[at], kind="stable")]  # grouped by value, each in position order
-    later = np.ones(at.size, dtype=bool)
-    later[_run_starts(keys[at])] = False
-    return np.delete(keys, at[later])
 
 
 # Neighbor pairs gathered at once. A round's frontier is expanded in slices

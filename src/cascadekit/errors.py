@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types and the rules of scalar parameters, shared across the package.
 
 Every error cascadekit raises on purpose derives from CascadekitError, and
 each concrete type is also a ValueError.
 """
+
+import numbers
 
 
 class CascadekitError(Exception):
@@ -47,3 +49,20 @@ class SigmaRangeError(TreeValidationError):
 
 class TimestampOrderError(TreeValidationError):
     """A child carries an earlier timestamp than its parent."""
+
+
+def is_integer(value) -> bool:
+    """Whether value is an integer (a numpy integer too), not a bool: the rule of every count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_unit(value) -> bool:
+    """Whether value is a real number in [0, 1] (a numpy scalar too), not a bool: the rule of every probability."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0.0 <= value <= 1.0
+
+
+def check_unit(value, what: str) -> None:
+    """Raise ParameterError "<what> must be in [0, 1], got <value>" unless is_unit(value) (a non-number: its repr)."""
+    if not is_unit(value):
+        shown = value if isinstance(value, numbers.Real) else repr(value)
+        raise ParameterError(f"{what} must be in [0, 1], got {shown}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import files
-from .errors import ParameterError
+from .errors import ParameterError, check_unit
 
 
 @dataclass(eq=False, frozen=True)
@@ -104,11 +104,10 @@ def generate_small_world(n: int, z: int, r: float, seed) -> SignedGraph:
         seed: int seed, SeedSequence, or Generator.
 
     Raises:
-        ParameterError: z odd, z < 2, z >= n, n >= 2**63, or r outside [0, 1].
+        ParameterError: z odd, z < 2, z >= n, n >= 2**63, or r not a number in [0, 1].
     """
     check_size(n, z)
-    if not 0.0 <= r <= 1.0:
-        raise ParameterError(f"rewiring probability must be in [0, 1], got {r}")
+    check_unit(r, "rewiring probability")
 
     rng = np.random.default_rng(seed)
     opinions = rng.uniform(0.0, 1.0, size=n)
@@ -176,9 +175,7 @@ def _rewire(adj: np.ndarray, rewire: np.ndarray, rng) -> np.ndarray:
         if size >= _MIN_WINDOW:
             k = rewire[i:i + size]
             u, j, w = k % n, k // n, block[drawn:drawn + size]
-            keys = np.minimum(u, w) * n + np.maximum(u, w)
-            taken = np.ones(size, dtype=bool)
-            taken[np.unique(keys, return_index=True)[1]] = False
+            taken = repeats(np.minimum(u, w) * n + np.maximum(u, w))
             reject = (u == w) | (adj[u] == w[:, None]).any(1) | (adj[w] == u[:, None]).any(1) | taken
             done = int(reject.argmax()) if reject.any() else size
             np.subtract.at(degree, adj[u[:done], j[:done]], 1)
@@ -209,8 +206,7 @@ def label_edges(g: SignedGraph, phi_hl: float, seed) -> SignedGraph:
     the same seed are nested across phi_hl values (a fixed random edge order
     is truncated at the target count), which supports monotonicity checks.
     """
-    if not 0.0 <= phi_hl <= 1.0:
-        raise ParameterError(f"phi_hl must be in [0, 1], got {phi_hl}")
+    check_unit(phi_hl, "phi_hl")
     rng = np.random.default_rng(seed)
     m = g.edge_count
     k = round(phi_hl * m)
@@ -258,7 +254,7 @@ def graph_from_dict(doc: dict) -> SignedGraph:
     if z < 2 or z % 2 != 0 or z >= n:
         raise ParameterError(f"graph document: z must be even, >= 2 and below n = {n}, got {z}")
     _first_fault((ids < 0) | (ids >= n), "nodes[{}].id", f"be in [0, {n})", ids)
-    _first_fault(_repeats(ids), "nodes[{}].id", "be unique", ids)
+    _first_fault(repeats(ids), "nodes[{}].id", "be unique", ids)
     if ids.size != n:
         raise ParameterError(f"graph document: nodes must hold n = {n} nodes, got {ids.size}")
     _first_fault(~((opinions >= 0) & (opinions <= 1)), "nodes[{}].opinion", "be in [0, 1]", opinions)
@@ -268,7 +264,7 @@ def graph_from_dict(doc: dict) -> SignedGraph:
     _first_fault((v < 0) | (v >= n), "edges[{}].v", f"be in [0, {n})", v)
     _first_fault(u == v, "edges[{}].v", "differ from u", v)
     edges = np.column_stack([u, v])
-    _first_fault(_repeats(np.minimum(u, v) * n + np.maximum(u, v)), "edges[{}]", "not repeat an earlier edge", edges)
+    _first_fault(repeats(np.minimum(u, v) * n + np.maximum(u, v)), "edges[{}]", "not repeat an earlier edge", edges)
     if u.size != n * z // 2:
         raise ParameterError(f"graph document: edges must hold n*z/2 = {n * z // 2} edges, got {u.size}")
     ordered = np.empty_like(opinions)
@@ -283,10 +279,18 @@ def graph_from_dict(doc: dict) -> SignedGraph:
     )
 
 
-def _repeats(keys: np.ndarray) -> np.ndarray:
-    """Where a key repeats an earlier one."""
-    repeat = np.ones(keys.size, dtype=bool)
-    repeat[np.unique(keys, return_index=True)[1]] = False
+def repeats(keys: np.ndarray) -> np.ndarray:
+    """Mask of the keys that repeat an earlier key; the seed draw (diffusion._seed_nodes) uses it too.
+
+    Few keys repeat, so only the positions that hold one are sorted again, stably, by value.
+    """
+    ordered = np.sort(keys)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    repeat = np.zeros(keys.size, dtype=bool)
+    if repeated.size:
+        at = np.flatnonzero(repeated[np.minimum(np.searchsorted(repeated, keys), repeated.size - 1)] == keys)
+        at = at[np.argsort(keys[at], kind="stable")]  # grouped by value, each in position order
+        repeat[at[1:][keys[at[1:]] == keys[at[:-1]]]] = True
     return repeat
 
 

@@ -17,7 +17,6 @@ import functools
 import itertools
 import logging
 import math
-import numbers
 import os
 import threading
 from dataclasses import MISSING, dataclass, field, fields
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import branching, files, stats, trees
 from .diffusion import BatchStats, diffuse, sample_news
-from .errors import DegenerateSampleError, ParameterError, SupercriticalError
+from .errors import DegenerateSampleError, ParameterError, SupercriticalError, is_integer, is_unit
 from .graph import check_size, generate_small_world, label_edges
 from .stats import FittedDistribution
 from .trees import Forest
@@ -64,7 +63,7 @@ class SweepConfig:
             value = getattr(self, name)
             if isinstance(value, float) and value.is_integer():
                 value = int(value)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not is_integer(value):
                 raise ParameterError(f"config field {name!r} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         for name, label in (("deltas", "delta"), ("phis", "phi_hl"), ("rs", "r")):
@@ -74,7 +73,7 @@ class SweepConfig:
             if not grid:
                 raise ParameterError(f"sweep grid of {label} is empty")
             for v in grid:
-                if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0.0 <= v <= 1.0:
+                if not is_unit(v):
                     raise ParameterError(f"{label} {v!r} is not a number in [0, 1]")
             object.__setattr__(self, name, tuple(v.item() if isinstance(v, np.generic) else v for v in grid))
         if not isinstance(self.first_sharers, FittedDistribution):
@@ -430,14 +429,10 @@ def analyze(tree_list, by_category: bool = True) -> AnalysisResult:
     forest = Forest.of(tree_list)
     if not len(forest):
         raise ParameterError("no trees to analyze")
-    groups: dict[str, GroupAnalysis] = {}
+    rows_of: dict[str, list[dict]] = {}
     for category, row in zip(forest.category, trees.metrics_rows(forest)):
-        key = category if by_category else "all"
-        groups.setdefault(key, GroupAnalysis(category=key, tree_count=0, metric_rows=[]))
-        groups[key].tree_count += 1
-        groups[key].metric_rows.append(row)
-    for group in groups.values():
-        group.curves = _group_curves(group.metric_rows)
+        rows_of.setdefault(category if by_category else "all", []).append(row)
+    groups = {key: GroupAnalysis(key, len(rows), rows, _group_curves(rows)) for key, rows in rows_of.items()}
     comparisons = _compare_groups(groups) if len(groups) > 1 else []
     return AnalysisResult(groups=groups, comparisons=comparisons)
 

@@ -79,6 +79,21 @@ def test_each_metric_gets_a_verdict_from_its_pairs_and_its_bound(monkeypatch, ca
                         "tree_nodes_per_s": "within bound"}
 
 
+def test_a_gain_needs_ten_pairs_and_fewer_name_the_shortfall(monkeypatch, capsys):
+    module = load_script()
+
+    def run(checkout, workload, seed, seconds, scale):
+        wall = 1 + seed / 100 - (checkout == "change") * 0.5  # every pair won, the medians far apart
+        return {"correct": True, "attempted": 6, "failed": 0, "metrics": {"wall_s": {"value": wall}}}
+
+    monkeypatch.setattr(module, "run", run)
+    verdicts = []
+    for seeds in ("1-5", "1-10"):
+        assert module.main(["parent", "change", "--workload", "cli_files", "--seeds", seeds]) == 0
+        verdicts += [line for line in capsys.readouterr().out.splitlines() if line.startswith("verdict ")]
+    assert verdicts == ["verdict wall_s: too few pairs for a gain (5 of 10)", "verdict wall_s: gain"]
+
+
 def test_a_run_without_a_correct_result_fails_the_script(monkeypatch):
     module = load_script()
     monkeypatch.setattr(module, "run", lambda checkout, *args: None)

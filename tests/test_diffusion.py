@@ -1,3 +1,5 @@
+import itertools
+import re
 import warnings
 from unittest import mock
 
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from cascadekit import diffusion
+from cascadekit.branching import branching_ratio
 from cascadekit.diffusion import (
     NewsItem,
     diffuse,
@@ -461,14 +464,6 @@ def test_seed_nodes_match_the_unique_dedup_and_leave_the_same_generator_state(n,
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
-@settings(max_examples=200, deadline=None, database=None)
-@given(st.lists(st.integers(0, 8) | st.integers(-2**62, 2**62), max_size=60))
-def test_first_occurrences_keep_each_value_once_in_first_occurrence_order(values):
-    keys = np.array(values, dtype=np.int64)
-    first = np.unique(keys, return_index=True)[1]
-    assert diffusion._first_occurrences(keys).tolist() == keys[np.sort(first)].tolist()
-
-
 def test_batch_input_errors():
     g = small_graph()
     news = [NewsItem(id=0, fitness=0.5, first_sharer_count=1),
@@ -484,6 +479,29 @@ def test_batch_input_errors():
             diffuse(g, news[:1], deltas, seed=0)
     with pytest.raises(ParameterError, match=">= 0"):
         run_batch(g, [NewsItem(id=2, fitness=0.5, first_sharer_count=-1)], 0.1, seed=0)
+
+
+SCALAR_SITES = {  # a scalar parameter's call, an in-range value, an out-of-range one and the latter's message
+    "delta": (lambda v: diffuse(small_graph(), [NewsItem(id=0, fitness=0.5, first_sharer_count=1)], (v,), seed=0),
+              0.5, 1.5, "sharing threshold must be in [0, 1], got 1.5"),
+    "phi_hl": (lambda v: label_edges(small_graph(), v, seed=0), 0.5, 1.5, "phi_hl must be in [0, 1], got 1.5"),
+    "r": (lambda v: generate_small_world(20, 4, v, seed=0), 0.5, 1.5,
+          "rewiring probability must be in [0, 1], got 1.5"),
+    "q": (lambda v: branching_ratio(8, 0.01, q=v), 0.5, 1.5, "mixing probability q must be in [0, 1], got 1.5"),
+    "count": (lambda v: sample_news(v, FittedDistribution.poisson(1.0), seed=0, max_count=20), 3, -1,
+              "news count must be in [0, 2**63), got -1"),
+}
+
+
+@pytest.mark.parametrize("site, value", [*itertools.product(("delta", "phi_hl", "r", "q"), ("0.1", None, 0.1j, True)),
+                                         *itertools.product(("count",), ("5", 2.0, True))], ids=repr)
+def test_a_scalar_parameter_of_the_wrong_type_is_a_parameter_error(site, value):
+    call, good, out_of_range, message = SCALAR_SITES[site]
+    with pytest.raises(ParameterError):
+        call(value)
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        call(out_of_range)
+    call(np.array(good)[()])  # a numpy scalar passes
 
 
 @pytest.mark.parametrize("fitness, count", [

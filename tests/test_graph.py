@@ -17,6 +17,7 @@ from cascadekit.graph import (
     graph_to_dict,
     label_edges,
     load_graph,
+    repeats,
     save_graph,
 )
 from cascadekit.stats import FittedDistribution
@@ -381,6 +382,15 @@ def test_mutated_graph_document_loads_and_round_trips_or_is_a_parameter_error(da
         for batch, forest in diffuse(loaded, news, (0.3, 1.0), seed=43, build_trees=True):
             rows = metrics_rows(forest)
             assert [row["size"] for row in rows] == batch.sizes.tolist()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.integers(0, 8) | st.integers(-2**62, 2**62), max_size=60))
+def test_repeats_mark_every_key_but_the_first_occurrence_of_each_value(values):
+    keys = np.array(values, dtype=np.int64)
+    repeat = np.ones(keys.size, dtype=bool)
+    repeat[np.unique(keys, return_index=True)[1]] = False
+    assert repeats(keys).tolist() == repeat.tolist()
 
 
 def test_graph_arrays_are_read_only_and_the_csr_is_built_once():
