@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError, SupercriticalError, check_unit
+from .errors import ParameterError, SupercriticalError, check_unit, is_integer
 
 
 def mean_share_probability(delta: float) -> float:
@@ -26,6 +26,8 @@ def branching_ratio(z: int, delta: float, q: float = 0.0) -> float:
 
     z * (1 - q) * mean_share_probability(delta) is the boundary-corrected value.
     """
+    if not is_integer(z):
+        raise ParameterError(f"neighborhood dimension must be an integer, got {z!r}")
     if not z > 0:
         raise ParameterError(f"neighborhood dimension must be positive, got {z}")
     check_unit(q, "mixing probability q")

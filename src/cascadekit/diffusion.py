@@ -7,14 +7,21 @@ threshold of the fitness. Every user shares at most once, so the sharer
 set is the threshold-restricted reachability closure of the seeds.
 
 One numpy frontier kernel expands a whole batch at once, round by round.
-diffuse is its entry point: it takes one or more sharing thresholds and
-returns, per threshold, the per-item seed counts, sizes, heights and round
-counts, plus the sharing trees as one trees.Forest with build_trees.
-run_batch wraps one threshold as one CascadeOutcome per item. One
-Generator serves a whole batch: it draws every item's seed nodes in one
-vectorized step, shared by every threshold, then the tree parents round by
-round (tests/test_equivalence.py holds digests of the output for fixed
-seeds).
+Its visited set takes one of two forms, by the batch's key space (items
+times nodes): up to _DENSE_KEYS keys (4 MiB) a bool table indexed by key,
+which drops visited candidates before they are sorted; above it, where a
+fresh table would cost more in first-touch page faults than it saves, the
+sorted keys of the last two rounds, searched after the sort. Both give
+the same output.
+
+diffuse is the kernel's entry point: it takes one or more sharing
+thresholds and returns, per threshold, the per-item seed counts, sizes,
+heights and round counts, plus the sharing trees as one trees.Forest with
+build_trees. run_batch wraps one threshold as one CascadeOutcome per item.
+One Generator serves a whole batch: it draws every item's seed nodes in
+one vectorized step, shared by every threshold, then the tree parents
+round by round (tests/test_equivalence.py holds digests of the output for
+fixed seeds).
 """
 
 from __future__ import annotations
@@ -153,10 +160,16 @@ def _cascade(g: SignedGraph, news_list, counts, fitness, delta, rng, seeds) -> t
     # A neighbor of a round-k sharer has either not shared yet or shared in
     # round k-1 or k: had it shared in round j < k-1, the round-k sharer (a
     # seed, or a node passing the threshold) would have shared by round j+1.
-    # So the visited set holds only the last two rounds' pairs.
+    # So a visited set that holds only the last two rounds' keys answers as
+    # one of every round. A batch of at most _DENSE_KEYS keys marks every
+    # round in a bool table indexed by key; a larger one keeps the last two
+    # rounds as a sorted array.
     frontier = seeds
-    layer = np.sort(frontier)
-    visited = layer
+    if len(counts) * n <= _DENSE_KEYS:
+        visited = np.zeros(len(counts) * n, dtype=bool)
+        visited[seeds] = True
+    else:
+        layer = visited = np.sort(seeds)
     round_k = 0
     while frontier.size:
         frontier, parents = _expand(indptr, indices, g.opinions, fitness, delta, n, rng, frontier, visited)
@@ -168,8 +181,11 @@ def _cascade(g: SignedGraph, news_list, counts, fitness, delta, rng, seeds) -> t
         sizes += np.bincount(item_of, minlength=len(counts))
         if shared is not None:
             shared.append((frontier, parents))
-        visited = np.sort(np.concatenate([layer, frontier]))
-        layer = frontier
+        if visited.dtype == bool:
+            visited[frontier] = True
+        else:
+            visited = np.sort(np.concatenate([layer, frontier]))
+            layer = frontier
 
     stats = BatchStats(seeds=counts, sizes=sizes, heights=np.where(counts > 0, rounds + 1, 0), rounds=rounds)
     return stats, (None if shared is None else _trees(news_list, n, shared))
@@ -211,6 +227,14 @@ def _seed_nodes(rng: np.random.Generator, counts: np.ndarray, n: int) -> np.ndar
     return keys[np.argsort(keys // n, kind="stable")]
 
 
+# Keys (items times nodes) of the largest batch whose visited set is a bool
+# table indexed by key, 4 MiB. Such a table drops visited candidates with
+# one gather before the sort, where the sorted array of the last two rounds
+# costs a sort per round and a search. Its pages are first touched in each
+# batch, so above the bound (a troll batch holds 1072 x 16,889 = 18.1M
+# keys, 4,400 pages) the sorted array is cheaper.
+_DENSE_KEYS = 1 << 22
+
 # Neighbor pairs gathered at once. A round's frontier is expanded in slices
 # of whole items holding about this many pairs, which bounds the temporary
 # arrays of big cascades and costs small ones at most a few slices a round.
@@ -233,12 +257,15 @@ def _expand(indptr, indices, opinions, fitness, delta, n, rng, frontier, visited
 def _slice(indptr, indices, opinions, fitness, delta, n, rng, lo, items, nodes, pairs, visited):
     """_expand on the slice of whole items of the frontier that starts at position lo, and their neighbor pair counts.
 
-    The candidate keys that pass the threshold are sorted first, so the
-    visited test searches sorted needles and each run of equal keys is one
-    candidate sharer. In tree mode the sort carries each key's frontier
-    position in its low bits, which keeps a key's candidate parents in
-    frontier order, as a stable sort of the pairs would; the run of a
-    sharer with k > 1 candidates takes its parent at rng.integers(k).
+    visited is _cascade's visited set: a bool table indexed by key, or the
+    sorted keys of the last two rounds. A key is visited for all of its
+    candidates or for none, so the table drops visited candidates right
+    after the threshold test. The candidate keys left are sorted, so each
+    run of equal keys is one candidate sharer, and the sorted array is
+    searched with sorted needles. In tree mode the sort carries each key's
+    frontier position in its low bits, which keeps a key's candidate
+    parents in frontier order, as a stable sort of the pairs would; the run
+    of a sharer with k > 1 candidates takes its parent at rng.integers(k).
     """
     ends = np.cumsum(pairs)
     gather = np.repeat(indptr[nodes] - (ends - pairs), pairs) + np.arange(ends[-1])
@@ -246,12 +273,16 @@ def _slice(indptr, indices, opinions, fitness, delta, n, rng, lo, items, nodes, 
     pair_items = np.repeat(items, pairs)
     at = np.flatnonzero(np.abs(opinions[children] - fitness[pair_items]) <= delta)
     keys = pair_items[at] * n + children[at]
+    dense = visited.dtype == bool
+    if dense:
+        fresh = ~visited[keys]
+        at, keys = at[fresh], keys[fresh]
     if not keys.size:
         return keys, (None if rng is None else keys)
     if rng is None:
         keys = np.sort(keys)
         keys = keys[_run_starts(keys)]
-        return keys[_unvisited(visited, keys)], None
+        return (keys if dense else keys[_unvisited(visited, keys)]), None
 
     source = np.repeat(np.arange(nodes.size), pairs)[at]  # each candidate's position in the slice
     base, bits = int(items[0]) * n, (nodes.size - 1).bit_length()
@@ -266,8 +297,9 @@ def _slice(indptr, indices, opinions, fitness, delta, n, rng, lo, items, nodes, 
         keys, source = keys[order], source[order]
     first = _run_starts(keys)
     counts = np.diff(np.append(first, keys.size))
-    fresh = _unvisited(visited, keys[first])
-    first, counts = first[fresh], counts[fresh]
+    if not dense:
+        fresh = _unvisited(visited, keys[first])
+        first, counts = first[fresh], counts[fresh]
     chosen = first.copy()
     multi = counts > 1
     # An array of bounds draws what one scalar call per bound would, so

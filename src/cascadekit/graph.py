@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import files
-from .errors import ParameterError, check_unit
+from .errors import ParameterError, check_unit, is_integer
 
 
 @dataclass(eq=False, frozen=True)
@@ -130,7 +130,9 @@ def generate_small_world(n: int, z: int, r: float, seed) -> SignedGraph:
 
 
 def check_size(n: int, z: int) -> None:
-    """Raise ParameterError unless z is an even ring degree of at least 2 and z < n < 2**63 (an int64)."""
+    """Raise ParameterError unless n and z are integers, z an even ring degree of at least 2 and z < n < 2**63."""
+    if not (is_integer(n) and is_integer(z)):
+        raise ParameterError(f"node count and ring degree must be integers, got n={n!r}, z={z!r}")
     if z < 2 or z % 2 != 0:
         raise ParameterError(f"ring degree must be even and >= 2, got {z}")
     if not z < n < 2**63:

@@ -170,6 +170,15 @@ def _walk(forest: Forest) -> tuple[np.ndarray, ...]:
     whether the path ending at it has no discordant edge. An edge is
     discordant when its sign, the product of its endpoint polarizations
     (the page sign standing in for the page), is not positive.
+
+    depth and the discordant-edge count of each path add up down the tree
+    in one of two walks. When t is int64 with every root at 0 and every
+    child at its parent's t plus one (one vectorized test over all nodes,
+    which every kernel forest passes), t is the node's level: depth is t
+    plus the page edge, and the counts add up level by level, one gather per
+    level over the nodes grouped by a stable argsort of t. Any other forest,
+    such as loaded trees with real share times, takes _climb's pointer
+    doubling.
     """
     tree_of = np.repeat(np.arange(len(forest)), np.diff(forest.start))
     root = forest.parent < 0
@@ -181,10 +190,19 @@ def _walk(forest: Forest) -> tuple[np.ndarray, ...]:
     bad = edge & ~(above * forest.sigma > 0)
     del above  # node-sized temporaries go as soon as they are used: big batches peak here
     width = np.int32 if root.size < 2**31 else np.int64  # path sums never exceed the node count
-    depth, discordant = weights = [w.astype(width) for w in (edge, bad)]
-    _climb(parent, weights)
+    t, child = forest.t, ~root
+    if t.dtype == np.int64 and not t[root].any() and np.array_equal(t[child], t[parent[child]] + 1):
+        depth, discordant = t + virtual, bad.astype(width)
+        order = np.argsort(t, kind="stable")
+        ends = np.cumsum(np.bincount(t)).tolist()
+        for a, b in zip(ends, ends[1:]):  # levels 1, 2, ...: each parent's count is final
+            level = order[a:b]
+            discordant[level] += discordant[parent[level]]
+    else:
+        depth, discordant = weights = [w.astype(width) for w in (edge, bad)]
+        _climb(parent, weights)
     leaf = np.ones(root.size, dtype=bool)
-    leaf[parent[~root]] = False
+    leaf[parent[child]] = False
     return tree_of, parent, depth, leaf, discordant == 0
 
 

@@ -454,6 +454,42 @@ def test_a_slice_whose_packed_keys_overflow_sorts_stably_to_the_same_sharers_and
     assert item_of_parent == results[0][0]
 
 
+def diffuse_with_dense_keys(bound, g, news, deltas, seed, build_trees, slice_pairs):
+    """diffuse with the visited-table bound patched, and the state its Generator ends in."""
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(diffusion, "_DENSE_KEYS", bound), mock.patch.object(diffusion, "_SLICE_PAIRS", slice_pairs):
+        results = diffuse(g, news, deltas, seed=rng, build_trees=build_trees)
+    return results, rng.bit_generator.state
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(delta_batches() | tied_batches(), st.integers(1, 4), st.booleans(), st.sampled_from((1, 7, diffusion._SLICE_PAIRS)))
+def test_the_dense_visited_table_and_the_sorted_visited_array_give_the_same_batch(case, count, build_trees,
+                                                                                  slice_pairs):
+    # A batch of exactly _DENSE_KEYS keys takes the bool table, one more key the sorted array of the last two rounds.
+    g, news, deltas, seed = case
+    deltas = deltas[:count]
+    keys = len(news) * g.node_count
+    dense, dense_state = diffuse_with_dense_keys(keys, g, news, deltas, seed, build_trees, slice_pairs)
+    search, search_state = diffuse_with_dense_keys(keys - 1, g, news, deltas, seed, build_trees, slice_pairs)
+    assert dense_state == search_state
+    for delta, (stats, forest), (other, other_forest) in zip(deltas, dense, search):
+        for field in ("seeds", "sizes", "heights", "rounds"):
+            assert getattr(stats, field).tolist() == getattr(other, field).tolist()
+        expected = layered_trees(g, news, delta, seed)
+        assert stats.sizes.tolist() == [len(users) for users, _, _ in expected]
+        assert stats.rounds.tolist() == [max(rounds, default=0) for _, rounds, _ in expected]
+        if not build_trees:
+            assert forest is None and other_forest is None
+            continue
+        for field in NODE_ARRAYS:
+            assert getattr(forest, field).tolist() == getattr(other_forest, field).tolist()
+        assert forest.news_id == other_forest.news_id
+        assert forest.user.tolist() == [u for users, _, _ in expected for u in users]
+        assert forest.t.tolist() == [k for _, rounds, _ in expected for k in rounds]
+        assert forest.parent.tolist() == [p for _, _, parents in expected for p in parents]
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(st.integers(1, 60), st.data(), st.integers(0, 2**32 - 1))
 def test_seed_nodes_match_the_unique_dedup_and_leave_the_same_generator_state(n, data, seed):

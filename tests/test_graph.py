@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cascadekit.branching import branching_ratio
 from cascadekit.diffusion import diffuse, sample_news
 from cascadekit.errors import ParameterError
 from cascadekit.graph import (
@@ -411,3 +412,22 @@ def test_adjacency_views_agree_with_edge_list():
     expected = adjacency_sets(g.edges, g.homogeneous.tolist())
     for u in range(g.node_count):
         assert set(indices[indptr[u]:indptr[u + 1]].tolist()) == expected.get(u, set())
+
+
+SIZE_SITES = {  # a size parameter's call, an in-range value, an out-of-range one and the latter's message
+    "n": (lambda v: generate_small_world(v, 2, 0.1, seed=0), 10, 2, "need z < n < 2**63 (an int64), got n=2, z=2"),
+    "z": (lambda v: generate_small_world(10, v, 0.1, seed=0), 2, 3, "ring degree must be even and >= 2, got 3"),
+    "branching z": (lambda v: branching_ratio(v, 0.01), 8, 0, "neighborhood dimension must be positive, got 0"),
+}
+
+
+@pytest.mark.parametrize("site, value", [*itertools.product(("n",), (10.0, "10", None)),
+                                         *itertools.product(("z",), (2.0, "2", None)),
+                                         *itertools.product(("branching z",), ("8", True, 8.5))], ids=repr)
+def test_a_node_count_or_ring_degree_that_is_not_an_integer_is_a_parameter_error(site, value):
+    call, good, out_of_range, message = SIZE_SITES[site]
+    with pytest.raises(ParameterError, match="must be (an integer|integers), got"):
+        call(value)
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        call(out_of_range)
+    call(np.int32(good))  # a numpy integer passes

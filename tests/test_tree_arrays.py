@@ -10,9 +10,11 @@ goes through analyze, write_analysis and trees_to_json without a numpy
 warning; and they check that the loader raises, on batches of documents
 with shifted ids and broken structure, shapes or fields, the first fault
 in document order that the plain-Python reference oracles.tree_fault
-finds. A valid load of the benchmark's dataset documents, or of a
-troll-scale graph document, runs no per-value test: each column passes
-its one type test.
+finds. Trees whose integer times are their node levels take the level
+walk, and the same trees with other times take pointer doubling; both
+give the naive oracles' metrics. A valid load of the benchmark's dataset
+documents, or of a troll-scale graph document, runs no per-value test:
+each column passes its one type test.
 """
 
 import json
@@ -21,13 +23,14 @@ import pickle
 import re
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cascadekit import files
+from cascadekit import files, trees
 from cascadekit.diffusion import NewsItem, diffuse, run_batch
 from cascadekit.errors import TreeSchemaError, TreeValidationError
 from cascadekit.graph import generate_small_world, graph_from_dict, graph_to_dict, label_edges
@@ -238,6 +241,64 @@ def test_forest_metrics_equal_naive_oracles(seed, count):
             assert row["mean_homogeneity"] == pytest.approx(naive_mean_homogeneity(tree), rel=1e-12, abs=1e-15)
         else:
             assert row["mean_homogeneity"] is None
+
+
+def level_docs(seed, count):
+    """Tree documents whose integer t is each node's level (0 at a root), with random sigma and page sign,
+    under virtual and real roots, nodes in shuffled order."""
+    rng = np.random.default_rng(seed)
+    docs = []
+    for k in range(count):
+        virtual = bool(rng.integers(2))
+        parents, levels = [], []
+        for i in range(int(rng.integers(0 if virtual else 1, 12))):
+            parent = -1 if i == 0 or (virtual and rng.uniform() < 0.3) else int(rng.integers(i))
+            parents.append(parent)
+            levels.append(0 if parent < 0 else levels[parent] + 1)
+        nodes = [{"id": i, "user": 100 + i, "sigma": float(np.round(rng.uniform(-1, 1), 2)), "t": levels[i],
+                  "parent": None if parents[i] < 0 else parents[i]} for i in rng.permutation(len(parents)).tolist()]
+        docs.append({"news_id": k, "category": "science", "nodes": nodes,
+                     "root": {"virtual": virtual, "page_sign": int(rng.choice((-1, 1)))}})
+    return docs
+
+
+def rows_and_climbs(docs):
+    """metrics_rows of the loaded documents, and whether _walk took _climb's pointer doubling."""
+    forest = trees_from_json(json.dumps(docs))
+    with mock.patch.object(trees, "_climb", wraps=trees._climb) as climb:
+        rows = metrics_rows(forest)
+    return forest, rows, climb.called
+
+
+def retimed(docs, change, only=None):
+    """docs with t changed to change(t), in tree only or in every tree."""
+    return [{**doc, "nodes": [{**node, "t": change(node["t"])} for node in doc["nodes"]]} if only in (None, k) else doc
+            for k, doc in enumerate(docs)]
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 8))
+def test_level_walk_metrics_equal_naive_oracles_and_the_pointer_doubling_walk(seed, count):
+    # Integer times that are the levels take the level walk; shifted by one (in every tree or in one) or doubled,
+    # they take _climb. Both walks give the oracles' heights, path counts and homogeneity; lifetimes move with t.
+    docs = level_docs(seed, count)
+    forest, rows, climbed = rows_and_climbs(docs)
+    assert forest.t.dtype == np.int64 and not climbed
+    for tree, row in zip(forest, rows):
+        assert row["height"] == naive_height(tree)
+        assert (row["paths"], row["homo_paths"]) == naive_path_counts(tree)
+        if (tree.parent >= 0).any():
+            assert row["mean_homogeneity"] == pytest.approx(naive_mean_homogeneity(tree), rel=1e-12, abs=1e-15)
+    filled = [k for k, doc in enumerate(docs) if doc["nodes"]]
+    branched = any(node["parent"] is not None for doc in docs for node in doc["nodes"])
+    for other, scale, takes_climb in ((retimed(docs, lambda t: t + 1), 1, bool(filled)),
+                                      (retimed(docs, lambda t: t + 1, only=filled[0] if filled else None), 1,
+                                       bool(filled)),
+                                      (retimed(docs, lambda t: 2 * t), 2, branched)):
+        _, other_rows, climbed = rows_and_climbs(other)
+        assert climbed == takes_climb
+        assert other_rows == [{**row, "lifetime": None if row["lifetime"] is None else scale * row["lifetime"]}
+                              for row in rows]
 
 
 @PROPERTY
