@@ -26,12 +26,12 @@ fixed seeds).
 
 from __future__ import annotations
 
-import contextlib
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import files
 from .errors import ParameterError, check_unit, is_integer
 from .graph import SignedGraph, repeats
 from .stats import FittedDistribution
@@ -73,13 +73,15 @@ def sample_news(count: int, dist: FittedDistribution, seed, max_count: int) -> l
     typically), then truncated to its integer part. So a draw above
     max_count, infinity included, seeds max_count nodes, and truncation can
     produce zeros, which model never-shared items. A count that is not an
-    integer in [0, 2**63), or a draw that is NaN or not below 2**63 after
-    clipping, is a ParameterError.
+    integer in [0, 2**63), a max_count that is not an integer >= 0, or a
+    draw that is NaN or not below 2**63 after clipping, is a ParameterError.
     """
     if not is_integer(count):
         raise ParameterError(f"news count must be an integer, got {count!r}")
     if not 0 <= count < 2**63:
         raise ParameterError(f"news count must be in [0, 2**63), got {count}")
+    if not (is_integer(max_count) and max_count >= 0):
+        raise ParameterError(f"max_count must be an integer >= 0, got {max_count!r}")
     rng = np.random.default_rng(seed)
     fitness = rng.uniform(0.0, 1.0, size=count)
     draws = np.minimum(dist.sample(count, rng), max_count)
@@ -121,19 +123,22 @@ def diffuse(g: SignedGraph, news_list, deltas, seed,
     All items expand at once, one round at a time, as int64 keys item*n + node.
 
     Raises:
-        ParameterError: deltas a bare number or empty, a delta or a
-            fitness not a number in [0, 1], or a first-sharer count not an
-            integer from 0 to the node count.
+        ParameterError: deltas a bare number or empty, a delta not a
+            number in [0, 1], or a news value, named by its path as a
+            document's is: the first first_sharer_count not an integer,
+            else not in [0, n], then the same for fitness as a finite
+            number in [0, 1] ("news[1].fitness must be in [0, 1], got 1.5").
     """
     if isinstance(deltas, numbers.Real) or len(deltas) == 0:
         raise ParameterError(f"deltas must be a non-empty sequence of sharing thresholds, got {deltas!r}")
     for delta in deltas:
         check_unit(delta, "sharing threshold")
     n = g.node_count
-    counts = _item_values(news_list, [item.first_sharer_count for item in news_list], numbers.Integral, 0, n,
-                          np.int64, f"first sharers must be an integer >= 0 and <= the node count {n}")
-    fitness = _item_values(news_list, [item.fitness for item in news_list], numbers.Real, 0.0, 1.0, float,
-                           "fitness must be a number in [0, 1]")
+    counts = files.read_column([item.first_sharer_count for item in news_list], "integer", ParameterError, "news",
+                               "first_sharer_count")
+    files.first_fault((counts < 0) | (counts > n), "news[{}].first_sharer_count", f"be in [0, {n}]", counts)
+    fitness = files.read_column([item.fitness for item in news_list], "number", ParameterError, "news", "fitness")
+    files.first_fault(~((fitness >= 0) & (fitness <= 1)), "news[{}].fitness", "be in [0, 1]", fitness)
     rng = np.random.default_rng(seed)
     seeds = _seed_nodes(rng, counts, n)
     after_seeds = rng.bit_generator.state if build_trees else None
@@ -189,17 +194,6 @@ def _cascade(g: SignedGraph, news_list, counts, fitness, delta, rng, seeds) -> t
 
     stats = BatchStats(seeds=counts, sizes=sizes, heights=np.where(counts > 0, rounds + 1, 0), rounds=rounds)
     return stats, (None if shared is None else _trees(news_list, n, shared))
-
-
-def _item_values(news_list, values: list, kind: type, low, high, dtype, rule: str) -> np.ndarray:
-    """One value per item as an array; a ParameterError on the first that is a bool, not a kind or out of range."""
-    if all(issubclass(t, kind) and t is not bool for t in set(map(type, values))):
-        with contextlib.suppress(OverflowError):  # an int beyond the dtype is out of range: the search below finds it
-            array = np.array(values, dtype=dtype)
-            if np.all((array >= low) & (array <= high)):
-                return array
-    k = next(k for k, v in enumerate(values) if type(v) is bool or not isinstance(v, kind) or not low <= v <= high)
-    raise ParameterError(f"news item {news_list[k].id}: {rule}, got {values[k]!r}")
 
 
 def _seed_nodes(rng: np.random.Generator, counts: np.ndarray, n: int) -> np.ndarray:

@@ -1,7 +1,8 @@
-"""Exception types and the rules of scalar parameters, shared across the package.
+"""Exception types and the rules of values, shared across the package.
 
 Every error cascadekit raises on purpose derives from CascadekitError, and
-each concrete type is also a ValueError.
+each concrete type is also a ValueError. is_integer and is_real are the
+one statement of a count and a number (files.KINDS reads by them).
 """
 
 import numbers
@@ -56,13 +57,18 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """Whether value is a real number (a numpy scalar too), not a bool: the rule of every number."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def is_unit(value) -> bool:
-    """Whether value is a real number in [0, 1] (a numpy scalar too), not a bool: the rule of every probability."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0.0 <= value <= 1.0
+    """Whether is_real(value) and value is in [0, 1]: the rule of every probability."""
+    return is_real(value) and 0.0 <= value <= 1.0
 
 
 def check_unit(value, what: str) -> None:
     """Raise ParameterError "<what> must be in [0, 1], got <value>" unless is_unit(value) (a non-number: its repr)."""
     if not is_unit(value):
-        shown = value if isinstance(value, numbers.Real) else repr(value)
+        shown = value if is_real(value) else repr(value)
         raise ParameterError(f"{what} must be in [0, 1], got {shown}")

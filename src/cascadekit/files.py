@@ -7,11 +7,12 @@ included, raises the caller's typed error, naming the file. CSV cells
 follow csv's own rule: None is a blank cell, a float (a numpy float too)
 its shortest repr, any other value its str().
 
-Both sides work by column. read_columns reads a JSON list of objects one
-field at a time, and tests each column once against its kind in KINDS,
-the one table of what a document field may hold; only a failed lookup or
-column test starts a scan, to name the first fault by its path. A CSV
-table is written row by row through one itemgetter of its columns.
+Both sides work by column. read_column tests a column of values, from a
+document or a Python caller, once against its kind in KINDS, the one
+table of what a value may hold, and read_columns reads a JSON list of
+objects through it field by field; only a failed lookup or column test
+starts a scan, to name the first fault by its path, as first_fault does
+for a range. A CSV table is written row by row through one itemgetter.
 
 The functions that build one dict or list per node, edge, tree or row and
 free them before they return (graph.load_graph and save_graph,
@@ -32,6 +33,8 @@ import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+from .errors import ParameterError, is_integer, is_real
 
 
 def nogc(func: Callable) -> Callable:
@@ -91,7 +94,9 @@ def _is_id(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    return (type(v) is int or type(v) is float) and abs(v) <= sys.float_info.max
+    if isinstance(v, np.generic):  # a numpy float compared with a Python float would be cast down to its width
+        v = v.item()
+    return is_real(v) and -sys.float_info.max <= v <= sys.float_info.max
 
 
 def _kept(values: list, kinds: set) -> np.ndarray:
@@ -109,10 +114,10 @@ def _ids_or_null(values: list, _kinds: set) -> tuple[np.ndarray, np.ndarray, np.
     return array, null, np.where(null, 0, array).astype(np.int64)
 
 
-# A boolean is not a number, nor is a string; an id may be an integral float.
+# A boolean is not a number, nor is a string; an id may be an integral float; a numpy scalar passes the value tests.
 KINDS = {
-    "integer": Kind({int}, lambda values, _: np.array(values, dtype=np.int64), lambda v: type(v) is int and _is_id(v),
-                    "an integer"),
+    "integer": Kind({int}, lambda values, _: np.array(values, dtype=np.int64),
+                    lambda v: is_integer(v) and -2**63 <= v < 2**63, "an integer"),
     "id": Kind({int}, lambda values, _: np.array(values, dtype=np.int64), _is_id, "an integer"),
     "number": Kind({int, float}, lambda values, _: np.array(values, dtype=float), _is_number, "a finite number"),
     "time": Kind({int, float}, _kept, _is_number, "a finite number"),
@@ -122,7 +127,7 @@ KINDS = {
 }
 
 
-def _column(values: list, kind: str, error: type[Exception], where: str, field: str | None = None):
+def read_column(values: list, kind: str, error: type[Exception], where: str, field: str | None = None):
     """The values as their kind's array; else error names the first value the kind does not take.
 
     The one column test: every value's type is in the kind's types, its
@@ -146,7 +151,14 @@ def _column(values: list, kind: str, error: type[Exception], where: str, field: 
 
 def read_value(value, kind: str, error: type[Exception], path: str):
     """value as the Python value of its KINDS kind; one the kind does not take raises error("<path> must be ...")."""
-    return _column([value], kind, error, path)[0].item()
+    return read_column([value], kind, error, path)[0].item()
+
+
+def first_fault(bad: np.ndarray, path: str, rule: str, values: np.ndarray) -> None:
+    """Raise ParameterError("<path k> must <rule>, got <values[k]>") at the first k where bad holds; path holds {}."""
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ParameterError(f"{path.format(k)} must {rule}, got {values[k].tolist()!r}")
 
 
 def read_columns(records, fields: dict, error: type[Exception], where: str) -> list:
@@ -162,7 +174,7 @@ def read_columns(records, fields: dict, error: type[Exception], where: str) -> l
         columns = [[record[field] for record in records] for field in fields]
     except (KeyError, TypeError) as exc:  # a record that is not an object or lacks a field
         raise error(f"{where}{record_fault(records, fields)}") from exc
-    return [_column(values, kind, error, where, field) for (field, kind), values in zip(fields.items(), columns)]
+    return [read_column(values, kind, error, where, field) for (field, kind), values in zip(fields.items(), columns)]
 
 
 def record_fault(records: list, fields) -> str | None:

@@ -255,18 +255,20 @@ def graph_from_dict(doc: dict) -> SignedGraph:
                                            ParameterError, "graph document: edges")
     if z < 2 or z % 2 != 0 or z >= n:
         raise ParameterError(f"graph document: z must be even, >= 2 and below n = {n}, got {z}")
-    _first_fault((ids < 0) | (ids >= n), "nodes[{}].id", f"be in [0, {n})", ids)
-    _first_fault(repeats(ids), "nodes[{}].id", "be unique", ids)
+    files.first_fault((ids < 0) | (ids >= n), "graph document: nodes[{}].id", f"be in [0, {n})", ids)
+    files.first_fault(repeats(ids), "graph document: nodes[{}].id", "be unique", ids)
     if ids.size != n:
         raise ParameterError(f"graph document: nodes must hold n = {n} nodes, got {ids.size}")
-    _first_fault(~((opinions >= 0) & (opinions <= 1)), "nodes[{}].opinion", "be in [0, 1]", opinions)
+    files.first_fault(~((opinions >= 0) & (opinions <= 1)), "graph document: nodes[{}].opinion", "be in [0, 1]",
+                      opinions)
     if not 0.0 <= r <= 1.0:
         raise ParameterError(f"graph document: r must be in [0, 1], got {r}")
-    _first_fault((u < 0) | (u >= n), "edges[{}].u", f"be in [0, {n})", u)
-    _first_fault((v < 0) | (v >= n), "edges[{}].v", f"be in [0, {n})", v)
-    _first_fault(u == v, "edges[{}].v", "differ from u", v)
+    files.first_fault((u < 0) | (u >= n), "graph document: edges[{}].u", f"be in [0, {n})", u)
+    files.first_fault((v < 0) | (v >= n), "graph document: edges[{}].v", f"be in [0, {n})", v)
+    files.first_fault(u == v, "graph document: edges[{}].v", "differ from u", v)
     edges = np.column_stack([u, v])
-    _first_fault(repeats(np.minimum(u, v) * n + np.maximum(u, v)), "edges[{}]", "not repeat an earlier edge", edges)
+    files.first_fault(repeats(np.minimum(u, v) * n + np.maximum(u, v)), "graph document: edges[{}]",
+                      "not repeat an earlier edge", edges)
     if u.size != n * z // 2:
         raise ParameterError(f"graph document: edges must hold n*z/2 = {n * z // 2} edges, got {u.size}")
     ordered = np.empty_like(opinions)
@@ -294,13 +296,6 @@ def repeats(keys: np.ndarray) -> np.ndarray:
         at = at[np.argsort(keys[at], kind="stable")]  # grouped by value, each in position order
         repeat[at[1:][keys[at[1:]] == keys[at[:-1]]]] = True
     return repeat
-
-
-def _first_fault(bad: np.ndarray, path: str, rule: str, values: np.ndarray) -> None:
-    """Raise ParameterError at the first k where bad holds: "graph document: <path k> must <rule>, got <values[k]>"."""
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ParameterError(f"graph document: {path.format(k)} must {rule}, got {values[k].tolist()!r}")
 
 
 @files.nogc

@@ -9,7 +9,6 @@ Poisson, uniform, empirical), and quartile summary tables.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
@@ -333,19 +332,9 @@ FAMILIES = {f.name: f for f in (
 )}
 
 
-def _finite_number(what: str, value) -> float:
-    try:
-        number = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
-    except OverflowError:  # an int beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ParameterError(f"{what} must be a finite number, got {value!r}")
-    return number
-
-
 def _finite_sample(what: str, value) -> np.ndarray:
     if isinstance(value, (list, tuple)):  # as in a JSON document: check each entry
-        value = [_finite_number(f"{what} entry", v) for v in value]
+        value = files.read_column(value, "number", ParameterError, f"{what} entry")
     data = np.asarray(value)
     if data.ndim != 1 or data.dtype.kind not in "iuf" or not np.all(np.isfinite(data)):
         raise ParameterError(f"{what} must be a list of finite numbers")
@@ -357,8 +346,10 @@ class FittedDistribution:
     """A first-sharer count model: family name plus family-specific parameters.
 
     Construction checks them against FAMILIES: each must be given and be a
-    finite number, and together they must meet the family's rule. The
-    empirical family keeps its sample in sample_ref, not in params.
+    finite number (files.read_value, as a document field is read; an
+    empirical sample list's entries through files.read_column), and
+    together they must meet the family's rule. The empirical family keeps
+    its sample in sample_ref, not in params.
     """
 
     family: str
@@ -375,8 +366,8 @@ class FittedDistribution:
         if set(given) != set(fam.params):
             raise ParameterError(f"{fam.name} takes parameters ({', '.join(fam.params)}), "
                                  f"got ({', '.join(map(str, given))})")
-        values = {p: (_finite_sample if p == SAMPLE else _finite_number)(f"{fam.name} {p}", given[p])
-                  for p in fam.params}
+        values = {p: _finite_sample(f"{fam.name} {p}", given[p]) if p == SAMPLE
+                  else files.read_value(given[p], "number", ParameterError, f"{fam.name} {p}") for p in fam.params}
         if not fam.check(**values):
             raise ParameterError(fam.rule.format(**values))
         object.__setattr__(self, "sample_ref", values.pop(SAMPLE, None))

@@ -121,11 +121,6 @@ class Forest:
             values.flags.writeable = False
         self.id, self.user, self.sigma, self.t, self.parent = id, user, sigma, t, parent
 
-    def __reduce__(self):
-        # Unpickling rebuilds through __init__, so the node arrays stay read-only across processes.
-        return Forest, (self.news_id, self.category, self.virtual_root, self.page_sign, self.start,
-                        *(getattr(self, field) for field in _NODE_FIELDS))
-
     @classmethod
     def of(cls, trees) -> Forest:
         """trees itself when it is a Forest, the forest when trees lists all its trees in order, else a joined copy.
@@ -176,9 +171,12 @@ def _walk(forest: Forest) -> tuple[np.ndarray, ...]:
     child at its parent's t plus one (one vectorized test over all nodes,
     which every kernel forest passes), t is the node's level: depth is t
     plus the page edge, and the counts add up level by level, one gather per
-    level over the nodes grouped by a stable argsort of t. Any other forest,
-    such as loaded trees with real share times, takes _climb's pointer
-    doubling.
+    level over the nodes grouped by a stable argsort of t. That walk costs a
+    numpy call per level, and pointer doubling a pass over the nodes per
+    doubling of the depth, so it is taken only where the forest is shallow
+    for its size: at most 32 levels plus one per four nodes. Any other
+    forest, such as a long chain or loaded trees with real share times,
+    takes _climb's pointer doubling.
     """
     tree_of = np.repeat(np.arange(len(forest)), np.diff(forest.start))
     root = forest.parent < 0
@@ -191,7 +189,8 @@ def _walk(forest: Forest) -> tuple[np.ndarray, ...]:
     del above  # node-sized temporaries go as soon as they are used: big batches peak here
     width = np.int32 if root.size < 2**31 else np.int64  # path sums never exceed the node count
     t, child = forest.t, ~root
-    if t.dtype == np.int64 and not t[root].any() and np.array_equal(t[child], t[parent[child]] + 1):
+    if (t.dtype == np.int64 and t.max(initial=0) < 32 + t.size // 4 and not t[root].any()
+            and np.array_equal(t[child], t[parent[child]] + 1)):
         depth, discordant = t + virtual, bad.astype(width)
         order = np.argsort(t, kind="stable")
         ends = np.cumsum(np.bincount(t)).tolist()

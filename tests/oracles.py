@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque, namedtuple
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate, special
@@ -572,6 +573,64 @@ def tree_fault(doc, index: int = 0) -> tuple[type, str] | None:
             return TimestampOrderError, f"{name}: node {ids[k]} shares at t={times[k]} before its parent"
     if times and max(times) - min(times) > sys.float_info.max:
         return TreeSchemaError, f"{name}: share times from {min(times)} to {max(times)} span no finite lifetime"
+    return None
+
+
+# --- the rules of values from Python callers ------------------------------------------
+
+def python_value(v):
+    """A numpy scalar as its Python value (a numpy bool as a bool); any other value as it is."""
+    return v.item() if isinstance(v, np.generic) else v
+
+
+def is_count(v) -> bool:
+    """An integer kind's value: a Python or numpy int, not a bool, within int64."""
+    v = python_value(v)
+    return type(v) is int and -2**63 <= v < 2**63
+
+
+def is_finite_number(v) -> bool:
+    """A number kind's value: a Python or numpy int or float or a Fraction, not a bool, within the float range."""
+    v = python_value(v)
+    return type(v) in (int, float, Fraction) and abs(v) <= sys.float_info.max
+
+
+def news_fault(items, n: int) -> str | None:
+    """The message diffuse raises for the first bad value of a news batch on n nodes, or None when it reads.
+
+    Field by field, first_sharer_count then fitness: the first value of the
+    wrong kind, then the first whose int, or float, lies outside [0, n], or
+    [0, 1].
+    """
+    for field, ok, must, cast, high in (("first_sharer_count", is_count, "an integer", int, n),
+                                        ("fitness", is_finite_number, "a finite number", float, 1)):
+        values = [getattr(item, field) for item in items]
+        for k, v in enumerate(values):
+            if not ok(v):
+                return f"news[{k}].{field} must be {must}, got {v!r}"
+        for k, v in enumerate(map(cast, values)):
+            if not 0 <= v <= high:
+                return f"news[{k}].{field} must be in [0, {high}], got {v!r}"
+    return None
+
+
+def inverse_gaussian_fault(mean, shape) -> str | None:
+    """The message FittedDistribution.inverse_gaussian(mean, shape) raises, or None when it is made."""
+    for param, v in (("mean", mean), ("shape", shape)):
+        if not is_finite_number(v):
+            return f"inverse_gaussian {param} must be a finite number, got {v!r}"
+    if not (float(mean) > 0 and float(shape) > 0):
+        return f"IG needs positive mean and shape, got ({float(mean)}, {float(shape)})"
+    return None
+
+
+def empirical_fault(sample: list) -> str | None:
+    """The message FittedDistribution.empirical(sample) raises for a list sample, or None when it is made."""
+    for v in sample:
+        if not is_finite_number(v):
+            return f"empirical sample entry must be a finite number, got {v!r}"
+    if not sample or min(map(float, sample)) < 0:
+        return "empirical distribution needs a non-empty sample with no value below 0"
     return None
 
 

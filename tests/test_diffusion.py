@@ -504,16 +504,17 @@ def test_batch_input_errors():
     g = small_graph()
     news = [NewsItem(id=0, fitness=0.5, first_sharer_count=1),
             NewsItem(id=1, fitness=0.5, first_sharer_count=g.node_count + 1)]
-    with pytest.raises(ParameterError, match="first sharers"):
+    too_many = rf"^news\[1\]\.first_sharer_count must be in \[0, {g.node_count}\], got {g.node_count + 1}$"
+    with pytest.raises(ParameterError, match=too_many):
         run_batch(g, news, 0.1, seed=0)
-    with pytest.raises(ParameterError, match="first sharers"):
+    with pytest.raises(ParameterError, match=too_many):
         diffuse(g, news, (0.1,), seed=0)
     with pytest.raises(ParameterError, match="threshold"):
         diffuse(g, news[:1], (0.1, -0.1), seed=0)
     for deltas in ((), 0.1):
         with pytest.raises(ParameterError, match="non-empty sequence of sharing thresholds"):
             diffuse(g, news[:1], deltas, seed=0)
-    with pytest.raises(ParameterError, match=">= 0"):
+    with pytest.raises(ParameterError, match=r"^news\[0\]\.first_sharer_count must be in \[0, \d+\], got -1$"):
         run_batch(g, [NewsItem(id=2, fitness=0.5, first_sharer_count=-1)], 0.1, seed=0)
 
 
@@ -526,11 +527,13 @@ SCALAR_SITES = {  # a scalar parameter's call, an in-range value, an out-of-rang
     "q": (lambda v: branching_ratio(8, 0.01, q=v), 0.5, 1.5, "mixing probability q must be in [0, 1], got 1.5"),
     "count": (lambda v: sample_news(v, FittedDistribution.poisson(1.0), seed=0, max_count=20), 3, -1,
               "news count must be in [0, 2**63), got -1"),
+    "max_count": (lambda v: sample_news(3, FittedDistribution.poisson(1.0), seed=0, max_count=v), 20, -1,
+                  "max_count must be an integer >= 0, got -1"),
 }
 
 
 @pytest.mark.parametrize("site, value", [*itertools.product(("delta", "phi_hl", "r", "q"), ("0.1", None, 0.1j, True)),
-                                         *itertools.product(("count",), ("5", 2.0, True))], ids=repr)
+                                         *itertools.product(("count", "max_count"), ("5", 2.0, True))], ids=repr)
 def test_a_scalar_parameter_of_the_wrong_type_is_a_parameter_error(site, value):
     call, good, out_of_range, message = SCALAR_SITES[site]
     with pytest.raises(ParameterError):
@@ -549,7 +552,8 @@ def test_news_items_need_a_fitness_in_the_unit_interval_and_an_integer_count(fit
     g = small_graph()
     news = [NewsItem(id=0, fitness=0.5, first_sharer_count=1),
             NewsItem(id=1, fitness=fitness, first_sharer_count=count)]
-    with pytest.raises(ParameterError, match="news item 1"):
+    field = "first_sharer_count" if fitness == 0.5 else "fitness"  # the one bad field, named by its path
+    with pytest.raises(ParameterError, match=rf"^news\[1\]\.{field} must be "):
         diffuse(g, news, (0.1,), seed=0)
     numpy_scalars = [NewsItem(id=0, fitness=np.float64(0.5), first_sharer_count=np.int64(2))]
     assert diffuse(g, numpy_scalars, (0.1,), seed=0)[0][0].seeds.tolist() == [2]

@@ -1,4 +1,10 @@
-"""The file layer: the CSV writer's row getter, the JSON record-fault finder and column reader, and nogc."""
+"""The file layer: the CSV writer's row getter, the JSON record-fault finder and column reader, and nogc.
+
+The column reader also reads the values of Python callers: a property
+holds news batches and distribution parameters built from Python and
+numpy numbers, bools, strings, None, NaN, infinities, out-of-range ints
+and Fractions to the plain-Python rules in oracles.
+"""
 
 import contextlib
 import csv
@@ -6,12 +12,19 @@ import gc
 import inspect
 import re
 import sys
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cascadekit import files, graph, trees
+import oracles
+from cascadekit import diffusion, files, graph, trees
+from cascadekit.diffusion import NewsItem
 from cascadekit.errors import ParameterError, TreeSchemaError
+from cascadekit.stats import FittedDistribution
 
 
 @pytest.mark.parametrize("columns", [("name",), ("name", "size")])
@@ -207,3 +220,55 @@ def test_no_collection_starts_while_a_large_tree_file_loads_or_a_troll_scale_gra
         (gc.enable if was else gc.disable)()
     assert forest.start[-1] == 20000 and graph.load_graph(tmp_path / "g.json").edge_count == 16889 * 4
     assert starts == {"load_trees": [], "save_graph": []}
+
+
+# --- values from Python callers ------------------------------------------------------
+
+PROPERTY = settings(max_examples=200, deadline=None, database=None)
+
+ANY_VALUE = st.one_of(
+    st.integers(-3, 12), st.sampled_from([2**63 - 1, 2**63, -2**63 - 1, 10**400, -10**400, 2**1024 - 2**970 - 1]),
+    st.floats(-0.5, 12), st.floats(),
+    st.integers(-3, 12).map(np.int64), st.integers(0, 12).map(np.uint8),
+    st.sampled_from([np.uint64(2**64 - 1), np.int64(-2**63), np.float32("inf"), np.float64("nan")]),
+    st.floats(-0.5, 1.5).map(np.float64), st.floats(-0.5, 1.5, width=32).map(np.float32),
+    st.booleans(), st.booleans().map(np.bool_), st.text(max_size=2), st.none(),
+    st.fractions(-1, 12, max_denominator=10), st.sampled_from([Fraction(10**400), Fraction(1, 10**400)]),
+)
+COUNTS = st.one_of(st.integers(0, 10), st.integers(0, 10).map(np.int64), st.integers(0, 10).map(np.uint8), ANY_VALUE)
+UNIT = st.one_of(st.floats(0, 1), st.floats(0, 1, width=32).map(np.float32), st.fractions(0, 1), st.integers(0, 1),
+                 ANY_VALUE)
+POSITIVE = st.one_of(st.floats(0.1, 50), st.integers(1, 50).map(np.int64), st.fractions(1, 50), ANY_VALUE)
+SMALL_GRAPH = graph.label_edges(graph.generate_small_world(10, 4, 0.2, seed=1), 0.5, seed=2)
+
+
+@PROPERTY
+@given(values=st.lists(st.tuples(COUNTS, UNIT), min_size=1, max_size=4))
+def test_news_values_from_python_callers_read_as_the_reference_rules_say(values):
+    news = [NewsItem(id=k, fitness=fitness, first_sharer_count=count) for k, (count, fitness) in enumerate(values)]
+    expected = oracles.news_fault(news, SMALL_GRAPH.node_count)
+    if expected is not None:
+        with pytest.raises(ParameterError, match=f"^{re.escape(expected)}$"):
+            diffusion.diffuse(SMALL_GRAPH, news, (0.1,), seed=0)
+        return
+    with mock.patch.object(diffusion, "_cascade", wraps=diffusion._cascade) as cascade:
+        diffusion.diffuse(SMALL_GRAPH, news, (0.1,), seed=0)
+    counts, fitness = cascade.call_args.args[2:4]
+    assert counts.dtype == np.int64 and counts.tolist() == [int(count) for count, _ in values]
+    assert fitness.dtype == float and fitness.tolist() == [float(fitness) for _, fitness in values]
+
+
+@PROPERTY
+@given(mean=POSITIVE, shape=POSITIVE, sample=st.lists(POSITIVE, max_size=4))
+def test_distribution_parameters_from_python_callers_read_as_the_reference_rules_say(mean, shape, sample):
+    for make, expected, kept in (
+            (lambda: FittedDistribution.inverse_gaussian(mean, shape).params, oracles.inverse_gaussian_fault(mean, shape),
+             lambda params: params == {"mean": float(mean), "shape": float(shape)}
+             and all(type(v) is float for v in params.values())),
+            (lambda: FittedDistribution.empirical(sample).sample_ref, oracles.empirical_fault(sample),
+             lambda ref: ref.dtype == float and ref.tolist() == [float(v) for v in sample])):
+        if expected is None:
+            assert kept(make())
+        else:
+            with pytest.raises(ParameterError, match=f"^{re.escape(expected)}$"):
+                make()
