@@ -87,10 +87,15 @@ class Kind(NamedTuple):
     array: Callable  # a list of such values and the set of their types as an array; OverflowError when one does not fit
     ok: Callable  # the test of one value, which the scan after a failed column test runs
     must: str  # what a value must be, for the fault message
+    whole: Callable | None = None  # an int64 kind's test without the range; a value it takes and ok does not is too big
+
+
+def _is_whole(v) -> bool:
+    return type(v) is int or type(v) is float and v.is_integer()
 
 
 def _is_id(v) -> bool:
-    return (type(v) is int or type(v) is float and v.is_integer()) and -2**63 <= v < 2**63
+    return _is_whole(v) and -2**63 <= v < 2**63
 
 
 def _is_number(v) -> bool:
@@ -117,13 +122,13 @@ def _ids_or_null(values: list, _kinds: set) -> tuple[np.ndarray, np.ndarray, np.
 # A boolean is not a number, nor is a string; an id may be an integral float; a numpy scalar passes the value tests.
 KINDS = {
     "integer": Kind({int}, lambda values, _: np.array(values, dtype=np.int64),
-                    lambda v: is_integer(v) and -2**63 <= v < 2**63, "an integer"),
-    "id": Kind({int}, lambda values, _: np.array(values, dtype=np.int64), _is_id, "an integer"),
+                    lambda v: is_integer(v) and -2**63 <= v < 2**63, "an integer", is_integer),
+    "id": Kind({int}, lambda values, _: np.array(values, dtype=np.int64), _is_id, "an integer", _is_whole),
     "number": Kind({int, float}, lambda values, _: np.array(values, dtype=float), _is_number, "a finite number"),
     "time": Kind({int, float}, _kept, _is_number, "a finite number"),
     "flag": Kind({bool}, lambda values, _: np.array(values, dtype=bool), lambda v: type(v) is bool, "a boolean"),
     "user": Kind({int, str}, _kept, lambda v: type(v) is int or type(v) is str, "an integer or a string"),
-    "parent": Kind({int, type(None)}, _ids_or_null, lambda v: v is None or _is_id(v), "an integer or null"),
+    "parent": Kind({int, type(None)}, _ids_or_null, lambda v: v is None or _is_id(v), "an integer or null", _is_whole),
 }
 
 
@@ -133,9 +138,11 @@ def read_column(values: list, kind: str, error: type[Exception], where: str, fie
     The one column test: every value's type is in the kind's types, its
     array holds every value and, where floats may come, each is below the
     largest float in size; only a column that fails it is scanned. The
-    value is named where, or where[k].field in a column of records.
+    value is named where, or where[k].field in a column of records; an
+    integer kind's value that is whole but outside int64 "must fit an
+    int64".
     """
-    types, array, ok, must = KINDS[kind]
+    types, array, ok, must, whole = KINDS[kind]
     seen = set(map(type, values))
     if seen <= types:
         with contextlib.suppress(OverflowError):  # an integer past int64, or a number past the largest float
@@ -145,7 +152,8 @@ def read_column(values: list, kind: str, error: type[Exception], where: str, fie
     k = next((k for k, v in enumerate(values) if not ok(v)), None)
     if k is not None:
         path = where if field is None else f"{where}[{k}].{field}"
-        raise error(f"{path} must be {must}, got {values[k]!r}")
+        rule = "fit an int64" if whole is not None and whole(values[k]) else f"be {must}"
+        raise error(f"{path} must {rule}, got {values[k]!r}")
     return array(values, seen)  # a number of exactly the largest float's size fails the column test alone
 
 

@@ -460,8 +460,15 @@ def is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
+def is_whole(v) -> bool:
+    """An int, or a finite float with no fractional part, not a bool, of any size: an id's type rule."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    return isinstance(v, int) or math.isfinite(v) and v == math.floor(v)
+
+
 def is_id(v) -> bool:
-    return is_number(v) and v == math.floor(v) and -2**63 <= v < 2**63
+    return is_whole(v) and -2**63 <= v < 2**63
 
 
 NODE_RULES = {  # per node field: the test each value must pass, and what the loader says it must be
@@ -538,8 +545,9 @@ def tree_fault(doc, index: int = 0) -> tuple[type, str] | None:
         return TreeSchemaError, f"{name}: {STRUCTURE}"
     for key, (ok, kind) in NODE_RULES.items():
         for i, value in enumerate(columns[key]):
-            if not ok(value):
-                return TreeSchemaError, f"{name}: nodes[{i}].{key} must be {kind}, got {value!r}"
+            if not ok(value):  # a whole id or parent outside int64 does not fit one
+                must = "fit an int64" if key in ("id", "parent") and is_whole(value) else f"be {kind}"
+                return TreeSchemaError, f"{name}: nodes[{i}].{key} must {must}, got {value!r}"
     if category not in ("science", "conspiracy", "troll", "synthetic"):
         return TreeSchemaError, f"{name}: unknown category {category!r}"
     if page_sign not in (-1, 1):
@@ -599,15 +607,17 @@ def news_fault(items, n: int) -> str | None:
     """The message diffuse raises for the first bad value of a news batch on n nodes, or None when it reads.
 
     Field by field, first_sharer_count then fitness: the first value of the
-    wrong kind, then the first whose int, or float, lies outside [0, n], or
-    [0, 1].
+    wrong kind (a count outside int64 must fit one), then the first whose
+    int, or float, lies outside [0, n], or [0, 1].
     """
     for field, ok, must, cast, high in (("first_sharer_count", is_count, "an integer", int, n),
                                         ("fitness", is_finite_number, "a finite number", float, 1)):
         values = [getattr(item, field) for item in items]
         for k, v in enumerate(values):
             if not ok(v):
-                return f"news[{k}].{field} must be {must}, got {v!r}"
+                too_big = field == "first_sharer_count" and type(python_value(v)) is int  # an int, not a count
+                rule = "fit an int64" if too_big else f"be {must}"
+                return f"news[{k}].{field} must {rule}, got {v!r}"
         for k, v in enumerate(map(cast, values)):
             if not 0 <= v <= high:
                 return f"news[{k}].{field} must be in [0, {high}], got {v!r}"

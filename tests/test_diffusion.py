@@ -553,7 +553,8 @@ def test_news_items_need_a_fitness_in_the_unit_interval_and_an_integer_count(fit
     news = [NewsItem(id=0, fitness=0.5, first_sharer_count=1),
             NewsItem(id=1, fitness=fitness, first_sharer_count=count)]
     field = "first_sharer_count" if fitness == 0.5 else "fitness"  # the one bad field, named by its path
-    with pytest.raises(ParameterError, match=rf"^news\[1\]\.{field} must be "):
+    rule = "fit an int64, got 1180591620717411303424$" if count == 2**70 else "be "
+    with pytest.raises(ParameterError, match=rf"^news\[1\]\.{field} must {rule}"):
         diffuse(g, news, (0.1,), seed=0)
     numpy_scalars = [NewsItem(id=0, fitness=np.float64(0.5), first_sharer_count=np.int64(2))]
     assert diffuse(g, numpy_scalars, (0.1,), seed=0)[0][0].seeds.tolist() == [2]

@@ -62,6 +62,11 @@ def fault(index, kind, value):
     return f"^{re.escape(f'[{index}].f must be {files.KINDS[kind].must}, got {value!r}')}$"
 
 
+def too_big(index, value):
+    """The match pattern of read's fault at index for a whole value outside int64."""
+    return f"^{re.escape(f'[{index}].f must fit an int64, got {value!r}')}$"
+
+
 NOT_FLAGS = ("integer", "id", "number", "time", "user", "parent")
 INTEGERS = ("integer", "id", "parent")
 
@@ -104,8 +109,11 @@ def test_a_number_of_exactly_the_largest_float_size_is_read_and_an_int_above_it_
 
 @pytest.mark.parametrize("kind", INTEGERS)
 def test_2_to_the_63_fails_every_integer_kind(kind):
-    for value in (2**63, -2**63 - 1):
-        with pytest.raises(ValueError, match=fault(1, kind, value)):
+    for value in (2**63, -2**63 - 1, 2**70, -10**400):
+        with pytest.raises(ValueError, match=too_big(1, value)):
+            read([0, value], kind)
+    for value in (2.0**63, -2.0**70):  # whole floats: an id or parent that does not fit, never an integer
+        with pytest.raises(ValueError, match=fault(1, kind, value) if kind == "integer" else too_big(1, value)):
             read([0, value], kind)
     ends = read([2**63 - 1, -2**63], kind)
     assert (ends if kind != "parent" else ends[2]).tolist() == [2**63 - 1, -2**63]

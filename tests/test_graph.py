@@ -284,6 +284,10 @@ def test_graph_from_dict_rejects_bad_documents():
     pytest.param(lambda doc: doc.update(z=10), "z must be even, >= 2 and below n = 10, got 10", id="z-not-below-n"),
     pytest.param(lambda doc: doc.update(r=1.5), "r must be in [0, 1], got 1.5", id="r"),
     pytest.param(lambda doc: doc["edges"].pop(), "edges must hold n*z/2 = 10 edges, got 9", id="edge-dropped"),
+    pytest.param(lambda doc: doc.update(n=2**70), "n must fit an int64, got 1180591620717411303424",
+                 id="n-beyond-int64"),
+    pytest.param(lambda doc: doc["edges"][2].update(v=-2**63 - 1),
+                 "edges[2].v must fit an int64, got -9223372036854775809", id="v-beyond-int64"),
     pytest.param(lambda doc: doc.update(z=4), "edges must hold n*z/2 = 20 edges, got 10", id="z-raised"),
 ])
 def test_a_graph_value_out_of_range_is_named_by_its_path(change, message):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import ctypes
 import dataclasses
 import json
 import logging
@@ -7,6 +8,7 @@ import os
 import statistics
 import threading
 import time
+import types
 import warnings
 from unittest import mock
 
@@ -263,6 +265,53 @@ def test_the_tasks_run_in_the_workers_and_no_worker_outlives_the_sweep(monkeypat
     assert multiprocessing.active_children() == [] and threading.active_count() == 1  # so the next sweep forks
     pids = set(log.read_text().split())
     assert (str(os.getpid()) in pids) == (workers == 1) and len(pids) <= workers
+
+
+def test_each_worker_sets_the_allocator_thresholds_once_and_the_caller_never(monkeypatch, tmp_path, workers):
+    warmed, ran = tmp_path / "warmed", tmp_path / "ran"
+    original = harness._warm_allocator
+
+    def logged(path, func):
+        def call(*args, **kwargs):
+            with open(path, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return func(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(harness, "_warm_allocator", logged(warmed, original))
+    monkeypatch.setattr(harness, "diffuse", logged(ran, diffuse))
+    run_sweep(tiny_config(rs=(0.1, 0.5)))
+    pids = warmed.read_text().split() if warmed.exists() else []
+    if workers == 1:
+        assert pids == []
+    else:
+        assert len(pids) == len(set(pids)) == workers and str(os.getpid()) not in pids
+        assert set(ran.read_text().split()) <= set(pids)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("library", [OSError("no C library"), types.SimpleNamespace(),
+                                     types.SimpleNamespace(mallopt=lambda param, value: 0)],
+                         ids=["no C library", "no mallopt", "mallopt refuses"])
+def test_without_a_working_mallopt_the_workers_keep_the_defaults_and_the_sweep_its_results(
+        monkeypatch, tmp_path, library):
+    expected = run_sweep(tiny_config(rs=(0.1, 0.5)))
+    opened = tmp_path / "opened"
+
+    def open_c_library(name):
+        assert name is None  # the C library already loaded, not one looked up by name
+        with open(opened, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        if isinstance(library, Exception):
+            raise library
+        return library
+
+    monkeypatch.setattr(harness, "_worker_count", lambda tasks: min(2, tasks))
+    monkeypatch.setattr(ctypes, "CDLL", open_c_library)
+    assert run_sweep(tiny_config(rs=(0.1, 0.5))) == expected
+    assert multiprocessing.active_children() == []
+    pids = opened.read_text().split()
+    assert len(set(pids)) == len(pids) == 2 and str(os.getpid()) not in pids
 
 
 def test_an_error_cancels_the_tasks_not_yet_started(monkeypatch, tmp_path):

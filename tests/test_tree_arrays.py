@@ -450,7 +450,7 @@ def restructured_batches(draw):
         for node in nodes:
             node["id"] += shift
             node["parent"] = None if node["parent"] is None else node["parent"] + shift
-        ids = [node["id"] for node in nodes] + [99, float(nodes[0]["id"]) if nodes else 0.0]
+        ids = [node["id"] for node in nodes] + [99, float(nodes[0]["id"]) if nodes else 0.0, 2**63, -1e19]
         values = {"id": st.sampled_from(ids), "parent": st.one_of(st.none(), st.sampled_from(ids)),
                   "sigma": st.one_of(st.floats(-1.5, 1.5), st.integers(-2, 2)),
                   "t": st.one_of(st.integers(-5, 5), st.floats(-5, 5), HUGE_TIMES)}

@@ -290,9 +290,10 @@ def test_validation_names_a_node_whose_user_is_neither_an_integer_nor_a_string(u
         tree_from_nodes(1, "science", [(0, 0, 0.5, 0.0, None), (7, user, 0.5, 1.0, 0)])
 
 
-@pytest.mark.parametrize("node_id", [1.5, -0.5, float("nan"), float("inf"), 2**63, "1"])
+@pytest.mark.parametrize("node_id", [1.5, -0.5, float("nan"), float("inf"), 2**63, 1e19, "1"])
 def test_a_record_id_that_is_not_an_integer_is_a_schema_error(node_id):
-    message = f"tree 1: nodes[0].id must be an integer, got {node_id!r}"
+    must = "fit an int64" if node_id in (2**63, 1e19) else "be an integer"
+    message = f"tree 1: nodes[0].id must {must}, got {node_id!r}"
     with pytest.raises(TreeSchemaError, match=f"^{re.escape(message)}$"):
         tree_from_nodes(1, "science", [(node_id, 0, 0.5, 0.0, None)])
 
