@@ -64,11 +64,12 @@ class SignedGraph:
         cascade propagation needs.
         """
         if self._csr is None:
-            edges = self.edges[self.homogeneous]
+            # take copies whole rows; a 2-D boolean mask or fancy indexing gathers element by element
+            edges = np.take(self.edges, np.flatnonzero(self.homogeneous), axis=0)
             heads = np.concatenate([edges[:, 0], edges[:, 1]])
             tails = np.concatenate([edges[:, 1], edges[:, 0]])
-            # head*size + position is unique, so a plain sort orders it as a stable sort of heads would
-            order = np.argsort(heads * heads.size + np.arange(heads.size))
+            # a stable sort keeps each row in edge order; numpy radix-sorts it when n - 1 fits 16 bits
+            order = np.argsort(heads.astype(np.min_scalar_type(self.node_count - 1)), kind="stable")
             indptr = np.zeros(self.node_count + 1, dtype=np.int64)
             np.cumsum(np.bincount(heads, minlength=self.node_count), out=indptr[1:])
             object.__setattr__(self, "_csr", (_read_only(indptr), _read_only(tails[order])))
@@ -158,10 +159,20 @@ def _rewire(adj: np.ndarray, rewire: np.ndarray, rng) -> np.ndarray:
     self loop, an edge before the window (a conservative test, as the
     window may remove it first) or the target of an earlier rewiring in the
     window. A rewiring the loop skips would reject every target, so no
-    window accepts one. After each window, the next rewiring (at the
-    reject, at the end of the block or past the window) takes one step of
-    the loop itself, and so does every rewiring when the mean run between
-    rejects is too short for a window to pay.
+    window accepts one. A window gathers the rows of its heads and targets
+    with np.take, which copies whole rows where fancy indexing goes element
+    by element, and compares them one column at a time, with no
+    (window, z/2) temporary and no any(1) reduction.
+
+    After each window, the next rewiring (at the reject, at the end of the
+    block or past the window) takes one step of the loop itself, and so
+    does every rewiring when the mean run between rejects is too short for
+    a window to pay, as on dense graphs, n < 16(z + 1). A step tests
+    membership in row sets, made per node as the steps ask for them and
+    dropped after each window, and reads and writes the arrays through
+    memoryviews, whose items cost about a quarter of a numpy scalar's.
+    Each lattice edge is visited once, so the edge a step rewires still
+    has its lattice tail.
 
     adj[x, j] is the tail of edge j*n + x, the edge of x at ring distance
     j + 1. A rewired edge keeps its head, so adj is the current graph
@@ -170,35 +181,58 @@ def _rewire(adj: np.ndarray, rewire: np.ndarray, rng) -> np.ndarray:
     n, half = adj.shape
     adj = adj.copy()
     degree = np.full(n, 2 * half)
+    rows, adj_at, degree_at, rewire_at = _Rows(adj), memoryview(adj), memoryview(degree), memoryview(rewire)
     run = n // (2 * half + 1)  # a target is rejected with probability about (z + 1) / n
     block, drawn, i = np.empty(0, dtype=np.int64), 0, 0
     while i < len(rewire):
         size = min(run, len(rewire) - i, len(block) - drawn)
         if size >= _MIN_WINDOW:
-            k = rewire[i:i + size]
-            u, j, w = k % n, k // n, block[drawn:drawn + size]
-            taken = repeats(np.minimum(u, w) * n + np.maximum(u, w))
-            reject = (u == w) | (adj[u] == w[:, None]).any(1) | (adj[w] == u[:, None]).any(1) | taken
+            edge = rewire[i:i + size]
+            u, j, w = edge % n, edge // n, block[drawn:drawn + size]
+            reject = (u == w) | repeats(np.minimum(u, w) * n + np.maximum(u, w))
+            tails_u, tails_w = np.take(adj, u, axis=0), np.take(adj, w, axis=0)
+            for c in range(half):
+                reject |= tails_u[:, c] == w
+                reject |= tails_w[:, c] == u
             done = int(reject.argmax()) if reject.any() else size
-            np.subtract.at(degree, adj[u[:done], j[:done]], 1)
+            np.subtract.at(degree, (u[:done] + j[:done] + 1) % n, 1)
             np.add.at(degree, w[:done], 1)
             adj[u[:done], j[:done]] = w[:done]
+            rows.clear()
             i, drawn = i + done, drawn + done
-        if i < len(rewire):
-            j, u = divmod(int(rewire[i]), n)
-            if degree[u] < n - 1:
+        # one step after a window, or every step left when no window can pay
+        for k in range(i, len(rewire) if run < _MIN_WINDOW else min(i + 1, len(rewire))):
+            j, u = divmod(rewire_at[k], n)
+            if degree_at[u] < n - 1:
+                row = rows[u]
                 while True:
                     if drawn == len(block):
-                        block, drawn = rng.integers(n, size=len(rewire) - i), 0
-                    w = int(block[drawn])
+                        block, drawn = rng.integers(n, size=len(rewire) - k), 0
+                        block_at = memoryview(block)
+                    w = block_at[drawn]
                     drawn += 1
-                    if w != u and w not in adj[u].tolist() and u not in adj[w].tolist():
+                    if w != u and w not in row and u not in rows[w]:
                         break
-                degree[adj[u, j]] -= 1
-                degree[w] += 1
-                adj[u, j] = w
-            i += 1
+                v = (u + j + 1) % n
+                row.remove(v)
+                row.add(w)
+                degree_at[v] -= 1
+                degree_at[w] += 1
+                adj_at[u, j] = w
+            i = k + 1
     return adj.T.reshape(-1)
+
+
+class _Rows(dict):
+    """Row x of adj as a set of tails, made when first asked for."""
+
+    def __init__(self, adj: np.ndarray):
+        super().__init__()
+        self.adj = adj
+
+    def __missing__(self, x: int) -> set:
+        row = self[x] = set(self.adj[x].tolist())
+        return row
 
 
 def label_edges(g: SignedGraph, phi_hl: float, seed) -> SignedGraph:

@@ -330,21 +330,30 @@ def _check(heads: tuple, start: np.ndarray, columns: list) -> Forest:
     heads holds the per-tree lists news_id, category, virtual and page_sign,
     columns the node columns as files.read_columns reads them. Each rule
     is tested once over all nodes. One sort of a key per node, its tree
-    index times the number of distinct ids plus its id's rank, finds each
-    parent by id and each repeated id.
+    index times the id range plus its id's offset in that range, finds
+    each parent by id and each repeated id. Where the tree count times the
+    range would pass an int64, the id's rank among the distinct ids takes
+    the offset's place.
     """
     (news_id, category, virtual, page_sign), (ids, user, sigma, t, (parent_ids, root, wanted)) = heads, columns
     count, n = len(news_id), int(start[-1])
     tree_of = np.repeat(np.arange(count), np.diff(start))
-    distinct, rank = np.unique(np.concatenate((ids, wanted)), return_inverse=True)
-    keys = np.tile(tree_of, 2) * distinct.size + rank  # each node's key, then its parent's
+    both = np.concatenate((ids, wanted))
+    low, high = (int(both.min()), int(both.max())) if n else (0, 0)
+    span = high - low + 1
+    if count * span < 2**63:
+        offset = both - low  # the true differences fit an int64 here, so none wraps
+    else:
+        offset = np.unique(both, return_inverse=True)[1]
+        span = int(offset.max()) + 1
+    keys = np.tile(tree_of, 2) * span + offset  # each node's key, then its parent's
     order = np.argsort(keys[:n], kind="stable")
     slot = np.minimum(np.searchsorted(keys[order], keys), n - 1)
     first = np.where(keys[order[slot]] == keys, order[slot], -1)  # the first node with each key, or -1
     repeat = first[:n] != np.arange(n)
     orphan = ~root & (first[n:] < 0)  # a parent id that no node of the tree has
     parent = np.where(root | orphan, -1, first[n:] - start[tree_of])
-    del distinct, rank, keys, order, slot, first  # node-sized temporaries go before the checks
+    del both, offset, keys, order, slot, first  # node-sized temporaries go before the checks
     forest = Forest(news_id, category, virtual, page_sign, start, ids, user, sigma, t, parent)
     up = np.where(parent < 0, -1, parent + start[tree_of])  # batch-wide parent index, -1 for none
     unknown = ~np.fromiter(map(CATEGORIES.__contains__, category), dtype=bool, count=count)

@@ -425,7 +425,8 @@ def stable_adjacency(g):
     return indptr, tails[np.argsort(heads, kind="stable")]
 
 
-@pytest.mark.parametrize("n,z", GRAPH_SHAPES)
+# n = 65536 sorts its heads as 16-bit keys (numpy's radix sort), n = 65537 as 32-bit keys
+@pytest.mark.parametrize("n,z", GRAPH_SHAPES + ((65536, 2), (65537, 2)))
 def test_adjacency_equals_stable_sort_by_head(n, z):
     for k, r in enumerate(GRAPH_RATES):
         g = label_edges(generate_small_world(n, z, r, seed=[n, z, k]), 0.5, seed=[n, z, k, 1])

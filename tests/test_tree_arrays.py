@@ -544,6 +544,36 @@ def test_a_valid_load_makes_no_per_tree_pass(monkeypatch):
     assert np.any(forest.parent >= local)  # a shuffled tree has a parent after its child, so the cycle test ran
 
 
+@pytest.mark.parametrize("fault", [None, "duplicate", "orphan", "cycle"])
+def test_ids_whose_range_times_the_tree_count_passes_an_int64_are_keyed_by_rank(fault):
+    """Ids at both ends of int64 span 2**64 values, so the parent lookup keys them by rank, not by offset."""
+    low, high = -2**63, 2**63 - 1
+    doc = {"news_id": 1, "category": "science", "root": {"virtual": False, "page_sign": -1},
+           "nodes": [{"id": high, "user": 5, "sigma": 0.5, "t": 0.0, "parent": None},
+                     {"id": low, "user": 6, "sigma": 0.25, "t": 1.0, "parent": high},
+                     {"id": 7, "user": 7, "sigma": -0.5, "t": 2.0, "parent": low}]}
+    nodes = doc["nodes"]
+    if fault == "duplicate":
+        nodes[2]["id"] = low
+    elif fault == "orphan":
+        nodes[2]["parent"] = low + 1
+    elif fault == "cycle":
+        nodes.append({"id": 8, "user": 8, "sigma": 0.0, "t": 3.0, "parent": 9})
+        nodes.append({"id": 9, "user": 9, "sigma": 0.0, "t": 4.0, "parent": 8})
+    batch = [a_doc(), doc]
+    text = json.dumps(batch)
+    expected = next(filter(None, (tree_fault(d, j) for j, d in enumerate(json.loads(text)))), None)
+    assert (expected is None) == (fault is None)
+    if fault is None:
+        forest = trees_from_json(text)
+        assert forest.parent.tolist() == [-1, 0, -1, 0, 1]
+        assert json.loads(trees_to_json(forest)) == batch
+    else:
+        with pytest.raises(TreeValidationError) as raised:
+            trees_from_json(text)
+        assert (type(raised.value), str(raised.value)) == expected
+
+
 @pytest.mark.parametrize("path,where", [
     pytest.param(("news_id",), "tree at batch index 1: news_id", id="news_id"),
     pytest.param(("category",), "tree 1: category", id="category"),
