@@ -11,8 +11,11 @@ Its visited set takes one of two forms, by the batch's key space (items
 times nodes): up to _DENSE_KEYS keys (4 MiB) a bool table indexed by key,
 which drops visited candidates before they are sorted; above it, where a
 fresh table would cost more in first-touch page faults than it saves, the
-sorted keys of the last two rounds, searched after the sort. Both give
-the same output.
+sorted keys of the last two rounds, searched after the sort. Once a
+table's batch has gathered _FOLD_SHARE neighbor pairs per key, the table
+also marks every key whose node fails the item's sharing threshold, and
+one lookup per neighbor pair then replaces the threshold test. All three
+give the same output.
 
 diffuse is the kernel's entry point: it takes one or more sharing
 thresholds and returns, per threshold, the per-item seed counts, sizes,
@@ -26,6 +29,7 @@ fixed seeds).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -123,13 +127,18 @@ def diffuse(g: SignedGraph, news_list, deltas, seed,
     All items expand at once, one round at a time, as int64 keys item*n + node.
 
     Raises:
-        ParameterError: deltas a bare number or empty, a delta not a
-            number in [0, 1], or a news value, named by its path as a
-            document's is: the first first_sharer_count not an integer,
-            else not in [0, n], then the same for fitness as a finite
-            number in [0, 1] ("news[1].fitness must be in [0, 1], got 1.5").
+        ParameterError: deltas a bare number, None, an iterator, a 0-d
+            array or empty, a delta not a number in [0, 1], or a news
+            value, named by its path as a document's is: the first
+            first_sharer_count not an integer, else not in [0, n], then the
+            same for fitness as a finite number in [0, 1]
+            ("news[1].fitness must be in [0, 1], got 1.5").
     """
-    if isinstance(deltas, numbers.Real) or len(deltas) == 0:
+    try:
+        count = 0 if isinstance(deltas, numbers.Real) else len(deltas)
+    except TypeError:  # None, an iterator, a 0-d array
+        count = 0
+    if count == 0:
         raise ParameterError(f"deltas must be a non-empty sequence of sharing thresholds, got {deltas!r}")
     for delta in deltas:
         check_unit(delta, "sharing threshold")
@@ -168,22 +177,36 @@ def _cascade(g: SignedGraph, news_list, counts, fitness, delta, rng, seeds) -> t
     # So a visited set that holds only the last two rounds' keys answers as
     # one of every round. A batch of at most _DENSE_KEYS keys marks every
     # round in a bool table indexed by key; a larger one keeps the last two
-    # rounds as a sorted array.
+    # rounds as a sorted array. Once a table's batch has gathered
+    # _FOLD_SHARE neighbor pairs per key, the table also marks the keys that
+    # fail the threshold, and opinions is None from then on: a node that
+    # fails it never shares, so one lookup drops both. The seeds are marked
+    # before that, and a seed shares whatever its opinion.
+    opinions = g.opinions
     frontier = seeds
+    items, nodes = np.divmod(seeds, n)
     if len(counts) * n <= _DENSE_KEYS:
         visited = np.zeros(len(counts) * n, dtype=bool)
         visited[seeds] = True
+        unfolded = len(counts) * n * _FOLD_SHARE  # pairs left to gather before the fold
     else:
         layer = visited = np.sort(seeds)
+        unfolded = math.inf
     round_k = 0
     while frontier.size:
-        frontier, parents = _expand(indptr, indices, g.opinions, fitness, delta, n, rng, frontier, visited)
+        pairs = indptr[nodes + 1] - indptr[nodes]
+        if opinions is not None:
+            unfolded -= int(pairs.sum())
+            if unfolded <= 0:
+                _fold(visited, opinions, fitness, delta, n, items[_run_starts(items)])
+                opinions = None
+        frontier, parents = _expand(indptr, indices, opinions, fitness, delta, n, rng, items, nodes, pairs, visited)
         if not frontier.size:
             break
         round_k += 1
-        item_of = frontier // n
-        rounds[item_of] = round_k
-        sizes += np.bincount(item_of, minlength=len(counts))
+        items, nodes = np.divmod(frontier, n)
+        rounds[items] = round_k
+        sizes += np.bincount(items, minlength=len(counts))
         if shared is not None:
             shared.append((frontier, parents))
         if visited.dtype == bool:
@@ -229,17 +252,26 @@ def _seed_nodes(rng: np.random.Generator, counts: np.ndarray, n: int) -> np.ndar
 # keys, 4,400 pages) the sorted array is cheaper.
 _DENSE_KEYS = 1 << 22
 
+# Neighbor pairs gathered per key of a table's batch before _cascade folds
+# the threshold into the table. The fold costs one pass over the rows of
+# the items still spreading (about 1 ms for 48 x 20,000 keys) and then
+# saves two gathers and a threshold test, about 6 ns, per gathered pair. A
+# big cascade pays for it within a round: 48 items on 20,000 nodes at delta
+# 0.2 gather 2.7 pairs per key. A small batch never makes it: 248 troll
+# items at delta 0.015 gather 0.005 pairs per key, and folding that
+# batch's 4.2M keys up front made it 3-4x slower.
+_FOLD_SHARE = 0.25
+
 # Neighbor pairs gathered at once. A round's frontier is expanded in slices
 # of whole items holding about this many pairs, which bounds the temporary
 # arrays of big cascades and costs small ones at most a few slices a round.
 _SLICE_PAIRS = 1 << 16
 
 
-def _expand(indptr, indices, opinions, fitness, delta, n, rng, frontier, visited):
-    """One kernel round over the homogeneous CSR: the new sharer keys, sorted, and
-    their parents' positions in frontier with rng (the batch Generator, tree mode), None without."""
-    items, nodes = np.divmod(frontier, n)
-    pairs = indptr[nodes + 1] - indptr[nodes]
+def _expand(indptr, indices, opinions, fitness, delta, n, rng, items, nodes, pairs, visited):
+    """One kernel round over the homogeneous CSR from the frontier's items, nodes and neighbor pair counts: the new
+    sharer keys, sorted, and their parents' positions in the frontier with rng (the batch Generator, tree mode),
+    None without."""
     parts = [_slice(indptr, indices, opinions, fitness, delta, n, rng, lo, items[lo:hi], nodes[lo:hi], pairs[lo:hi],
                     visited) for lo, hi in _item_slices(items, pairs)]
     if len(parts) == 1:
@@ -254,8 +286,10 @@ def _slice(indptr, indices, opinions, fitness, delta, n, rng, lo, items, nodes, 
     visited is _cascade's visited set: a bool table indexed by key, or the
     sorted keys of the last two rounds. A key is visited for all of its
     candidates or for none, so the table drops visited candidates right
-    after the threshold test. The candidate keys left are sorted, so each
-    run of equal keys is one candidate sharer, and the sorted array is
+    after the threshold test. With opinions None the table holds the
+    threshold too (see _fold), and the keys are built from the neighbors
+    and tested by the one lookup. The candidate keys left are sorted, so
+    each run of equal keys is one candidate sharer, and the sorted array is
     searched with sorted needles. In tree mode the sort carries each key's
     frontier position in its low bits, which keeps a key's candidate
     parents in frontier order, as a stable sort of the pairs would; the run
@@ -263,14 +297,19 @@ def _slice(indptr, indices, opinions, fitness, delta, n, rng, lo, items, nodes, 
     """
     ends = np.cumsum(pairs)
     gather = np.repeat(indptr[nodes] - (ends - pairs), pairs) + np.arange(ends[-1])
-    children = indices[gather]
-    pair_items = np.repeat(items, pairs)
-    at = np.flatnonzero(np.abs(opinions[children] - fitness[pair_items]) <= delta)
-    keys = pair_items[at] * n + children[at]
     dense = visited.dtype == bool
-    if dense:
-        fresh = ~visited[keys]
-        at, keys = at[fresh], keys[fresh]
+    if opinions is None:
+        keys = indices[gather] + np.repeat(items * n, pairs)
+        at = np.flatnonzero(~visited[keys])
+        keys = keys[at]
+    else:
+        children = indices[gather]
+        pair_items = np.repeat(items, pairs)
+        at = np.flatnonzero(np.abs(opinions[children] - fitness[pair_items]) <= delta)
+        keys = pair_items[at] * n + children[at]
+        if dense:
+            fresh = ~visited[keys]
+            at, keys = at[fresh], keys[fresh]
     if not keys.size:
         return keys, (None if rng is None else keys)
     if rng is None:
@@ -300,6 +339,20 @@ def _slice(indptr, indices, opinions, fitness, delta, n, rng, lo, items, nodes, 
     # the parents do not depend on how a round is sliced.
     chosen[multi] += rng.integers(counts[multi])
     return keys[first], lo + source[chosen]
+
+
+def _fold(visited, opinions, fitness, delta, n, items):
+    """Mark in the bool table visited, for each of the items, the keys whose node fails the sharing threshold.
+
+    The test is _slice's, negated: |opinion - fitness| > delta. Rows go a
+    chunk of about _SLICE_PAIRS keys at a time, which bounds the float
+    temporaries as _SLICE_PAIRS bounds a slice's.
+    """
+    table = visited.reshape(-1, n)
+    step = max(1, _SLICE_PAIRS // n)
+    for lo in range(0, items.size, step):
+        rows = items[lo:lo + step]
+        table[rows] |= np.abs(opinions - fitness[rows, None]) > delta
 
 
 def _unvisited(visited: np.ndarray, keys: np.ndarray) -> np.ndarray:

@@ -243,12 +243,18 @@ def label_edges(g: SignedGraph, phi_hl: float, seed) -> SignedGraph:
     is truncated at the target count), which supports monotonicity checks.
     """
     check_unit(phi_hl, "phi_hl")
-    rng = np.random.default_rng(seed)
-    m = g.edge_count
-    k = round(phi_hl * m)
-    order = rng.permutation(m)
-    flags = np.zeros(m, dtype=bool)
-    flags[order[:k]] = True
+    return label_by_order(g, np.random.default_rng(seed).permutation(g.edge_count), phi_hl)
+
+
+def label_by_order(g: SignedGraph, order: np.ndarray, phi_hl: float) -> SignedGraph:
+    """Return a copy of g with the first round(phi_hl * M) edges of order flagged homogeneous.
+
+    label_edges draws order as a permutation of the M edges; a caller that
+    labels one graph at several phi_hl under one seed draws it once and
+    passes it to each call.
+    """
+    flags = np.zeros(g.edge_count, dtype=bool)
+    flags[order[:round(phi_hl * g.edge_count)]] = True
     return replace(g, homogeneous=flags)
 
 

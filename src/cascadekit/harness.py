@@ -29,7 +29,7 @@ import numpy as np
 from . import branching, files, stats, trees
 from .diffusion import BatchStats, diffuse, sample_news
 from .errors import DegenerateSampleError, ParameterError, SupercriticalError, is_integer, is_unit
-from .graph import check_size, generate_small_world, label_edges
+from .graph import check_size, generate_small_world, label_by_order
 from .stats import FittedDistribution
 from .trees import Forest
 
@@ -175,8 +175,9 @@ def run_sweep(config: SweepConfig) -> list[SweepResult]:
       - the graph and its edge labeling from the two children of
         SeedSequence(master_seed, spawn_key=(0, j, k)): one graph per
         (r, iteration), shared across phi_hl and delta, and one labeling
-        seed, under which label_edges nests the homogeneous edge sets
-        across phi_hl;
+        seed, whose edge permutation (label_edges' draw) is drawn once and
+        cut off at each phi_hl, so the homogeneous edge sets nest across
+        phi_hl;
       - the news batch and the diffuse seed from the two children of
         SeedSequence(master_seed, spawn_key=(1, i, j, k)), shared across
         delta only, so the deltas of one (phi_hl, r, iteration) diffuse the
@@ -211,9 +212,10 @@ def _sweep_task(config: SweepConfig, task: tuple[int, int]) -> list[tuple]:
     j, k = task
     s_graph, s_label = np.random.SeedSequence(config.master_seed, spawn_key=(0, j, k)).spawn(2)
     g = generate_small_world(config.n, config.z, config.rs[j], seed=s_graph)
+    order = np.random.default_rng(s_label).permutation(g.edge_count)  # label_edges' draw, once for every phi_hl
     outputs = []
     for i, phi_hl in enumerate(config.phis):
-        labeled = label_edges(g, phi_hl, seed=s_label)
+        labeled = label_by_order(g, order, phi_hl)
         s_news, s_batch = np.random.SeedSequence(config.master_seed, spawn_key=(1, i, j, k)).spawn(2)
         news = sample_news(config.m, config.first_sharers, seed=s_news, max_count=config.n)
         batches = diffuse(labeled, news, config.deltas, seed=s_batch)

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 import re
 import warnings
 from unittest import mock
@@ -454,40 +456,63 @@ def test_a_slice_whose_packed_keys_overflow_sorts_stably_to_the_same_sharers_and
     assert item_of_parent == results[0][0]
 
 
-def diffuse_with_dense_keys(bound, g, news, deltas, seed, build_trees, slice_pairs):
-    """diffuse with the visited-table bound patched, and the state its Generator ends in."""
+@st.composite
+def boundary_batches(draw):
+    """A small graph with every edge homogeneous and opinions on the grid k/8 or a hair off it, a batch with
+    fitness 0.25, 0.5 or 0.75, and deltas from 0, 1/8 and 1/4, so that opinions lie exactly at fitness +- delta
+    (all exact in binary), just beyond it or far outside, seeds among them."""
+    z = 2 * draw(st.integers(1, 3))
+    n = draw(st.integers(z + 1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    g = generate_small_world(n, z, draw(st.sampled_from((0.0, 0.5, 1.0))), seed=seed)
+    grid = np.arange(9) / 8
+    hairs = np.concatenate([np.nextafter(grid[1:], 0.0), np.nextafter(grid[:-1], 1.0)])
+    opinions = draw(st.lists(st.sampled_from(grid.tolist()) | st.sampled_from(hairs.tolist()), min_size=n, max_size=n))
+    g = dataclasses.replace(g, opinions=np.array(opinions))
+    counts = draw(st.lists(st.integers(0, 3) | st.sampled_from((n // 2 + 1, n)), max_size=8))
+    news = [NewsItem(id=i, fitness=draw(st.sampled_from((0.25, 0.5, 0.75))), first_sharer_count=c)
+            for i, c in enumerate(counts)]
+    return g, news, tuple(draw(st.permutations([0.0, 0.125, 0.25]))), seed
+
+
+def diffuse_with_dense_keys(bound, share, g, news, deltas, seed, build_trees, slice_pairs):
+    """diffuse with the visited-table bound, its fold share and the slice size patched, and the state its
+    Generator ends in."""
     rng = np.random.default_rng(seed)
-    with mock.patch.object(diffusion, "_DENSE_KEYS", bound), mock.patch.object(diffusion, "_SLICE_PAIRS", slice_pairs):
+    with mock.patch.multiple(diffusion, _DENSE_KEYS=bound, _FOLD_SHARE=share, _SLICE_PAIRS=slice_pairs):
         results = diffuse(g, news, deltas, seed=rng, build_trees=build_trees)
     return results, rng.bit_generator.state
 
 
 @settings(max_examples=150, deadline=None, database=None)
-@given(delta_batches() | tied_batches(), st.integers(1, 4), st.booleans(), st.sampled_from((1, 7, diffusion._SLICE_PAIRS)))
+@given(delta_batches() | tied_batches() | boundary_batches(), st.integers(1, 4), st.booleans(),
+       st.sampled_from((1, 7, diffusion._SLICE_PAIRS)))
 def test_the_dense_visited_table_and_the_sorted_visited_array_give_the_same_batch(case, count, build_trees,
                                                                                   slice_pairs):
-    # A batch of exactly _DENSE_KEYS keys takes the bool table, one more key the sorted array of the last two rounds.
+    # A batch of exactly _DENSE_KEYS keys takes the bool table, one more key the sorted array of the last two
+    # rounds. With a fold share of 0 the table holds the threshold from the first round on, with infinity never.
     g, news, deltas, seed = case
     deltas = deltas[:count]
     keys = len(news) * g.node_count
-    dense, dense_state = diffuse_with_dense_keys(keys, g, news, deltas, seed, build_trees, slice_pairs)
-    search, search_state = diffuse_with_dense_keys(keys - 1, g, news, deltas, seed, build_trees, slice_pairs)
-    assert dense_state == search_state
-    for delta, (stats, forest), (other, other_forest) in zip(deltas, dense, search):
-        for field in ("seeds", "sizes", "heights", "rounds"):
-            assert getattr(stats, field).tolist() == getattr(other, field).tolist()
-        expected = layered_trees(g, news, delta, seed)
-        assert stats.sizes.tolist() == [len(users) for users, _, _ in expected]
-        assert stats.rounds.tolist() == [max(rounds, default=0) for _, rounds, _ in expected]
-        if not build_trees:
-            assert forest is None and other_forest is None
-            continue
-        for field in NODE_ARRAYS:
-            assert getattr(forest, field).tolist() == getattr(other_forest, field).tolist()
-        assert forest.news_id == other_forest.news_id
-        assert forest.user.tolist() == [u for users, _, _ in expected for u in users]
-        assert forest.t.tolist() == [k for _, rounds, _ in expected for k in rounds]
-        assert forest.parent.tolist() == [p for _, _, parents in expected for p in parents]
+    search, search_state = diffuse_with_dense_keys(keys - 1, 0.0, g, news, deltas, seed, build_trees, slice_pairs)
+    for share in (0.0, math.inf):
+        dense, dense_state = diffuse_with_dense_keys(keys, share, g, news, deltas, seed, build_trees, slice_pairs)
+        assert dense_state == search_state
+        for delta, (stats, forest), (other, other_forest) in zip(deltas, dense, search):
+            for field in ("seeds", "sizes", "heights", "rounds"):
+                assert getattr(stats, field).tolist() == getattr(other, field).tolist()
+            expected = layered_trees(g, news, delta, seed)
+            assert stats.sizes.tolist() == [len(users) for users, _, _ in expected]
+            assert stats.rounds.tolist() == [max(rounds, default=0) for _, rounds, _ in expected]
+            if not build_trees:
+                assert forest is None and other_forest is None
+                continue
+            for field in NODE_ARRAYS:
+                assert getattr(forest, field).tolist() == getattr(other_forest, field).tolist()
+            assert forest.news_id == other_forest.news_id
+            assert forest.user.tolist() == [u for users, _, _ in expected for u in users]
+            assert forest.t.tolist() == [k for _, rounds, _ in expected for k in rounds]
+            assert forest.parent.tolist() == [p for _, _, parents in expected for p in parents]
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -511,7 +536,7 @@ def test_batch_input_errors():
         diffuse(g, news, (0.1,), seed=0)
     with pytest.raises(ParameterError, match="threshold"):
         diffuse(g, news[:1], (0.1, -0.1), seed=0)
-    for deltas in ((), 0.1):
+    for deltas in ((), 0.1, np.array(0.1), None, iter([0.1])):
         with pytest.raises(ParameterError, match="non-empty sequence of sharing thresholds"):
             diffuse(g, news[:1], deltas, seed=0)
     with pytest.raises(ParameterError, match=r"^news\[0\]\.first_sharer_count must be in \[0, \d+\], got -1$"):

@@ -125,6 +125,23 @@ def test_a_sweep_draws_the_seed_nodes_once_per_phi_r_and_iteration(monkeypatch):
     assert len(calls) == len(config.phis) * len(config.rs) * config.iterations
 
 
+def test_a_sweep_draws_one_edge_permutation_per_task(monkeypatch):
+    # Generator is an immutable type, so the spy is a subclass of it, which
+    # every default_rng call returns on the bit generator it would have used.
+    monkeypatch.setattr(harness, "_worker_count", lambda tasks: 1)  # in-process, so the calls can be counted here
+    sizes, default_rng = [], np.random.default_rng
+
+    class Spy(np.random.Generator):
+        def permutation(self, x, axis=0):
+            sizes.append(x)
+            return super().permutation(x, axis)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: Spy(default_rng(seed).bit_generator))
+    config = tiny_config(phis=(0.5, 0.6, 0.7), rs=(0.1, 0.2), iterations=3)
+    run_sweep(config)
+    assert sizes.count(config.n * config.z // 2) == len(config.rs) * config.iterations
+
+
 def test_sweep_mean_size_at_least_mean_seeds():
     config = tiny_config(first_sharers=FittedDistribution.poisson(4.0), iterations=2)
     results = run_sweep(config)
