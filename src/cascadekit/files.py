@@ -12,7 +12,8 @@ document or a Python caller, once against its kind in KINDS, the one
 table of what a value may hold, and read_columns reads a JSON list of
 objects through it field by field; only a failed lookup or column test
 starts a scan, to name the first fault by its path, as first_fault does
-for a range. A CSV table is written row by row through one itemgetter.
+for a range; read_sample reads each sample of numbers through it. A CSV
+table is written row by row through one itemgetter.
 
 The functions that build one dict or list per node, edge, tree or row and
 free them before they return (graph.load_graph and save_graph,
@@ -160,6 +161,20 @@ def read_column(values: list, kind: str, error: type[Exception], where: str, fie
 def read_value(value, kind: str, error: type[Exception], path: str):
     """value as the Python value of its KINDS kind; one the kind does not take raises error("<path> must be ...")."""
     return read_column([value], kind, error, path)[0].item()
+
+
+def read_sample(values, what: str) -> np.ndarray:
+    """A list or tuple read as the number kind, or a finite 1-D int or float array, as a non-empty float array."""
+    if isinstance(values, (list, tuple)):
+        x = read_column(values, "number", ParameterError, f"{what} entry")
+    elif isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iuf" and values.itemsize <= 8:
+        x = values.astype(float, copy=False)
+        first_fault(~np.isfinite(x), f"{what} entry", "be a finite number", x)
+    else:
+        raise ParameterError(f"{what} must be a list or a 1-D array of finite numbers, got {type(values).__name__}")
+    if not x.size:
+        raise ParameterError(f"{what} must hold at least one number")
+    return x
 
 
 def first_fault(bad: np.ndarray, path: str, rule: str, values: np.ndarray) -> None:

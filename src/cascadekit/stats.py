@@ -4,6 +4,12 @@ Covers discrete power-law maximum likelihood with a Wald comparison of
 scaling exponents, the two-sample Kolmogorov-Smirnov test with asymptotic
 critical values, first-sharer count models (inverse Gaussian, log-normal,
 Poisson, uniform, empirical), and quartile summary tables.
+
+Every number sample is read by files.read_sample, which names a bad entry
+as a document's is; a function adds only its own rule (positive integers
+for fit_power_law, counts >= 0 for fit_first_sharers and the empirical
+family). One function, _level, reads every significance level: a real
+number in (0, 1), not a bool.
 """
 
 from __future__ import annotations
@@ -33,16 +39,6 @@ class SummaryStats:
     max: float
 
 
-def _sample(samples, what: str) -> np.ndarray:
-    """samples as a float array; a ParameterError when it is empty or holds NaN or an infinity."""
-    x = np.asarray(samples, dtype=float)
-    if x.size == 0:
-        raise ParameterError(f"{what} need a non-empty sample")
-    if not np.all(np.isfinite(x)):
-        raise ParameterError(f"{what} need finite samples")
-    return x
-
-
 def _mean(x: np.ndarray) -> float:
     """x.mean() of a finite sample; where its sum overflows (to inf, or NaN), max|x| * (x / max|x|).mean()."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -53,16 +49,30 @@ def _mean(x: np.ndarray) -> float:
     return float(mean)
 
 
+def _quartiles(x: np.ndarray) -> np.ndarray:
+    """The 0, 1/4, 1/2, 3/4 and 1 quantiles of a finite sample.
+
+    Where the gap between two order statistics overflows, np.quantile gives
+    inf or NaN, and the quantiles are max|x| times those of x / max|x|.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        qs = np.quantile(x, [0.0, 0.25, 0.5, 0.75, 1.0])
+    if not np.all(np.isfinite(qs)):
+        scale = np.abs(x).max()
+        qs = scale * np.quantile(x / scale, [0.0, 0.25, 0.5, 0.75, 1.0])
+    return qs
+
+
 def summary_stats(samples) -> SummaryStats:
     """Quartiles by linear interpolation between order statistics, plus mean."""
-    x = _sample(samples, "summary statistics")
-    lo, q1, med, q3, hi = np.quantile(x, [0.0, 0.25, 0.5, 0.75, 1.0])
+    x = files.read_sample(samples, "summary sample")
+    lo, q1, med, q3, hi = _quartiles(x)
     return SummaryStats(float(lo), float(q1), float(med), _mean(x), float(q3), float(hi))
 
 
 def empirical_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
     """P(X <= x) tabulated at the sorted unique sample values."""
-    x = np.sort(_sample(samples, "empirical curves"))
+    x = np.sort(files.read_sample(samples, "curve sample"))
     grid = np.unique(x)
     return grid, np.searchsorted(x, grid, side="right") / x.size
 
@@ -73,18 +83,33 @@ def empirical_ccdf(samples) -> tuple[np.ndarray, np.ndarray]:
     return grid, 1.0 - cdf
 
 
+def _bins(bins):
+    """bins as empirical_pdf takes them: a count >= 1 (an integer, not a bool), or at least two non-decreasing edges."""
+    if isinstance(bins, (list, tuple, np.ndarray)):
+        edges = files.read_sample(bins, "bin edges")
+        if edges.size >= 2 and np.all(edges[1:] >= edges[:-1]):
+            return edges
+    elif files.KINDS["integer"].ok(bins) and bins >= 1:
+        return bins
+    raise ParameterError(f"bins must be an integer >= 1 or at least two non-decreasing finite edges, got {bins!r}")
+
+
 def empirical_pdf(samples, bins=30) -> tuple[np.ndarray, np.ndarray]:
     """Histogram density estimate; returns bin centers and densities.
 
-    bins is an array of edges, or a count of equal bins over the sample
-    range, which np.histogram widens by 0.5 each way for a constant sample.
+    bins is a list or array of at least two non-decreasing finite edges, or
+    a count (an integer >= 1) of equal bins over the sample range, which
+    np.histogram widens by 0.5 each way for a constant sample.
 
     Raises:
         DegenerateSampleError: a count of bins that cannot all have a
             positive width at the sample's magnitude, or a bin center or
             density that is not a finite float.
+        ParameterError: a sample that files.read_sample does not take, or
+            bins that are neither a count nor edges.
     """
-    x = _sample(samples, "empirical curves")
+    x = files.read_sample(samples, "curve sample")
+    bins = _bins(bins)
     with np.errstate(all="ignore"):
         if np.ndim(bins) == 0:
             lo, hi = x.min(), x.max()
@@ -147,15 +172,17 @@ def fit_power_law(samples, x_min: int = 1) -> PowerLawFit:
     Raises:
         DegenerateSampleError: fewer than two tail samples, all equal, or
             an exponent search at which zeta(alpha, x_min) underflows.
-        ParameterError: samples that are not finite positive integers (an
-            integral float is taken), or x_min < 1.
+        ParameterError: samples that are not finite positive integers, or
+            an x_min that is not an integer >= 1 (an integral float is
+            taken as its integer, in the samples and in x_min; a bool is
+            not a number).
     """
-    x = np.asarray(samples)
-    if x_min < 1:
-        raise ParameterError(f"x_min must be >= 1, got {x_min}")
-    if x.size and not (x.dtype.kind in "iuf" and np.all(np.isfinite(x) & (x == np.floor(x)) & (x >= 1))):
-        raise ParameterError("power-law samples must be positive integers")
-    tail = x[x >= x_min].astype(float)
+    x = files.read_sample(samples, "power-law sample")
+    if not (files.KINDS["number"].ok(x_min) and x_min >= 1 and float(x_min).is_integer()):
+        raise ParameterError(f"x_min must be an integer >= 1, got {x_min!r}")
+    x_min = int(x_min)  # zeta(alpha, x_min) sums over the integers from x_min
+    files.first_fault((x != np.floor(x)) | (x < 1), "power-law sample entry", "be a positive integer", x)
+    tail = x[x >= x_min]
     n = tail.size
     if n < 2:
         raise DegenerateSampleError(f"need >= 2 samples at or above x_min={x_min}, got {n}")
@@ -180,6 +207,13 @@ def fit_power_law(samples, x_min: int = 1) -> PowerLawFit:
     return PowerLawFit(alpha=float(alpha_hat), var_alpha=1.0 / (n * info), x_min=x_min, n_tail=n)
 
 
+def _level(alpha) -> float:
+    """alpha as a float: a significance level is a real number in (0, 1), and a bool is none."""
+    if not (files.KINDS["number"].ok(alpha) and 0.0 < float(alpha) < 1.0):
+        raise ParameterError(f"significance level must be a number in (0, 1), got {alpha!r}")
+    return float(alpha)
+
+
 @dataclass(frozen=True)
 class WaldTestResult:
     W: float
@@ -193,8 +227,7 @@ def wald_test(fit1: PowerLawFit, fit2: PowerLawFit, alpha: float = 0.05) -> Wald
     The variance of the first fit alone normalizes the statistic, so the
     second argument acts as the reference fit.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"significance level must be in (0, 1), got {alpha}")
+    alpha = _level(alpha)
     if fit1.var_alpha <= 0:
         raise DegenerateSampleError("first fit has zero variance; Wald statistic undefined")
     w = (fit1.alpha - fit2.alpha) ** 2 / fit1.var_alpha
@@ -206,11 +239,9 @@ def wald_test(fit1: PowerLawFit, fit2: PowerLawFit, alpha: float = 0.05) -> Wald
 
 def kolmogorov_critical(alpha: float) -> float:
     """c(alpha) with P(K > c) = alpha for the asymptotic Kolmogorov distribution K."""
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"significance level must be in (0, 1), got {alpha}")
     from scipy.special import kolmogi
 
-    return float(kolmogi(alpha))
+    return float(kolmogi(_level(alpha)))
 
 
 @dataclass(frozen=True)
@@ -226,10 +257,8 @@ def ks_two_sample(s1, s2, alpha: float = 0.05) -> KSTestResult:
     D is the largest gap between the two empirical CDFs; the critical value
     is c(alpha) * sqrt((n1 + n2) / (n1 * n2)).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"significance level must be in (0, 1), got {alpha}")
-    a = np.sort(_sample(s1, "KS tests"))
-    b = np.sort(_sample(s2, "KS tests"))
+    a = np.sort(files.read_sample(s1, "KS sample"))
+    b = np.sort(files.read_sample(s2, "KS sample"))
     pooled = np.concatenate([a, b])
     f1 = np.searchsorted(a, pooled, side="right") / a.size
     f2 = np.searchsorted(b, pooled, side="right") / b.size
@@ -326,19 +355,10 @@ FAMILIES = {f.name: f for f in (
            draw=lambda rng, size, low, high: rng.uniform(low, high, size),
            fit=lambda x: (float(x.min()), float(x.max()))),
     Family(FAMILY_EMPIRICAL, ("emp",), (SAMPLE,),
-           "empirical distribution needs a non-empty sample with no value below 0",
-           check=lambda sample: sample.size > 0 and sample.min() >= 0,
+           "empirical distribution needs a sample with no value below 0",
+           check=lambda sample: sample.min() >= 0,
            draw=lambda rng, size, sample: rng.choice(sample, size=size, replace=True), fit=lambda x: (x,)),
 )}
-
-
-def _finite_sample(what: str, value) -> np.ndarray:
-    if isinstance(value, (list, tuple)):  # as in a JSON document: check each entry
-        value = files.read_column(value, "number", ParameterError, f"{what} entry")
-    data = np.asarray(value)
-    if data.ndim != 1 or data.dtype.kind not in "iuf" or not np.all(np.isfinite(data)):
-        raise ParameterError(f"{what} must be a list of finite numbers")
-    return data.astype(float, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,7 +367,7 @@ class FittedDistribution:
 
     Construction checks them against FAMILIES: each must be given and be a
     finite number (files.read_value, as a document field is read; an
-    empirical sample list's entries through files.read_column), and
+    empirical sample through files.read_sample, as every sample is), and
     together they must meet the family's rule. The empirical family keeps
     its sample in sample_ref, not in params.
     """
@@ -366,7 +386,7 @@ class FittedDistribution:
         if set(given) != set(fam.params):
             raise ParameterError(f"{fam.name} takes parameters ({', '.join(fam.params)}), "
                                  f"got ({', '.join(map(str, given))})")
-        values = {p: _finite_sample(f"{fam.name} {p}", given[p]) if p == SAMPLE
+        values = {p: files.read_sample(given[p], f"{fam.name} {p}") if p == SAMPLE
                   else files.read_value(given[p], "number", ParameterError, f"{fam.name} {p}") for p in fam.params}
         if not fam.check(**values):
             raise ParameterError(fam.rule.format(**values))
@@ -446,9 +466,8 @@ def fit_first_sharers(samples, seed) -> FirstSharerFit:
         DegenerateSampleError: fewer than two positive samples.
         ParameterError: an empty sample, or a negative or non-finite count.
     """
-    counts = np.asarray(samples, dtype=float)
-    if counts.size == 0 or not np.all(np.isfinite(counts) & (counts >= 0)):
-        raise ParameterError("first-sharer counts must be finite, non-negative and non-empty")
+    counts = files.read_sample(samples, "first-sharer sample")
+    files.first_fault(counts < 0, "first-sharer sample entry", "be >= 0", counts)
     zeros_excluded = int(np.count_nonzero(counts == 0))
     if counts.size - zeros_excluded < 2:
         raise DegenerateSampleError("need at least two positive first-sharer counts")

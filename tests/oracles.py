@@ -639,8 +639,10 @@ def empirical_fault(sample: list) -> str | None:
     for v in sample:
         if not is_finite_number(v):
             return f"empirical sample entry must be a finite number, got {v!r}"
-    if not sample or min(map(float, sample)) < 0:
-        return "empirical distribution needs a non-empty sample with no value below 0"
+    if not sample:
+        return "empirical sample must hold at least one number"
+    if min(map(float, sample)) < 0:
+        return "empirical distribution needs a sample with no value below 0"
     return None
 
 

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -88,6 +91,28 @@ def test_expected_cascade_size():
         expected_cascade_size(1.0, 1.7)
     with pytest.raises(ParameterError):
         expected_cascade_size(-1.0, 0.5)
+
+
+@pytest.mark.parametrize("seeds,mu,message", [
+    (float("inf"), 0.2, "mean first-sharer count must be a finite number, got inf"),
+    (2.0, float("-inf"), "branching ratio must be a finite number, got -inf"),
+    (1.0, "0.5", "branching ratio must be a finite number, got '0.5'"),
+    (True, 0.5, "mean first-sharer count must be a finite number, got True"),
+    (-1.0, 0.5, "mean first-sharer count must be >= 0, got -1.0"),
+    (1e308, 0.99, "expected cascade size 1e+308 / (1 - 0.99) passes the float range"),
+], ids=["inf seeds", "-inf mu", "str mu", "bool seeds", "negative seeds", "overflowing size"])
+def test_expected_cascade_size_takes_finite_numbers(seeds, mu, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        expected_cascade_size(seeds, mu)
+
+
+def test_heterogeneous_branching_past_the_float_range_is_a_parameter_error():
+    for dist in ({1e200: 1.0}, {2.0: 0.5, 1.7e308: 0.5}):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="passes the float range"):
+                heterogeneous_branching(dist, p=0.1)
+    assert heterogeneous_branching({5: 0.5, 3: 0.5}, p=0.1) == heterogeneous_branching({3: 0.5, 5: 0.5}, p=0.1)
 
 
 def test_expected_size_monotone_in_mu_and_linear_in_seeds():

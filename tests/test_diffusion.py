@@ -515,6 +515,27 @@ def test_the_dense_visited_table_and_the_sorted_visited_array_give_the_same_batc
             assert forest.parent.tolist() == [p for _, _, parents in expected for p in parents]
 
 
+def fold_calls(g, news, delta, build_trees):
+    with mock.patch.object(diffusion, "_fold", wraps=diffusion._fold) as fold:
+        diffuse(g, news, (delta,), seed=7, build_trees=build_trees)
+    return fold.call_count
+
+
+def test_a_dense_batch_folds_the_threshold_into_its_table_only_once_it_has_gathered_enough_pairs():
+    # Small cascades never pay for the fold: 248 troll items at delta 0.015 fill 4,188,472 of the table's
+    # _DENSE_KEYS keys but gather about 0.005 neighbor pairs per key. Big ones fold once: 48 items of 3 seeds
+    # on 5,000 nodes at delta 0.2 gather about 2.7 pairs per key, and at delta 0.05 about 0.02.
+    troll = label_edges(generate_small_world(16889, 8, 0.1, seed=1), 0.56, seed=2)
+    small = sample_news(248, FittedDistribution.inverse_gaussian(18.73, 9.63), seed=3, max_count=troll.node_count)
+    assert len(small) * troll.node_count == 4_188_472 <= diffusion._DENSE_KEYS
+    dense = label_edges(generate_small_world(5000, 8, 1.0, seed=5), 1.0, seed=6)
+    big = [NewsItem(id=i, fitness=(i + 0.5) / 48, first_sharer_count=3) for i in range(48)]
+    for build_trees in (False, True):
+        assert fold_calls(troll, small, 0.015, build_trees) == 0
+        assert fold_calls(dense, big, 0.2, build_trees) == 1
+        assert fold_calls(dense, big, 0.05, build_trees) == 0
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(st.integers(1, 60), st.data(), st.integers(0, 2**32 - 1))
 def test_seed_nodes_match_the_unique_dedup_and_leave_the_same_generator_state(n, data, seed):

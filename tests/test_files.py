@@ -10,6 +10,7 @@ import contextlib
 import csv
 import gc
 import inspect
+import math
 import re
 import sys
 from fractions import Fraction
@@ -21,9 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cascadekit import diffusion, files, graph, trees
+from cascadekit import branching, diffusion, files, graph, stats, trees
 from cascadekit.diffusion import NewsItem
-from cascadekit.errors import ParameterError, TreeSchemaError
+from cascadekit.errors import CascadekitError, ParameterError, TreeSchemaError
 from cascadekit.stats import FittedDistribution
 
 
@@ -280,3 +281,113 @@ def test_distribution_parameters_from_python_callers_read_as_the_reference_rules
         else:
             with pytest.raises(ParameterError, match=f"^{re.escape(expected)}$"):
                 make()
+
+
+# --- samples and significance levels ---------------------------------------------------
+
+def wald_at(level):
+    fit = stats.fit_power_law([1, 2, 3, 1, 5])
+    return stats.wald_test(fit, fit, alpha=level)
+
+
+# Each reader of a number sample, with the name its faults give the sample.
+SAMPLE_READERS = {
+    "summary": (stats.summary_stats, "summary sample"),
+    "cdf": (stats.empirical_cdf, "curve sample"),
+    "ccdf": (stats.empirical_ccdf, "curve sample"),
+    "pdf": (stats.empirical_pdf, "curve sample"),
+    "pdf edges": (lambda sample: stats.empirical_pdf([1.0, 2.0], bins=sample), "bin edges"),
+    "ks first": (lambda sample: stats.ks_two_sample(sample, [1.0, 2.0]), "KS sample"),
+    "ks second": (lambda sample: stats.ks_two_sample([1.0, 2.0], sample), "KS sample"),
+    "power law": (stats.fit_power_law, "power-law sample"),
+    "first sharers": (lambda sample: stats.fit_first_sharers(sample, seed=0), "first-sharer sample"),
+    "empirical": (FittedDistribution.empirical, "empirical sample"),
+    "degrees": (lambda sample: branching.heterogeneous_branching((sample, [0.25, 0.25, 0.5]), 0.1), "degree list"),
+    "probabilities": (lambda sample: branching.heterogeneous_branching(([2, 3, 4], sample), 0.1), "probability list"),
+}
+LEVEL_READERS = {
+    "critical": stats.kolmogorov_critical,
+    "ks": lambda level: stats.ks_two_sample([1.0, 2.0], [3.0], alpha=level),
+    "wald": wald_at,
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, True, "1"], ids=["nan", "bool", "str"])
+@pytest.mark.parametrize("reader", SAMPLE_READERS)
+def test_every_sample_reader_names_a_bad_entry_by_one_rule(reader, bad):
+    read, what = SAMPLE_READERS[reader]
+    message = f"^{re.escape(f'{what} entry must be a finite number, got {bad!r}')}$"
+    for sample in ([2, bad, 3], (2, bad, 3)) + ((np.array([2.0, bad, 3.0]),) if bad is math.nan else ()):
+        with pytest.raises(ParameterError, match=message):  # an array names a NaN as a list does
+            read(sample)
+
+
+@pytest.mark.parametrize("sample,message", [
+    ("3", "summary sample must be a list or a 1-D array of finite numbers, got str"),
+    ({1: 2}, "summary sample must be a list or a 1-D array of finite numbers, got dict"),
+    (3.0, "summary sample must be a list or a 1-D array of finite numbers, got float"),
+    (np.ones((2, 2)), "summary sample must be a list or a 1-D array of finite numbers, got ndarray"),
+    (np.array([True, False]), "summary sample must be a list or a 1-D array of finite numbers, got ndarray"),
+    (np.array([1 + 2j]), "summary sample must be a list or a 1-D array of finite numbers, got ndarray"),
+    ([True, False], "summary sample entry must be a finite number, got True"),
+    ([[1.0, 2.0]], "summary sample entry must be a finite number, got [1.0, 2.0]"),
+    ([], "summary sample must hold at least one number"),
+    (np.zeros(0, dtype=np.int64), "summary sample must hold at least one number"),
+], ids=["str", "dict", "scalar", "2-D", "bool array", "complex array", "bools", "nested", "empty", "empty array"])
+def test_a_sample_that_is_not_a_list_or_1d_array_of_numbers_is_a_parameter_error(sample, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        stats.summary_stats(sample)
+
+
+def test_samples_that_were_read_as_numbers_are_parameter_errors():
+    with pytest.raises(ParameterError, match=r"^first-sharer sample entry must be a finite number, got True$"):
+        stats.fit_first_sharers([True, 2, 3], seed=0)
+    with pytest.raises(ParameterError, match="^KS sample entry must be a finite number, got 'x'$"):
+        stats.ks_two_sample([1, "x"], [1.0])
+    with pytest.raises(ParameterError, match="^degree distribution must pair each degree with a probability"):
+        branching.heterogeneous_branching(([1, 2, 3], [0.5, 0.5]), 0.1)
+    with pytest.raises(ParameterError, match="^a degree distribution must be a dict or a pair"):
+        branching.heterogeneous_branching(([1, 2], [0.5, 0.5], [1, 1]), 0.1)
+
+
+@pytest.mark.parametrize("level", ["0.05", True, None, 1j, math.nan, math.inf, 0.0, 1.0, -0.5, Fraction(1, 10**400)],
+                         ids=["str", "bool", "none", "complex", "nan", "inf", "0", "1", "-0.5", "tiny fraction"])
+@pytest.mark.parametrize("reader", LEVEL_READERS)
+def test_every_level_reader_takes_a_number_in_the_open_unit_interval(reader, level):
+    message = f"significance level must be a number in (0, 1), got {level!r}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        LEVEL_READERS[reader](level)
+
+
+def test_a_level_in_the_open_unit_interval_is_read_as_its_float():
+    assert stats.kolmogorov_critical(np.float32(0.05)) == stats.kolmogorov_critical(float(np.float32(0.05)))
+    assert stats.kolmogorov_critical(Fraction(1, 20)) == stats.kolmogorov_critical(0.05)
+    assert wald_at(np.float64(0.05)) == wald_at(0.05)
+
+
+JUNK_ENTRY = st.one_of(ANY_VALUE, st.complex_numbers(max_magnitude=3), st.lists(st.integers(0, 3), max_size=2))
+JUNK_SAMPLE = st.one_of(
+    st.lists(JUNK_ENTRY, max_size=5), st.lists(JUNK_ENTRY, max_size=5).map(tuple),
+    st.lists(st.floats(), max_size=5).map(np.array), st.lists(st.integers(-3, 2**63 - 1), max_size=5).map(np.array),
+    st.lists(st.floats(width=32), max_size=5).map(lambda v: np.array(v, dtype=np.float32)),
+    st.lists(st.booleans(), max_size=3).map(np.array), st.lists(st.text(max_size=2), max_size=3).map(np.array),
+    st.dictionaries(st.integers(0, 5), st.floats(0, 1), max_size=3), ANY_VALUE,
+    st.sampled_from([np.ones((2, 2)), np.array(2.0), np.array([1 + 1j]), np.array([1.0], dtype=np.longdouble) * 1e300,
+                     np.array([None, 1.0]), {1, 2}, b"12", range(3)]),
+)
+JUNK_LEVEL = st.one_of(ANY_VALUE, st.floats(0, 1), st.complex_numbers(max_magnitude=1), st.lists(st.floats(0, 1)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(sample=JUNK_SAMPLE, level=JUNK_LEVEL)
+def test_junk_samples_and_levels_give_a_result_or_a_cascadekit_error(sample, level):
+    # Not "pdf edges": an integer there is a count of bins, and a count too big for memory is not checked.
+    calls = [*(read for name, (read, _) in SAMPLE_READERS.items() if name != "pdf edges"),
+             lambda s: branching.heterogeneous_branching(s, 0.1),
+             *LEVEL_READERS.values(), lambda s: stats.ks_two_sample(s, s, alpha=level)]
+    for call in calls:
+        with contextlib.suppress(CascadekitError):
+            call(sample)
+    for call in LEVEL_READERS.values():
+        with contextlib.suppress(CascadekitError):
+            call(level)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import astuple
 
@@ -70,6 +71,18 @@ def test_summary_stats_of_a_sample_whose_sum_overflows_has_its_finite_mean(sampl
     assert s.mean == pytest.approx(math.fsum(v / len(sample) for v in sample), rel=1e-15)
 
 
+@pytest.mark.parametrize("sample,quartiles", [
+    ([-1.7e308, 1.7e308], (-1.7e308, -8.5e307, 0.0, 8.5e307, 1.7e308)),
+    ([-1.7e308, -1e308, 1e308, 1.7e308, 1.7e308], (-1.7e308, -1e308, 1e308, 1.7e308, 1.7e308)),
+], ids=["two", "five"])
+def test_summary_stats_of_a_sample_whose_order_statistics_lie_further_apart_than_the_float_range(sample, quartiles):
+    # np.quantile interpolates across the gap b - a, which overflows to inf, and gives inf or NaN quartiles.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = summary_stats(sample)
+    assert (s.min, s.q1, s.median, s.q3, s.max) == quartiles
+
+
 def test_empirical_curve_boundary_identities():
     sample = [3, 1, 4, 1, 5, 9, 2, 6]
     xs, cdf = empirical_cdf(sample)
@@ -104,6 +117,28 @@ def test_empirical_pdf_matches_numpy_where_numpy_can_bin():
         centers, ours = empirical_pdf(sample, bins=20)
         assert ours.tolist() == density.tolist()
         assert centers.tolist() == (0.5 * (edges[:-1] + edges[1:])).tolist()
+
+
+@pytest.mark.parametrize("bins", [0, -1, 2.5, True, None, "3", [3.0, 2.0, 1.0], [1.0], 2**70],
+                         ids=["0", "-1", "2.5", "bool", "none", "str", "decreasing", "one edge", "huge"])
+def test_empirical_pdf_bins_are_a_count_or_non_decreasing_edges(bins):
+    message = f"bins must be an integer >= 1 or at least two non-decreasing finite edges, got {bins!r}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        empirical_pdf([1.0, 2.0, 3.0], bins=bins)
+
+
+def test_empirical_pdf_reads_bin_edges_as_a_sample():
+    with pytest.raises(ParameterError, match="^bin edges entry must be a finite number, got nan$"):
+        empirical_pdf([1.0, 2.0, 3.0], bins=[0.0, math.nan, 4.0])
+    with pytest.raises(ParameterError, match="^bin edges must be a list or a 1-D array of finite numbers, got ndarray$"):
+        empirical_pdf([1.0, 2.0, 3.0], bins=np.ones((2, 2)))
+    sample = np.random.default_rng(9).uniform(-1, 1, 200)
+    edges = np.linspace(-1, 1, 21)
+    expected = [a.tolist() for a in empirical_pdf(sample, bins=edges)]
+    for bins in (edges.tolist(), tuple(edges)):
+        assert [a.tolist() for a in empirical_pdf(sample, bins=bins)] == expected
+    counted = [empirical_pdf(sample, bins=count) for count in (20, np.int64(20))]
+    assert [a.tolist() for a in counted[0]] == [a.tolist() for a in counted[1]]
 
 
 # --- power-law fitting ------------------------------------------------------------
@@ -151,11 +186,31 @@ def test_fit_power_law_at_an_x_min_where_zeta_underflows():
 
 
 def test_fit_power_law_takes_only_finite_integers():
-    for samples in ([1.5, 2.5, 3.5, 1.2], [math.nan, 2, 3, 5], [math.inf, 2, 3, 5]):
-        with pytest.raises(ParameterError, match="positive integers"):
+    for samples, message in (([1.5, 2.5, 3.5, 1.2], "power-law sample entry must be a positive integer, got 1.5"),
+                             ([math.nan, 2, 3, 5], "power-law sample entry must be a finite number, got nan"),
+                             ([math.inf, 2, 3, 5], "power-law sample entry must be a finite number, got inf")):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             fit_power_law(samples)
     draws = np.random.default_rng(7).zipf(2.5, 2000)
     assert fit_power_law(draws.astype(float)) == fit_power_law(draws)  # an integral float fits as its integer
+
+
+@pytest.mark.parametrize("x_min", [1.5, math.nan, "1", True], ids=["fractional", "nan", "str", "bool"])
+def test_fit_power_law_takes_an_integer_cutoff(x_min):
+    # zeta(alpha, x_min) normalizes over the integers from x_min: at x_min = 1.5 the tail is x >= 2, but the
+    # likelihood would divide by zeta(alpha, 1.5).
+    draws = np.random.default_rng(0).zipf(2.5, 5000)
+    with pytest.raises(ParameterError, match=f"^{re.escape(f'x_min must be an integer >= 1, got {x_min!r}')}$"):
+        fit_power_law(draws, x_min=x_min)
+
+
+def test_fit_power_law_takes_an_integral_cutoff_as_its_integer():
+    draws = np.random.default_rng(0).zipf(2.5, 5000)
+    fit = fit_power_law(draws, x_min=2)
+    assert fit.alpha == pytest.approx(2.44, abs=0.01)
+    for x_min in (2, 2.0, np.float64(2.0), np.int64(2)):
+        other = fit_power_law(draws, x_min=x_min)
+        assert other == fit and type(other.x_min) is int
 
 
 @pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0])
